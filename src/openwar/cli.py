@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .events import parse_season, serialize_season
 from .pipeline import run_pipeline
@@ -65,7 +67,6 @@ def _build_parser():
         p.add_argument("--bandwidth-y", type=float, default=None)
         p.add_argument("--strict", dest="strict", action="store_true", default=True)
         p.add_argument("--lenient", dest="strict", action="store_false")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
         if name == "boot":
             p.add_argument("--replicates", type=int, default=3500)
             p.add_argument("--compare", nargs=2, action="append", default=[],
@@ -190,13 +191,14 @@ def main(argv=None):
         return int(exc.code or 0) and EXIT_CONFIG
     try:
         return _COMMANDS[args.command](args)
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first
+        print(json.dumps({"error": str(exc), "kind": "numeric"}), file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, KeyError, OSError) as exc:
         kind = "validation" if isinstance(exc, ValueError) else "config"
         print(json.dumps({"error": str(exc), "kind": kind}), file=sys.stderr)
         return EXIT_VALIDATION if kind == "validation" else EXIT_CONFIG
-    except ArithmeticError as exc:
-        print(json.dumps({"error": str(exc), "kind": "numeric"}), file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ class DefenseSplit:
     delta_f: float  # fielder share of -delta
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldingRow:
     player_id: str
     position: str
@@ -81,29 +81,46 @@ def fit_out_surface(data, bandwidth=None):
     return smooth_out_probability(points, outs, bandwidth)
 
 
+def _split(delta, p_hat):
+    """Pitcher and fielder parts of -delta at out probability p_hat."""
+    return -delta * (1.0 - p_hat), -delta * p_hat
+
+
+def _missing_coordinates(pa):
+    return ValueError(
+        f"game {pa.game_id} pa {pa.pa_index}: ball in play without coordinates")
+
+
 def split_responsibility(pa, delta, surface, lenient_rate=None):
-    """Split -delta between pitcher and fielders.
+    """Split -delta between pitcher and fielders for one plate appearance.
 
     Non-ball-in-play events give everything to the pitcher.  A ball in
     play without coordinates raises unless `lenient_rate` supplies a
     fallback out probability.
     """
     if not pa.ball_in_play:
-        return DefenseSplit(p_hat=0.0, delta_p=-delta, delta_f=0.0)
-    if pa.bip_location is None:
+        p = 0.0
+    elif pa.bip_location is None:
         if lenient_rate is None:
-            raise ValueError(
-                f"game {pa.game_id} pa {pa.pa_index}: ball in play without coordinates")
+            raise _missing_coordinates(pa)
         p = float(lenient_rate)
     else:
         p = surface(*pa.bip_location)
-    return DefenseSplit(p_hat=p, delta_p=-delta * (1.0 - p), delta_f=-delta * p)
+    delta_p, delta_f = _split(delta, p)
+    return DefenseSplit(p_hat=p, delta_p=delta_p, delta_f=delta_f)
 
 
 def fielding_design_row(x, y):
     """[1, x, y, x^2, y^2, xy] on the scaled coordinate system."""
     xs, ys = x / _COORD_SCALE, y / _COORD_SCALE
     return [1.0, xs, ys, xs * xs, ys * ys, xs * ys]
+
+
+def _fielding_design(coords):
+    """(k, 6) fielding design for k coordinate pairs."""
+    coords = np.asarray(coords, dtype=float)
+    terms = fielding_design_row(coords[:, 0], coords[:, 1])
+    return np.column_stack(np.broadcast_arrays(*terms))
 
 
 _FIELDING_COLS = ["intercept", "x", "y", "x2", "y2", "xy"]
@@ -121,7 +138,7 @@ def fit_fielding_models(data):
         raise ValueError("no balls in play with coordinates")
     X = DesignMatrix(
         columns=_FIELDING_COLS,
-        values=np.array([fielding_design_row(*pa.bip_location) for _, pa in bip]))
+        values=_fielding_design([pa.bip_location for _, pa in bip]))
     uncredited = sum(
         1 for _, pa in bip
         if pa.outs_on_play > 0 and pa.credited_fielder_position is None)
@@ -143,19 +160,27 @@ def fit_fielding_models(data):
     return models
 
 
-def apportion_fielding(pa, delta_f, models):
-    """Normalized per-position responsibility rows for one ball in play."""
-    row = np.array([fielding_design_row(*pa.bip_location)])
-    probs = np.array([float(models[pos].predict(row)[0])
-                      for pos in FIELDING_POSITIONS])
-    total = probs.sum()
-    if total < 1e-12:
+def _fielding_shares(coords, models, plays):
+    """Per-position out probabilities and normalized shares, each (k, 9),
+    at the coordinates of k balls in play: one prediction per model over
+    the whole design.  A play whose probabilities all vanish is split
+    equally, with a warning naming it."""
+    X = _fielding_design(coords)
+    probs = np.column_stack([models[pos].predict(X)
+                             for pos in FIELDING_POSITIONS])
+    total = probs.sum(axis=1)
+    vanish = total < 1e-12
+    for k in np.flatnonzero(vanish):
+        pa = plays[k]
         warnings.warn(
             f"game {pa.game_id} pa {pa.pa_index}: all fielder probabilities "
             "vanish; splitting equally")
-        shares = np.full(9, 1.0 / 9.0)
-    else:
-        shares = probs / total
+    shares = np.full_like(probs, 1.0 / 9.0)
+    shares[~vanish] = probs[~vanish] / total[~vanish, None]
+    return probs, shares
+
+
+def _fielding_rows(pa, delta_f, probs, shares):
     return [
         FieldingRow(player_id=pa.fielder_ids[j], position=pos,
                     p_model=float(probs[j]), share=float(shares[j]),
@@ -164,24 +189,26 @@ def apportion_fielding(pa, delta_f, models):
     ]
 
 
+def apportion_fielding(pa, delta_f, models):
+    """Normalized per-position responsibility rows for one ball in play."""
+    probs, shares = _fielding_shares([pa.bip_location], models, [pa])
+    return _fielding_rows(pa, delta_f, probs[0], shares[0])
+
+
 def fit_fielding_park_adjustment(data, bip_indices, rows_per_pa):
     """Ballpark adjustment over per-(play, fielder) rows; residuals become
     the fielding runs above average."""
     parks = sorted({pa.ballpark_id for pa in data.plate_appearances})
     cols = ["intercept"] + [f"park_{p}" for p in parks]
     park_ix = {p: 1 + j for j, p in enumerate(parks)}
-    flat = []
-    values = []
-    for i, rows in zip(bip_indices, rows_per_pa):
-        pa = data.plate_appearances[i]
-        for row in rows:
-            flat.append(park_ix[pa.ballpark_id])
-            values.append(row.value)
+    pas = data.plate_appearances
+    flat = np.repeat([park_ix[pas[i].ballpark_id] for i in bip_indices],
+                     [len(rows) for rows in rows_per_pa])
+    values = np.array([row.value for rows in rows_per_pa for row in rows])
     V = np.zeros((len(flat), len(cols)))
     V[:, 0] = 1.0
-    for r, j in enumerate(flat):
-        V[r, j] = 1.0
-    fit = ols_fit(DesignMatrix(columns=cols, values=V), np.array(values))
+    V[np.arange(len(flat)), flat] = 1.0
+    fit = ols_fit(DesignMatrix(columns=cols, values=V), values)
     k = 0
     for rows in rows_per_pa:
         for row in rows:
@@ -217,18 +244,21 @@ def apportion_defense(data, deltas, bandwidth=None):
     surface = fit_out_surface(data, bandwidth=bandwidth)
     models = fit_fielding_models(data)
 
-    n = len(data.plate_appearances)
-    p_hat = np.zeros(n)
-    delta_p = np.zeros(n)
-    delta_f = np.zeros(n)
-    bip_indices = []
-    fielding_rows = []
-    for i, pa in enumerate(data.plate_appearances):
-        split = split_responsibility(pa, deltas[i], surface)
-        p_hat[i], delta_p[i], delta_f[i] = split.p_hat, split.delta_p, split.delta_f
-        if pa.ball_in_play:
-            bip_indices.append(i)
-            fielding_rows.append(apportion_fielding(pa, split.delta_f, models))
+    pas = data.plate_appearances
+    bip_indices = [i for i, pa in enumerate(pas) if pa.ball_in_play]
+    plays = [pas[i] for i in bip_indices]
+    for pa in plays:
+        if pa.bip_location is None:
+            raise _missing_coordinates(pa)
+    coords = np.array([pa.bip_location for pa in plays], dtype=float)
+    p_hat = np.zeros(len(pas))
+    p_hat[bip_indices] = surface.evaluate_binned(coords[:, 0], coords[:, 1])
+    delta_p, delta_f = _split(deltas, p_hat)
+
+    probs, shares = _fielding_shares(coords, models, plays)
+    fielding_rows = [
+        _fielding_rows(pa, delta_f[i], probs[k], shares[k])
+        for k, (i, pa) in enumerate(zip(bip_indices, plays))]
 
     park_fit = fit_fielding_park_adjustment(data, bip_indices, fielding_rows)
     pitch_fit = fit_pitching_adjustment(data, delta_p)

@@ -25,6 +25,18 @@ __all__ = [
 RANK_TOL = 1e-10
 #: coefficient norm (standardized design) beyond which we flag separation
 SEPARATION_NORM = 30.0
+#: smoother queries whose total kernel weight falls below this get the
+#: global response rate
+MIN_KERNEL_WEIGHT = 1e-12
+#: element budget for one (queries x training points) temporary of the
+#: exact smoother; queries are processed in chunks that stay under it
+EXACT_CHUNK_ELEMENTS = 1 << 20
+#: grid step of the binned smoother, as a fraction of the bandwidth
+BIN_STEP = 1.0 / 20.0
+#: largest binned grid axis (nodes); a wider grid (a bandwidth tiny next to
+#: the spread of the data) is evaluated exactly instead, because the dense
+#: kernel matrix grows with the square of the axis
+MAX_GRID_NODES = 2048
 
 
 @dataclass
@@ -84,16 +96,18 @@ def _independent_columns(values, tol=RANK_TOL):
     n, p = values.shape
     scale = max(np.linalg.norm(values[:, j]) for j in range(p)) if p else 0.0
     keep = []
-    basis = np.empty((n, 0))
+    # column-major, so every leading block basis[:, :k] is contiguous
+    basis = np.empty((n, p), order="F")
     for j in range(p):
+        done = basis[:, :len(keep)]
         col = values[:, j]
-        resid = col - basis @ (basis.T @ col)
+        resid = col - done @ (done.T @ col)
         # one re-orthogonalization pass for numerical safety
-        resid -= basis @ (basis.T @ resid)
+        resid -= done @ (done.T @ resid)
         norm = np.linalg.norm(resid)
         if norm > tol * scale:
+            basis[:, len(keep)] = resid / norm
             keep.append(j)
-            basis = np.hstack([basis, (resid / norm)[:, None]])
     return keep
 
 
@@ -202,7 +216,10 @@ def scott_bandwidth(coords):
 class SmoothedSurface:
     """Nadaraya-Watson smoother of a binary response with a product
     Gaussian kernel.  Queries with negligible total kernel weight fall
-    back to the global response rate."""
+    back to the global response rate.
+
+    `evaluate` is exact and is the reference; `evaluate_binned` is the
+    fast approximation the pipeline uses."""
 
     points: np.ndarray  # (n, 2)
     response: np.ndarray  # (n,) in {0, 1}
@@ -214,22 +231,102 @@ class SmoothedSurface:
         self.global_rate = float(self.response.mean())
 
     def evaluate(self, x, y):
+        """Exact kernel sums against every training point, in query chunks
+        of at most EXACT_CHUNK_ELEMENTS kernel weights."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
         hx, hy = self.bandwidth
-        dx = (x[:, None] - self.points[None, :, 0]) / hx
-        dy = (y[:, None] - self.points[None, :, 1]) / hy
-        w = np.exp(-0.5 * (dx * dx + dy * dy))
-        total = w.sum(axis=1)
         out = np.full(x.shape[0], self.global_rate)
-        ok = total >= 1e-12
-        out[ok] = (w[ok] @ self.response) / total[ok]
+        chunk = max(1, EXACT_CHUNK_ELEMENTS // len(self.points))
+        for start in range(0, x.shape[0], chunk):
+            part = slice(start, start + chunk)
+            dx = (x[part, None] - self.points[None, :, 0]) / hx
+            dy = (y[part, None] - self.points[None, :, 1]) / hy
+            w = np.exp(-0.5 * (dx * dx + dy * dy))
+            total = w.sum(axis=1)
+            ok = total >= MIN_KERNEL_WEIGHT
+            out[part][ok] = (w[ok] @ self.response) / total[ok]
+        return out
+
+    def evaluate_binned(self, x, y):
+        """Linear-binning approximation of `evaluate` (Wand 1994, the
+        estimator behind KernSmooth's bkde2D).
+
+        Training points and their responses are binned linearly onto a
+        grid of step BIN_STEP * h per axis, the numerator and denominator
+        grids are smoothed by the separable kernel as dense products
+        Kx @ C @ Ky (every term positive, so no cancellation in the sparse
+        tails), and both are interpolated bilinearly at the queries.  A
+        query more than sqrt(2 ln(n / MIN_KERNEL_WEIGHT)) bandwidths outside
+        the training points' bounding box has an exact kernel total below
+        MIN_KERNEL_WEIGHT, so it gets the global rate without widening the
+        grid.
+        """
+        q = np.column_stack([np.atleast_1d(np.asarray(x, dtype=float)),
+                             np.atleast_1d(np.asarray(y, dtype=float))])
+        h = np.asarray(self.bandwidth, dtype=float)
+        n = len(self.points)
+        reach = h * np.sqrt(2.0 * np.log(n / MIN_KERNEL_WEIGHT))
+        lo, hi = self.points.min(axis=0), self.points.max(axis=0)
+        near = np.all((q >= lo - reach) & (q <= hi + reach), axis=1)
+        out = np.full(len(q), self.global_rate)
+        if not near.any():
+            return out
+        lo = np.minimum(lo, q[near].min(axis=0))
+        hi = np.maximum(hi, q[near].max(axis=0))
+        step = h * BIN_STEP
+        shape = np.floor((hi - lo) / step).astype(int) + 2
+        if shape.max() > MAX_GRID_NODES:
+            return self.evaluate(x, y)
+
+        idx, wts = _grid_corners((self.points - lo) / step, shape)
+        kx, ky = (_binned_kernel(m) for m in shape)
+
+        def smoothed(weights):
+            grid = np.bincount(idx.ravel(), weights=weights.ravel(),
+                               minlength=shape.prod()).reshape(shape)
+            return (kx @ grid @ ky).ravel()
+
+        num, den = smoothed(wts * self.response), smoothed(wts)
+
+        idx, wts = _grid_corners((q[near] - lo) / step, shape)
+        num_q = (num[idx] * wts).sum(axis=0)
+        den_q = (den[idx] * wts).sum(axis=0)
+        ok = den_q >= MIN_KERNEL_WEIGHT
+        vals = np.full(len(den_q), self.global_rate)
+        # rounding in the products can push a ratio past the [0, 1] range
+        vals[ok] = np.clip(num_q[ok] / den_q[ok], 0.0, 1.0)
+        out[near] = vals
         return out
 
     def __call__(self, x, y):
         scalar = np.isscalar(x) and np.isscalar(y)
         vals = self.evaluate(x, y)
         return float(vals[0]) if scalar else vals
+
+
+def _grid_corners(t, shape):
+    """Flat indices and bilinear weights, each (4, k), of the grid nodes
+    around k fractional grid coordinates `t` (k, 2) on a grid of `shape`."""
+    base = np.clip(np.floor(t), 0, shape - 2).astype(np.intp)
+    frac = t - base
+    idx, wts = [], []
+    for cx in (0, 1):
+        for cy in (0, 1):
+            idx.append((base[:, 0] + cx) * shape[1] + base[:, 1] + cy)
+            wts.append((frac[:, 0] if cx else 1.0 - frac[:, 0])
+                       * (frac[:, 1] if cy else 1.0 - frac[:, 1]))
+    return np.stack(idx), np.stack(wts)
+
+
+def _binned_kernel(m):
+    """(m, m) Gaussian kernel between the nodes of one grid axis."""
+    d = np.arange(m) * BIN_STEP
+    # in place: at up to MAX_GRID_NODES^2 entries this is the largest array
+    k = np.subtract.outer(d, d)
+    k *= k
+    k *= -0.5
+    return np.exp(k, out=k)
 
 
 def smooth_out_probability(points, response, bandwidth):

@@ -85,7 +85,7 @@ class SeasonLedger:
         xs = np.arange(-extent, extent + step, step)
         ys = np.arange(0.0, extent + step, step)
         gx, gy = np.meshgrid(xs, ys)
-        vals = self.defense.surface.evaluate(gx.ravel(), gy.ravel())
+        vals = self.defense.surface.evaluate_binned(gx.ravel(), gy.ravel())
         out = io.StringIO()
         out.write("x,y,p_out\n")
         for x, y, v in zip(gx.ravel(), gy.ravel(), vals):

@@ -124,9 +124,10 @@ def build_replacement_pool(valuations, cutoff_pos=DEFAULT_CUTOFF_POS,
         repl.update(v.player_id for v in group[cutoff:])
 
     rates = {}
+    ordered = sorted(repl)  # a set's order follows the hash seed
     for comp in COMPONENTS:
-        total = sum(valuations[p].raa[comp] for p in repl)
-        events = sum(valuations[p].counts[comp] for p in repl)
+        total = sum(valuations[p].raa[comp] for p in ordered)
+        events = sum(valuations[p].counts[comp] for p in ordered)
         rates[comp] = total / events if events else 0.0
     return ReplacementPool(cutoff_pos=cutoff_pos, cutoff_pitch=cutoff_pitch,
                            rates=rates, replacement_ids=repl)

@@ -1,10 +1,16 @@
 """Command-line interface tests."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from openwar.cli import EXIT_CONFIG, EXIT_OK, EXIT_VALIDATION, main
+from openwar.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from openwar.events import parse_season
 
 
@@ -167,3 +173,45 @@ def test_boot_is_seed_deterministic(tmp_path, war_season):
         outs.append((out / "war_quantiles.csv")
                     .read_bytes().split(b"\n", 1)[1])
     assert outs[0] == outs[1]
+
+
+def test_config_echo_has_no_threads_key(tmp_path, war_season):
+    out = tmp_path / "war"
+    assert main(["war", "--input", str(war_season), "--out", str(out),
+                 "--cutoff-pos", "40", "--cutoff-pitch", "18"]) == EXIT_OK
+    config = json.loads((out / "valuation.json").read_text())["config"]
+    assert "threads" not in config
+    assert main(["war", "--input", str(war_season), "--out", str(out),
+                 "--threads", "2"]) == EXIT_CONFIG
+
+
+def test_failing_solve_is_numeric_error(tmp_path, war_season, monkeypatch,
+                                        capsys):
+    def failing_lstsq(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
+    assert main(["war", "--input", str(war_season), "--out",
+                 str(tmp_path / "war")]) == EXIT_NUMERIC
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "SVD did not converge", "kind": "numeric"}
+
+
+def test_war_artifacts_independent_of_hash_seed(tmp_path, war_season):
+    out = tmp_path / "war"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    artifacts = []
+    for hash_seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = hash_seed
+        subprocess.run(
+            [sys.executable, "-m", "openwar.cli", "war",
+             "--input", str(war_season), "--out", str(out),
+             "--cutoff-pos", "40", "--cutoff-pitch", "18"],
+            env=env, check=True, capture_output=True, timeout=300)
+        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+        shutil.rmtree(out)
+    assert len(artifacts[0]) == 5
+    assert artifacts[0] == artifacts[1]

@@ -1,19 +1,24 @@
 """Defensive split and fielding model tests."""
 
 import dataclasses
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from openwar.events import FIELDING_POSITIONS, SeasonDataset
 from openwar.defense import (
+    apportion_defense,
     apportion_fielding,
     fielding_design_row,
     fit_fielding_models,
     fit_out_surface,
     split_responsibility,
 )
-from openwar.numerics import master_rng
+from openwar.numerics import LogisticFit, SmoothedSurface, master_rng
+from openwar.pipeline import SeasonLedger
+from openwar.simulate import generate_synthetic_season
 
 from fixtures import make_pa
 
@@ -114,6 +119,18 @@ def test_fielding_shares_sum_to_one():
         assert sum(r.value for r in rows) == pytest.approx(-0.2)
 
 
+def test_vanishing_fielder_probabilities_split_equally():
+    pa = make_pa("A@B-0001", 7, 1, "top", 0, 0, "Flyout", "O",
+                 bip=(0.0, 300.0))
+    zero = LogisticFit(coefficients={}, converged=True, iterations=0,
+                       constant_rate=0.0)
+    models = {pos: zero for pos in FIELDING_POSITIONS}
+    with pytest.warns(UserWarning, match="pa 7: all fielder probabilities"):
+        rows = apportion_fielding(pa, -0.18, models)
+    assert [r.share for r in rows] == [1.0 / 9.0] * 9
+    assert sum(r.value for r in rows) == pytest.approx(-0.18)
+
+
 def test_out_surface_tracks_conversion_rate():
     rng = master_rng(6)
     data = _clustered_dataset(rng)
@@ -146,3 +163,55 @@ def test_out_probabilities_are_probabilities(pipeline):
         if not pa.ball_in_play:
             assert dfn.delta_f[i] == 0.0
             assert dfn.delta_p[i] == -pipeline.ledger.deltas[i]
+
+
+@pytest.fixture(scope="module")
+def surface_100g():
+    return fit_out_surface(generate_synthetic_season(100, 17, teams=30))
+
+
+def test_binned_surface_matches_exact_at_balls_in_play(surface_100g):
+    pts = surface_100g.points
+    binned = surface_100g.evaluate_binned(pts[:, 0], pts[:, 1])
+    exact = surface_100g.evaluate(pts[:, 0], pts[:, 1])
+    assert np.max(np.abs(binned - exact)) <= 1e-3
+
+
+def test_binned_surface_matches_exact_on_contour_grid(surface_100g):
+    ledger = SeasonLedger(data=None, matrix=None, deltas=None, offense=None,
+                          defense=SimpleNamespace(surface=surface_100g))
+    rows = np.array([[float(c) for c in line.split(",")]
+                     for line in ledger.surface_grid_csv().splitlines()[1:]])
+    exact = surface_100g.evaluate(rows[:, 0], rows[:, 1])
+    assert np.max(np.abs(rows[:, 2] - exact)) <= 5e-3
+
+
+def test_defense_chain_avoids_per_play_work(season, monkeypatch):
+    """Guard against the quadratic smoother and per-row predictions."""
+    calls = {"evaluate": 0, "predict": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(SmoothedSurface, "evaluate",
+                        counted("evaluate", SmoothedSurface.evaluate))
+    monkeypatch.setattr(LogisticFit, "predict",
+                        counted("predict", LogisticFit.predict))
+    deltas = np.zeros(len(season.plate_appearances))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        apportion_defense(season, deltas)
+    assert calls["evaluate"] == 0
+    assert calls["predict"] <= 9
+
+
+def test_defense_chain_rejects_bip_without_coordinates(season):
+    pas = list(season.plate_appearances)
+    k = next(i for i, pa in enumerate(pas) if pa.ball_in_play)
+    pas[k] = dataclasses.replace(pas[k], bip_location=None)
+    data = dataclasses.replace(season, plate_appearances=pas)
+    with pytest.raises(ValueError, match="ball in play without coordinates"):
+        apportion_defense(data, np.zeros(len(pas)))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openwar import numerics
 from openwar.numerics import (
     DesignMatrix,
     empirical_quantiles,
@@ -149,11 +150,50 @@ def test_smoother_matches_naive_double_loop():
         assert abs(surf(qx, qy) - num / den) < 1e-10
 
 
+def test_smoother_chunks_match_naive_double_loop(monkeypatch):
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-100, 300, size=(50, 2))
+    resp = (rng.random(50) < 0.4).astype(float)
+    hx, hy = 25.0, 40.0
+    surf = smooth_out_probability(pts, resp, (hx, hy))
+    # 7 queries per chunk, so the 40 queries span six chunks
+    monkeypatch.setattr(numerics, "EXACT_CHUNK_ELEMENTS", 7 * len(pts))
+    queries = rng.uniform(-100, 300, size=(40, 2))
+    vals = surf.evaluate(queries[:, 0], queries[:, 1])
+    for (qx, qy), v in zip(queries, vals):
+        w = [np.exp(-0.5 * (((qx - px) / hx) ** 2 + ((qy - py) / hy) ** 2))
+             for px, py in pts]
+        assert abs(v - sum(wi * r for wi, r in zip(w, resp)) / sum(w)) < 1e-10
+
+
 def test_smoother_far_query_falls_back_to_global_rate():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     resp = np.array([1.0, 0.0, 0.0])
     surf = smooth_out_probability(pts, resp, (1.0, 1.0))
     assert surf(1e6, 1e6) == pytest.approx(resp.mean())
+    far = surf.evaluate_binned([1e6, 1.0], [1e6, 0.5])
+    assert far[0] == surf.global_rate
+    assert far[1] == pytest.approx(surf(1.0, 0.5), abs=1e-3)
+
+
+def test_binned_smoother_values_are_probabilities():
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(-100, 300, size=(400, 2))
+    resp = (rng.random(400) < 0.7).astype(float)
+    surf = smooth_out_probability(pts, resp, (15.0, 20.0))
+    q = rng.uniform(-200, 400, size=(300, 2))
+    vals = surf.evaluate_binned(q[:, 0], q[:, 1])
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+def test_binned_smoother_too_wide_a_grid_evaluates_exactly():
+    rng = np.random.default_rng(10)
+    pts = rng.uniform(0, 400, size=(30, 2))
+    resp = (rng.random(30) < 0.5).astype(float)
+    # step 0.025 ft over a 400 ft spread: far more than MAX_GRID_NODES
+    surf = smooth_out_probability(pts, resp, (0.5, 0.5))
+    assert np.array_equal(surf.evaluate_binned(pts[:, 0], pts[:, 1]),
+                          surf.evaluate(pts[:, 0], pts[:, 1]))
 
 
 def test_smoother_validates_bandwidth():

@@ -2,7 +2,8 @@
 
 The offensive chain peels park/platoon context, expected advancement,
 and position effects off the raw run value; the defensive chain divides
-the mirror image between the pitcher and the nine fielders.
+the mirror image between the pitcher and the nine fielders.  Every
+resulting credit is one row of the ledger's credit table.
 
 Run with:  python3 demos/03_apportionment.py
 """
@@ -11,15 +12,17 @@ import numpy as np
 
 from openwar.pipeline import build_ledger
 from openwar.simulate import generate_synthetic_season
+from openwar.valuation import COMPONENTS
 
 season = generate_synthetic_season(games=50, seed=3)
 ledger = build_ledger(season)
-off, dfn = ledger.offense, ledger.defense
+off, dfn, credits = ledger.offense, ledger.defense, ledger.credits
 
-print(f"{len(ledger)} plate appearances scored and apportioned")
+print(f"{len(ledger)} plate appearances scored and apportioned into "
+      f"{len(credits.value)} credits for {len(credits.player_ids)} players")
 
 # Conservation: everything handed out sums to zero across the league.
-total = sum(raa for _, _, raa in ledger.credit_lines())
+total = credits.value.sum()
 print(f"league total RAA = {total:.2e} "
       f"(scale: sum |delta| = {np.abs(ledger.deltas).sum():.1f})")
 
@@ -53,3 +56,10 @@ offense = off.park_fit.fitted[i] + off.position_fit.fitted[i] \
 defense = dfn.raa_pitch[i] + dfn.pitch_fit.fitted[i] + field
 print(f"\n  offense side reconstructs delta:  {offense:+.6f}")
 print(f"  defense side reconstructs -delta: {defense:+.6f}")
+
+# The same play as rows of the credit table, which feeds both the
+# valuation and the bootstrap: a resampled PA carries all of its rows.
+print("\n  credit table rows of this play:")
+for r in np.flatnonzero(credits.pa == i):
+    print(f"    {credits.player_ids[credits.player[r]]:<8} "
+          f"{COMPONENTS[credits.component[r]]:<5} {credits.value[r]:+.3f}")

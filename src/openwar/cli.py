@@ -57,7 +57,6 @@ def _build_parser():
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--input", required=True)
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--cutoff-pos", type=int, default=390)
         p.add_argument("--cutoff-pitch", type=int, default=360)
         p.add_argument("--runs-per-win", type=float, default=10.0)
@@ -68,6 +67,7 @@ def _build_parser():
         p.add_argument("--strict", dest="strict", action="store_true", default=True)
         p.add_argument("--lenient", dest="strict", action="store_false")
         if name == "boot":
+            p.add_argument("--seed", type=int, default=None)
             p.add_argument("--replicates", type=int, default=3500)
             p.add_argument("--compare", nargs=2, action="append", default=[],
                            metavar=("PLAYER_A", "PLAYER_B"))
@@ -92,16 +92,26 @@ def _write(path, text, config_line=None):
     path.write_text(text, encoding="utf-8")
 
 
+class ConfigError(Exception):
+    """Flags that parse but do not make a configuration."""
+
+
+def _pair(args, a, b):
+    """The values of a pair of flags, or None when neither is given."""
+    pair = (getattr(args, a), getattr(args, b))
+    if pair.count(None) == 1:
+        raise ConfigError(
+            f"--{a} and --{b} must be given together".replace("_", "-"))
+    return None if pair[0] is None else pair
+
+
 def _resolve_rpw(args):
-    if args.pythag_p is not None and args.pythag_r is not None:
-        return runs_per_win(args.pythag_p, args.pythag_r)
-    return args.runs_per_win
+    pythag = _pair(args, "pythag_p", "pythag_r")
+    return args.runs_per_win if pythag is None else runs_per_win(*pythag)
 
 
 def _bandwidth(args):
-    if args.bandwidth_x is not None and args.bandwidth_y is not None:
-        return (args.bandwidth_x, args.bandwidth_y)
-    return None
+    return _pair(args, "bandwidth_x", "bandwidth_y")
 
 
 def _load(args):
@@ -130,10 +140,11 @@ def cmd_simulate(args):
 
 
 def _run(args):
+    bandwidth, rpw = _bandwidth(args), _resolve_rpw(args)
     dataset, _ = _load(args)
     return run_pipeline(
-        dataset, bandwidth=_bandwidth(args), cutoff_pos=args.cutoff_pos,
-        cutoff_pitch=args.cutoff_pitch, rpw=_resolve_rpw(args))
+        dataset, bandwidth=bandwidth, cutoff_pos=args.cutoff_pos,
+        cutoff_pitch=args.cutoff_pitch, rpw=rpw)
 
 
 def cmd_war(args):
@@ -195,7 +206,7 @@ def main(argv=None):
         # LinAlgError subclasses ValueError, so it must be caught first
         print(json.dumps({"error": str(exc), "kind": "numeric"}), file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, ConfigError) as exc:
         kind = "validation" if isinstance(exc, ValueError) else "config"
         print(json.dumps({"error": str(exc), "kind": kind}), file=sys.stderr)
         return EXIT_VALIDATION if kind == "validation" else EXIT_CONFIG

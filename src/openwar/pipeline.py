@@ -1,9 +1,10 @@
 """End-to-end orchestration: dataset -> run values -> apportioned ledger.
 
 The SeasonLedger is the joint product of the offensive and defensive
-chains: for every plate appearance it holds the run value delta and every
-per-player credit line (hitter, each runner, each fielder, the pitcher).
-It is the single input to valuation and bootstrap resampling.
+chains: for every plate appearance it holds the run value delta, and its
+credit table holds every per-player credit (hitter, each runner, each
+fielder, the pitcher).  That table is the single input to valuation and
+bootstrap resampling.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defense import apportion_defense
+from .events import FIELDING_POSITIONS
 from .offense import apportion_offense
 from .run_expectancy import estimate_matrix, run_value
-from .valuation import value_players
+from .valuation import CreditTable, value_players
 
 __all__ = ["SeasonLedger", "build_ledger", "run_pipeline", "PipelineResult"]
 
@@ -28,57 +30,10 @@ class SeasonLedger:
     deltas: np.ndarray
     offense: object  # OffenseResult
     defense: object  # DefenseResult
+    credits: CreditTable
 
     def __len__(self):
         return len(self.deltas)
-
-    def credit_lines(self):
-        """Yield every (player_id, component, raa) credit line."""
-        off, dfn = self.offense, self.defense
-        pas = self.data.plate_appearances
-        rows_by_index = dict(zip(dfn.bip_indices, dfn.fielding_rows))
-        for i, pa in enumerate(pas):
-            yield pa.batter_id, "hit", float(off.raa_hit[i])
-            for credit in off.runner_credits[i]:
-                yield credit.player_id, "br", credit.raa_br
-            for row in rows_by_index.get(i, ()):
-                yield row.player_id, "field", row.raa_field
-            yield pa.pitcher_id, "pitch", float(dfn.raa_pitch[i])
-
-    def pa_bundles(self):
-        """Per-plate-appearance credit bundles, for joint resampling."""
-        off, dfn = self.offense, self.defense
-        pas = self.data.plate_appearances
-        rows_by_index = dict(zip(dfn.bip_indices, dfn.fielding_rows))
-        bundles = []
-        for i, pa in enumerate(pas):
-            bundle = [(pa.batter_id, "hit", float(off.raa_hit[i]))]
-            bundle.extend(
-                (c.player_id, "br", c.raa_br) for c in off.runner_credits[i])
-            bundle.extend(
-                (r.player_id, "field", r.raa_field)
-                for r in rows_by_index.get(i, ()))
-            bundle.append((pa.pitcher_id, "pitch", float(dfn.raa_pitch[i])))
-            bundles.append(bundle)
-        return bundles
-
-    def offense_csv(self):
-        """Per-PA offensive ledger keyed by (game_id, pa_index)."""
-        out = io.StringIO()
-        out.write("game_id,pa_index,row_type,player_id,delta,eps_hat,eta_hat,"
-                  "mu_hat,raa_hit,kappa,raa_br\n")
-        off = self.offense
-        for i, pa in enumerate(self.data.plate_appearances):
-            out.write(
-                f"{pa.game_id},{pa.pa_index},pa,{pa.batter_id},"
-                f"{float(self.deltas[i])!r},{float(off.eps_hat[i])!r},"
-                f"{float(off.eta_hat[i])!r},{float(off.mu_hat[i])!r},"
-                f"{float(off.raa_hit[i])!r},,\n")
-            for c in off.runner_credits[i]:
-                out.write(
-                    f"{pa.game_id},{pa.pa_index},runner,{c.player_id},,,,,,"
-                    f"{c.kappa!r},{c.raa_br!r}\n")
-        return out.getvalue()
 
     def surface_grid_csv(self, step=25.0, extent=400.0):
         """(x, y, out probability) grid for contour plotting."""
@@ -104,6 +59,30 @@ class SeasonLedger:
         return out.getvalue()
 
 
+def _credit_table(data, offense, defense):
+    """The season's CreditTable: hitting, baserunning, fielding and
+    pitching blocks, each in plate-appearance order, so every
+    (player, component) sum adds in that order."""
+    pas = data.plate_appearances
+    every = np.arange(len(pas))
+    runners = [c for credits in offense.runner_credits for c in credits]
+    blocks = [
+        (every, [pa.batter_id for pa in pas], offense.raa_hit),
+        (np.repeat(every, [len(c) for c in offense.runner_credits]),
+         [c.player_id for c in runners], [c.raa_br for c in runners]),
+        (np.repeat(defense.bip_indices, len(FIELDING_POSITIONS)),
+         [pid for i in defense.bip_indices for pid in pas[i].fielder_ids],
+         defense.fielding_park_fit.residuals),
+        (every, [pa.pitcher_id for pa in pas], defense.raa_pitch),
+    ]
+    pa, ids, values = zip(*blocks)
+    return CreditTable.build(
+        n_pas=len(pas), pa=np.concatenate(pa),
+        player_ids=[pid for block in ids for pid in block],
+        component=np.repeat(np.arange(len(blocks)), [len(b) for b in ids]),
+        value=np.concatenate(values))
+
+
 def build_ledger(data, bandwidth=None, matrix=None):
     """Estimate the run matrix, score every PA, and apportion both sides."""
     if matrix is None:
@@ -113,7 +92,8 @@ def build_ledger(data, bandwidth=None, matrix=None):
     offense = apportion_offense(data, deltas)
     defense = apportion_defense(data, deltas, bandwidth=bandwidth)
     return SeasonLedger(data=data, matrix=matrix, deltas=deltas,
-                        offense=offense, defense=defense)
+                        offense=offense, defense=defense,
+                        credits=_credit_table(data, offense, defense))
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Bootstrap interval estimates for WAR via plate-appearance resampling.
 
 Each replicate redraws the season's plate appearances with replacement,
-carrying every credit line of a drawn PA jointly (hitter, runners,
+carrying every credit of a drawn PA jointly (hitter, runners,
 fielders, pitcher), then re-aggregates RAA and re-applies the frozen
 replacement rates to the resampled event counts.  Models and the
 replacement pool are never refit inside a replicate.
@@ -53,75 +53,40 @@ class WarDistribution:
         return out.getvalue()
 
 
-@dataclass
-class _CreditArrays:
-    """Ledger credit lines flattened for fast per-replicate aggregation."""
-
-    pa_index: np.ndarray  # credit row -> PA ordinal
-    key: np.ndarray  # credit row -> player * 4 + component
-    value: np.ndarray
-    n_pas: int
-    n_players: int
-
-
-def _flatten(bundles, players):
-    ix = {pid: j for j, pid in enumerate(players)}
-    cx = {c: j for j, c in enumerate(COMPONENTS)}
-    pa_index, key, value = [], [], []
-    for i, bundle in enumerate(bundles):
-        for pid, comp, raa in bundle:
-            pa_index.append(i)
-            key.append(ix[pid] * 4 + cx[comp])
-            value.append(raa)
-    return _CreditArrays(
-        pa_index=np.array(pa_index, dtype=np.intp),
-        key=np.array(key, dtype=np.intp),
-        value=np.array(value, dtype=float),
-        n_pas=len(bundles),
-        n_players=len(players),
-    )
-
-
-def _replicate_war(arrays, weights, rates, rpw):
-    """Aggregate one resampled season into per-player WAR.
-
-    `weights[i]` is the number of times PA i was drawn; the resampled
-    league totals are exactly the weighted sums of the drawn bundles.
-    """
-    w = weights[arrays.pa_index]
-    size = arrays.n_players * 4
-    raa = np.bincount(arrays.key, weights=arrays.value * w, minlength=size)
-    counts = np.bincount(arrays.key, weights=w, minlength=size)
-    raa = raa.reshape(arrays.n_players, 4)
-    counts = counts.reshape(arrays.n_players, 4)
-    shadow = counts @ rates
-    return (raa.sum(axis=1) - shadow) / rpw
-
-
 def bootstrap_war(ledger, valuations, pool, config, rpw=10.0):
     """Resample the season `config.replicates` times with frozen models.
 
+    Each replicate weights every credit row by the number of times its
+    plate appearance was drawn, so a drawn PA carries all of its credits.
     Deterministic: each replicate draws from its own stream derived from
     (master_seed, replicate index).
     """
-    bundles = ledger.pa_bundles()
-    if not bundles:
+    table = ledger.credits
+    if not table.n_pas:
         raise ValueError("empty ledger")
     players = sorted(valuations)
-    arrays = _flatten(bundles, players)
+    column = {pid: j for j, pid in enumerate(players)}
+    k = len(COMPONENTS)
+    key = np.array([column[pid] for pid in table.player_ids],
+                   dtype=np.intp)[table.player] * k + table.component
+    size = len(players) * k
     rates = np.array([pool.rates[c] for c in COMPONENTS])
     point = np.array([valuations[p].war for p in players])
 
-    mat = np.empty((config.replicates, arrays.n_players))
+    mat = np.empty((config.replicates, len(players)))
     for rep in range(config.replicates):
         rng = replicate_rng(config.master_seed, rep)
-        idx = rng.integers(0, arrays.n_pas, arrays.n_pas)
-        weights = np.bincount(idx, minlength=arrays.n_pas).astype(float)
-        mat[rep] = _replicate_war(arrays, weights, rates, rpw)
+        idx = rng.integers(0, table.n_pas, table.n_pas)
+        weights = np.bincount(idx, minlength=table.n_pas).astype(float)
+        w = weights[table.pa]
+        raa = np.bincount(key, weights=table.value * w, minlength=size)
+        counts = np.bincount(key, weights=w, minlength=size)
+        shadow = counts.reshape(-1, k) @ rates
+        mat[rep] = (raa.reshape(-1, k).sum(axis=1) - shadow) / rpw
 
     quantiles = np.vstack([
         empirical_quantiles(mat[:, j], config.probs)
-        for j in range(arrays.n_players)])
+        for j in range(len(players))])
     names = {p: valuations[p].name for p in players}
     return WarDistribution(players=players, names=names, point=point,
                            replicates=mat, probs=tuple(config.probs),

@@ -1,11 +1,11 @@
 """Per-player tabulation, replacement level, and the runs-to-wins bridge.
 
-A player's runs above average is the sum of his hitting, baserunning,
-fielding and pitching credits.  Replacement level is the complement of
-the top-N players by playing time within each role (position players by
-plate appearances, pitchers by batters faced); a player's replacement
-shadow applies the replacement tier's per-event rates to the player's
-own event counts.
+A player's runs above average is the sum of the player's hitting,
+baserunning, fielding and pitching credits in the ledger's credit table.
+Replacement level is the complement of the top-N players by playing
+time within each role (position players by plate appearances, pitchers
+by batters faced); a player's replacement shadow applies the
+replacement tier's per-event rates to the player's own event counts.
 """
 
 from __future__ import annotations
@@ -15,8 +15,11 @@ import json
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "COMPONENTS",
+    "CreditTable",
     "PlayerValuation",
     "ReplacementPool",
     "tabulate_raa",
@@ -34,6 +37,35 @@ COMPONENTS = ("hit", "br", "field", "pitch")
 DEFAULT_CUTOFF_POS = 390  # 30 teams x 13 position players
 DEFAULT_CUTOFF_PITCH = 360  # 30 teams x 12 pitchers
 DEFAULT_RUNS_PER_WIN = 10.0
+
+
+@dataclass
+class CreditTable:
+    """Every per-plate-appearance credit of a season, one row per credit.
+
+    Row r gives player `player_ids[player[r]]` the value `value[r]` (runs)
+    in component `COMPONENTS[component[r]]` on plate appearance `pa[r]`,
+    an ordinal below `n_pas`.  `player_ids` is sorted, so player codes
+    follow id order.  Rows of one (player, component) pair come in
+    plate-appearance order, which fixes the order their sums add in.
+    """
+
+    player_ids: list
+    n_pas: int
+    pa: np.ndarray
+    player: np.ndarray
+    component: np.ndarray  # index into COMPONENTS
+    value: np.ndarray
+
+    @classmethod
+    def build(cls, n_pas, pa, player_ids, component, value):
+        """Code the per-row player ids into the sorted `player_ids`."""
+        ids, player = np.unique(np.asarray(player_ids, dtype=str),
+                                return_inverse=True)
+        return cls(player_ids=ids.tolist(), n_pas=n_pas,
+                   pa=np.asarray(pa, dtype=np.intp), player=player,
+                   component=np.asarray(component, dtype=np.intp),
+                   value=np.asarray(value, dtype=float))
 
 
 @dataclass
@@ -69,25 +101,25 @@ class PlayerValuation:
 
 
 def tabulate_raa(ledger, roster):
-    """Sum the four per-event credit streams into per-player valuations.
+    """Sum the ledger's credit table into per-player valuations.
 
-    `ledger` is a SeasonLedger; any credited player missing from the
+    `ledger.credits` is a CreditTable; any credited player missing from the
     roster is an error.
     """
-    players = {}
-
-    def line(pid, comp, value):
+    table = ledger.credits
+    for pid in table.player_ids:
         if pid not in roster:
             raise KeyError(f"player {pid!r} appears in the ledger but not the roster")
-        v = players.get(pid)
-        if v is None:
-            v = players[pid] = PlayerValuation(player_id=pid, name=roster[pid])
-        v.raa[comp] += float(value)
-        v.counts[comp] += 1
-
-    for pid, comp, value in ledger.credit_lines():
-        line(pid, comp, value)
-    return dict(sorted(players.items()))
+    k = len(COMPONENTS)
+    key = table.player * k + table.component
+    size = len(table.player_ids) * k
+    raa = np.bincount(key, weights=table.value, minlength=size).reshape(-1, k)
+    counts = np.bincount(key, minlength=size).reshape(-1, k)
+    return {
+        pid: PlayerValuation(player_id=pid, name=roster[pid],
+                             raa=dict(zip(COMPONENTS, raa[j].tolist())),
+                             counts=dict(zip(COMPONENTS, counts[j].tolist())))
+        for j, pid in enumerate(table.player_ids)}
 
 
 @dataclass

@@ -1,6 +1,9 @@
 """Hand-built play-by-play fixtures shared across test modules."""
 
+from types import SimpleNamespace
+
 from openwar.events import BALL_IN_PLAY, GameState, PlateAppearance, SeasonDataset
+from openwar.valuation import COMPONENTS, CreditTable
 
 FIELDERS = tuple(f"D{i}" for i in range(1, 10))
 
@@ -36,6 +39,17 @@ def make_pa(game_id, pa_index, inning, half, outs, bases, event, batter_dest,
         batter_position=position, fielder_ids=FIELDERS,
         bip_location=bip, credited_fielder_position=credited,
     )
+
+
+def credit_ledger(bundles):
+    """A stand-in ledger whose credit table holds `bundles`: one list of
+    (player_id, component, raa) credits per plate appearance."""
+    rows = [(i, pid, COMPONENTS.index(comp), raa)
+            for i, bundle in enumerate(bundles) for pid, comp, raa in bundle]
+    pa, ids, component, value = zip(*rows)
+    return SimpleNamespace(credits=CreditTable.build(
+        n_pas=len(bundles), pa=pa, player_ids=ids, component=component,
+        value=value))
 
 
 def build_re_fixture():

@@ -25,7 +25,7 @@ from openwar.uncertainty import BootstrapConfig, bootstrap_war
 from openwar.valuation import pythag_wpct, runs_per_win, value_players
 from openwar.simulate import generate_synthetic_season
 
-from fixtures import build_re_fixture
+from fixtures import build_re_fixture, credit_ledger
 
 GAMES = 50
 SEED = 17
@@ -54,7 +54,7 @@ def test_criterion_01_conservation_of_runs(acc):
     ledger = acc["ledger"]
     deltas = ledger.deltas
     scale = float(np.sum(np.abs(deltas)))
-    total = sum(raa for _, _, raa in ledger.credit_lines())
+    total = float(np.sum(ledger.credits.value))
     assert abs(total) <= 1e-8 * scale
 
     off, dfn = ledger.offense, ledger.defense
@@ -162,22 +162,18 @@ def test_criterion_05_share_normalization(acc):
 
 def test_criterion_06_replacement_semantics(acc):
     # uniform per-event rates: every player's WAR is exactly zero
-    class Uniform:
-        def credit_lines(self):
-            rates = {"hit": -0.015, "br": 0.004, "field": 0.007,
-                     "pitch": -0.009}
-            for k in range(12):
-                for comp in ("hit", "br"):
-                    for _ in range(20 + k):
-                        yield f"pos{k}", comp, rates[comp]
-            for k in range(6):
-                for comp in ("field", "pitch"):
-                    for _ in range(50 + k):
-                        yield f"pit{k}", comp, rates[comp]
+    rates = {"hit": -0.015, "br": 0.004, "field": 0.007, "pitch": -0.009}
+    uniform = [[(f"pos{k}", comp, rates[comp])]
+               for k in range(12) for comp in ("hit", "br")
+               for _ in range(20 + k)]
+    uniform += [[(f"pit{k}", comp, rates[comp])]
+                for k in range(6) for comp in ("field", "pitch")
+                for _ in range(50 + k)]
 
     roster = {f"pos{k}": "x" for k in range(12)}
     roster.update({f"pit{k}": "x" for k in range(6)})
-    vals, _ = value_players(Uniform(), roster, cutoff_pos=0, cutoff_pitch=0)
+    vals, _ = value_players(credit_ledger(uniform), roster, cutoff_pos=0,
+                            cutoff_pitch=0)
     assert max(abs(v.war) for v in vals.values()) < 1e-9
 
     # a larger replacement tier weakly lowers total WAR on the fixed season
@@ -230,20 +226,9 @@ def test_criterion_08_bootstrap_determinism_and_calibration(acc):
     assert elapsed < 60.0
 
     # analytic calibration: one player, iid single-credit plate appearances
-    class OnePlayer:
-        def __init__(self, values):
-            self.values = values
-
-        def pa_bundles(self):
-            return [[("a", "hit", float(v))] for v in self.values]
-
-        def credit_lines(self):
-            for bundle in self.pa_bundles():
-                yield from bundle
-
     from openwar.valuation import ReplacementPool, shadow_and_war, tabulate_raa
     values = np.random.default_rng(300).normal(0.0, 0.12, 400)
-    ledger = OnePlayer(values)
+    ledger = credit_ledger([[("a", "hit", float(v))] for v in values])
     pool = ReplacementPool(0, 0, {c: 0.0 for c in ("hit", "br", "field",
                                                    "pitch")}, set())
     vals = tabulate_raa(ledger, {"a": "A"})

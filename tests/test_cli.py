@@ -176,13 +176,27 @@ def test_boot_is_seed_deterministic(tmp_path, war_season):
 
 
 def test_config_echo_has_no_threads_key(tmp_path, war_season):
+    """Flags that `war` never read are gone: not echoed, and rejected."""
     out = tmp_path / "war"
     assert main(["war", "--input", str(war_season), "--out", str(out),
                  "--cutoff-pos", "40", "--cutoff-pitch", "18"]) == EXIT_OK
     config = json.loads((out / "valuation.json").read_text())["config"]
-    assert "threads" not in config
-    assert main(["war", "--input", str(war_season), "--out", str(out),
-                 "--threads", "2"]) == EXIT_CONFIG
+    for flag in ("threads", "seed"):
+        assert flag not in config
+        assert main(["war", "--input", str(war_season), "--out", str(out),
+                     f"--{flag}", "2"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["war", "boot"])
+@pytest.mark.parametrize("flag", ["--pythag-p", "--pythag-r",
+                                  "--bandwidth-x", "--bandwidth-y"])
+def test_half_given_flag_pair_is_config_error(tmp_path, war_season, capsys,
+                                              command, flag):
+    assert main([command, "--input", str(war_season), "--out",
+                 str(tmp_path / "out"), flag, "2"]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config" and "given together" in err["error"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_failing_solve_is_numeric_error(tmp_path, war_season, monkeypatch,

@@ -179,7 +179,8 @@ def test_binned_surface_matches_exact_at_balls_in_play(surface_100g):
 
 def test_binned_surface_matches_exact_on_contour_grid(surface_100g):
     ledger = SeasonLedger(data=None, matrix=None, deltas=None, offense=None,
-                          defense=SimpleNamespace(surface=surface_100g))
+                          defense=SimpleNamespace(surface=surface_100g),
+                          credits=None)
     rows = np.array([[float(c) for c in line.split(",")]
                      for line in ledger.surface_grid_csv().splitlines()[1:]])
     exact = surface_100g.evaluate(rows[:, 0], rows[:, 1])

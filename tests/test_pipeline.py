@@ -1,40 +1,31 @@
 """Ledger orchestration tests."""
 
 import numpy as np
+import pytest
 
 from openwar.valuation import COMPONENTS
 
 
-def test_credit_lines_and_bundles_agree(pipeline):
-    ledger = pipeline.ledger
-    flat = list(ledger.credit_lines())
-    from_bundles = [line for bundle in ledger.pa_bundles() for line in bundle]
-    assert flat == from_bundles
-    assert all(comp in COMPONENTS for _, comp, _ in flat)
-    # every credit is a plain float, so serialization stays canonical
-    assert all(type(v) is float for _, _, v in flat)
-
-
 def test_every_pa_has_hit_and_pitch_lines(pipeline):
     ledger = pipeline.ledger
-    bundles = ledger.pa_bundles()
-    assert len(bundles) == len(ledger.deltas)
-    for pa, bundle in zip(ledger.data.plate_appearances, bundles):
-        comps = [c for _, c, _ in bundle]
-        assert comps.count("hit") == 1
-        assert comps.count("pitch") == 1
-        assert comps.count("field") == (9 if pa.ball_in_play else 0)
-        assert comps.count("br") >= 1  # the batter is always a runner
-
-
-def test_offense_csv_shape(pipeline):
-    text = pipeline.ledger.offense_csv()
-    lines = text.splitlines()
-    assert lines[0].startswith("game_id,pa_index,row_type,")
-    n_pa = len(pipeline.ledger.deltas)
-    n_credits = sum(len(c) for c in pipeline.ledger.offense.runner_credits)
-    assert len(lines) == 1 + n_pa + n_credits
-    assert "np.float64" not in text
+    table = ledger.credits
+    n = len(ledger.deltas)
+    assert table.n_pas == n
+    assert len(table.pa) == len(table.player) == len(table.component) \
+        == len(table.value)
+    assert table.player_ids == sorted(set(table.player_ids))
+    assert table.value.dtype == np.float64
+    per_pa = {comp: np.bincount(table.pa[table.component == c], minlength=n)
+              for c, comp in enumerate(COMPONENTS)}
+    bip = np.array([pa.ball_in_play for pa in ledger.data.plate_appearances])
+    assert np.all(per_pa["hit"] == 1)
+    assert np.all(per_pa["pitch"] == 1)
+    assert np.array_equal(per_pa["field"], np.where(bip, 9, 0))
+    assert np.all(per_pa["br"] >= 1)  # the batter is always a runner
+    # the credits are the league's whole RAA, which conservation puts at 0
+    total = sum(v.raa_total for v in pipeline.valuations.values())
+    assert float(np.sum(table.value)) == pytest.approx(total, abs=1e-9)
+    assert abs(total) < 1e-8 * float(np.sum(np.abs(ledger.deltas)))
 
 
 def test_surface_grid_csv(pipeline):

@@ -16,17 +16,7 @@ from openwar.valuation import (
     tabulate_raa,
 )
 
-
-class FakeLedger:
-    def __init__(self, bundles):
-        self.bundles = bundles
-
-    def pa_bundles(self):
-        return self.bundles
-
-    def credit_lines(self):
-        for bundle in self.bundles:
-            yield from bundle
+from fixtures import credit_ledger
 
 
 def _zero_pool():
@@ -46,7 +36,7 @@ def _valued(ledger, roster, rpw=1.0):
 def test_bootstrap_is_deterministic():
     rng = np.random.default_rng(0)
     bundles = [[("a", "hit", float(v))] for v in rng.normal(0, 0.1, 50)]
-    ledger = FakeLedger(bundles)
+    ledger = credit_ledger(bundles)
     vals, pool = _valued(ledger, {"a": "A"})
     cfg = BootstrapConfig(replicates=40, master_seed=9)
     d1 = bootstrap_war(ledger, vals, pool, cfg, rpw=1.0)
@@ -59,7 +49,7 @@ def test_bootstrap_is_deterministic():
 
 
 def test_single_pa_season_has_zero_dispersion():
-    ledger = FakeLedger([[("a", "hit", 0.7)]])
+    ledger = credit_ledger([[("a", "hit", 0.7)]])
     vals, pool = _valued(ledger, {"a": "A"})
     dist = bootstrap_war(ledger, vals, pool,
                          BootstrapConfig(replicates=30, master_seed=1),
@@ -73,7 +63,7 @@ def test_bootstrap_sd_matches_analytic_value():
     rng = np.random.default_rng(2)
     values = rng.normal(0.0, 0.1, 400)
     bundles = [[("a", "hit", float(v))] for v in values]
-    ledger = FakeLedger(bundles)
+    ledger = credit_ledger(bundles)
     vals, pool = _valued(ledger, {"a": "A"})
     dist = bootstrap_war(ledger, vals, pool,
                          BootstrapConfig(replicates=500, master_seed=3),
@@ -89,7 +79,7 @@ def test_bundles_are_resampled_jointly():
     rng = np.random.default_rng(4)
     bundles = [[("a", "hit", float(v)), ("b", "pitch", float(-v))]
                for v in rng.normal(0, 1, 80)]
-    ledger = FakeLedger(bundles)
+    ledger = credit_ledger(bundles)
     vals, pool = _valued(ledger, {"a": "A", "b": "B"})
     dist = bootstrap_war(ledger, vals, pool,
                          BootstrapConfig(replicates=60, master_seed=5),
@@ -118,7 +108,7 @@ def test_compare_players_matches_recount():
         bundles.append([("a", "hit", float(v))])
     for v in rng.normal(-0.05, 1.0, 100):
         bundles.append([("b", "hit", float(v))])
-    ledger = FakeLedger(bundles)
+    ledger = credit_ledger(bundles)
     vals, pool = _valued(ledger, {"a": "A", "b": "B"})
     dist = bootstrap_war(ledger, vals, pool,
                          BootstrapConfig(replicates=80, master_seed=7),
@@ -134,7 +124,7 @@ def test_compare_players_matches_recount():
 
 
 def test_comparison_json_shape():
-    ledger = FakeLedger([[("a", "hit", 0.5), ("b", "hit", -0.5)]])
+    ledger = credit_ledger([[("a", "hit", 0.5), ("b", "hit", -0.5)]])
     vals, pool = _valued(ledger, {"a": "A", "b": "B"})
     dist = bootstrap_war(ledger, vals, pool,
                          BootstrapConfig(replicates=5, master_seed=0),

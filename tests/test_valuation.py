@@ -18,22 +18,18 @@ from openwar.valuation import (
     value_players,
 )
 
+from fixtures import credit_ledger
 
-class FakeLedger:
-    def __init__(self, lines):
-        self.lines = lines
 
-    def credit_lines(self):
-        return iter(self.lines)
-
-    def pa_bundles(self):
-        return [[line] for line in self.lines]
+def _line_ledger(lines):
+    """One plate appearance per credit line."""
+    return credit_ledger([[line] for line in lines])
 
 
 def test_tabulate_sums_components():
     lines = [("a", "hit", 0.5), ("a", "hit", -0.2), ("a", "br", 0.1),
              ("b", "pitch", -0.4), ("b", "pitch", -0.1), ("b", "field", 0.2)]
-    vals = tabulate_raa(FakeLedger(lines), {"a": "Able", "b": "Baker"})
+    vals = tabulate_raa(_line_ledger(lines), {"a": "Able", "b": "Baker"})
     assert vals["a"].raa["hit"] == pytest.approx(0.3)
     assert vals["a"].counts == {"hit": 2, "br": 1, "field": 0, "pitch": 0}
     assert vals["a"].raa_total == pytest.approx(0.4)
@@ -45,7 +41,7 @@ def test_tabulate_sums_components():
 
 def test_tabulate_rejects_unrostered_player():
     with pytest.raises(KeyError, match="ghost"):
-        tabulate_raa(FakeLedger([("ghost", "hit", 1.0)]), {"a": "Able"})
+        tabulate_raa(_line_ledger([("ghost", "hit", 1.0)]), {"a": "Able"})
 
 
 def test_role_uses_batters_faced_vs_plate_appearances():
@@ -67,7 +63,7 @@ def _uniform_league(n_pos=8, n_pitch=4, pa_each=30, rate_hit=-0.02,
     for k in range(n_pitch):
         lines += [(f"pit{k}", "pitch", rate_pitch)] * (3 * pa_each)
     roster = {pid: pid for pid, _, _ in lines}
-    return FakeLedger(lines), roster
+    return _line_ledger(lines), roster
 
 
 def test_uniform_rates_give_zero_war():
@@ -174,3 +170,20 @@ def test_league_war_on_pipeline(pipeline):
     total_shadow = sum(v.raa_repl for v in vals.values())
     total_war = sum(v.war for v in vals.values())
     assert total_war == pytest.approx(-total_shadow / 10.0)
+
+
+def test_tabulate_matches_per_pa_loop(pipeline):
+    """The bincount sums equal, bit for bit, a loop that walks the credits
+    plate appearance by plate appearance."""
+    table = pipeline.ledger.credits
+    raa, counts = {}, {}
+    for r in np.argsort(table.pa, kind="stable"):
+        key = (table.player_ids[table.player[r]],
+               COMPONENTS[table.component[r]])
+        raa[key] = raa.get(key, 0.0) + float(table.value[r])
+        counts[key] = counts.get(key, 0) + 1
+    for (pid, comp), total in raa.items():
+        assert pipeline.valuations[pid].raa[comp] == total
+        assert pipeline.valuations[pid].counts[comp] == counts[(pid, comp)]
+    assert sum(sum(v.counts.values()) for v in pipeline.valuations.values()) \
+        == len(table.value)

@@ -6,6 +6,31 @@ import pytest
 from openwar.valuation import COMPONENTS
 
 
+def test_credit_lines_and_bundles_agree(pipeline):
+    """The flat credit table, grouped by plate appearance, holds exactly the
+    credit bundles read off the offense and defense chains."""
+    ledger = pipeline.ledger
+    off, dfn = ledger.offense, ledger.defense
+    rows_by_index = dict(zip(dfn.bip_indices, dfn.fielding_rows))
+    bundles = []
+    for i, pa in enumerate(ledger.data.plate_appearances):
+        bundle = [(pa.batter_id, "hit", float(off.raa_hit[i]))]
+        bundle += [(c.player_id, "br", c.raa_br) for c in off.runner_credits[i]]
+        bundle += [(r.player_id, "field", r.raa_field)
+                   for r in rows_by_index.get(i, ())]
+        bundle.append((pa.pitcher_id, "pitch", float(dfn.raa_pitch[i])))
+        bundles.append(bundle)
+
+    table = ledger.credits
+    assert np.all((table.component >= 0) & (table.component < len(COMPONENTS)))
+    assert np.all((table.pa >= 0) & (table.pa < table.n_pas))
+    from_table = [[] for _ in range(table.n_pas)]
+    for p, j, c, v in zip(table.pa.tolist(), table.player.tolist(),
+                          table.component.tolist(), table.value.tolist()):
+        from_table[p].append((table.player_ids[j], COMPONENTS[c], v))
+    assert [sorted(b) for b in from_table] == [sorted(b) for b in bundles]
+
+
 def test_every_pa_has_hit_and_pitch_lines(pipeline):
     ledger = pipeline.ledger
     table = ledger.credits

@@ -17,7 +17,7 @@ print(f"CSV payload: {len(text.splitlines()) - 1} rows, "
       f"header {text.splitlines()[0][:60]}...")
 
 parsed, report = parse_season(text, "strict")
-assert parsed.plate_appearances == season.plate_appearances
+assert serialize_season(parsed) == text
 print(f"round trip ok: {len(parsed)} records, "
       f"{report.dropped} dropped, {len(report.warnings)} warnings")
 

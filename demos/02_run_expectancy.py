@@ -3,6 +3,8 @@
 Run with:  python3 demos/02_run_expectancy.py
 """
 
+import numpy as np
+
 from openwar.run_expectancy import estimate_matrix, run_value
 from openwar.simulate import generate_synthetic_season
 
@@ -19,7 +21,7 @@ for bases in range(8):
 # The run value of a plate appearance is the change in expectancy plus
 # the runs that scored on the play (RE24).
 print("\nfirst few plate appearances of the season:")
-for pa in season.plate_appearances[:8]:
+for pa in map(season.record, range(8)):
     rv = run_value(pa, matrix)
     print(f"  {pa.event_type:<18} ({pa.start_state.outs} out, "
           f"mask {pa.start_state.bases}) -> delta {rv.delta:+.3f} "
@@ -27,7 +29,10 @@ for pa in season.plate_appearances[:8]:
 
 # Within a completed half-inning the deltas telescope: their sum equals
 # the runs scored minus the expectancy of the leadoff state.
-_, group = season.half_innings()[0]
+# (the season's columns give where the first half-inning ends)
+end = np.flatnonzero((season.inning != season.inning[0])
+                     | (season.half != season.half[0]))[0]
+group = [season.record(i) for i in range(end)]
 total = sum(run_value(pa, matrix).delta for pa in group)
 runs = sum(pa.runs_scored for pa in group)
 print(f"\nfirst half-inning: {runs} runs; sum of deltas = {total:.6f}; "

@@ -27,9 +27,8 @@ print(f"league total RAA = {total:.2e} "
       f"(scale: sum |delta| = {np.abs(ledger.deltas).sum():.1f})")
 
 # Walk through one ball in play end to end.
-i = next(i for i, pa in enumerate(season.plate_appearances)
-         if pa.ball_in_play and abs(ledger.deltas[i]) > 0.3)
-pa = season.plate_appearances[i]
+i = next(i for i in ledger.defense.bip_indices if abs(ledger.deltas[i]) > 0.3)
+pa = season.record(i)  # the row view of plate appearance i
 print(f"\nexample: {pa.event_type} by {pa.batter_id} off {pa.pitcher_id} "
       f"(delta {ledger.deltas[i]:+.3f})")
 print("  offense:")

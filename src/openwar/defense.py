@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .events import FIELDING_POSITIONS
+from .events import _IN_PLAY, DESTINATIONS, FIELDING_POSITIONS, _where
 from .numerics import (
     DesignMatrix,
     LogisticFit,
@@ -24,7 +25,7 @@ from .numerics import (
     scott_bandwidth,
     smooth_out_probability,
 )
-from .offense import park_platoon_design
+from .offense import _indicator_design, park_platoon_design
 
 __all__ = [
     "DefenseSplit",
@@ -63,19 +64,24 @@ class FieldingRow:
     park_fitted: float = 0.0
 
 
-def _bip_records(data):
-    """(index, pa) pairs for balls in play that carry coordinates."""
-    return [(i, pa) for i, pa in enumerate(data.plate_appearances)
-            if pa.ball_in_play and pa.bip_location is not None]
+def _made_out(data):
+    """True where the play put at least one batter or runner out."""
+    out = DESTINATIONS.index("O")
+    return (data.batter_dest == out) | (data.runner_dest == out).any(axis=1)
+
+
+def _located(data):
+    """Balls in play that carry coordinates: (mask, (k, 2) coordinates)."""
+    bip = _IN_PLAY[data.event] & ~np.isnan(data.bip_x)
+    if not bip.any():
+        raise ValueError("no balls in play with coordinates")
+    return bip, np.column_stack([data.bip_x[bip], data.bip_y[bip]])
 
 
 def fit_out_surface(data, bandwidth=None):
     """Kernel smoother of P(out | x, y) over all balls in play."""
-    bip = _bip_records(data)
-    if not bip:
-        raise ValueError("no balls in play with coordinates")
-    points = np.array([pa.bip_location for _, pa in bip])
-    outs = np.array([1.0 if pa.outs_on_play > 0 else 0.0 for _, pa in bip])
+    bip, points = _located(data)
+    outs = _made_out(data)[bip].astype(float)
     if bandwidth is None:
         bandwidth = scott_bandwidth(points)
     return smooth_out_probability(points, outs, bandwidth)
@@ -87,8 +93,7 @@ def _split(delta, p_hat):
 
 
 def _missing_coordinates(pa):
-    return ValueError(
-        f"game {pa.game_id} pa {pa.pa_index}: ball in play without coordinates")
+    return ValueError(f"{_where(pa)}: ball in play without coordinates")
 
 
 def split_responsibility(pa, delta, surface, lenient_rate=None):
@@ -133,88 +138,73 @@ def fit_fielding_models(data):
     with converting the out.  A single-class position gets a constant
     model at its empirical rate.
     """
-    bip = _bip_records(data)
-    if not bip:
-        raise ValueError("no balls in play with coordinates")
-    X = DesignMatrix(
-        columns=_FIELDING_COLS,
-        values=_fielding_design([pa.bip_location for _, pa in bip]))
-    uncredited = sum(
-        1 for _, pa in bip
-        if pa.outs_on_play > 0 and pa.credited_fielder_position is None)
+    bip, coords = _located(data)
+    X = DesignMatrix(columns=_FIELDING_COLS, values=_fielding_design(coords))
+    credited = data.credited[bip]
+    uncredited = int(np.sum(_made_out(data)[bip] & (credited < 0)))
     if uncredited:
         warnings.warn(
             f"{uncredited} out-making balls in play carry no credited fielder; "
             "they count as unconverted for all nine positions")
     models = {}
-    for pos in FIELDING_POSITIONS:
-        y = np.array([
-            1.0 if pa.credited_fielder_position == pos else 0.0
-            for _, pa in bip])
+    for j, pos in enumerate(FIELDING_POSITIONS):
+        y = (credited == j).astype(float)
         if len(np.unique(y)) < 2:
             models[pos] = LogisticFit(
                 coefficients={c: 0.0 for c in _FIELDING_COLS},
                 converged=True, iterations=0, constant_rate=float(y.mean()))
         else:
             models[pos] = logistic_fit(X, y)
+    stopped = [pos for pos, m in models.items()
+               if m.separated or not m.converged]
+    if stopped:
+        warnings.warn(
+            f"fielding models for {', '.join(stopped)} stopped separated or "
+            "unconverged; their last IRLS coefficients are used as they are")
     return models
 
 
-def _fielding_shares(coords, models, plays):
+def _fielding_shares(coords, models, play):
     """Per-position out probabilities and normalized shares, each (k, 9),
     at the coordinates of k balls in play: one prediction per model over
     the whole design.  A play whose probabilities all vanish is split
-    equally, with a warning naming it."""
+    equally, with a warning naming it (play(k) is its PlateAppearance)."""
     X = _fielding_design(coords)
     probs = np.column_stack([models[pos].predict(X)
                              for pos in FIELDING_POSITIONS])
     total = probs.sum(axis=1)
     vanish = total < 1e-12
     for k in np.flatnonzero(vanish):
-        pa = plays[k]
-        warnings.warn(
-            f"game {pa.game_id} pa {pa.pa_index}: all fielder probabilities "
-            "vanish; splitting equally")
+        warnings.warn(f"{_where(play(k))}: all fielder probabilities "
+                      "vanish; splitting equally")
     shares = np.full_like(probs, 1.0 / 9.0)
     shares[~vanish] = probs[~vanish] / total[~vanish, None]
     return probs, shares
 
 
-def _fielding_rows(pa, delta_f, probs, shares):
-    return [
-        FieldingRow(player_id=pa.fielder_ids[j], position=pos,
-                    p_model=float(probs[j]), share=float(shares[j]),
-                    value=float(delta_f * shares[j]))
-        for j, pos in enumerate(FIELDING_POSITIONS)
-    ]
+def _fielding_rows(fielder_ids, probs, shares, values):
+    """One ball in play's nine FieldingRows from per-position lists."""
+    return [FieldingRow(*row) for row in zip(
+        fielder_ids, FIELDING_POSITIONS, probs, shares, values)]
 
 
 def apportion_fielding(pa, delta_f, models):
     """Normalized per-position responsibility rows for one ball in play."""
-    probs, shares = _fielding_shares([pa.bip_location], models, [pa])
-    return _fielding_rows(pa, delta_f, probs[0], shares[0])
+    probs, shares = _fielding_shares([pa.bip_location], models, lambda k: pa)
+    return _fielding_rows(pa.fielder_ids, probs[0].tolist(),
+                          shares[0].tolist(), (delta_f * shares[0]).tolist())
 
 
 def fit_fielding_park_adjustment(data, bip_indices, rows_per_pa):
     """Ballpark adjustment over per-(play, fielder) rows; residuals become
     the fielding runs above average."""
-    parks = sorted({pa.ballpark_id for pa in data.plate_appearances})
-    cols = ["intercept"] + [f"park_{p}" for p in parks]
-    park_ix = {p: 1 + j for j, p in enumerate(parks)}
-    pas = data.plate_appearances
-    flat = np.repeat([park_ix[pas[i].ballpark_id] for i in bip_indices],
-                     [len(rows) for rows in rows_per_pa])
+    park = np.repeat(data.park[bip_indices], [len(rows) for rows in rows_per_pa])
     values = np.array([row.value for rows in rows_per_pa for row in rows])
-    V = np.zeros((len(flat), len(cols)))
-    V[:, 0] = 1.0
-    V[np.arange(len(flat)), flat] = 1.0
-    fit = ols_fit(DesignMatrix(columns=cols, values=V), values)
-    k = 0
-    for rows in rows_per_pa:
-        for row in rows:
-            row.raa_field = float(fit.residuals[k])
-            row.park_fitted = float(fit.fitted[k])
-            k += 1
+    fit = ols_fit(_indicator_design([("park_", data.park_ids, park)]), values)
+    for row, resid, fitted in zip(chain.from_iterable(rows_per_pa),
+                                  fit.residuals.tolist(), fit.fitted.tolist()):
+        row.raa_field = resid
+        row.park_fitted = fitted
     return fit
 
 
@@ -244,22 +234,23 @@ def apportion_defense(data, deltas, bandwidth=None):
     surface = fit_out_surface(data, bandwidth=bandwidth)
     models = fit_fielding_models(data)
 
-    pas = data.plate_appearances
-    bip_indices = [i for i, pa in enumerate(pas) if pa.ball_in_play]
-    plays = [pas[i] for i in bip_indices]
-    for pa in plays:
-        if pa.bip_location is None:
-            raise _missing_coordinates(pa)
-    coords = np.array([pa.bip_location for pa in plays], dtype=float)
-    p_hat = np.zeros(len(pas))
-    p_hat[bip_indices] = surface.evaluate_binned(coords[:, 0], coords[:, 1])
+    bip = np.flatnonzero(_IN_PLAY[data.event])
+    missing = np.isnan(data.bip_x[bip])
+    if missing.any():
+        raise _missing_coordinates(data.record(bip[np.argmax(missing)]))
+    coords = np.column_stack([data.bip_x[bip], data.bip_y[bip]])
+    p_hat = np.zeros(len(data))
+    p_hat[bip] = surface.evaluate_binned(coords[:, 0], coords[:, 1])
     delta_p, delta_f = _split(deltas, p_hat)
 
-    probs, shares = _fielding_shares(coords, models, plays)
-    fielding_rows = [
-        _fielding_rows(pa, delta_f[i], probs[k], shares[k])
-        for k, (i, pa) in enumerate(zip(bip_indices, plays))]
+    probs, shares = _fielding_shares(coords, models,
+                                     lambda k: data.record(bip[k]))
+    fielders = np.array(data.player_ids, dtype=object)[data.fielder[bip]]
+    fielding_rows = list(map(
+        _fielding_rows, fielders.tolist(), probs.tolist(), shares.tolist(),
+        (delta_f[bip, None] * shares).tolist()))
 
+    bip_indices = bip.tolist()
     park_fit = fit_fielding_park_adjustment(data, bip_indices, fielding_rows)
     pitch_fit = fit_pitching_adjustment(data, delta_p)
     return DefenseResult(

@@ -14,9 +14,17 @@ the hitter and the baserunners through a chain of regressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
+from .events import (
+    BATTER_POSITIONS,
+    DESTINATIONS,
+    EVENT_TYPES,
+    HANDS,
+    SeasonDataset,
+)
 from .numerics import DesignMatrix, ols_fit
 
 __all__ = [
@@ -43,18 +51,37 @@ def platoon_advantage(pa):
     return 1.0 if pa.batter_hand == "S" or pa.batter_hand != pa.pitcher_hand else 0.0
 
 
+def _indicator_design(factors, extra=()):
+    """Intercept, one indicator column per level present in each factor,
+    then the `extra` (name, values) columns.
+
+    A factor is (prefix, labels, codes): row r is at level codes[r], whose
+    column is named prefix + labels[codes[r]]; levels come in label order.
+    """
+    n = len(factors[0][2])
+    names, hot = ["intercept"], []
+    for prefix, labels, codes in factors:
+        levels = sorted(np.unique(codes).tolist(), key=labels.__getitem__)
+        column = np.zeros(max(levels, default=0) + 1, dtype=np.intp)
+        column[levels] = len(names) + np.arange(len(levels))
+        names += [f"{prefix}{labels[c]}" for c in levels]
+        hot.append(column[codes])
+    V = np.zeros((n, len(names) + len(extra)))
+    V[:, 0] = 1.0
+    for cols in hot:
+        V[np.arange(n), cols] = 1.0
+    for name, values in extra:
+        V[:, len(names)] = values
+        names.append(name)
+    return DesignMatrix(columns=names, values=V)
+
+
 def park_platoon_design(data):
     """Intercept + ballpark indicators + platoon indicator (B_i)."""
-    parks = sorted({pa.ballpark_id for pa in data.plate_appearances})
-    cols = ["intercept"] + [f"park_{p}" for p in parks] + ["platoon"]
-    n = len(data.plate_appearances)
-    V = np.zeros((n, len(cols)))
-    V[:, 0] = 1.0
-    park_ix = {p: 1 + j for j, p in enumerate(parks)}
-    for i, pa in enumerate(data.plate_appearances):
-        V[i, park_ix[pa.ballpark_id]] = 1.0
-        V[i, -1] = platoon_advantage(pa)
-    return DesignMatrix(columns=cols, values=V)
+    switch = HANDS.index("S")
+    platoon = (data.batter_hand == switch) | (data.batter_hand != data.pitcher_hand)
+    return _indicator_design([("park_", data.park_ids, data.park)],
+                             [("platoon", platoon)])
 
 
 def fit_park_platoon(data, deltas):
@@ -62,29 +89,17 @@ def fit_park_platoon(data, deltas):
     return ols_fit(park_platoon_design(data), deltas)
 
 
-def _state_event_design(data):
-    """Intercept + start-state indicators + event-type indicators (S_i)."""
-    states = sorted({(pa.start_state.outs, pa.start_state.bases)
-                     for pa in data.plate_appearances})
-    events = sorted({pa.event_type for pa in data.plate_appearances})
-    cols = (["intercept"]
-            + [f"state_{o}_{b}" for o, b in states]
-            + [f"event_{e}" for e in events])
-    n = len(data.plate_appearances)
-    V = np.zeros((n, len(cols)))
-    V[:, 0] = 1.0
-    state_ix = {s: 1 + j for j, s in enumerate(states)}
-    event_ix = {e: 1 + len(states) + j for j, e in enumerate(events)}
-    for i, pa in enumerate(data.plate_appearances):
-        V[i, state_ix[(pa.start_state.outs, pa.start_state.bases)]] = 1.0
-        V[i, event_ix[pa.event_type]] = 1.0
-    return DesignMatrix(columns=cols, values=V)
+_STATE_LABELS = [f"{o}_{b}" for o in range(4) for b in range(8)]
 
 
 def fit_baserunner_expectation(data, eps_hat):
-    """Regress adjusted values on S_i; residuals are the baserunner share,
-    positive when the runners beat the expected advancement."""
-    return ols_fit(_state_event_design(data), eps_hat)
+    """Regress adjusted values on S_i (intercept + start-state indicators +
+    event-type indicators); residuals are the baserunner share, positive
+    when the runners beat the expected advancement."""
+    state = data.start_outs.astype(np.intp) * 8 + data.start_bases
+    return ols_fit(_indicator_design([("state_", _STATE_LABELS, state),
+                                      ("event_", EVENT_TYPES, data.event)]),
+                   eps_hat)
 
 
 def _advancement_rank(start_base, dest):
@@ -95,11 +110,32 @@ def _advancement_rank(start_base, dest):
     return end - start_base
 
 
-def _runner_outcomes(pa):
-    """Yield (player_id, start_base, rank); the batter is base 0."""
-    for base, rid, dest in pa.runners():
-        yield rid, base, _advancement_rank(base, dest)
-    yield pa.batter_id, 0, _advancement_rank(0, pa.batter_dest)
+#: rank of every (start base, destination code); the batter is base 0
+_RANKS = np.array([[_advancement_rank(base, dest) for dest in DESTINATIONS]
+                   for base in range(4)])
+
+
+def _outcomes(data):
+    """The runners of every plate appearance, on 1B, 2B, 3B and then the
+    batter from base 0: the (n, 4) mask of those present, and their player
+    codes, events, start bases and advancement ranks in that order."""
+    player = np.column_stack([data.runner, data.batter])
+    on = player >= 0
+    base = np.broadcast_to([1, 2, 3, 0], on.shape)
+    rank = _RANKS[base, np.column_stack([data.runner_dest, data.batter_dest])]
+    event = np.broadcast_to(data.event[:, None].astype(np.intp), on.shape)
+    return on, player[on], event[on], base[on], rank[on]
+
+
+def _cell(event, base, rank):
+    """One integer per (event code, base, rank) outcome cell; ranks lie in
+    -2..4.  Sorting these is much faster than sorting rows."""
+    return (event * 4 + base) * 16 + rank + 8
+
+
+def _uncell(c):
+    """(event type, base, rank) of a `_cell` code."""
+    return EVENT_TYPES[c // 64], c // 16 % 4, c % 16 - 8
 
 
 @dataclass
@@ -140,26 +176,25 @@ class AdvancementTable:
 
 
 def advancement_probabilities(data):
-    cell_counts = {}
-    pooled_counts = {}
-    global_counts = {}
-    for pa in data.plate_appearances:
-        for _, base, rank in _runner_outcomes(pa):
-            key = (pa.event_type, base)
-            cell_counts.setdefault(key, {})
-            cell_counts[key][rank] = cell_counts[key].get(rank, 0) + 1
-            pooled_counts.setdefault(pa.event_type, {})
-            pooled_counts[pa.event_type][rank] = \
-                pooled_counts[pa.event_type].get(rank, 0) + 1
-            global_counts[rank] = global_counts.get(rank, 0) + 1
+    _, _, event, base, rank = _outcomes(data)
+
+    def cdfs(label, event, base):
+        """The cdf of the ranks within each (event, base) cell, keyed by
+        label(event, base)."""
+        counts = {}
+        cells, sizes = np.unique(_cell(event, base, rank), return_counts=True)
+        for c, size in zip(cells.tolist(), sizes.tolist()):
+            e, b, r = _uncell(c)
+            counts.setdefault(label(e, b), {})[r] = size
+        return {k: AdvancementTable._cdf(v) for k, v in counts.items()}
+
     return AdvancementTable(
-        cells={k: AdvancementTable._cdf(v) for k, v in cell_counts.items()},
-        pooled={k: AdvancementTable._cdf(v) for k, v in pooled_counts.items()},
-        global_cdf=AdvancementTable._cdf(global_counts) if global_counts else [],
-    )
+        cells=cdfs(lambda e, b: (e, b), event, base),
+        pooled=cdfs(lambda e, b: e, event, 0),
+        global_cdf=cdfs(lambda e, b: None, 0, 0).get(None, []))
 
 
-@dataclass
+@dataclass(slots=True)
 class BaserunnerCredit:
     player_id: str
     start_base: int  # 0 for the batter-as-runner
@@ -174,37 +209,33 @@ def apportion_baserunning(pa, eta_hat, table):
     appearance carries at least one credit line.  A zero kappa total
     (possible only in pathological cells) falls back to an equal split.
     """
-    outcomes = list(_runner_outcomes(pa))
-    kappas = [table.kappa(pa.event_type, base, rank)
-              for _, base, rank in outcomes]
-    total = sum(kappas)
-    if total <= 0.0:
-        weights = [1.0 / len(outcomes)] * len(outcomes)
-    else:
-        weights = [k / total for k in kappas]
-    return [
-        BaserunnerCredit(player_id=pid, start_base=base, kappa=k,
-                         raa_br=float(w * eta_hat))
-        for (pid, base, _), k, w in zip(outcomes, kappas, weights)
-    ]
+    data = SeasonDataset.from_records([pa])
+    return _baserunning(data, np.array([eta_hat], dtype=float), table)[0][0]
 
 
-def _position_design(data):
-    positions = sorted({pa.batter_position for pa in data.plate_appearances})
-    cols = ["intercept"] + [f"pos_{p}" for p in positions]
-    n = len(data.plate_appearances)
-    V = np.zeros((n, len(cols)))
-    V[:, 0] = 1.0
-    pos_ix = {p: 1 + j for j, p in enumerate(positions)}
-    for i, pa in enumerate(data.plate_appearances):
-        V[i, pos_ix[pa.batter_position]] = 1.0
-    return DesignMatrix(columns=cols, values=V)
+def _baserunning(data, eta_hat, table):
+    """`apportion_baserunning` over every plate appearance: the credit
+    lists, and raa_br as an (n, 4) array (0 where a base is empty)."""
+    on, player, event, base, rank = _outcomes(data)
+    cells, which = np.unique(_cell(event, base, rank), return_inverse=True)
+    kappa = np.zeros(on.shape)
+    kappa[on] = np.array([table.kappa(*_uncell(c))
+                          for c in cells.tolist()])[which]
+    # summed in credit order, as sum() over a list would; empty bases add 0
+    total = kappa[:, 0] + kappa[:, 1] + kappa[:, 2] + kappa[:, 3]
+    weights = on / on.sum(axis=1, keepdims=True)
+    np.divide(kappa, total[:, None], out=weights, where=total[:, None] > 0.0)
+    raa_br = weights * eta_hat[:, None]
+    flat = map(BaserunnerCredit, map(data.player_ids.__getitem__, player.tolist()),
+               base.tolist(), kappa[on].tolist(), raa_br[on].tolist())
+    return [list(islice(flat, c)) for c in on.sum(axis=1).tolist()], raa_br
 
 
 def fit_position_adjustment(data, mu_hat):
     """Regress hitter values on position indicators (H_i); residuals are
     the hitting runs above average."""
-    return ols_fit(_position_design(data), mu_hat)
+    return ols_fit(_indicator_design(
+        [("pos_", BATTER_POSITIONS, data.batter_position)]), mu_hat)
 
 
 @dataclass
@@ -219,6 +250,7 @@ class OffenseResult:
     position_fit: object
     advancement: AdvancementTable
     runner_credits: list  # per PA: list of BaserunnerCredit
+    raa_br: np.ndarray  # (n, 4): runners on 1B-3B, then the batter; 0 if absent
 
 
 def apportion_offense(data, deltas):
@@ -232,12 +264,11 @@ def apportion_offense(data, deltas):
     position_fit = fit_position_adjustment(data, mu_hat)
     raa_hit = position_fit.residuals
     table = advancement_probabilities(data)
-    credits = [
-        apportion_baserunning(pa, eta, table)
-        for pa, eta in zip(data.plate_appearances, eta_hat)
-    ]
+    credits, raa_br = _baserunning(data, eta_hat, table)
     return OffenseResult(
         deltas=deltas, eps_hat=eps_hat, eta_hat=eta_hat, mu_hat=mu_hat,
         raa_hit=raa_hit, park_fit=park_fit, state_fit=state_fit,
         position_fit=position_fit, advancement=table, runner_credits=credits,
+        raa_br=raa_br,
     )
+

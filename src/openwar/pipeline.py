@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defense import apportion_defense
-from .events import FIELDING_POSITIONS
 from .offense import apportion_offense
-from .run_expectancy import estimate_matrix, run_value
+from .run_expectancy import _deltas, estimate_matrix
 from .valuation import CreditTable, value_players
 
 __all__ = ["SeasonLedger", "build_ledger", "run_pipeline", "PipelineResult"]
@@ -63,23 +62,22 @@ def _credit_table(data, offense, defense):
     """The season's CreditTable: hitting, baserunning, fielding and
     pitching blocks, each in plate-appearance order, so every
     (player, component) sum adds in that order."""
-    pas = data.plate_appearances
-    every = np.arange(len(pas))
-    runners = [c for credits in offense.runner_credits for c in credits]
+    every = np.arange(len(data))
+    runners = np.column_stack([data.runner, data.batter])
+    on = runners >= 0
+    bip = np.asarray(defense.bip_indices, dtype=np.intp)
     blocks = [
-        (every, [pa.batter_id for pa in pas], offense.raa_hit),
-        (np.repeat(every, [len(c) for c in offense.runner_credits]),
-         [c.player_id for c in runners], [c.raa_br for c in runners]),
-        (np.repeat(defense.bip_indices, len(FIELDING_POSITIONS)),
-         [pid for i in defense.bip_indices for pid in pas[i].fielder_ids],
+        (every, data.batter, offense.raa_hit),
+        (np.nonzero(on)[0], runners[on], offense.raa_br[on]),
+        (np.repeat(bip, data.fielder.shape[1]), data.fielder[bip].ravel(),
          defense.fielding_park_fit.residuals),
-        (every, [pa.pitcher_id for pa in pas], defense.raa_pitch),
+        (every, data.pitcher, defense.raa_pitch),
     ]
-    pa, ids, values = zip(*blocks)
+    pa, player, values = zip(*blocks)
     return CreditTable.build(
-        n_pas=len(pas), pa=np.concatenate(pa),
-        player_ids=[pid for block in ids for pid in block],
-        component=np.repeat(np.arange(len(blocks)), [len(b) for b in ids]),
+        n_pas=len(data), pa=np.concatenate(pa), player=np.concatenate(player),
+        player_ids=data.player_ids,
+        component=np.repeat(np.arange(len(blocks)), [len(b) for b in player]),
         value=np.concatenate(values))
 
 
@@ -87,8 +85,7 @@ def build_ledger(data, bandwidth=None, matrix=None):
     """Estimate the run matrix, score every PA, and apportion both sides."""
     if matrix is None:
         matrix = estimate_matrix(data)
-    deltas = np.array([run_value(pa, matrix).delta
-                       for pa in data.plate_appearances])
+    deltas = _deltas(data, matrix)
     offense = apportion_offense(data, deltas)
     defense = apportion_defense(data, deltas, bandwidth=bandwidth)
     return SeasonLedger(data=data, matrix=matrix, deltas=deltas,

@@ -16,7 +16,9 @@ import io
 import warnings
 from dataclasses import dataclass, field
 
-from .events import LIVE_STATES
+import numpy as np
+
+from .events import LIVE_STATES, GameState, _half_inning_starts
 
 __all__ = ["RunExpectancyMatrix", "RunValue", "estimate_matrix", "run_value"]
 
@@ -60,30 +62,38 @@ def estimate_matrix(data):
     the data is dropped with a warning; earlier truncated half-innings
     (walk-offs) are kept as observed.
     """
-    groups = data.half_innings()
-    if groups and groups[-1][1][-1].end_state.outs != 3:
+    new = _half_inning_starts(data)
+    starts, group = np.flatnonzero(new), np.cumsum(new) - 1
+    kept = len(data)
+    if kept and data.end_outs[-1] != 3:
         warnings.warn("final half-inning is unterminated; dropped from estimation")
-        groups = groups[:-1]
+        kept = starts[-1]
 
-    sums = {key: 0.0 for key in LIVE_STATES}
-    counts = {key: 0 for key in LIVE_STATES}
-    for _, group in groups:
-        runs_after = 0
-        togo = []
-        for pa in reversed(group):
-            runs_after += pa.runs_scored
-            togo.append(runs_after)
-        togo.reverse()
-        for pa, r in zip(group, togo):
-            key = (pa.start_state.outs, pa.start_state.bases)
-            sums[key] += r
-            counts[key] += 1
+    # runs from each record to the end of its half-inning, its own included
+    after = np.append(np.cumsum(data.runs_scored[::-1])[::-1], 0)
+    stops = np.append(starts[1:], len(data))
+    togo = (after[:-1] - after[stops[group]])[:kept]
+    state = (data.start_outs.astype(np.intp) * 8 + data.start_bases)[:kept]
+    live = len(LIVE_STATES)
+    # sums of integers in float64 are exact, whatever the order
+    sums = np.bincount(state, weights=togo, minlength=live)[:live]
+    counts = np.bincount(state, minlength=live)[:live]
 
-    empty = [key for key in LIVE_STATES if counts[key] == 0]
+    empty = [key for key, c in zip(LIVE_STATES, counts) if c == 0]
     if empty:
         raise ValueError(f"states never observed: {empty}")
-    rho = {key: sums[key] / counts[key] for key in LIVE_STATES}
-    return RunExpectancyMatrix(rho=rho, sample_counts=counts)
+    return RunExpectancyMatrix(
+        rho=dict(zip(LIVE_STATES, (sums / counts).tolist())),
+        sample_counts=dict(zip(LIVE_STATES, counts.tolist())))
+
+
+def _deltas(data, matrix):
+    """`run_value(...).delta` of every plate appearance, as one array."""
+    table = np.zeros((4, 8))  # the 3-out row stays 0
+    for key in LIVE_STATES:
+        table[key] = matrix.value(GameState(*key))
+    end = table[data.end_outs, data.end_bases]
+    return (end - table[data.start_outs, data.start_bases]) + data.runs_scored
 
 
 def run_value(pa, matrix):

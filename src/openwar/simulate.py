@@ -460,7 +460,7 @@ def generate_synthetic_season(games, seed, event_probs=None, teams=4):
                     ))
                     outs, bases = new_outs, new_bases
 
-    return SeasonDataset(plate_appearances=pas, roster=roster, parks=parks)
+    return SeasonDataset.from_records(pas, roster=roster, parks=parks)
 
 
 def _mask(bases):

@@ -58,12 +58,13 @@ class CreditTable:
     value: np.ndarray
 
     @classmethod
-    def build(cls, n_pas, pa, player_ids, component, value):
-        """Code the per-row player ids into the sorted `player_ids`."""
-        ids, player = np.unique(np.asarray(player_ids, dtype=str),
-                                return_inverse=True)
-        return cls(player_ids=ids.tolist(), n_pas=n_pas,
-                   pa=np.asarray(pa, dtype=np.intp), player=player,
+    def build(cls, n_pas, pa, player, player_ids, component, value):
+        """`player` holds codes into the sorted `player_ids`; the table
+        keeps only the players with a credit, recoded in the same order."""
+        used, player = np.unique(player, return_inverse=True)
+        return cls(player_ids=[player_ids[k] for k in used.tolist()],
+                   n_pas=n_pas, pa=np.asarray(pa, dtype=np.intp),
+                   player=player.reshape(-1),
                    component=np.asarray(component, dtype=np.intp),
                    value=np.asarray(value, dtype=float))
 

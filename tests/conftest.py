@@ -11,6 +11,8 @@ import pytest
 from openwar.pipeline import run_pipeline
 from openwar.simulate import generate_synthetic_season
 
+from fixtures import records
+
 SEASON_GAMES = 60
 SEASON_SEED = 11
 
@@ -18,6 +20,12 @@ SEASON_SEED = 11
 @pytest.fixture(scope="session")
 def season():
     return generate_synthetic_season(SEASON_GAMES, SEASON_SEED)
+
+
+@pytest.fixture(scope="session")
+def season_records(season):
+    """The row view of every plate appearance of `season`."""
+    return records(season)
 
 
 @pytest.fixture(scope="session")

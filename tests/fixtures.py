@@ -2,6 +2,8 @@
 
 from types import SimpleNamespace
 
+import numpy as np
+
 from openwar.events import BALL_IN_PLAY, GameState, PlateAppearance, SeasonDataset
 from openwar.valuation import COMPONENTS, CreditTable
 
@@ -47,9 +49,23 @@ def credit_ledger(bundles):
     rows = [(i, pid, COMPONENTS.index(comp), raa)
             for i, bundle in enumerate(bundles) for pid, comp, raa in bundle]
     pa, ids, component, value = zip(*rows)
+    players = sorted(set(ids))
     return SimpleNamespace(credits=CreditTable.build(
-        n_pas=len(bundles), pa=pa, player_ids=ids, component=component,
-        value=value))
+        n_pas=len(bundles), pa=pa, player=[players.index(p) for p in ids],
+        player_ids=players, component=component, value=value))
+
+
+def records(data):
+    """Every plate appearance of a SeasonDataset as its row view."""
+    return [data.record(i) for i in range(len(data))]
+
+
+def half_innings(data):
+    """Record indices of each (game, inning, half) run, in record order."""
+    key = np.column_stack([data.game, data.inning, data.half])
+    new = np.ones(len(data), dtype=bool)
+    new[1:] = np.any(key[1:] != key[:-1], axis=1)
+    return np.split(np.arange(len(data)), np.flatnonzero(new)[1:])
 
 
 def build_re_fixture():
@@ -102,13 +118,7 @@ def build_re_fixture():
     add(2, "top", 2, 3, "Double", "2B", {1: "3B", 2: "H"})
     add(2, "top", 2, 6, "Groundout", "O", {2: "2B", 3: "3B"})
 
-    data = SeasonDataset(plate_appearances=rows)
-    for pa in rows:
-        data.parks.add(pa.ballpark_id)
-        for pid in (pa.batter_id, pa.pitcher_id, *pa.fielder_ids):
-            data.roster.setdefault(pid, pid)
-        for _, rid, _ in pa.runners():
-            data.roster.setdefault(rid, rid)
+    data = SeasonDataset.from_records(rows)
 
     # runs-to-inning-end, averaged per start state (done by hand):
     #   top 1:    6,6,6,6,2,2,2,0,0,0,0

@@ -100,6 +100,29 @@ def test_validate_lenient_counts_drops(tmp_path, capsys):
     assert "dropped: 1" in out
 
 
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("fields", [20, 36])
+def test_validate_rejects_row_with_wrong_field_count(tmp_path, capsys, fields,
+                                                      lenient):
+    """A row cut short or carrying an extra field is a record error: strict
+    exits with the JSON error, lenient drops and counts the row."""
+    lines = _simulate(tmp_path).read_text().splitlines()
+    cells = lines[5].split(",")  # lines[0] is the config comment, [1] the header
+    lines[5] = ",".join((cells + [""])[:fields])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    args = ["validate", "--input", str(bad)] + (["--lenient"] if lenient else [])
+    assert main(args) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    if lenient:
+        assert "dropped: 1" in out
+        assert f"{fields} fields, header has 35" in out
+    else:
+        err = json.loads(err)
+        assert err["kind"] == "validation"
+        assert f"{fields} fields, header has 35" in err["error"]
+
+
 def test_missing_input_is_config_error(tmp_path, capsys):
     assert main(["validate", "--input", str(tmp_path / "nope.csv")]) \
         == EXIT_CONFIG
@@ -147,8 +170,8 @@ def test_boot_outputs_and_compare(tmp_path, war_season):
     out = tmp_path / "boot"
     # pick two real player ids out of the roster
     data, _ = parse_season(war_season.read_text())
-    a = data.plate_appearances[0].batter_id
-    b = data.plate_appearances[0].pitcher_id
+    a = data.record(0).batter_id
+    b = data.record(0).pitcher_id
     code = main(["boot", "--input", str(war_season), "--out", str(out),
                  "--replicates", "25", "--seed", "4",
                  "--cutoff-pos", "40", "--cutoff-pitch", "18",

@@ -7,7 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from openwar.events import FIELDING_POSITIONS, SeasonDataset
+from openwar import events
+from openwar.events import (
+    FIELDING_POSITIONS,
+    SeasonDataset,
+    parse_season,
+    serialize_season,
+    validate_dataset,
+)
 from openwar.defense import (
     apportion_defense,
     apportion_fielding,
@@ -20,7 +27,7 @@ from openwar.numerics import LogisticFit, SmoothedSurface, master_rng
 from openwar.pipeline import SeasonLedger
 from openwar.simulate import generate_synthetic_season
 
-from fixtures import make_pa
+from fixtures import make_pa, records
 
 
 def _surface_from(points, outs, bandwidth=(30.0, 30.0)):
@@ -82,7 +89,7 @@ def _clustered_dataset(rng, n=40):
         rows.append(make_pa(g, len(rows), 1, "top", 0, 0, "Single", "1B",
                             bip=(float(rng.uniform(-150, 150)),
                                  float(rng.uniform(50, 350)))))
-    return SeasonDataset(plate_appearances=rows)
+    return SeasonDataset.from_records(rows)
 
 
 def test_fielding_models_localize_responsibility():
@@ -110,7 +117,7 @@ def test_fielding_shares_sum_to_one():
     rng = master_rng(5)
     data = _clustered_dataset(rng)
     models = fit_fielding_models(data)
-    for pa in data.plate_appearances:
+    for pa in records(data):
         rows = apportion_fielding(pa, -0.2, models)
         assert len(rows) == 9
         assert [r.position for r in rows] == list(FIELDING_POSITIONS)
@@ -155,11 +162,11 @@ def test_defense_chain_identities(pipeline):
     assert abs(total_field) < 1e-8
 
 
-def test_out_probabilities_are_probabilities(pipeline):
+def test_out_probabilities_are_probabilities(pipeline, season_records):
     dfn = pipeline.ledger.defense
     assert np.all(dfn.p_hat >= 0.0) and np.all(dfn.p_hat <= 1.0)
     # non-BIP events have the whole value on the pitcher
-    for i, pa in enumerate(pipeline.ledger.data.plate_appearances):
+    for i, pa in enumerate(season_records):
         if not pa.ball_in_play:
             assert dfn.delta_f[i] == 0.0
             assert dfn.delta_p[i] == -pipeline.ledger.deltas[i]
@@ -187,21 +194,22 @@ def test_binned_surface_matches_exact_on_contour_grid(surface_100g):
     assert np.max(np.abs(rows[:, 2] - exact)) <= 5e-3
 
 
+def _counted(calls, name, fn):
+    """`fn`, counting its calls in calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_defense_chain_avoids_per_play_work(season, monkeypatch):
     """Guard against the quadratic smoother and per-row predictions."""
     calls = {"evaluate": 0, "predict": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(SmoothedSurface, "evaluate",
-                        counted("evaluate", SmoothedSurface.evaluate))
+                        _counted(calls, "evaluate", SmoothedSurface.evaluate))
     monkeypatch.setattr(LogisticFit, "predict",
-                        counted("predict", LogisticFit.predict))
-    deltas = np.zeros(len(season.plate_appearances))
+                        _counted(calls, "predict", LogisticFit.predict))
+    deltas = np.zeros(len(season))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         apportion_defense(season, deltas)
@@ -209,10 +217,38 @@ def test_defense_chain_avoids_per_play_work(season, monkeypatch):
     assert calls["predict"] <= 9
 
 
-def test_defense_chain_rejects_bip_without_coordinates(season):
-    pas = list(season.plate_appearances)
+def test_clean_season_parses_without_per_row_work(season, monkeypatch):
+    """Guard against per-record parsing: a clean season is checked with
+    array operations only, so no record is checked or viewed one by one."""
+    calls = {"check": 0, "view": 0}
+    monkeypatch.setattr(events, "_check_record",
+                        _counted(calls, "check", events._check_record))
+    # every row view, of a CSV row or of a coded record, is built by _view
+    monkeypatch.setattr(events, "_view", _counted(calls, "view", events._view))
+    data, report = parse_season(serialize_season(season))
+    assert validate_dataset(data).ok and report.ok and not report.warnings
+    assert len(data) == len(season)
+    assert calls == {"check": 0, "view": 0}
+
+
+def test_unconverged_fielding_fits_are_reported(season):
+    with pytest.warns(UserWarning, match="stopped separated or unconverged") \
+            as caught:
+        models = fit_fielding_models(season)
+    stopped = [pos for pos, m in models.items()
+               if m.separated or not m.converged]
+    assert stopped  # true of every synthetic season tried so far
+    messages = [str(w.message) for w in caught
+                if "stopped separated" in str(w.message)]
+    assert len(messages) == 1
+    named = messages[0].split("fielding models for ")[1].split(" stopped")[0]
+    assert named.split(", ") == stopped
+
+
+def test_defense_chain_rejects_bip_without_coordinates(season_records):
+    pas = list(season_records)
     k = next(i for i, pa in enumerate(pas) if pa.ball_in_play)
     pas[k] = dataclasses.replace(pas[k], bip_location=None)
-    data = dataclasses.replace(season, plate_appearances=pas)
+    data = SeasonDataset.from_records(pas)
     with pytest.raises(ValueError, match="ball in play without coordinates"):
         apportion_defense(data, np.zeros(len(pas)))

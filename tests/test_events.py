@@ -1,8 +1,12 @@
 """Data model, parsing, validation, and serialization tests."""
 
+import csv
 import dataclasses
+import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openwar.events import (
     BALL_IN_PLAY,
@@ -19,9 +23,12 @@ from openwar.events import (
     parse_season,
     serialize_season,
     validate_dataset,
+    _code_rows,
+    _record_mask,
+    _row_problems,
 )
 
-from fixtures import build_re_fixture, make_pa
+from fixtures import build_re_fixture, make_pa, records
 
 
 def test_taxonomy_is_closed():
@@ -69,7 +76,7 @@ def test_serialize_parse_round_trip():
     parsed, report = parse_season(text, "strict")
     assert report.ok and report.dropped == 0
     assert serialize_season(parsed) == text
-    assert parsed.plate_appearances == data.plate_appearances
+    assert records(parsed) == records(data)
 
 
 def test_parse_skips_comment_lines():
@@ -102,14 +109,35 @@ def test_parse_rejects_unknown_event():
 
 def test_strict_raises_lenient_drops():
     data, _, _ = build_re_fixture()
-    bad = dataclasses.replace(data.plate_appearances[0], runs_scored=9)
-    rows = [bad] + data.plate_appearances[1:]
-    text = serialize_season(SeasonDataset(plate_appearances=rows))
+    bad = dataclasses.replace(data.record(0), runs_scored=9)
+    rows = [bad] + records(data)[1:]
+    text = serialize_season(SeasonDataset.from_records(rows))
     with pytest.raises(RecordError):
         parse_season(text, "strict")
     parsed, report = parse_season(text, "lenient")
     assert report.dropped == 1
     assert len(parsed) == len(data) - 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_bip_coordinates_are_record_errors(value):
+    data, _, _ = build_re_fixture()
+    rows = records(data)
+    k = next(i for i, pa in enumerate(rows) if pa.ball_in_play)
+    lines = serialize_season(data).splitlines()
+    cells = lines[k + 1].split(",")
+    cells[CSV_COLUMNS.index("bip_x")] = value
+    lines[k + 1] = ",".join(cells)
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(RecordError, match="bip_x/bip_y must be finite"):
+        parse_season(text, "strict")
+    parsed, report = parse_season(text, "lenient")
+    assert report.dropped == 1
+    assert len(parsed) == len(data) - 1
+    # NaN marks an absent coordinate in memory, so records are checked too
+    bad = dataclasses.replace(rows[k], bip_location=(float(value), 150.0))
+    with pytest.raises(RecordError, match="bip_x/bip_y must be finite"):
+        SeasonDataset.from_records([bad])
 
 
 def test_bip_presence_must_match_event():
@@ -120,16 +148,16 @@ def test_bip_presence_must_match_event():
     with_coords = dataclasses.replace(pa, bip_location=(10.0, 10.0))
     for bad in (no_coords, with_coords):
         report = validate_dataset(
-            SeasonDataset(plate_appearances=[bad]), strict=False)
+            SeasonDataset.from_records([bad]), strict=False)
         assert any("bip" in e or "location" in e for e in report.errors)
 
 
 def test_chain_break_strict_vs_lenient():
     data, _, _ = build_re_fixture()
-    rows = list(data.plate_appearances)
+    rows = records(data)
     # make the second record start from the wrong state
     rows[1] = make_pa("AWY@HOM-0001", 1, 1, "top", 1, 0, "Single", "1B")
-    broken = SeasonDataset(plate_appearances=rows)
+    broken = SeasonDataset.from_records(rows)
     with pytest.raises(ChainError):
         validate_dataset(broken, strict=True)
     report = validate_dataset(broken, strict=False)
@@ -139,7 +167,7 @@ def test_chain_break_strict_vs_lenient():
 def test_half_inning_must_start_clean():
     rows = [make_pa("AWY@HOM-0001", 0, 1, "top", 1, 0, "Strikeout", "O")]
     with pytest.raises(ChainError):
-        validate_dataset(SeasonDataset(plate_appearances=rows), strict=True)
+        validate_dataset(SeasonDataset.from_records(rows), strict=True)
 
 
 def test_parse_builds_roster_and_parks():
@@ -153,12 +181,12 @@ def test_parse_builds_roster_and_parks():
 def test_optional_credited_column_round_trips():
     pa = make_pa("AWY@HOM-0001", 0, 1, "top", 0, 0, "Flyout", "O",
                  credited="CF")
-    data = SeasonDataset(plate_appearances=[pa])
+    data = SeasonDataset.from_records([pa])
     parsed, _ = parse_season(serialize_season(data))
-    assert parsed.plate_appearances[0].credited_fielder_position == "CF"
+    assert parsed.record(0).credited_fielder_position == "CF"
     # the column may be omitted entirely
     parsed2, _ = parse_season(serialize_season(data, include_credited=False))
-    assert parsed2.plate_appearances[0].credited_fielder_position is None
+    assert parsed2.record(0).credited_fielder_position is None
 
 
 def test_csv_column_order_is_stable():
@@ -178,7 +206,7 @@ def test_aggregate_team_totals_hand_case():
         make_pa(g, 3, 1, "bottom", 0, 0, "Single", "1B"),
         make_pa(g, 4, 1, "bottom", 0, 1, "Sac Bunt", "O", {1: "2B"}),
     ]
-    totals = aggregate_team_totals(SeasonDataset(plate_appearances=rows))
+    totals = aggregate_team_totals(SeasonDataset.from_records(rows))
     assert totals["AWY"] == {"G": 1, "PA": 3, "AB": 2, "R": 1, "H": 1,
                              "HR": 1, "BB": 1, "K": 1}
     assert totals["HOM"] == {"G": 1, "PA": 2, "AB": 1, "R": 0, "H": 1,
@@ -187,6 +215,59 @@ def test_aggregate_team_totals_hand_case():
 
 def test_aggregate_runs_match_season_totals(season):
     totals = aggregate_team_totals(season)
-    assert sum(t["R"] for t in totals.values()) == \
-        sum(pa.runs_scored for pa in season.plate_appearances)
+    assert sum(t["R"] for t in totals.values()) == season.runs_scored.sum()
     assert sum(t["PA"] for t in totals.values()) == len(season)
+
+
+# One valid season as raw CSV rows, for mutating one field at a time.
+_HEADER, *_ROWS = csv.reader(io.StringIO(serialize_season(build_re_fixture()[0])))
+_FIELD_VALUES = st.one_of(
+    st.sampled_from([
+        "", "0", "3", "4", "7", "8", "-1", " 2", "1_0", "1.5", "1e400", "nan",
+        "inf", "H", "O", "1B", "3B", "top", "bottom", "L", "S", "P", "CF",
+        "DH", "Single", "Walk", "Groundout", "Home Run", "null", "R1", "B1",
+        "D1"]),
+    st.integers(-2, 9).map(str),
+    st.floats().map(repr),
+    # no '#' (a line starting with it is a comment) and no line breaks
+    st.text(st.characters(min_codepoint=32, max_codepoint=126,
+                          blacklist_characters="#"), max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=st.integers(0, len(_ROWS) - 1),
+       column=st.integers(0, len(_HEADER) - 1), value=_FIELD_VALUES)
+def test_array_checks_agree_with_scalar_checks(row, column, value):
+    """Mutate one field of a valid season: the array checks flag exactly the
+    rows whose scalar parse reports a problem, and a lenient parse warns
+    with exactly the scalar messages."""
+    rows = [list(r) for r in _ROWS]
+    rows[row][column] = value
+    cols, malformed = _code_rows(_HEADER, rows,
+                                 {"game": {}, "player": {}, "park": {}})
+    flagged = malformed | _record_mask(cols)
+    try:  # the other rows are valid as they stand
+        malformed, problems = _row_problems(_HEADER, rows[row])
+    except TaxonomyError:
+        assert flagged.tolist() == [k == row for k in range(len(rows))]
+        with pytest.raises(TaxonomyError):
+            parse_season(_csv(rows), "lenient")
+        return
+    bad = bool(malformed or problems)
+    assert flagged.tolist() == [k == row and bad for k in range(len(rows))]
+
+    _, report = parse_season(_csv(rows), "lenient")
+    assert report.dropped == bad
+    messages = [f"dropped malformed row: {malformed}"] if malformed else problems
+    assert report.warnings[:len(messages)] == messages
+    if bad:
+        with pytest.raises(RecordError) as exc:
+            parse_season(_csv(rows), "strict")
+        assert str(exc.value) == (malformed or "; ".join(problems))
+
+
+def _csv(rows):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([_HEADER] + rows)
+    return out.getvalue()

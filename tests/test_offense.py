@@ -14,7 +14,7 @@ from openwar.offense import (
     platoon_advantage,
 )
 
-from fixtures import make_pa
+from fixtures import make_pa, records
 
 
 def test_platoon_advantage_cases():
@@ -36,16 +36,16 @@ def _two_park_dataset(n_per_park=6):
                             batter_hand=hand))
         rows.append(make_pa(g2, k, 1, "top", 0, 0, "Walk", "1B", park="PY",
                             batter_hand=hand))
-    return SeasonDataset(plate_appearances=rows)
+    return SeasonDataset.from_records(rows)
 
 
 def test_park_fit_recovers_constructed_park_effect():
     data = _two_park_dataset()
     # park PX inflates run values by +0.3, PY deflates by -0.3
     deltas = np.array([0.3 if pa.ballpark_id == "PX" else -0.3
-                       for pa in data.plate_appearances])
+                       for pa in records(data)])
     fit = fit_park_platoon(data, deltas)
-    for pa, fitted, resid in zip(data.plate_appearances, fit.fitted,
+    for pa, fitted, resid in zip(records(data), fit.fitted,
                                  fit.residuals):
         want = 0.3 if pa.ballpark_id == "PX" else -0.3
         assert fitted == pytest.approx(want, abs=1e-10)
@@ -65,7 +65,7 @@ def test_advancement_table_hand_tallies():
         make_pa(g, 0, 1, "top", 0, 1, "Single", "1B", {1: "3B"}),
         make_pa(g, 1, 1, "top", 0, 1, "Single", "1B", {1: "O"}),
     ]
-    table = advancement_probabilities(SeasonDataset(plate_appearances=rows))
+    table = advancement_probabilities(SeasonDataset.from_records(rows))
     # cell (Single, base 1): ranks {+2, out}; each with probability 1/2
     assert table.kappa("Single", 1, OUT_RANK) == pytest.approx(0.5)
     assert table.kappa("Single", 1, 0) == pytest.approx(0.5)
@@ -87,7 +87,7 @@ def test_apportion_baserunning_splits_eta():
         make_pa(g, 0, 1, "top", 0, 1, "Single", "1B", {1: "3B"}),
         make_pa(g, 1, 1, "top", 0, 1, "Single", "1B", {1: "O"}),
     ]
-    data = SeasonDataset(plate_appearances=rows)
+    data = SeasonDataset.from_records(rows)
     table = advancement_probabilities(data)
     credits = apportion_baserunning(rows[0], 0.8, table)
     assert {c.player_id for c in credits} == {"R1", "B1"}

@@ -6,14 +6,14 @@ import pytest
 from openwar.valuation import COMPONENTS
 
 
-def test_credit_lines_and_bundles_agree(pipeline):
+def test_credit_lines_and_bundles_agree(pipeline, season_records):
     """The flat credit table, grouped by plate appearance, holds exactly the
     credit bundles read off the offense and defense chains."""
     ledger = pipeline.ledger
     off, dfn = ledger.offense, ledger.defense
     rows_by_index = dict(zip(dfn.bip_indices, dfn.fielding_rows))
     bundles = []
-    for i, pa in enumerate(ledger.data.plate_appearances):
+    for i, pa in enumerate(season_records):
         bundle = [(pa.batter_id, "hit", float(off.raa_hit[i]))]
         bundle += [(c.player_id, "br", c.raa_br) for c in off.runner_credits[i]]
         bundle += [(r.player_id, "field", r.raa_field)
@@ -31,7 +31,7 @@ def test_credit_lines_and_bundles_agree(pipeline):
     assert [sorted(b) for b in from_table] == [sorted(b) for b in bundles]
 
 
-def test_every_pa_has_hit_and_pitch_lines(pipeline):
+def test_every_pa_has_hit_and_pitch_lines(pipeline, season_records):
     ledger = pipeline.ledger
     table = ledger.credits
     n = len(ledger.deltas)
@@ -42,7 +42,7 @@ def test_every_pa_has_hit_and_pitch_lines(pipeline):
     assert table.value.dtype == np.float64
     per_pa = {comp: np.bincount(table.pa[table.component == c], minlength=n)
               for c, comp in enumerate(COMPONENTS)}
-    bip = np.array([pa.ball_in_play for pa in ledger.data.plate_appearances])
+    bip = np.array([pa.ball_in_play for pa in season_records])
     assert np.all(per_pa["hit"] == 1)
     assert np.all(per_pa["pitch"] == 1)
     assert np.array_equal(per_pa["field"], np.where(bip, 9, 0))

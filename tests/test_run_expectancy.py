@@ -6,7 +6,7 @@ import pytest
 from openwar.events import LIVE_STATES, GameState, SeasonDataset
 from openwar.run_expectancy import estimate_matrix, run_value
 
-from fixtures import build_re_fixture, make_pa
+from fixtures import build_re_fixture, half_innings, make_pa, records
 
 
 def test_fixture_reproduces_hand_computed_matrix():
@@ -34,15 +34,15 @@ def test_run_value_on_fixture():
     data, rho, _ = build_re_fixture()
     matrix = estimate_matrix(data)
     # leadoff double in the fixture: (0,0) -> (0,2), no runs
-    rv = run_value(data.plate_appearances[0], matrix)
+    rv = run_value(data.record(0), matrix)
     assert rv.delta == pytest.approx(rho[(0, 2)] - rho[(0, 0)])
     # the grand slam: (0,7) -> (0,0), 4 runs
-    slam = data.plate_appearances[3]
+    slam = data.record(3)
     rv = run_value(slam, matrix)
     assert rv.runs == 4
     assert rv.delta == pytest.approx(rho[(0, 0)] - rho[(0, 7)] + 4)
     # inning-ending groundout: (2,6) -> three outs, rho drops to 0
-    last = data.plate_appearances[10]
+    last = data.record(10)
     rv = run_value(last, matrix)
     assert rv.delta == pytest.approx(0.0 - rho[(2, 6)])
 
@@ -50,7 +50,7 @@ def test_run_value_on_fixture():
 def test_unterminated_trailing_half_inning_is_dropped():
     data, rho, counts = build_re_fixture()
     extra = make_pa("AWY@HOM-0001", 99, 2, "bottom", 0, 0, "Single", "1B")
-    data2 = SeasonDataset(plate_appearances=data.plate_appearances + [extra])
+    data2 = SeasonDataset.from_records(records(data) + [extra])
     with pytest.warns(UserWarning, match="unterminated"):
         matrix = estimate_matrix(data2)
     assert matrix.rho == rho
@@ -68,8 +68,8 @@ def test_earlier_truncated_half_inning_is_kept():
         make_pa("AWY@HOM-0002", 2, 10, "top", 1, 0, "Strikeout", "O"),
         make_pa("AWY@HOM-0002", 3, 10, "top", 2, 0, "Strikeout", "O"),
     ]
-    rows = data.plate_appearances + walkoff + closing
-    matrix = estimate_matrix(SeasonDataset(plate_appearances=rows))
+    rows = records(data) + walkoff + closing
+    matrix = estimate_matrix(SeasonDataset.from_records(rows))
     # (0,0) gains observations worth 1 (the walk-off) and 0 (inning 10)
     base, _, _ = build_re_fixture()
     old = estimate_matrix(base)
@@ -80,9 +80,9 @@ def test_earlier_truncated_half_inning_is_kept():
 
 def test_unobserved_state_is_an_error():
     data, _, _ = build_re_fixture()
-    rows = data.plate_appearances[:11]  # top 1 only: no 1-out or 2-out masks
+    rows = records(data)[:11]  # top 1 only: no 1-out or 2-out masks
     with pytest.raises(ValueError, match="never observed"):
-        estimate_matrix(SeasonDataset(plate_appearances=rows))
+        estimate_matrix(SeasonDataset.from_records(rows))
 
 
 def test_matrix_csv_covers_all_live_states():
@@ -93,16 +93,20 @@ def test_matrix_csv_covers_all_live_states():
     assert len(lines) == 1 + len(LIVE_STATES)
 
 
-def test_telescoping_on_synthetic_season(season):
+def test_telescoping_on_synthetic_season(season, pipeline):
     """Within each completed half-inning the run values sum to
     runs - rho(0, empty)."""
     matrix = estimate_matrix(season)
+    assert pipeline.ledger.matrix == matrix
     rho00 = matrix.rho[(0, 0)]
-    for _, group in season.half_innings():
-        assert group[-1].end_state.outs == 3
-        total = sum(run_value(pa, matrix).delta for pa in group)
-        runs = sum(pa.runs_scored for pa in group)
+    deltas = pipeline.ledger.deltas
+    for group in half_innings(season):
+        assert season.end_outs[group[-1]] == 3
+        total = sum(deltas[group].tolist())
+        runs = int(season.runs_scored[group].sum())
         assert abs(total - (runs - rho00)) < 1e-10
+        assert total == sum(run_value(season.record(i), matrix).delta
+                            for i in group)
 
 
 def test_matrix_values_decrease_in_outs(season):

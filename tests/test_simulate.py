@@ -3,13 +3,14 @@
 import pytest
 
 from openwar.events import (
-    BALL_IN_PLAY,
     EVENT_TYPES,
     parse_season,
     serialize_season,
     validate_dataset,
 )
 from openwar.simulate import DEFAULT_EVENT_PROBS, generate_synthetic_season
+
+from fixtures import half_innings, records
 
 
 def test_default_probs_are_a_distribution():
@@ -40,31 +41,30 @@ def test_generated_season_round_trips(season):
 
 def test_structure_of_small_season():
     data = generate_synthetic_season(2, 0, teams=2)
-    games = {pa.game_id for pa in data.plate_appearances}
+    games = set(data.game_ids)
     assert len(games) == 2
     for gid in games:
         away, rest = gid.split("@")
         assert away.startswith("T") and rest.split("-")[0].startswith("T")
     # every half-inning terminates at three outs
-    for _, group in data.half_innings():
-        assert group[-1].end_state.outs == 3
-        assert group[0].start_state.outs == 0
-        assert group[0].start_state.bases == 0
+    groups = half_innings(data)
+    for group in groups:
+        assert data.end_outs[group[-1]] == 3
+        assert data.start_outs[group[0]] == 0
+        assert data.start_bases[group[0]] == 0
     # nine innings both ways per game
-    halves = {(pa.game_id, pa.inning, pa.half)
-              for pa in data.plate_appearances}
-    assert len(halves) == 2 * 18
+    assert len(groups) == 2 * 18
 
 
 def test_park_follows_home_team():
     data = generate_synthetic_season(4, 1, teams=2)
-    for pa in data.plate_appearances:
+    for pa in records(data):
         home = pa.game_id.split("@")[1].split("-")[0]
         assert pa.ballpark_id == f"PARK_{home}"
 
 
-def test_bip_coordinates_in_fair_territory(season):
-    for pa in season.plate_appearances:
+def test_bip_coordinates_in_fair_territory(season_records):
+    for pa in season_records:
         if pa.ball_in_play:
             x, y = pa.bip_location
             assert y >= 1.0
@@ -75,8 +75,8 @@ def test_bip_coordinates_in_fair_territory(season):
             assert pa.bip_location is None
 
 
-def test_credited_fielder_only_on_out_plays(season):
-    for pa in season.plate_appearances:
+def test_credited_fielder_only_on_out_plays(season_records):
+    for pa in season_records:
         if pa.credited_fielder_position is not None:
             assert pa.ball_in_play
             assert pa.outs_on_play > 0
@@ -87,10 +87,8 @@ def test_custom_event_probs():
     probs["Strikeout"] = 0.7
     probs["Walk"] = 0.3
     data = generate_synthetic_season(1, 5, event_probs=probs)
-    assert {pa.event_type for pa in data.plate_appearances} <= \
-        {"Strikeout", "Walk"}
-    assert all(not BALL_IN_PLAY[pa.event_type]
-               for pa in data.plate_appearances)
+    assert {pa.event_type for pa in records(data)} <= {"Strikeout", "Walk"}
+    assert all(not pa.ball_in_play for pa in records(data))
 
 
 def test_event_probs_validation():
@@ -107,8 +105,8 @@ def test_argument_validation():
         generate_synthetic_season(1, 0, teams=1)
 
 
-def test_roster_covers_all_participants(season):
-    for pa in season.plate_appearances:
+def test_roster_covers_all_participants(season, season_records):
+    for pa in season_records:
         assert pa.batter_id in season.roster
         assert pa.pitcher_id in season.roster
         for fid in pa.fielder_ids:

@@ -20,12 +20,12 @@ from .events import _IN_PLAY, DESTINATIONS, FIELDING_POSITIONS, _where
 from .numerics import (
     DesignMatrix,
     LogisticFit,
+    indicator_ols,
     logistic_fit,
-    ols_fit,
     scott_bandwidth,
     smooth_out_probability,
 )
-from .offense import _indicator_design, park_platoon_design
+from .offense import park_platoon_design
 
 __all__ = [
     "DefenseSplit",
@@ -200,7 +200,7 @@ def fit_fielding_park_adjustment(data, bip_indices, rows_per_pa):
     the fielding runs above average."""
     park = np.repeat(data.park[bip_indices], [len(rows) for rows in rows_per_pa])
     values = np.array([row.value for rows in rows_per_pa for row in rows])
-    fit = ols_fit(_indicator_design([("park_", data.park_ids, park)]), values)
+    fit = indicator_ols([("park_", data.park_ids, park)], values)
     for row, resid, fitted in zip(chain.from_iterable(rows_per_pa),
                                   fit.residuals.tolist(), fit.fitted.tolist()):
         row.raa_field = resid
@@ -211,7 +211,8 @@ def fit_fielding_park_adjustment(data, bip_indices, rows_per_pa):
 def fit_pitching_adjustment(data, delta_p):
     """Park/platoon adjustment of pitcher values (same design as the
     offensive adjustment); residuals are pitching runs above average."""
-    return ols_fit(park_platoon_design(data), np.asarray(delta_p, dtype=float))
+    factors, extra = park_platoon_design(data)
+    return indicator_ols(factors, delta_p, extra)
 
 
 @dataclass

@@ -17,7 +17,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import filterfalse, islice, repeat
+from itertools import dropwhile, islice, repeat
 from operator import attrgetter, itemgetter, methodcaller, ne
 
 import numpy as np
@@ -358,6 +358,9 @@ def _code_columns(raw, tables):
         present.append(np.fromiter(map(ne, raw[name], repeat("")), bool, n))
         malformed |= failed | (present[-1] & ~np.isfinite(cols[name]))
     malformed |= present[0] != present[1]
+    # after the header a '#' line is a record, not a comment
+    malformed |= np.fromiter(map(methodcaller("startswith", "#"),
+                                 raw["game_id"]), bool, n)
     for name, fields, coding in _CODED:
         parts = [_codes(raw.get(f, ("",) * n), coding, tables,
                         name in ("runner", "fielder")) for f in fields]
@@ -431,7 +434,9 @@ def _rules(c):
                lambda pa, b=b: f"bad destination {pa.runner_dests[b]!r}")
         yield (~occupied & (rid[:, b] | (dest[:, b] != -1)),
                lambda pa, b=b: f"base {b + 1} empty but runner fields present")
-    yield ((c["event"] != EVENT_TYPES.index("null")) & (c["batter_dest"] < 0),
+    # only a null event may leave batter_dest empty (-1)
+    yield (((c["event"] != EVENT_TYPES.index("null")) & (c["batter_dest"] < 0))
+           | (c["batter_dest"] == -2),
            lambda pa: f"bad batter_dest {pa.batter_dest!r}")
     scored = (rid & (dest == _H)).sum(axis=1) + (c["batter_dest"] == _H)
     yield (c["runs_scored"] != scored, lambda pa: f"runs_scored={pa.runs_scored} "
@@ -520,6 +525,8 @@ def _view(row):
         raise RecordError(f"{where}: bip_x/bip_y must both be set")
     if bx is not None and not (math.isfinite(bx) and math.isfinite(by)):
         raise RecordError(f"{where}: bip_x/bip_y must be finite")
+    if row["game_id"].startswith("#"):
+        raise RecordError(f"{where}: game_id must not start with '#'")
     return PlateAppearance(
         game_id=row["game_id"],
         pa_index=int(row["pa_index"]),
@@ -563,7 +570,8 @@ def parse_season(source, strictness="strict"):
     """Parse a season CSV into a SeasonDataset.
 
     `source` may be a str, bytes, or a text file object.  Lines starting
-    with '#' are ignored (the CLI writes a provenance comment).  In strict
+    with '#' before the header are ignored (the CLI writes a provenance
+    comment); after it such a line is a malformed record.  In strict
     mode any invariant violation raises; in lenient mode violating records
     are dropped and counted, and chain breaks become warnings.
 
@@ -581,7 +589,7 @@ def parse_season(source, strictness="strict"):
     if isinstance(source, str):
         source = io.StringIO(source)
 
-    reader = csv.reader(filterfalse(methodcaller("startswith", "#"), source))
+    reader = csv.reader(dropwhile(methodcaller("startswith", "#"), source))
     header = next(reader, None)
     if header is None:
         raise SchemaError("empty input: no header row")

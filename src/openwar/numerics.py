@@ -13,6 +13,7 @@ __all__ = [
     "LogisticFit",
     "SmoothedSurface",
     "ols_fit",
+    "indicator_ols",
     "logistic_fit",
     "smooth_out_probability",
     "scott_bandwidth",
@@ -21,8 +22,6 @@ __all__ = [
     "replicate_rng",
 ]
 
-#: relative pivot threshold for declaring a design column collinear
-RANK_TOL = 1e-10
 #: coefficient norm (standardized design) beyond which we flag separation
 SEPARATION_NORM = 30.0
 #: smoother queries whose total kernel weight falls below this get the
@@ -43,7 +42,6 @@ MAX_GRID_NODES = 2048
 class DesignMatrix:
     columns: list  # covariate names
     values: np.ndarray  # dense (n, p)
-    has_intercept: bool = True
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -53,10 +51,6 @@ class DesignMatrix:
             raise ValueError("column names do not match design width")
         if len(set(self.columns)) != len(self.columns):
             raise ValueError("duplicate column names")
-
-    @property
-    def n(self):
-        return self.values.shape[0]
 
 
 @dataclass
@@ -87,60 +81,83 @@ class LogisticFit:
         return _sigmoid(X @ beta)
 
 
-def _independent_columns(values, tol=RANK_TOL):
-    """Greedy rank detection in column-index order.
-
-    Returns indices of a maximal independent set, preferring earlier
-    columns so that later collinear indicators are the ones dropped.
-    """
-    n, p = values.shape
-    scale = max(np.linalg.norm(values[:, j]) for j in range(p)) if p else 0.0
+def _independent_columns(gram, n):
+    """Indices of the columns kept by a Cholesky factorization of the Gram
+    matrix XᵀX of an n-row design, pivoting in column order: a column whose
+    Schur complement on the kept columns is at most n * eps * max(diag) is
+    collinear with them, so later collinear columns are the ones dropped."""
+    schur = np.array(gram, dtype=float)
+    tol = n * np.finfo(float).eps * schur.diagonal().max(initial=0.0)
     keep = []
-    # column-major, so every leading block basis[:, :k] is contiguous
-    basis = np.empty((n, p), order="F")
-    for j in range(p):
-        done = basis[:, :len(keep)]
-        col = values[:, j]
-        resid = col - done @ (done.T @ col)
-        # one re-orthogonalization pass for numerical safety
-        resid -= done @ (done.T @ resid)
-        norm = np.linalg.norm(resid)
-        if norm > tol * scale:
-            basis[:, len(keep)] = resid / norm
+    for j in range(len(schur)):
+        if schur[j, j] > tol:
             keep.append(j)
+            row = schur[j, j:] / np.sqrt(schur[j, j])
+            schur[j:, j:] -= np.outer(row, row)
     return keep
 
 
+def _linear_fit(names, keep, beta, fitted, y):
+    """The LinearFit of coefficients `beta` (0 outside `keep`)."""
+    dropped = [name for j, name in enumerate(names) if j not in keep]
+    return LinearFit(dict(zip(names, beta)), y - fitted, fitted, dropped)
+
+
 def ols_fit(X, y):
-    """Least squares with rank-deficiency handling.
+    """Least squares with rank-deficiency handling on a dense design.
 
     Collinear columns are dropped in reverse index preference (later
     columns go) and their coefficients are pinned at 0, so X @ beta is
-    always well defined over the full named design.
-    """
+    always well defined over the full named design.  It is the reference
+    of `indicator_ols`."""
     y = np.asarray(y, dtype=float)
-    if X.n == 0:
+    if len(y) == 0:
         raise ValueError("empty design")
-    if X.n != y.shape[0]:
+    if len(X.values) != len(y):
         raise ValueError("design and response lengths differ")
     if np.any(np.all(X.values == 0.0, axis=0)):
         raise ValueError("design contains an all-zero column")
 
-    keep = _independent_columns(X.values)
-    if not keep:
-        raise ValueError("all design columns dropped as collinear")
-    sub = X.values[:, keep]
-    beta_sub, *_ = np.linalg.lstsq(sub, y, rcond=None)
-    beta = np.zeros(X.values.shape[1])
-    beta[keep] = beta_sub
-    fitted = X.values @ beta
-    dropped = [X.columns[j] for j in range(X.values.shape[1]) if j not in keep]
-    return LinearFit(
-        coefficients=dict(zip(X.columns, beta)),
-        residuals=y - fitted,
-        fitted=fitted,
-        dropped=dropped,
-    )
+    keep = _independent_columns(X.values.T @ X.values, len(y))
+    beta = np.zeros(len(X.columns))
+    beta[keep] = np.linalg.lstsq(X.values[:, keep], y, rcond=None)[0]
+    return _linear_fit(X.columns, keep, beta, X.values @ beta, y)
+
+
+def indicator_ols(factors, y, extra=()):
+    """`ols_fit` on an intercept, the indicator columns of categorical
+    factors, then the `extra` (name, values) columns, without the dense design.
+
+    A factor is (prefix, labels, codes): row r is at level codes[r], whose
+    column is named prefix + labels[codes[r]]; levels come in label order.
+    Each block of columns (the intercept, a factor, an extra column) has one
+    (column, value) pair per row, so XᵀX and Xᵀy are bincounts of pairs."""
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    names = ["intercept"]
+    blocks = [(np.zeros(n, dtype=np.intp), np.ones(n))]
+    for prefix, labels, codes in factors:
+        present = np.flatnonzero(np.bincount(codes)).tolist()
+        levels = sorted(present, key=labels.__getitem__)
+        column = np.zeros(max(levels, default=0) + 1, dtype=np.intp)
+        column[levels] = len(names) + np.arange(len(levels))
+        names += [f"{prefix}{labels[c]}" for c in levels]
+        blocks.append((column[codes], np.ones(n)))
+    for name, values in extra:
+        blocks.append((np.full(n, len(names)), np.asarray(values, dtype=float)))
+        names.append(name)
+
+    p = len(names)
+    gram = sum(np.bincount(ca * p + cb, weights=va * vb, minlength=p * p)
+               for ca, va in blocks for cb, vb in blocks).reshape(p, p)
+    if np.any(gram.diagonal() == 0.0):
+        raise ValueError("design contains an all-zero column")
+    xty = sum(np.bincount(c, weights=v * y, minlength=p) for c, v in blocks)
+    keep = _independent_columns(gram, n)
+    beta = np.zeros(p)
+    beta[keep] = np.linalg.solve(gram[np.ix_(keep, keep)], xty[keep])
+    return _linear_fit(names, keep, beta,
+                       sum(beta[c] * v for c, v in blocks), y)
 
 
 def _sigmoid(z):
@@ -172,7 +189,7 @@ def logistic_fit(X, y, max_iter=50, tol=1e-9):
     scales = V.std(axis=0)
     scales[scales == 0.0] = 1.0
 
-    keep = _independent_columns(V)
+    keep = _independent_columns(V.T @ V, n)
     beta = np.zeros(p)
     converged = False
     separated = False

@@ -25,13 +25,12 @@ from .events import (
     HANDS,
     SeasonDataset,
 )
-from .numerics import DesignMatrix, ols_fit
+from .numerics import indicator_ols
 
 __all__ = [
     "BaserunnerCredit",
     "AdvancementTable",
     "OffenseResult",
-    "platoon_advantage",
     "park_platoon_design",
     "fit_park_platoon",
     "fit_baserunner_expectation",
@@ -46,47 +45,19 @@ __all__ = [
 OUT_RANK = -1
 
 
-def platoon_advantage(pa):
-    """1 when the batter has the handedness edge. Switch hitters always do."""
-    return 1.0 if pa.batter_hand == "S" or pa.batter_hand != pa.pitcher_hand else 0.0
-
-
-def _indicator_design(factors, extra=()):
-    """Intercept, one indicator column per level present in each factor,
-    then the `extra` (name, values) columns.
-
-    A factor is (prefix, labels, codes): row r is at level codes[r], whose
-    column is named prefix + labels[codes[r]]; levels come in label order.
-    """
-    n = len(factors[0][2])
-    names, hot = ["intercept"], []
-    for prefix, labels, codes in factors:
-        levels = sorted(np.unique(codes).tolist(), key=labels.__getitem__)
-        column = np.zeros(max(levels, default=0) + 1, dtype=np.intp)
-        column[levels] = len(names) + np.arange(len(levels))
-        names += [f"{prefix}{labels[c]}" for c in levels]
-        hot.append(column[codes])
-    V = np.zeros((n, len(names) + len(extra)))
-    V[:, 0] = 1.0
-    for cols in hot:
-        V[np.arange(n), cols] = 1.0
-    for name, values in extra:
-        V[:, len(names)] = values
-        names.append(name)
-    return DesignMatrix(columns=names, values=V)
-
-
 def park_platoon_design(data):
-    """Intercept + ballpark indicators + platoon indicator (B_i)."""
+    """The `indicator_ols` factors and extra columns of B_i: intercept +
+    ballpark indicators + platoon indicator, 1 when the batter has the
+    handedness edge (switch hitters always do)."""
     switch = HANDS.index("S")
     platoon = (data.batter_hand == switch) | (data.batter_hand != data.pitcher_hand)
-    return _indicator_design([("park_", data.park_ids, data.park)],
-                             [("platoon", platoon)])
+    return [("park_", data.park_ids, data.park)], [("platoon", platoon)]
 
 
 def fit_park_platoon(data, deltas):
     """Regress run values on B_i; residuals are the adjusted offensive values."""
-    return ols_fit(park_platoon_design(data), deltas)
+    factors, extra = park_platoon_design(data)
+    return indicator_ols(factors, deltas, extra)
 
 
 _STATE_LABELS = [f"{o}_{b}" for o in range(4) for b in range(8)]
@@ -97,9 +68,8 @@ def fit_baserunner_expectation(data, eps_hat):
     event-type indicators); residuals are the baserunner share, positive
     when the runners beat the expected advancement."""
     state = data.start_outs.astype(np.intp) * 8 + data.start_bases
-    return ols_fit(_indicator_design([("state_", _STATE_LABELS, state),
-                                      ("event_", EVENT_TYPES, data.event)]),
-                   eps_hat)
+    return indicator_ols([("state_", _STATE_LABELS, state),
+                          ("event_", EVENT_TYPES, data.event)], eps_hat)
 
 
 def _advancement_rank(start_base, dest):
@@ -234,8 +204,8 @@ def _baserunning(data, eta_hat, table):
 def fit_position_adjustment(data, mu_hat):
     """Regress hitter values on position indicators (H_i); residuals are
     the hitting runs above average."""
-    return ols_fit(_indicator_design(
-        [("pos_", BATTER_POSITIONS, data.batter_position)]), mu_hat)
+    return indicator_ols([("pos_", BATTER_POSITIONS, data.batter_position)],
+                         mu_hat)
 
 
 @dataclass

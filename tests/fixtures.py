@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from openwar.events import BALL_IN_PLAY, GameState, PlateAppearance, SeasonDataset
+from openwar.numerics import DesignMatrix
 from openwar.valuation import COMPONENTS, CreditTable
 
 FIELDERS = tuple(f"D{i}" for i in range(1, 10))
@@ -53,6 +54,35 @@ def credit_ledger(bundles):
     return SimpleNamespace(credits=CreditTable.build(
         n_pas=len(bundles), pa=pa, player=[players.index(p) for p in ids],
         player_ids=players, component=component, value=value))
+
+
+def dense_design(factors, extra=()):
+    """The dense design `indicator_ols` fits without building: intercept,
+    one indicator column per level present in each factor (levels in label
+    order), then the `extra` (name, values) columns."""
+    n = len(factors[0][2]) if factors else len(extra[0][1])
+    names, columns = ["intercept"], [np.ones(n)]
+    for prefix, labels, codes in factors:
+        codes = np.asarray(codes)
+        for level in sorted(set(codes.tolist()), key=labels.__getitem__):
+            names.append(f"{prefix}{labels[level]}")
+            columns.append((codes == level).astype(float))
+    for name, values in extra:
+        names.append(name)
+        columns.append(np.asarray(values, dtype=float))
+    return DesignMatrix(columns=names, values=np.column_stack(columns))
+
+
+def assert_same_fit(fit, ref, tol=1e-10):
+    """Two LinearFits name, drop and estimate the same columns, and agree
+    in coefficients, fitted values and residuals to `tol`."""
+    assert list(fit.coefficients) == list(ref.coefficients)
+    assert fit.dropped == ref.dropped
+    columns = list(ref.coefficients)
+    assert np.max(np.abs(fit.coef_vector(columns)
+                         - ref.coef_vector(columns))) < tol
+    assert np.max(np.abs(fit.fitted - ref.fitted)) < tol
+    assert np.max(np.abs(fit.residuals - ref.residuals)) < tol
 
 
 def records(data):

@@ -17,8 +17,8 @@ from openwar.events import (
     parse_season,
     serialize_season,
 )
-from openwar.numerics import DesignMatrix, logistic_fit, ols_fit, \
-    smooth_out_probability
+from openwar.numerics import DesignMatrix, indicator_ols, logistic_fit, \
+    ols_fit, smooth_out_probability
 from openwar.pipeline import build_ledger
 from openwar.run_expectancy import estimate_matrix, run_value
 from openwar.uncertainty import BootstrapConfig, bootstrap_war
@@ -103,6 +103,11 @@ def test_criterion_03_regression_core_oracles():
         fit = ols_fit(X, y)
         ref = np.linalg.pinv(V) @ y
         assert np.max(np.abs(fit.coef_vector(X.columns) - ref)) < 1e-8
+        # the pipeline's count-based fit, with the columns after the
+        # intercept as extras, agrees with the dense one
+        counted = indicator_ols([], y, list(zip(X.columns[1:], V[:, 1:].T)))
+        assert np.max(np.abs(counted.coef_vector(["intercept"] + X.columns[1:])
+                             - fit.coef_vector(X.columns))) < 1e-10
 
     # logistic IRLS dominates a 0.01-step likelihood grid on 10 problems
     def ll(v, y, b):

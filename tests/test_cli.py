@@ -123,6 +123,26 @@ def test_validate_rejects_row_with_wrong_field_count(tmp_path, capsys, fields,
         assert f"{fields} fields, header has 35" in err["error"]
 
 
+@pytest.mark.parametrize("lenient", [False, True])
+def test_validate_rejects_commented_out_row(tmp_path, capsys, lenient):
+    """Only lines before the header are comments: a data row that starts
+    with '#' is a record error, not a row skipped without a trace."""
+    lines = _simulate(tmp_path).read_text().splitlines()
+    lines[5] = "#" + lines[5]  # lines[0] is the config comment, [1] the header
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    args = ["validate", "--input", str(bad)] + (["--lenient"] if lenient else [])
+    assert main(args) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    if lenient:
+        assert "dropped: 1" in out
+        assert "game_id must not start with '#'" in out
+    else:
+        err = json.loads(err)
+        assert err["kind"] == "validation"
+        assert "game_id must not start with '#'" in err["error"]
+
+
 def test_missing_input_is_config_error(tmp_path, capsys):
     assert main(["validate", "--input", str(tmp_path / "nope.csv")]) \
         == EXIT_CONFIG
@@ -224,10 +244,10 @@ def test_half_given_flag_pair_is_config_error(tmp_path, war_season, capsys,
 
 def test_failing_solve_is_numeric_error(tmp_path, war_season, monkeypatch,
                                         capsys):
-    def failing_lstsq(*args, **kwargs):
+    def failing_solve(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "lstsq", failing_lstsq)
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
     assert main(["war", "--input", str(war_season), "--out",
                  str(tmp_path / "war")]) == EXIT_NUMERIC
     err = json.loads(capsys.readouterr().err)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from openwar import events
+from openwar import defense, events, numerics, offense
 from openwar.events import (
     FIELDING_POSITIONS,
     SeasonDataset,
@@ -24,7 +24,7 @@ from openwar.defense import (
     split_responsibility,
 )
 from openwar.numerics import LogisticFit, SmoothedSurface, master_rng
-from openwar.pipeline import SeasonLedger
+from openwar.pipeline import SeasonLedger, build_ledger
 from openwar.simulate import generate_synthetic_season
 
 from fixtures import make_pa, records
@@ -215,6 +215,19 @@ def test_defense_chain_avoids_per_play_work(season, monkeypatch):
         apportion_defense(season, deltas)
     assert calls["evaluate"] == 0
     assert calls["predict"] <= 9
+
+
+def test_ledger_builds_no_dense_design(season, monkeypatch):
+    """Guard against n x p regression designs: the chains fit from counts,
+    so the dense `ols_fit` is never called, under any name it is bound to."""
+    calls = {"ols": 0}
+    counted = _counted(calls, "ols", numerics.ols_fit)
+    for module in (numerics, offense, defense):
+        monkeypatch.setattr(module, "ols_fit", counted, raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        build_ledger(season)
+    assert calls["ols"] == 0
 
 
 def test_clean_season_parses_without_per_row_work(season, monkeypatch):

@@ -86,6 +86,27 @@ def test_parse_skips_comment_lines():
     assert len(parsed) == len(data)
 
 
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+def test_null_event_batter_dest_must_be_a_code_or_empty(strictness):
+    """A null event may leave batter_dest empty, but a value outside the
+    destination codes is a record error, as for every other event."""
+    pa = make_pa("AWY@HOM-0001", 0, 1, "top", 0, 0, "null", "")
+    text = serialize_season(SeasonDataset.from_records([pa]))
+    assert len(parse_season(text, strictness)[0]) == 1
+    header, row = text.splitlines()
+    cells = row.split(",")
+    cells[CSV_COLUMNS.index("batter_dest")] = "X"
+    bad = "\n".join([header, ",".join(cells)]) + "\n"
+    if strictness == "strict":
+        with pytest.raises(RecordError, match="bad batter_dest 'X'"):
+            parse_season(bad, strictness)
+    else:
+        parsed, report = parse_season(bad, strictness)
+        assert (len(parsed), report.dropped) == (0, 1)
+        assert report.warnings == [
+            "game AWY@HOM-0001 pa 0: bad batter_dest 'X'"]
+
+
 def test_parse_rejects_bad_header():
     with pytest.raises(SchemaError):
         parse_season("a,b,c\n1,2,3\n")
@@ -219,19 +240,21 @@ def test_aggregate_runs_match_season_totals(season):
     assert sum(t["PA"] for t in totals.values()) == len(season)
 
 
-# One valid season as raw CSV rows, for mutating one field at a time.
-_HEADER, *_ROWS = csv.reader(io.StringIO(serialize_season(build_re_fixture()[0])))
+# One valid season as raw CSV rows, for mutating one field at a time; its
+# last row is a null event, the one event whose batter_dest may be empty.
+_HEADER, *_ROWS = csv.reader(io.StringIO(serialize_season(
+    SeasonDataset.from_records(records(build_re_fixture()[0]) + [
+        make_pa("AWY@HOM-0001", 30, 3, "top", 0, 0, "null", "")]))))
 _FIELD_VALUES = st.one_of(
     st.sampled_from([
         "", "0", "3", "4", "7", "8", "-1", " 2", "1_0", "1.5", "1e400", "nan",
         "inf", "H", "O", "1B", "3B", "top", "bottom", "L", "S", "P", "CF",
         "DH", "Single", "Walk", "Groundout", "Home Run", "null", "R1", "B1",
-        "D1"]),
+        "D1", "#", "# AWY@HOM-0001"]),
     st.integers(-2, 9).map(str),
     st.floats().map(repr),
-    # no '#' (a line starting with it is a comment) and no line breaks
-    st.text(st.characters(min_codepoint=32, max_codepoint=126,
-                          blacklist_characters="#"), max_size=4),
+    # no line breaks
+    st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=4),
 )
 
 

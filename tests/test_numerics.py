@@ -14,6 +14,7 @@ from openwar import numerics
 from openwar.numerics import (
     DesignMatrix,
     empirical_quantiles,
+    indicator_ols,
     logistic_fit,
     master_rng,
     ols_fit,
@@ -21,6 +22,8 @@ from openwar.numerics import (
     scott_bandwidth,
     smooth_out_probability,
 )
+
+from fixtures import assert_same_fit, dense_design
 
 
 def _random_system(rng, n=40, p=5):
@@ -76,6 +79,50 @@ def test_ols_input_validation():
     with pytest.raises(ValueError):
         ols_fit(DesignMatrix(columns=["z"], values=np.zeros((3, 1))),
                 np.zeros(3))
+
+
+def test_indicator_ols_matches_dense_ols_on_random_systems():
+    """The OLS oracles above, with the non-intercept columns as extras."""
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        X, y = _random_system(rng)
+        extra = list(zip(X.columns[1:], X.values[:, 1:].T))
+        fit = indicator_ols([], y, extra)
+        assert fit.coef_vector(["intercept"] + X.columns[1:]) == \
+            pytest.approx(np.linalg.pinv(X.values) @ y, abs=1e-8)
+        assert_same_fit(fit, ols_fit(dense_design([], extra), y))
+    V = np.column_stack([X.values[:, 1:], X.values[:, 1] + X.values[:, 2]])
+    extra = list(zip(X.columns[1:] + ["dup"], V.T))
+    fit = indicator_ols([], y, extra)
+    assert fit.dropped == ["dup"]
+    assert_same_fit(fit, ols_fit(dense_design([], extra), y))
+
+
+def test_indicator_ols_matches_dense_ols_on_factors():
+    """Two crossed factors with unseen levels and labels out of order, and a
+    0/1 column: each factor's last level in label order, and a column equal
+    to a level, are the collinear ones."""
+    rng = np.random.default_rng(7)
+    labels = ["d", "b", "a", "c", "e"]
+    for _ in range(20):
+        n = int(rng.integers(30, 200))
+        a = rng.choice([0, 1, 3, 4], size=n)
+        b = rng.integers(0, 3, size=n)
+        factors = [("a_", labels, a), ("b_", labels, b)]
+        y = rng.normal(size=n)
+        for extra in ([("flag", rng.random(n) < 0.3)], [("dup", a == 4)]):
+            fit = indicator_ols(factors, y, extra)
+            assert_same_fit(fit, ols_fit(dense_design(factors, extra), y))
+            assert fit.dropped == ["a_e", "b_d"] + (
+                ["dup"] if extra[0][0] == "dup" else [])
+
+
+def test_indicator_ols_input_validation():
+    with pytest.raises(ValueError, match="all-zero column"):
+        indicator_ols([("f_", ["a"], np.zeros(3, dtype=int))], np.zeros(3),
+                      [("z", np.zeros(3))])
+    with pytest.raises(ValueError):
+        indicator_ols([("f_", ["a"], np.zeros(3, dtype=int))], np.zeros(2))
 
 
 def _log_likelihood(V, y, beta):

@@ -11,20 +11,24 @@ from openwar.offense import (
     apportion_baserunning,
     apportion_offense,
     fit_park_platoon,
-    platoon_advantage,
+    park_platoon_design,
 )
 
 from fixtures import make_pa, records
 
 
 def test_platoon_advantage_cases():
+    """The platoon column of the park/platoon design, one hand pair a row."""
     g = "AWY@HOM-0001"
     combos = {("L", "R"): 1.0, ("R", "L"): 1.0, ("R", "R"): 0.0,
               ("L", "L"): 0.0, ("S", "R"): 1.0, ("S", "L"): 1.0}
-    for (bh, ph), want in combos.items():
-        pa = make_pa(g, 0, 1, "top", 0, 0, "Walk", "1B",
-                     batter_hand=bh, pitcher_hand=ph)
-        assert platoon_advantage(pa) == want
+    data = SeasonDataset.from_records([
+        make_pa(g, k, 1, "top", 0, 0, "Walk", "1B",
+                batter_hand=bh, pitcher_hand=ph)
+        for k, (bh, ph) in enumerate(combos)])
+    _, [(name, platoon)] = park_platoon_design(data)
+    assert name == "platoon"
+    assert platoon.tolist() == list(combos.values())
 
 
 def _two_park_dataset(n_per_park=6):

@@ -1,9 +1,17 @@
 """Ledger orchestration tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from openwar import defense, numerics, offense
+from openwar.numerics import ols_fit
+from openwar.pipeline import build_ledger
+from openwar.simulate import generate_synthetic_season
 from openwar.valuation import COMPONENTS
+
+from fixtures import assert_same_fit, dense_design
 
 
 def test_credit_lines_and_bundles_agree(pipeline, season_records):
@@ -68,3 +76,32 @@ def test_fielding_models_csv(pipeline):
     for line in text.splitlines()[1:]:
         pos, term, coef = line.split(",")
         float(coef)  # parses cleanly
+
+
+@pytest.mark.parametrize("games, seed, teams, last_park", [
+    (60, 11, 4, "park_PARK_T04"),  # the session season
+    (400, 17, 30, "park_PARK_T30"),
+])
+def test_chain_fits_match_dense_reference(monkeypatch, games, seed, teams,
+                                          last_park):
+    """The five regressions of the two chains, fitted from counts, agree
+    with the dense `ols_fit` on the same designs and drop the same
+    collinear columns: each factor's last present level in label order."""
+    calls = []
+
+    def recording(factors, y, extra=()):
+        fit = numerics.indicator_ols(factors, y, extra)
+        calls.append((factors, y, extra, fit))
+        return fit
+
+    for module in (offense, defense):
+        monkeypatch.setattr(module, "indicator_ols", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        build_ledger(generate_synthetic_season(games, seed, teams=teams))
+
+    assert [fit.dropped for *_, fit in calls] == [
+        [last_park], ["state_2_7", "event_Walk"], ["pos_SS"], [last_park],
+        [last_park]]
+    for factors, y, extra, fit in calls:
+        assert_same_fit(fit, ols_fit(dense_design(factors, extra), y))

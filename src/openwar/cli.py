@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -107,7 +108,17 @@ def _pair(args, a, b):
 
 def _resolve_rpw(args):
     pythag = _pair(args, "pythag_p", "pythag_r")
-    return args.runs_per_win if pythag is None else runs_per_win(*pythag)
+    if pythag is None:
+        rpw = args.runs_per_win
+    else:
+        try:
+            rpw = runs_per_win(*pythag)
+        except ValueError as exc:
+            raise ConfigError(f"--pythag-p and --pythag-r: {exc}") from exc
+    if not (math.isfinite(rpw) and rpw > 0):
+        raise ConfigError(f"runs per win must be positive and finite, "
+                          f"not {rpw!r}")
+    return rpw
 
 
 def _bandwidth(args):
@@ -139,9 +150,16 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _run(args):
+def _run(args, compare=()):
+    """Check the flags, parse the season, check that every player named
+    in the `compare` pairs plays in it, then run the pipeline."""
     bandwidth, rpw = _bandwidth(args), _resolve_rpw(args)
     dataset, _ = _load(args)
+    missing = sorted({pid for pair in compare for pid in pair}
+                     - set(dataset.player_ids))
+    if missing:
+        raise ConfigError(f"--compare players not in the season: "
+                          f"{', '.join(missing)}")
     return run_pipeline(
         dataset, bandwidth=bandwidth, cutoff_pos=args.cutoff_pos,
         cutoff_pitch=args.cutoff_pitch, rpw=rpw)
@@ -164,16 +182,20 @@ def cmd_war(args):
 
 
 def cmd_boot(args):
-    result = _run(args)
+    if args.replicates < 1:
+        raise ConfigError(f"--replicates must be >= 1, not {args.replicates}")
+    result = _run(args, args.compare)
     seed = args.seed if args.seed is not None else _default_seed()
     config = BootstrapConfig(replicates=args.replicates, master_seed=seed)
     dist = bootstrap_war(result.ledger, result.valuations, result.pool,
                          config, rpw=_resolve_rpw(args))
+    # every output is computed before the first is written
+    comparisons = comparison_json(dist, args.compare)
     cfg = _config_echo(args)
     out = Path(args.out)
     _write(out / "war_quantiles.csv", dist.quantile_csv(), cfg)
     if args.compare:
-        _write(out / "comparisons.json", comparison_json(dist, args.compare))
+        _write(out / "comparisons.json", comparisons)
     print(f"wrote {args.replicates}-replicate quantiles to {out}")
     return EXIT_OK
 

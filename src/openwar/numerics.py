@@ -356,15 +356,17 @@ def smooth_out_probability(points, response, bandwidth):
     return SmoothedSurface(points=points, response=response, bandwidth=(hx, hy))
 
 
-def empirical_quantiles(values, probs):
-    """Type-7 (linear interpolation) order-statistic quantiles."""
+def empirical_quantiles(values, probs, axis=None):
+    """Type-7 (linear interpolation) order-statistic quantiles, of all
+    `values` or along `axis` (the probabilities index the result's first
+    axis, as in `np.quantile`)."""
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if values.size == 0:
         raise ValueError("empty values")
     if np.any(probs < 0) or np.any(probs > 1):
         raise ValueError("probabilities must lie in [0, 1]")
-    return np.quantile(values, probs)  # numpy default is type-7
+    return np.quantile(values, probs, axis=axis)  # numpy default is type-7
 
 
 def master_rng(seed):

@@ -5,6 +5,13 @@ carrying every credit of a drawn PA jointly (hitter, runners,
 fielders, pitcher), then re-aggregates RAA and re-applies the frozen
 replacement rates to the resampled event counts.  Models and the
 replacement pool are never refit inside a replicate.
+
+Because the rates and runs-per-win are frozen, a credit's contribution
+to WAR is linear in its PA's draw count: WAR = Σ worth · w[pa] with
+worth = (value − rate[component]) / rpw.  The credits are therefore
+folded to that worth once and summed per (player, PA), and each
+replicate is one gather of the draw counts and one contiguous
+per-player reduction.
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ from .valuation import COMPONENTS
 __all__ = ["BootstrapConfig", "WarDistribution", "bootstrap_war", "compare_players"]
 
 DEFAULT_PROBS = (0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0)
+#: element budget of one block of replicate columns: `np.quantile` copies
+#: what it is given, and a copy of the whole matrix would raise the peak
+#: memory of a run by the matrix's size
+QUANTILE_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -56,37 +67,41 @@ class WarDistribution:
 def bootstrap_war(ledger, valuations, pool, config, rpw=10.0):
     """Resample the season `config.replicates` times with frozen models.
 
-    Each replicate weights every credit row by the number of times its
-    plate appearance was drawn, so a drawn PA carries all of its credits.
+    Each replicate weights every credit by the number of times its plate
+    appearance was drawn, so a drawn PA carries all of its credits.
     Deterministic: each replicate draws from its own stream derived from
-    (master_seed, replicate index).
+    (master_seed, replicate index).  A player in `valuations` without
+    credits gets zero WAR in every replicate.
     """
     table = ledger.credits
-    if not table.n_pas:
+    n = table.n_pas
+    if not n:
         raise ValueError("empty ledger")
     players = sorted(valuations)
     column = {pid: j for j, pid in enumerate(players)}
-    k = len(COMPONENTS)
-    key = np.array([column[pid] for pid in table.player_ids],
-                   dtype=np.intp)[table.player] * k + table.component
-    size = len(players) * k
+    code = np.array([column[pid] for pid in table.player_ids],
+                    dtype=np.int64)[table.player]
     rates = np.array([pool.rates[c] for c in COMPONENTS])
+    worth = (table.value - rates[table.component]) / rpw
+    # one row per (player column, PA), sorted by player then PA
+    pairs, row = np.unique(code * n + table.pa, return_inverse=True)
+    worth = np.bincount(row, weights=worth, minlength=len(pairs))
+    pa = pairs % n
+    held, starts = np.unique(pairs // n, return_index=True)
+    del code, pairs, row
     point = np.array([valuations[p].war for p in players])
 
-    mat = np.empty((config.replicates, len(players)))
+    mat = np.zeros((config.replicates, len(players)))
     for rep in range(config.replicates):
         rng = replicate_rng(config.master_seed, rep)
-        idx = rng.integers(0, table.n_pas, table.n_pas)
-        weights = np.bincount(idx, minlength=table.n_pas).astype(float)
-        w = weights[table.pa]
-        raa = np.bincount(key, weights=table.value * w, minlength=size)
-        counts = np.bincount(key, weights=w, minlength=size)
-        shadow = counts.reshape(-1, k) @ rates
-        mat[rep] = (raa.reshape(-1, k).sum(axis=1) - shadow) / rpw
+        # float counts: a float x int64 multiply is several times slower
+        w = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
+        mat[rep, held] = np.add.reduceat(worth * w[pa], starts)
 
+    step = max(1, QUANTILE_BLOCK_ELEMENTS // config.replicates)
     quantiles = np.vstack([
-        empirical_quantiles(mat[:, j], config.probs)
-        for j in range(len(players))])
+        empirical_quantiles(mat[:, j:j + step], config.probs, axis=0).T
+        for j in range(0, len(players), step)])
     names = {p: valuations[p].name for p in players}
     return WarDistribution(players=players, names=names, point=point,
                            replicates=mat, probs=tuple(config.probs),

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from openwar.events import BALL_IN_PLAY, GameState, PlateAppearance, SeasonDataset
-from openwar.numerics import DesignMatrix
+from openwar.numerics import DesignMatrix, replicate_rng
 from openwar.valuation import COMPONENTS, CreditTable
 
 FIELDERS = tuple(f"D{i}" for i in range(1, 10))
@@ -71,6 +71,32 @@ def dense_design(factors, extra=()):
         names.append(name)
         columns.append(np.asarray(values, dtype=float))
     return DesignMatrix(columns=names, values=np.column_stack(columns))
+
+
+def bootstrap_reference(ledger, valuations, pool, config, rpw=10.0):
+    """The (replicates, players) WAR matrix `bootstrap_war` returns, by
+    the unfolded kernel: each replicate scatter-adds the draw-weighted
+    values and the draw-weighted event counts of every credit row into
+    (player, component) cells, then charges the frozen rates to the
+    counts.  Same draws, same column order (sorted player ids)."""
+    table = ledger.credits
+    players = sorted(valuations)
+    column = {pid: j for j, pid in enumerate(players)}
+    k = len(COMPONENTS)
+    key = np.array([column[pid] for pid in table.player_ids],
+                   dtype=np.intp)[table.player] * k + table.component
+    size = len(players) * k
+    rates = np.array([pool.rates[c] for c in COMPONENTS])
+    mat = np.empty((config.replicates, len(players)))
+    for rep in range(config.replicates):
+        rng = replicate_rng(config.master_seed, rep)
+        idx = rng.integers(0, table.n_pas, table.n_pas)
+        w = np.bincount(idx, minlength=table.n_pas).astype(float)[table.pa]
+        raa = np.bincount(key, weights=table.value * w, minlength=size)
+        counts = np.bincount(key, weights=w, minlength=size)
+        shadow = counts.reshape(-1, k) @ rates
+        mat[rep] = (raa.reshape(-1, k).sum(axis=1) - shadow) / rpw
+    return mat
 
 
 def assert_same_fit(fit, ref, tol=1e-10):

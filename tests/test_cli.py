@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from openwar import cli
 from openwar.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from openwar.events import parse_season
 
@@ -240,6 +241,46 @@ def test_half_given_flag_pair_is_config_error(tmp_path, war_season, capsys,
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "config" and "given together" in err["error"]
     assert not (tmp_path / "out").exists()
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a rejected configuration must stop before this")
+
+
+_BAD_RPW = (["--runs-per-win", "0"], ["--runs-per-win", "-1"],
+            ["--runs-per-win", "nan"], ["--pythag-p", "0", "--pythag-r", "800"])
+
+
+@pytest.mark.parametrize("command,flags", [
+    pytest.param(command, flags, id=f"{command} {' '.join(flags)}")
+    for command, flags in
+    [(c, f) for c in ("war", "boot") for f in _BAD_RPW]
+    + [("boot", ["--replicates", "0"]), ("boot", ["--replicates", "-2"])]])
+def test_bad_config_value_is_config_error(tmp_path, war_season, capsys,
+                                          monkeypatch, command, flags):
+    """Values that parse but make no configuration exit 2 before the
+    season is read, and write nothing."""
+    monkeypatch.setattr(cli, "parse_season", _must_not_run)
+    assert main([command, "--input", str(war_season), "--out",
+                 str(tmp_path / "out"), *flags]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config"
+    assert not (tmp_path / "out").exists()
+
+
+def test_boot_compare_unknown_player_fails_before_any_work(
+        tmp_path, war_season, capsys, monkeypatch):
+    data, _ = parse_season(war_season.read_text())
+    known = data.record(0).batter_id
+    monkeypatch.setattr(cli, "run_pipeline", _must_not_run)
+    out = tmp_path / "boot"
+    assert main(["boot", "--input", str(war_season), "--out", str(out),
+                 "--replicates", "5", "--compare", known, "nobody"]) \
+        == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config" and "nobody" in err["error"]
+    assert known not in err["error"]
+    assert not out.exists()
 
 
 def test_failing_solve_is_numeric_error(tmp_path, war_season, monkeypatch,

@@ -26,6 +26,7 @@ from openwar.defense import (
 from openwar.numerics import LogisticFit, SmoothedSurface, master_rng
 from openwar.pipeline import SeasonLedger, build_ledger
 from openwar.simulate import generate_synthetic_season
+from openwar.uncertainty import BootstrapConfig, bootstrap_war
 
 from fixtures import make_pa, records
 
@@ -228,6 +229,28 @@ def test_ledger_builds_no_dense_design(season, monkeypatch):
         warnings.simplefilter("ignore")
         build_ledger(season)
     assert calls["ols"] == 0
+
+
+def test_bootstrap_scatter_adds_do_not_grow_with_replicates(pipeline,
+                                                          monkeypatch):
+    """Guard against per-replicate scatter-adds over the credit rows: rates
+    are folded and credits summed per (player, PA) once per call, so the
+    number of weighted bincounts does not depend on the replicate count."""
+    calls = {"weighted": 0}
+    bincount = np.bincount
+
+    def counted(x, weights=None, minlength=0):
+        calls["weighted"] += weights is not None
+        return bincount(x, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    seen = []
+    for replicates in (5, 50):
+        calls["weighted"] = 0
+        bootstrap_war(pipeline.ledger, pipeline.valuations, pipeline.pool,
+                      BootstrapConfig(replicates=replicates))
+        seen.append(calls["weighted"])
+    assert seen[0] == seen[1]
 
 
 def test_clean_season_parses_without_per_row_work(season, monkeypatch):

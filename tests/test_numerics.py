@@ -266,6 +266,21 @@ def test_quantiles_hand_case():
         empirical_quantiles([], [0.5])
 
 
+def test_quantiles_along_axis_match_per_column_loop():
+    """One axis-0 call returns, per column, exactly the quantiles of the
+    column alone, ties included."""
+    rng = np.random.default_rng(8)
+    mat = np.round(rng.normal(0.0, 1.0, (301, 17)), 1)
+    probs = (0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0)
+    loop = np.column_stack([empirical_quantiles(mat[:, j], probs)
+                            for j in range(mat.shape[1])])
+    assert np.array_equal(empirical_quantiles(mat, probs, axis=0), loop)
+    with pytest.raises(ValueError):
+        empirical_quantiles(mat, [-0.1], axis=0)
+    with pytest.raises(ValueError):
+        empirical_quantiles(np.empty((0, 3)), [0.5], axis=0)
+
+
 def test_rng_contract():
     a = master_rng(7).random(5)
     b = master_rng(7).random(5)

@@ -1,8 +1,14 @@
 """Bootstrap resampling tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from openwar import uncertainty
+from openwar.numerics import empirical_quantiles
 from openwar.uncertainty import (
     BootstrapConfig,
     bootstrap_war,
@@ -11,12 +17,13 @@ from openwar.uncertainty import (
 )
 from openwar.valuation import (
     COMPONENTS,
+    PlayerValuation,
     ReplacementPool,
     shadow_and_war,
     tabulate_raa,
 )
 
-from fixtures import credit_ledger
+from fixtures import bootstrap_reference, credit_ledger
 
 
 def _zero_pool():
@@ -99,6 +106,72 @@ def test_quantiles_monotone_and_ordered(pipeline):
     # extremes are the observed min and max
     assert np.allclose(dist.quantiles[:, 0], dist.replicates.min(axis=0))
     assert np.allclose(dist.quantiles[:, -1], dist.replicates.max(axis=0))
+
+
+def test_block_quantiles_match_per_player_loop(pipeline, monkeypatch):
+    """Quantiles taken along axis 0 of blocks of 7 player columns, the last
+    block short, equal those of each column alone."""
+    monkeypatch.setattr(uncertainty, "QUANTILE_BLOCK_ELEMENTS", 40 * 7)
+    dist = bootstrap_war(pipeline.ledger, pipeline.valuations, pipeline.pool,
+                         BootstrapConfig(replicates=40, master_seed=2))
+    loop = np.vstack([empirical_quantiles(dist.replicates[:, j], dist.probs)
+                      for j in range(len(dist.players))])
+    assert np.array_equal(dist.quantiles, loop)
+
+
+def test_bootstrap_matches_reference_on_session_season(pipeline):
+    """The folded, per-(player, PA) kernel against the two-scatter-add
+    oracle, with the season's nonzero replacement rates."""
+    assert any(pipeline.pool.rates.values())
+    cfg = BootstrapConfig(replicates=30, master_seed=12)
+    dist = bootstrap_war(pipeline.ledger, pipeline.valuations, pipeline.pool,
+                         cfg)
+    ref = bootstrap_reference(pipeline.ledger, pipeline.valuations,
+                              pipeline.pool, cfg)
+    assert dist.players == sorted(pipeline.valuations)
+    assert np.max(np.abs(dist.replicates - ref)) < 1e-12
+
+
+_CREDIT = st.tuples(st.sampled_from(["p1", "p3", "p5"]),
+                    st.sampled_from(COMPONENTS),
+                    st.floats(-2.0, 2.0, allow_nan=False))
+
+
+@given(bundles=st.lists(st.lists(_CREDIT, max_size=4), min_size=1,
+                        max_size=25).filter(any),
+       idle=st.sampled_from(["p0", "p2", "p9"]),
+       rates=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+       rpw=st.floats(2.0, 15.0),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_bootstrap_matches_reference_on_drawn_ledgers(bundles, idle, rates,
+                                                      rpw, seed):
+    """Drawn ledgers: repeated (player, PA) pairs, PAs without credits, a
+    player without credits sorting first, between or last, and the last
+    credited player's rows as the final reduced segment."""
+    ledger = credit_ledger(bundles)
+    pool = ReplacementPool(cutoff_pos=0, cutoff_pitch=0,
+                           rates=dict(zip(COMPONENTS, rates)),
+                           replacement_ids=set())
+    vals = tabulate_raa(ledger, {p: p.upper() for p in ("p1", "p3", "p5")})
+    vals[idle] = PlayerValuation(player_id=idle, name=idle.upper())
+    for v in vals.values():
+        shadow_and_war(v, pool, rpw)
+    cfg = BootstrapConfig(replicates=8, master_seed=seed)
+    dist = bootstrap_war(ledger, vals, pool, cfg, rpw=rpw)
+    ref = bootstrap_reference(ledger, vals, pool, cfg, rpw=rpw)
+    assert np.max(np.abs(dist.replicates - ref)) < 1e-12
+    assert np.all(dist.replicates[:, dist.players.index(idle)] == 0.0)
+
+
+def test_every_pa_once_reproduces_point_war(pipeline, monkeypatch):
+    """Folded-rate identity: a replicate that counts every plate
+    appearance once is the point WAR, replacement shadow included."""
+    once = SimpleNamespace(integers=lambda low, high, size: np.arange(high))
+    monkeypatch.setattr(uncertainty, "replicate_rng", lambda *key: once)
+    dist = bootstrap_war(pipeline.ledger, pipeline.valuations, pipeline.pool,
+                         BootstrapConfig(replicates=2))
+    assert np.max(np.abs(dist.replicates - dist.point)) < 1e-12
 
 
 def test_compare_players_matches_recount():

@@ -10,6 +10,7 @@ Run with:  python3 demos/03_apportionment.py
 
 import numpy as np
 
+from openwar.events import FIELDING_POSITIONS
 from openwar.pipeline import build_ledger
 from openwar.simulate import generate_synthetic_season
 from openwar.valuation import COMPONENTS
@@ -26,8 +27,11 @@ total = credits.value.sum()
 print(f"league total RAA = {total:.2e} "
       f"(scale: sum |delta| = {np.abs(ledger.deltas).sum():.1f})")
 
-# Walk through one ball in play end to end.
-i = next(i for i in ledger.defense.bip_indices if abs(ledger.deltas[i]) > 0.3)
+# Walk through one ball in play end to end: the k-th ball in play is
+# plate appearance i, and row k of the fielding arrays.
+k = next(k for k, i in enumerate(dfn.bip_indices)
+         if abs(ledger.deltas[i]) > 0.3)
+i = dfn.bip_indices[k]
 pa = season.record(i)  # the row view of plate appearance i
 print(f"\nexample: {pa.event_type} by {pa.batter_id} off {pa.pitcher_id} "
       f"(delta {ledger.deltas[i]:+.3f})")
@@ -35,21 +39,24 @@ print("  offense:")
 print(f"    park/platoon context   {off.park_fit.fitted[i]:+.3f}")
 print(f"    position adjustment    {off.position_fit.fitted[i]:+.3f}")
 print(f"    hitting RAA            {off.raa_hit[i]:+.3f}")
-for c in off.runner_credits[i]:
-    where = "batter" if c.start_base == 0 else f"runner on {c.start_base}"
-    print(f"    baserunning ({where:<11}) {c.raa_br:+.3f} "
-          f"(kappa {c.kappa:.2f})")
+# raa_br and kappa columns: the runners on 1B, 2B, 3B, then the batter
+for slot, runner in enumerate(pa.runner_ids + (pa.batter_id,)):
+    if runner is not None:
+        where = "batter" if slot == 3 else f"runner on {slot + 1}"
+        print(f"    baserunning ({where:<11}) {off.raa_br[i, slot]:+.3f} "
+              f"(kappa {off.kappa[i, slot]:.2f})")
 print("  defense:")
 print(f"    out probability p-hat  {dfn.p_hat[i]:.3f}")
 print(f"    pitcher RAA            {dfn.raa_pitch[i]:+.3f}")
-rows = dict(zip(dfn.bip_indices, dfn.fielding_rows)).get(i, ())
-for row in sorted(rows, key=lambda r: -abs(r.raa_field))[:3]:
-    print(f"    fielder {row.position:<3} share {row.share:.2f}  "
-          f"RAA {row.raa_field:+.3f}")
+park = dfn.fielding_park_fit
+raa_field = park.residuals.reshape(-1, 9)[k]
+for j in np.argsort(-np.abs(raa_field), kind="stable")[:3]:
+    print(f"    fielder {FIELDING_POSITIONS[j]:<3} share {dfn.shares[k, j]:.2f}  "
+          f"RAA {raa_field[j]:+.3f}")
 
 # The per-play identity that makes the system zero-sum:
-br = sum(c.raa_br for c in off.runner_credits[i])
-field = sum(r.raa_field + r.park_fitted for r in rows)
+br = off.raa_br[i].sum()
+field = raa_field.sum() + park.fitted.reshape(-1, 9)[k].sum()
 offense = off.park_fit.fitted[i] + off.position_fit.fitted[i] \
     + off.raa_hit[i] + br
 defense = dfn.raa_pitch[i] + dfn.pitch_fit.fitted[i] + field

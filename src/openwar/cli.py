@@ -122,7 +122,17 @@ def _resolve_rpw(args):
 
 
 def _bandwidth(args):
-    return _pair(args, "bandwidth_x", "bandwidth_y")
+    pair = _pair(args, "bandwidth_x", "bandwidth_y")
+    if pair is not None and not all(math.isfinite(h) and h > 0 for h in pair):
+        raise ConfigError(f"--bandwidth-x and --bandwidth-y must be positive "
+                          f"and finite, not {pair[0]!r} and {pair[1]!r}")
+    return pair
+
+
+def _non_negative(name, value):
+    if value < 0:
+        raise ConfigError(f"--{name} must be >= 0, not {value}")
+    return value
 
 
 def _load(args):
@@ -154,6 +164,8 @@ def _run(args, compare=()):
     """Check the flags, parse the season, check that every player named
     in the `compare` pairs plays in it, then run the pipeline."""
     bandwidth, rpw = _bandwidth(args), _resolve_rpw(args)
+    _non_negative("cutoff-pos", args.cutoff_pos)
+    _non_negative("cutoff-pitch", args.cutoff_pitch)
     dataset, _ = _load(args)
     missing = sorted({pid for pair in compare for pid in pair}
                      - set(dataset.player_ids))
@@ -184,8 +196,9 @@ def cmd_war(args):
 def cmd_boot(args):
     if args.replicates < 1:
         raise ConfigError(f"--replicates must be >= 1, not {args.replicates}")
+    seed = _non_negative(
+        "seed", args.seed if args.seed is not None else _default_seed())
     result = _run(args, args.compare)
-    seed = args.seed if args.seed is not None else _default_seed()
     config = BootstrapConfig(replicates=args.replicates, master_seed=seed)
     dist = bootstrap_war(result.ledger, result.valuations, result.pool,
                          config, rpw=_resolve_rpw(args))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
@@ -28,13 +28,10 @@ from .numerics import (
 from .offense import park_platoon_design
 
 __all__ = [
-    "DefenseSplit",
     "FieldingRow",
     "DefenseResult",
     "fit_out_surface",
-    "split_responsibility",
     "fit_fielding_models",
-    "apportion_fielding",
     "fit_fielding_park_adjustment",
     "fit_pitching_adjustment",
     "apportion_defense",
@@ -46,13 +43,6 @@ __all__ = [
 _COORD_SCALE = 100.0
 
 
-@dataclass
-class DefenseSplit:
-    p_hat: float
-    delta_p: float  # pitcher share of -delta
-    delta_f: float  # fielder share of -delta
-
-
 @dataclass(slots=True)
 class FieldingRow:
     player_id: str
@@ -60,8 +50,8 @@ class FieldingRow:
     p_model: float  # per-position out probability
     share: float  # normalized responsibility
     value: float  # delta_f * share
-    raa_field: float = 0.0
-    park_fitted: float = 0.0
+    raa_field: float
+    park_fitted: float
 
 
 def _made_out(data):
@@ -94,25 +84,6 @@ def _split(delta, p_hat):
 
 def _missing_coordinates(pa):
     return ValueError(f"{_where(pa)}: ball in play without coordinates")
-
-
-def split_responsibility(pa, delta, surface, lenient_rate=None):
-    """Split -delta between pitcher and fielders for one plate appearance.
-
-    Non-ball-in-play events give everything to the pitcher.  A ball in
-    play without coordinates raises unless `lenient_rate` supplies a
-    fallback out probability.
-    """
-    if not pa.ball_in_play:
-        p = 0.0
-    elif pa.bip_location is None:
-        if lenient_rate is None:
-            raise _missing_coordinates(pa)
-        p = float(lenient_rate)
-    else:
-        p = surface(*pa.bip_location)
-    delta_p, delta_f = _split(delta, p)
-    return DefenseSplit(p_hat=p, delta_p=delta_p, delta_f=delta_f)
 
 
 def fielding_design_row(x, y):
@@ -182,30 +153,12 @@ def _fielding_shares(coords, models, play):
     return probs, shares
 
 
-def _fielding_rows(fielder_ids, probs, shares, values):
-    """One ball in play's nine FieldingRows from per-position lists."""
-    return [FieldingRow(*row) for row in zip(
-        fielder_ids, FIELDING_POSITIONS, probs, shares, values)]
-
-
-def apportion_fielding(pa, delta_f, models):
-    """Normalized per-position responsibility rows for one ball in play."""
-    probs, shares = _fielding_shares([pa.bip_location], models, lambda k: pa)
-    return _fielding_rows(pa.fielder_ids, probs[0].tolist(),
-                          shares[0].tolist(), (delta_f * shares[0]).tolist())
-
-
-def fit_fielding_park_adjustment(data, bip_indices, rows_per_pa):
-    """Ballpark adjustment over per-(play, fielder) rows; residuals become
-    the fielding runs above average."""
-    park = np.repeat(data.park[bip_indices], [len(rows) for rows in rows_per_pa])
-    values = np.array([row.value for rows in rows_per_pa for row in rows])
-    fit = indicator_ols([("park_", data.park_ids, park)], values)
-    for row, resid, fitted in zip(chain.from_iterable(rows_per_pa),
-                                  fit.residuals.tolist(), fit.fitted.tolist()):
-        row.raa_field = resid
-        row.park_fitted = fitted
-    return fit
+def fit_fielding_park_adjustment(data, bip_indices, values):
+    """Ballpark adjustment of the (k, 9) per-(play, fielder) values of the
+    balls in play at `bip_indices`; its residuals, row by row, are the
+    fielding runs above average."""
+    park = np.repeat(data.park[bip_indices], values.shape[1])
+    return indicator_ols([("park_", data.park_ids, park)], values.ravel())
 
 
 def fit_pitching_adjustment(data, delta_p):
@@ -217,16 +170,34 @@ def fit_pitching_adjustment(data, delta_p):
 
 @dataclass
 class DefenseResult:
+    data: object  # the SeasonDataset the chain ran on
     p_hat: np.ndarray
     delta_p: np.ndarray
     delta_f: np.ndarray
     raa_pitch: np.ndarray
     pitch_fit: object
-    fielding_park_fit: object
+    fielding_park_fit: object  # residuals and fitted values, 9 per play
     surface: object
     fielding_models: dict
-    bip_indices: list
-    fielding_rows: list  # aligned with bip_indices; 9 FieldingRows per play
+    bip_indices: np.ndarray  # intp: the plate appearances with a ball in play
+    probs: np.ndarray  # (k, 9) per-position out probabilities, by bip_indices
+    shares: np.ndarray  # (k, 9) normalized responsibility, rows sum to 1
+
+    @cached_property
+    def fielding_rows(self):
+        """Per ball in play, its nine FieldingRows, built from the arrays
+        on first read.  A read-only view for perfbench's tracer; nothing in
+        openwar reads it."""
+        bip = self.bip_indices
+        ids = np.array(self.data.player_ids, dtype=object)
+        columns = (ids[self.data.fielder[bip]], self.probs, self.shares,
+                   self.delta_f[bip, None] * self.shares,
+                   self.fielding_park_fit.residuals.reshape(-1, 9),
+                   self.fielding_park_fit.fitted.reshape(-1, 9))
+        return [[FieldingRow(pid, pos, *row)
+                 for pid, pos, *row in zip(play[0], FIELDING_POSITIONS,
+                                           *play[1:])]
+                for play in zip(*(c.tolist() for c in columns))]
 
 
 def apportion_defense(data, deltas, bandwidth=None):
@@ -246,17 +217,12 @@ def apportion_defense(data, deltas, bandwidth=None):
 
     probs, shares = _fielding_shares(coords, models,
                                      lambda k: data.record(bip[k]))
-    fielders = np.array(data.player_ids, dtype=object)[data.fielder[bip]]
-    fielding_rows = list(map(
-        _fielding_rows, fielders.tolist(), probs.tolist(), shares.tolist(),
-        (delta_f[bip, None] * shares).tolist()))
-
-    bip_indices = bip.tolist()
-    park_fit = fit_fielding_park_adjustment(data, bip_indices, fielding_rows)
+    park_fit = fit_fielding_park_adjustment(data, bip,
+                                            delta_f[bip, None] * shares)
     pitch_fit = fit_pitching_adjustment(data, delta_p)
     return DefenseResult(
-        p_hat=p_hat, delta_p=delta_p, delta_f=delta_f,
+        data=data, p_hat=p_hat, delta_p=delta_p, delta_f=delta_f,
         raa_pitch=pitch_fit.residuals, pitch_fit=pitch_fit,
         fielding_park_fit=park_fit, surface=surface, fielding_models=models,
-        bip_indices=bip_indices, fielding_rows=fielding_rows,
+        bip_indices=bip, probs=probs, shares=shares,
     )

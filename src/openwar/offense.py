@@ -14,6 +14,7 @@ the hitter and the baserunners through a chain of regressions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -23,7 +24,6 @@ from .events import (
     DESTINATIONS,
     EVENT_TYPES,
     HANDS,
-    SeasonDataset,
 )
 from .numerics import indicator_ols
 
@@ -35,7 +35,6 @@ __all__ = [
     "fit_park_platoon",
     "fit_baserunner_expectation",
     "advancement_probabilities",
-    "apportion_baserunning",
     "fit_position_adjustment",
     "apportion_offense",
 ]
@@ -164,41 +163,25 @@ def advancement_probabilities(data):
         global_cdf=cdfs(lambda e, b: None, 0, 0).get(None, []))
 
 
-@dataclass(slots=True)
-class BaserunnerCredit:
-    player_id: str
-    start_base: int  # 0 for the batter-as-runner
-    kappa: float
-    raa_br: float
-
-
-def apportion_baserunning(pa, eta_hat, table):
-    """Split the baserunner share among runners in proportion to kappa.
-
-    The batter always appears as a runner from base 0, so every plate
-    appearance carries at least one credit line.  A zero kappa total
-    (possible only in pathological cells) falls back to an equal split.
-    """
-    data = SeasonDataset.from_records([pa])
-    return _baserunning(data, np.array([eta_hat], dtype=float), table)[0][0]
-
-
 def _baserunning(data, eta_hat, table):
-    """`apportion_baserunning` over every plate appearance: the credit
-    lists, and raa_br as an (n, 4) array (0 where a base is empty)."""
-    on, player, event, base, rank = _outcomes(data)
+    """Split each plate appearance's baserunner share among its runners in
+    proportion to kappa: kappa and raa_br as (n, 4) arrays over the runners
+    on 1B-3B and then the batter, 0 where a base is empty.
+
+    The batter always runs from base 0, so every plate appearance carries
+    at least one credit.  A zero kappa total (possible only in pathological
+    cells) falls back to an equal split.
+    """
+    on, _, event, base, rank = _outcomes(data)
     cells, which = np.unique(_cell(event, base, rank), return_inverse=True)
     kappa = np.zeros(on.shape)
     kappa[on] = np.array([table.kappa(*_uncell(c))
                           for c in cells.tolist()])[which]
-    # summed in credit order, as sum() over a list would; empty bases add 0
+    # summed left to right, runner by runner; empty bases add 0
     total = kappa[:, 0] + kappa[:, 1] + kappa[:, 2] + kappa[:, 3]
     weights = on / on.sum(axis=1, keepdims=True)
     np.divide(kappa, total[:, None], out=weights, where=total[:, None] > 0.0)
-    raa_br = weights * eta_hat[:, None]
-    flat = map(BaserunnerCredit, map(data.player_ids.__getitem__, player.tolist()),
-               base.tolist(), kappa[on].tolist(), raa_br[on].tolist())
-    return [list(islice(flat, c)) for c in on.sum(axis=1).tolist()], raa_br
+    return kappa, weights * eta_hat[:, None]
 
 
 def fit_position_adjustment(data, mu_hat):
@@ -208,8 +191,17 @@ def fit_position_adjustment(data, mu_hat):
                          mu_hat)
 
 
+@dataclass(slots=True)
+class BaserunnerCredit:
+    player_id: str
+    start_base: int  # 0 for the batter-as-runner
+    kappa: float
+    raa_br: float
+
+
 @dataclass
 class OffenseResult:
+    data: object  # the SeasonDataset the chain ran on
     deltas: np.ndarray
     eps_hat: np.ndarray  # park/platoon-adjusted values
     eta_hat: np.ndarray  # baserunners' collective share
@@ -219,8 +211,20 @@ class OffenseResult:
     state_fit: object
     position_fit: object
     advancement: AdvancementTable
-    runner_credits: list  # per PA: list of BaserunnerCredit
-    raa_br: np.ndarray  # (n, 4): runners on 1B-3B, then the batter; 0 if absent
+    kappa: np.ndarray  # (n, 4): runners on 1B-3B, then the batter; 0 if absent
+    raa_br: np.ndarray  # (n, 4), laid out as kappa
+
+    @cached_property
+    def runner_credits(self):
+        """Per PA, its list of BaserunnerCredit, built from `kappa` and
+        `raa_br` on first read.  A read-only view for perfbench's tracer;
+        nothing in openwar reads it."""
+        on, player, _, base, _ = _outcomes(self.data)
+        flat = map(BaserunnerCredit,
+                   map(self.data.player_ids.__getitem__, player.tolist()),
+                   base.tolist(), self.kappa[on].tolist(),
+                   self.raa_br[on].tolist())
+        return [list(islice(flat, c)) for c in on.sum(axis=1).tolist()]
 
 
 def apportion_offense(data, deltas):
@@ -234,11 +238,10 @@ def apportion_offense(data, deltas):
     position_fit = fit_position_adjustment(data, mu_hat)
     raa_hit = position_fit.residuals
     table = advancement_probabilities(data)
-    credits, raa_br = _baserunning(data, eta_hat, table)
+    kappa, raa_br = _baserunning(data, eta_hat, table)
     return OffenseResult(
-        deltas=deltas, eps_hat=eps_hat, eta_hat=eta_hat, mu_hat=mu_hat,
-        raa_hit=raa_hit, park_fit=park_fit, state_fit=state_fit,
-        position_fit=position_fit, advancement=table, runner_credits=credits,
-        raa_br=raa_br,
+        data=data, deltas=deltas, eps_hat=eps_hat, eta_hat=eta_hat,
+        mu_hat=mu_hat, raa_hit=raa_hit, park_fit=park_fit,
+        state_fit=state_fit, position_fit=position_fit, advancement=table,
+        kappa=kappa, raa_br=raa_br,
     )
-

@@ -65,7 +65,7 @@ def _credit_table(data, offense, defense):
     every = np.arange(len(data))
     runners = np.column_stack([data.runner, data.batter])
     on = runners >= 0
-    bip = np.asarray(defense.bip_indices, dtype=np.intp)
+    bip = defense.bip_indices
     blocks = [
         (every, data.batter, offense.raa_hit),
         (np.nonzero(on)[0], runners[on], offense.raa_br[on]),

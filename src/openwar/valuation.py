@@ -143,6 +143,9 @@ def build_replacement_pool(valuations, cutoff_pos=DEFAULT_CUTOFF_POS,
     `cutoff_pitch` pitchers by batters faced are major league; everyone
     else is replacement.  Ties at the cutoff break by player id.
     """
+    if min(cutoff_pos, cutoff_pitch) < 0:
+        raise ValueError(f"cutoffs must be >= 0, not {cutoff_pos} and "
+                         f"{cutoff_pitch}")
     position = [v for v in valuations.values() if v.role == "position"]
     pitchers = [v for v in valuations.values() if v.role == "pitcher"]
     position.sort(key=lambda v: (-v.plate_appearances, v.player_id))

@@ -111,6 +111,21 @@ def assert_same_fit(fit, ref, tol=1e-10):
     assert np.max(np.abs(fit.residuals - ref.residuals)) < tol
 
 
+def conservation_residuals(ledger):
+    """Per-PA errors of the offense (delta) and defense (-delta)
+    reconstructions, read off the chains' arrays: raa_br (n, 4) and the
+    fielding park fit's residuals and fitted values, 9 per ball in play."""
+    off, dfn = ledger.offense, ledger.defense
+    offense = (off.park_fit.fitted + off.position_fit.fitted + off.raa_hit
+               + off.raa_br.sum(axis=1))
+    fit = dfn.fielding_park_fit
+    field = np.zeros(len(ledger.deltas))
+    field[dfn.bip_indices] = \
+        (fit.residuals + fit.fitted).reshape(-1, 9).sum(axis=1)
+    defense = dfn.raa_pitch + dfn.pitch_fit.fitted + field
+    return offense - ledger.deltas, defense + ledger.deltas
+
+
 def records(data):
     """Every plate appearance of a SeasonDataset as its row view."""
     return [data.record(i) for i in range(len(data))]

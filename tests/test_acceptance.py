@@ -25,7 +25,13 @@ from openwar.uncertainty import BootstrapConfig, bootstrap_war
 from openwar.valuation import pythag_wpct, runs_per_win, value_players
 from openwar.simulate import generate_synthetic_season
 
-from fixtures import build_re_fixture, credit_ledger, half_innings, records
+from fixtures import (
+    build_re_fixture,
+    conservation_residuals,
+    credit_ledger,
+    half_innings,
+    records,
+)
 
 GAMES = 50
 SEED = 17
@@ -57,18 +63,9 @@ def test_criterion_01_conservation_of_runs(acc):
     total = float(np.sum(ledger.credits.value))
     assert abs(total) <= 1e-8 * scale
 
-    off, dfn = ledger.offense, ledger.defense
-    n = len(deltas)
-    br = np.array([sum(c.raa_br for c in off.runner_credits[i])
-                   for i in range(n)])
-    offense = off.park_fit.fitted + off.position_fit.fitted + off.raa_hit + br
-    assert np.max(np.abs(offense - deltas)) < 1e-10
-
-    field = np.zeros(n)
-    for i, rows in zip(dfn.bip_indices, dfn.fielding_rows):
-        field[i] = sum(r.raa_field + r.park_fitted for r in rows)
-    defense = dfn.raa_pitch + dfn.pitch_fit.fitted + field
-    assert np.max(np.abs(defense + deltas)) < 1e-10
+    offense, defense = conservation_residuals(ledger)
+    assert np.max(np.abs(offense)) < 1e-10
+    assert np.max(np.abs(defense)) < 1e-10
 
     assert acc["elapsed"] < 30.0
     _ok(1, f"sum RAA = {total:.3e} on scale {scale:.1f}; per-PA identities "
@@ -155,15 +152,13 @@ def test_criterion_04_run_expectancy_oracle():
 
 def test_criterion_05_share_normalization(acc):
     dfn = acc["ledger"].defense
-    worst = 0.0
-    for rows in dfn.fielding_rows:
-        shares = [r.share for r in rows]
-        assert all(0.0 <= s <= 1.0 for s in shares)
-        worst = max(worst, abs(sum(shares) - 1.0))
+    assert dfn.shares.shape == (len(dfn.bip_indices), 9)
+    assert np.all((dfn.shares >= 0.0) & (dfn.shares <= 1.0))
+    worst = float(np.max(np.abs(dfn.shares.sum(axis=1) - 1.0)))
     assert worst < 1e-12
     assert np.all((dfn.p_hat >= 0.0) & (dfn.p_hat <= 1.0))
     _ok(5, f"max |sum shares - 1| = {worst:.3e} over "
-           f"{len(dfn.fielding_rows)} balls in play")
+           f"{len(dfn.bip_indices)} balls in play")
 
 
 def test_criterion_06_replacement_semantics(acc):

@@ -249,13 +249,19 @@ def _must_not_run(*args, **kwargs):
 
 _BAD_RPW = (["--runs-per-win", "0"], ["--runs-per-win", "-1"],
             ["--runs-per-win", "nan"], ["--pythag-p", "0", "--pythag-r", "800"])
+_BAD_FIT = (["--bandwidth-x", "0", "--bandwidth-y", "30"],
+            ["--bandwidth-x", "30", "--bandwidth-y", "-5"],
+            ["--bandwidth-x", "nan", "--bandwidth-y", "30"],
+            ["--bandwidth-x", "30", "--bandwidth-y", "inf"],
+            ["--cutoff-pos", "-1"], ["--cutoff-pitch", "-1"])
 
 
 @pytest.mark.parametrize("command,flags", [
     pytest.param(command, flags, id=f"{command} {' '.join(flags)}")
     for command, flags in
-    [(c, f) for c in ("war", "boot") for f in _BAD_RPW]
-    + [("boot", ["--replicates", "0"]), ("boot", ["--replicates", "-2"])]])
+    [(c, f) for c in ("war", "boot") for f in _BAD_RPW + _BAD_FIT]
+    + [("boot", ["--replicates", "0"]), ("boot", ["--replicates", "-2"]),
+       ("boot", ["--seed", "-1"])]])
 def test_bad_config_value_is_config_error(tmp_path, war_season, capsys,
                                           monkeypatch, command, flags):
     """Values that parse but make no configuration exit 2 before the

@@ -16,19 +16,20 @@ from openwar.events import (
     validate_dataset,
 )
 from openwar.defense import (
+    _fielding_shares,
+    _located,
+    _split,
     apportion_defense,
-    apportion_fielding,
     fielding_design_row,
     fit_fielding_models,
     fit_out_surface,
-    split_responsibility,
 )
 from openwar.numerics import LogisticFit, SmoothedSurface, master_rng
 from openwar.pipeline import SeasonLedger, build_ledger
 from openwar.simulate import generate_synthetic_season
 from openwar.uncertainty import BootstrapConfig, bootstrap_war
 
-from fixtures import make_pa, records
+from fixtures import conservation_residuals, make_pa
 
 
 def _surface_from(points, outs, bandwidth=(30.0, 30.0)):
@@ -38,35 +39,39 @@ def _surface_from(points, outs, bandwidth=(30.0, 30.0)):
 
 
 def test_non_bip_events_charge_the_pitcher():
-    pa = make_pa("A@B-0001", 0, 1, "top", 0, 0, "Strikeout", "O")
-    surface = _surface_from([[0.0, 100.0]], [1.0])
-    split = split_responsibility(pa, -0.25, surface)
-    assert split.p_hat == 0.0
-    assert split.delta_p == pytest.approx(0.25)
-    assert split.delta_f == 0.0
+    # a play with no ball in play has out probability 0
+    delta_p, delta_f = _split(np.array([-0.25]), np.zeros(1))
+    assert delta_p.tolist() == [0.25]
+    assert delta_f.tolist() == [0.0]
 
 
 def test_bip_split_follows_out_probability():
-    pa = make_pa("A@B-0001", 0, 1, "top", 0, 0, "Flyout", "O",
-                 bip=(0.0, 100.0))
+    data = SeasonDataset.from_records([
+        make_pa("A@B-0001", 0, 1, "top", 0, 0, "Flyout", "O",
+                bip=(0.0, 100.0))])
     surface = _surface_from([[0.0, 100.0], [0.0, 100.0]], [1.0, 0.0])
-    split = split_responsibility(pa, -0.25, surface)
-    assert split.p_hat == pytest.approx(0.5)
-    assert split.delta_p == pytest.approx(0.125)
-    assert split.delta_f == pytest.approx(0.125)
-    assert split.delta_p + split.delta_f == pytest.approx(0.25)
+    p_hat = surface.evaluate(data.bip_x, data.bip_y)
+    assert p_hat.tolist() == pytest.approx([0.5])
+    delta_p, delta_f = _split(np.array([-0.25]), p_hat)
+    assert delta_p.tolist() == pytest.approx([0.125])
+    assert delta_f.tolist() == pytest.approx([0.125])
+    assert delta_p + delta_f == pytest.approx([0.25])
 
 
 def test_bip_without_coordinates():
-    pa = dataclasses.replace(
-        make_pa("A@B-0001", 0, 1, "top", 0, 0, "Flyout", "O",
-                bip=(0.0, 100.0)),
+    """The surface and fielding fits skip a ball in play without
+    coordinates; the chain, which must split its value, rejects it."""
+    located = make_pa("A@B-0001", 0, 1, "top", 0, 0, "Flyout", "O",
+                      bip=(0.0, 100.0), credited="CF")
+    bare = dataclasses.replace(
+        make_pa("A@B-0001", 1, 1, "top", 1, 0, "Flyout", "O",
+                credited="CF"),
         bip_location=None)
-    surface = _surface_from([[0.0, 100.0]], [1.0])
-    with pytest.raises(ValueError, match="without coordinates"):
-        split_responsibility(pa, -0.25, surface)
-    split = split_responsibility(pa, -0.25, surface, lenient_rate=0.4)
-    assert split.p_hat == pytest.approx(0.4)
+    data = SeasonDataset.from_records([located, bare])
+    assert _located(data)[1].tolist() == [[0.0, 100.0]]
+    assert len(fit_out_surface(data, bandwidth=(30.0, 30.0)).points) == 1
+    with pytest.raises(ValueError, match="pa 1: ball in play without"):
+        apportion_defense(data, np.zeros(2), bandwidth=(30.0, 30.0))
 
 
 def test_fielding_design_row():
@@ -118,25 +123,23 @@ def test_fielding_shares_sum_to_one():
     rng = master_rng(5)
     data = _clustered_dataset(rng)
     models = fit_fielding_models(data)
-    for pa in records(data):
-        rows = apportion_fielding(pa, -0.2, models)
-        assert len(rows) == 9
-        assert [r.position for r in rows] == list(FIELDING_POSITIONS)
-        assert sum(r.share for r in rows) == pytest.approx(1.0, abs=1e-12)
-        assert all(0.0 <= r.share <= 1.0 for r in rows)
-        assert sum(r.value for r in rows) == pytest.approx(-0.2)
+    _, coords = _located(data)
+    probs, shares = _fielding_shares(coords, models, data.record)
+    assert probs.shape == shares.shape == (len(data), 9)
+    assert np.max(np.abs(shares.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.all((shares >= 0.0) & (shares <= 1.0))
 
 
 def test_vanishing_fielder_probabilities_split_equally():
-    pa = make_pa("A@B-0001", 7, 1, "top", 0, 0, "Flyout", "O",
-                 bip=(0.0, 300.0))
+    data = SeasonDataset.from_records([
+        make_pa("A@B-0001", 7, 1, "top", 0, 0, "Flyout", "O",
+                bip=(0.0, 300.0))])
     zero = LogisticFit(coefficients={}, converged=True, iterations=0,
                        constant_rate=0.0)
     models = {pos: zero for pos in FIELDING_POSITIONS}
     with pytest.warns(UserWarning, match="pa 7: all fielder probabilities"):
-        rows = apportion_fielding(pa, -0.18, models)
-    assert [r.share for r in rows] == [1.0 / 9.0] * 9
-    assert sum(r.value for r in rows) == pytest.approx(-0.18)
+        _, shares = _fielding_shares(_located(data)[1], models, data.record)
+    assert shares.tolist() == [[1.0 / 9.0] * 9]
 
 
 def test_out_surface_tracks_conversion_rate():
@@ -150,17 +153,11 @@ def test_out_surface_tracks_conversion_rate():
 
 def test_defense_chain_identities(pipeline):
     """Pitcher + fielder credits and fitted means reconstruct -delta."""
-    ledger = pipeline.ledger
-    dfn = ledger.defense
-    n = len(ledger.deltas)
-    field_sum = np.zeros(n)
-    for i, rows in zip(dfn.bip_indices, dfn.fielding_rows):
-        field_sum[i] = sum(r.raa_field + r.park_fitted for r in rows)
-    recon = dfn.raa_pitch + dfn.pitch_fit.fitted + field_sum
-    assert np.max(np.abs(recon + ledger.deltas)) < 1e-10
+    dfn = pipeline.ledger.defense
+    _, defense = conservation_residuals(pipeline.ledger)
+    assert np.max(np.abs(defense)) < 1e-10
     assert abs(dfn.raa_pitch.sum()) < 1e-8
-    total_field = sum(r.raa_field for rows in dfn.fielding_rows for r in rows)
-    assert abs(total_field) < 1e-8
+    assert abs(dfn.fielding_park_fit.residuals.sum()) < 1e-8
 
 
 def test_out_probabilities_are_probabilities(pipeline, season_records):
@@ -216,6 +213,20 @@ def test_defense_chain_avoids_per_play_work(season, monkeypatch):
         apportion_defense(season, deltas)
     assert calls["evaluate"] == 0
     assert calls["predict"] <= 9
+
+
+def test_ledger_builds_no_per_play_objects(season, monkeypatch):
+    """Guard against per-play credit objects: both chains keep their
+    credits as arrays, so building the ledger constructs no FieldingRow
+    and no BaserunnerCredit."""
+    calls = {"FieldingRow": 0, "BaserunnerCredit": 0}
+    for cls in (defense.FieldingRow, offense.BaserunnerCredit):
+        monkeypatch.setattr(cls, "__init__",
+                            _counted(calls, cls.__name__, cls.__init__))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        build_ledger(season)
+    assert calls == {"FieldingRow": 0, "BaserunnerCredit": 0}
 
 
 def test_ledger_builds_no_dense_design(season, monkeypatch):

@@ -7,8 +7,8 @@ from openwar.events import SeasonDataset
 from openwar.offense import (
     OUT_RANK,
     AdvancementTable,
+    _baserunning,
     advancement_probabilities,
-    apportion_baserunning,
     apportion_offense,
     fit_park_platoon,
     park_platoon_design,
@@ -91,17 +91,17 @@ def test_apportion_baserunning_splits_eta():
         make_pa(g, 0, 1, "top", 0, 1, "Single", "1B", {1: "3B"}),
         make_pa(g, 1, 1, "top", 0, 1, "Single", "1B", {1: "O"}),
     ]
-    data = SeasonDataset.from_records(rows)
-    table = advancement_probabilities(data)
-    credits = apportion_baserunning(rows[0], 0.8, table)
-    assert {c.player_id for c in credits} == {"R1", "B1"}
-    assert sum(c.raa_br for c in credits) == pytest.approx(0.8)
+    table = advancement_probabilities(SeasonDataset.from_records(rows))
+    one = SeasonDataset.from_records(rows[:1])
+    kappa, raa_br = _baserunning(one, np.array([0.8]), table)
+    # columns: the runners on 1B, 2B and 3B, then the batter from base 0
+    assert one.player_ids[one.runner[0, 0]] == "R1"
+    assert one.player_ids[one.batter[0]] == "B1"
     # kappa(rank +2 | base 1) = 1.0 and kappa(rank +1 | base 0) = 1.0:
     # equal weights
-    by_id = {c.player_id: c for c in credits}
-    assert by_id["R1"].raa_br == pytest.approx(0.4)
-    assert by_id["B1"].raa_br == pytest.approx(0.4)
-    assert by_id["B1"].start_base == 0
+    assert kappa.tolist() == [[1.0, 0.0, 0.0, 1.0]]
+    assert raa_br[0] == pytest.approx([0.4, 0.0, 0.0, 0.4])
+    assert raa_br.sum() == pytest.approx(0.8)
 
 
 def test_apportion_baserunning_equal_split_fallback():
@@ -109,8 +109,10 @@ def test_apportion_baserunning_equal_split_fallback():
     pa = make_pa(g, 0, 1, "top", 0, 1, "Single", "1B", {1: "2B"})
     # a table whose only mass sits above every achievable rank
     table = AdvancementTable(cells={}, pooled={}, global_cdf=[(9, 1.0)])
-    credits = apportion_baserunning(pa, 1.0, table)
-    assert all(c.raa_br == pytest.approx(0.5) for c in credits)
+    kappa, raa_br = _baserunning(SeasonDataset.from_records([pa]),
+                                 np.array([1.0]), table)
+    assert kappa.tolist() == [[0.0] * 4]
+    assert raa_br[0] == pytest.approx([0.5, 0.0, 0.0, 0.5])
 
 
 def test_batter_always_credited():
@@ -118,18 +120,15 @@ def test_batter_always_credited():
     pa = make_pa(g, 0, 1, "top", 0, 0, "Strikeout", "O")
     table = AdvancementTable(cells={}, pooled={},
                              global_cdf=[(OUT_RANK, 0.3), (1, 1.0)])
-    credits = apportion_baserunning(pa, -0.2, table)
-    assert len(credits) == 1
-    assert credits[0].player_id == "B1"
-    assert credits[0].raa_br == pytest.approx(-0.2)
+    _, raa_br = _baserunning(SeasonDataset.from_records([pa]),
+                             np.array([-0.2]), table)
+    assert raa_br[0] == pytest.approx([0.0, 0.0, 0.0, -0.2])
 
 
 def test_offense_chain_identities(pipeline):
     """delta decomposes exactly into fitted means + hitter + runner credits."""
     off = pipeline.ledger.offense
-    n = len(pipeline.ledger.deltas)
-    credit_sums = np.array([sum(c.raa_br for c in off.runner_credits[i])
-                            for i in range(n)])
+    credit_sums = off.raa_br.sum(axis=1)
     assert np.max(np.abs(credit_sums - off.eta_hat)) < 1e-10
     recon = (off.park_fit.fitted + off.position_fit.fitted
              + off.raa_hit + credit_sums)
@@ -140,8 +139,8 @@ def test_offense_chain_identities(pipeline):
 
 
 def test_runner_credit_weights_are_probabilities(pipeline):
-    off = pipeline.ledger.offense
-    for i, credits in enumerate(off.runner_credits):
-        assert credits, "every plate appearance carries a batter credit"
-        for c in credits:
-            assert 0.0 <= c.kappa <= 1.0 + 1e-12
+    data, off = pipeline.ledger.data, pipeline.ledger.offense
+    on = np.column_stack([data.runner, data.batter]) >= 0
+    assert on[:, 3].all(), "every plate appearance carries a batter credit"
+    assert np.all((off.kappa >= 0.0) & (off.kappa <= 1.0 + 1e-12))
+    assert np.all(off.kappa[~on] == 0.0) and np.all(off.raa_br[~on] == 0.0)

@@ -1,6 +1,8 @@
 """Ledger orchestration tests."""
 
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from openwar.pipeline import build_ledger
 from openwar.simulate import generate_synthetic_season
 from openwar.valuation import COMPONENTS
 
-from fixtures import assert_same_fit, dense_design
+from fixtures import assert_same_fit, conservation_residuals, dense_design
 
 
 def test_credit_lines_and_bundles_agree(pipeline, season_records):
@@ -19,13 +21,17 @@ def test_credit_lines_and_bundles_agree(pipeline, season_records):
     credit bundles read off the offense and defense chains."""
     ledger = pipeline.ledger
     off, dfn = ledger.offense, ledger.defense
-    rows_by_index = dict(zip(dfn.bip_indices, dfn.fielding_rows))
+    raa_field = dict(zip(
+        dfn.bip_indices.tolist(),
+        dfn.fielding_park_fit.residuals.reshape(-1, 9).tolist()))
     bundles = []
     for i, pa in enumerate(season_records):
         bundle = [(pa.batter_id, "hit", float(off.raa_hit[i]))]
-        bundle += [(c.player_id, "br", c.raa_br) for c in off.runner_credits[i]]
-        bundle += [(r.player_id, "field", r.raa_field)
-                   for r in rows_by_index.get(i, ())]
+        bundle += [(pid, "br", v) for pid, v in zip(
+            pa.runner_ids + (pa.batter_id,), off.raa_br[i].tolist())
+            if pid is not None]
+        bundle += [(pid, "field", v) for pid, v in zip(
+            pa.fielder_ids, raa_field.get(i, ()))]
         bundle.append((pa.pitcher_id, "pitch", float(dfn.raa_pitch[i])))
         bundles.append(bundle)
 
@@ -37,6 +43,22 @@ def test_credit_lines_and_bundles_agree(pipeline, season_records):
                           table.component.tolist(), table.value.tolist()):
         from_table[p].append((table.player_ids[j], COMPONENTS[c], v))
     assert [sorted(b) for b in from_table] == [sorted(b) for b in bundles]
+
+
+def test_tracer_conservation_reads_the_chains(pipeline):
+    """perfbench's traced run measures conservation through the
+    `runner_credits` and `fielding_rows` views; it must read the same
+    residual as the chains' arrays."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = tracer.conservation_residual(pipeline.ledger)
+    offense, defense = conservation_residuals(pipeline.ledger)
+    ours = max(np.max(np.abs(offense)), np.max(np.abs(defense)))
+    assert traced <= 1e-10
+    # equal up to the rounding of adding the nine fielders in another order
+    assert traced == pytest.approx(ours, rel=0.0, abs=1e-15)
 
 
 def test_every_pa_has_hit_and_pitch_lines(pipeline, season_records):

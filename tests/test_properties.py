@@ -12,7 +12,7 @@ from openwar.pipeline import build_ledger
 from openwar.run_expectancy import estimate_matrix
 from openwar.simulate import DEFAULT_EVENT_PROBS, generate_synthetic_season
 
-from fixtures import half_innings
+from fixtures import conservation_residuals, half_innings
 
 _DEFAULT = np.array([DEFAULT_EVENT_PROBS[e] for e in EVENT_TYPES])
 
@@ -35,16 +35,10 @@ def test_conservation_and_telescoping_on_random_event_mixes(weights, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         ledger = build_ledger(data, matrix=matrix)
-    deltas, off, dfn = ledger.deltas, ledger.offense, ledger.defense
-
-    offense = (off.park_fit.fitted + off.position_fit.fitted + off.raa_hit
-               + off.raa_br.sum(axis=1))
-    assert np.max(np.abs(offense - deltas)) < 1e-10
-    field = np.zeros(len(data))
-    for i, rows in zip(dfn.bip_indices, dfn.fielding_rows):
-        field[i] = sum(r.raa_field + r.park_fitted for r in rows)
-    defense = dfn.raa_pitch + dfn.pitch_fit.fitted + field
-    assert np.max(np.abs(defense + deltas)) < 1e-10
+    offense, defense = conservation_residuals(ledger)
+    assert np.max(np.abs(offense)) < 1e-10
+    assert np.max(np.abs(defense)) < 1e-10
+    deltas = ledger.deltas
     assert abs(ledger.credits.value.sum()) <= 1e-8 * np.abs(deltas).sum()
 
     rho00 = matrix.rho[(0, 0)]

@@ -99,6 +99,13 @@ def test_empty_replacement_pool_warns():
     assert pool.rates == {c: 0.0 for c in COMPONENTS}
 
 
+@pytest.mark.parametrize("cutoffs", [(-1, 0), (0, -1)])
+def test_negative_cutoff_is_rejected(cutoffs):
+    vals = {"a": PlayerValuation(player_id="a", name="a")}
+    with pytest.raises(ValueError, match="cutoffs must be >= 0"):
+        build_replacement_pool(vals, *cutoffs)
+
+
 def test_shadow_scales_with_playing_time():
     ledger, roster = _uniform_league()
     vals, pool = value_players(ledger, roster, cutoff_pos=0, cutoff_pitch=0)

@@ -30,11 +30,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _default_seed():
-    env = os.environ.get("OPENWAR_SEED")
-    return int(env) if env else 0
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="openwar",
@@ -135,6 +130,22 @@ def _non_negative(name, value):
     return value
 
 
+def _seed(args):
+    """The seed of `simulate` and `boot`: --seed, else OPENWAR_SEED, else 0.
+    It is stored back in `args`, so the config line records it."""
+    source = "--seed"
+    if args.seed is None:
+        source, env = "OPENWAR_SEED", os.environ.get("OPENWAR_SEED") or "0"
+        try:
+            args.seed = int(env)
+        except ValueError:
+            raise ConfigError(
+                f"OPENWAR_SEED must be an integer, not {env!r}") from None
+    if args.seed < 0:
+        raise ConfigError(f"{source} must be >= 0, not {args.seed}")
+    return args.seed
+
+
 def _load(args):
     with open(args.input, encoding="utf-8") as fh:
         return parse_season(fh, "strict" if args.strict else "lenient")
@@ -153,7 +164,11 @@ def cmd_validate(args):
 
 
 def cmd_simulate(args):
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
+    if args.games < 1:
+        raise ConfigError(f"--games must be >= 1, not {args.games}")
+    if args.teams < 2:
+        raise ConfigError(f"--teams must be >= 2, not {args.teams}")
     data = generate_synthetic_season(args.games, seed, teams=args.teams)
     _write(args.out, serialize_season(data), _config_echo(args))
     print(f"wrote {len(data)} plate appearances to {args.out}")
@@ -196,8 +211,7 @@ def cmd_war(args):
 def cmd_boot(args):
     if args.replicates < 1:
         raise ConfigError(f"--replicates must be >= 1, not {args.replicates}")
-    seed = _non_negative(
-        "seed", args.seed if args.seed is not None else _default_seed())
+    seed = _seed(args)
     result = _run(args, args.compare)
     config = BootstrapConfig(replicates=args.replicates, master_seed=seed)
     dist = bootstrap_war(result.ledger, result.valuations, result.pool,

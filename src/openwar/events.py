@@ -233,10 +233,17 @@ class SeasonDataset:
 
     @classmethod
     def from_records(cls, records, roster=None, parks=None):
-        """Code a sequence of PlateAppearance rows.  Records are not checked
-        (`validate_dataset` does that): a string outside its column's
-        vocabulary is stored as absent.  Coordinates must be finite."""
-        raw = _raw_columns(list(records))
+        """Code a sequence of PlateAppearance rows (see `from_columns`)."""
+        return cls.from_columns(_raw_columns(list(records)), roster, parks)
+
+    @classmethod
+    def from_columns(cls, raw, roster=None, parks=None):
+        """Code a season given as its CSV fields: `raw` maps each name in
+        CSV_COLUMNS + OPTIONAL_COLUMNS to one sequence of values per record,
+        with None or "" where a field is absent (coordinates absent only as
+        "").  Records are not checked (`validate_dataset` does that): a
+        string outside its column's vocabulary is stored as absent.  Numbers
+        must parse and coordinates must be finite."""
         tables = {"game": {}, "player": {}, "park": {}}
         cols, malformed = _code_columns(raw, tables)
         if malformed.any():

@@ -9,14 +9,17 @@ byte-identical output.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .events import (
     BALL_IN_PLAY,
+    CSV_COLUMNS,
     EVENT_TYPES,
     FIELDING_POSITIONS,
-    GameState,
-    PlateAppearance,
+    HANDS,
+    OPTIONAL_COLUMNS,
     SeasonDataset,
 )
 from .numerics import master_rng
@@ -76,35 +79,39 @@ class _Player:
         self.skill = skill
 
 
+def _cdf(p):
+    """The table that `Generator.choice(len(p), p=p)` searches, built as
+    numpy builds it: `bisect_right(_cdf(p), rng.random())` consumes the same
+    double and returns the same index, without re-checking and re-summing
+    `p` on every draw (inverse-CDF sampling, Devroye 1986, ch. 3)."""
+    c = np.asarray(p, dtype=float).cumsum()
+    c /= c[-1]
+    return c.tolist()
+
+
+_FIELDER_HANDS = _cdf([0.30, 0.62, 0.08])
+_PITCHER_HANDS = _cdf([0.28, 0.72, 0.0])
+
+
 def _build_league(n_teams, rng):
+    def player(pid, name, hands, position, skill):
+        hand = HANDS[bisect_right(hands, rng.random())]
+        return _Player(pid, name, hand, position, skill)
+
     teams = []
-    hands = np.array(["L", "R", "S"])
     for t in range(n_teams):
         code = f"T{t + 1:02d}"
-        starters = {}
-        for pos in _LINEUP_POSITIONS:
-            pid = f"{code}_{pos}"
-            starters[pos] = _Player(
-                pid, f"{code} starting {pos}",
-                str(rng.choice(hands, p=[0.30, 0.62, 0.08])), pos, 1.0)
-        bench = []
-        for k, pos in enumerate(("C", "SS", "LF", "1B")):
-            pid = f"{code}_BN{k + 1}"
-            bench.append(_Player(
-                pid, f"{code} bench {k + 1}",
-                str(rng.choice(hands, p=[0.30, 0.62, 0.08])), pos, 0.60))
-        rotation = []
-        for k in range(3):
-            pid = f"{code}_SP{k + 1}"
-            rotation.append(_Player(
-                pid, f"{code} starter {k + 1}",
-                str(rng.choice(hands, p=[0.28, 0.72, 0.0])), "P", 1.0))
-        relievers = []
-        for k in range(3):
-            pid = f"{code}_RP{k + 1}"
-            relievers.append(_Player(
-                pid, f"{code} reliever {k + 1}",
-                str(rng.choice(hands, p=[0.28, 0.72, 0.0])), "P", 0.70))
+        starters = {
+            pos: player(f"{code}_{pos}", f"{code} starting {pos}",
+                        _FIELDER_HANDS, pos, 1.0)
+            for pos in _LINEUP_POSITIONS}
+        bench = [player(f"{code}_BN{k + 1}", f"{code} bench {k + 1}",
+                        _FIELDER_HANDS, pos, 0.60)
+                 for k, pos in enumerate(("C", "SS", "LF", "1B"))]
+        rotation = [player(f"{code}_SP{k + 1}", f"{code} starter {k + 1}",
+                           _PITCHER_HANDS, "P", 1.0) for k in range(3)]
+        relievers = [player(f"{code}_RP{k + 1}", f"{code} reliever {k + 1}",
+                            _PITCHER_HANDS, "P", 0.70) for k in range(3)]
         teams.append({
             "code": code, "park": f"PARK_{code}", "starters": starters,
             "bench": bench, "rotation": rotation, "relievers": relievers,
@@ -317,9 +324,11 @@ def _apply_event(event, outs, bases, rng):
 
 
 def _bip_location(event, rng):
+    # lo + (hi - lo) * random() is how Generator.uniform(lo, hi) draws
     lo, hi = _BIP_RANGE.get(event, (60, 250))
-    r = rng.uniform(lo, hi)
-    psi = rng.uniform(-np.pi / 4, np.pi / 4)  # fair territory spans 90 degrees
+    r = lo + (hi - lo) * rng.random()
+    lo, hi = -np.pi / 4, np.pi / 4  # fair territory spans 90 degrees
+    psi = lo + (hi - lo) * rng.random()
     x = round(float(r * np.sin(psi)), 1)
     y = round(float(r * np.cos(psi)), 1)
     return (x, max(y, 1.0))
@@ -368,7 +377,10 @@ def generate_synthetic_season(games, seed, event_probs=None, teams=4):
                 team["rotation"] + team["relievers"]:
             roster[p.pid] = p.name
 
-    pas = []
+    # one tuple per plate appearance: its fields in CSV_COLUMNS +
+    # OPTIONAL_COLUMNS order, as SeasonDataset.from_columns takes them
+    rows = []
+    cdfs = {}  # (batter skill, pitcher skill) -> CDF of the event draw
     for g in range(games):
         away = league[(2 * g) % teams]
         home = league[(2 * g + 1) % teams]
@@ -408,7 +420,9 @@ def generate_synthetic_season(games, seed, event_probs=None, teams=4):
                     pitcher.pid if pos == "P" else field_map[pos].pid
                     for pos in FIELDING_POSITIONS)
 
-                outs, bases = 0, {}
+                # bases maps base number -> id of the runner on it; mask
+                # is its occupancy bitmask
+                outs, bases, mask = 0, {}, 0
                 while outs < 3:
                     batter, position = lineups[half][slot[half] % 9]
                     batter_position = position
@@ -418,49 +432,38 @@ def generate_synthetic_season(games, seed, event_probs=None, teams=4):
                         batter_position = "PH"
                     slot[half] += 1
 
-                    w = _event_weights(probs, batter.skill, pitcher.skill)
-                    event = EVENT_TYPES[int(rng.choice(len(EVENT_TYPES), p=w))]
+                    skills = (batter.skill, pitcher.skill)
+                    cdf = cdfs.get(skills)
+                    if cdf is None:
+                        cdf = cdfs[skills] = _cdf(_event_weights(probs, *skills))
+                    event = EVENT_TYPES[bisect_right(cdf, rng.random())]
                     event, batter_dest, dests, new_outs, new_bases = \
                         _apply_event(event, outs, bases, rng)
                     if batter_dest in ("1B", "2B", "3B") and new_outs < 3:
-                        new_bases[int(batter_dest[0])] = batter
+                        new_bases[int(batter_dest[0])] = batter.pid
 
-                    runs = sum(1 for d in dests.values() if d == "H")
-                    runs += 1 if batter_dest == "H" else 0
-                    bip = _bip_location(event, rng) if BALL_IN_PLAY[event] else None
-                    outs_on_play = new_outs - outs
-                    credited = (
-                        _credited_position(bip)
-                        if bip is not None and outs_on_play > 0 else None)
+                    runs = list(dests.values()).count("H") + (batter_dest == "H")
+                    if BALL_IN_PLAY[event]:
+                        bip = _bip_location(event, rng)
+                        credited = (_credited_position(bip) if new_outs > outs
+                                    else None)
+                    else:
+                        bip, credited = ("", ""), None
 
                     pa_index += 1
-                    pas.append(PlateAppearance(
-                        game_id=game_id,
-                        pa_index=pa_index,
-                        inning=inning,
-                        half=half,
-                        batter_id=batter.pid,
-                        pitcher_id=pitcher.pid,
-                        start_state=GameState(outs, _mask(bases)),
-                        end_state=GameState(new_outs, _mask(new_bases) if new_outs < 3 else 0),
-                        runner_ids=tuple(
-                            bases[b].pid if b in bases else None for b in (1, 2, 3)),
-                        runner_dests=tuple(
-                            dests.get(b) if b in bases else None for b in (1, 2, 3)),
-                        batter_dest=batter_dest,
-                        runs_scored=runs,
-                        event_type=event,
-                        ballpark_id=park,
-                        batter_hand=batter.hand,
-                        pitcher_hand=pitcher.hand,
-                        batter_position=batter_position,
-                        fielder_ids=fielder_ids,
-                        bip_location=bip,
-                        credited_fielder_position=credited,
-                    ))
-                    outs, bases = new_outs, new_bases
+                    new_mask = _mask(new_bases)
+                    rows.append((
+                        game_id, pa_index, inning, half, batter.pid, pitcher.pid,
+                        outs, mask, new_outs, new_mask,
+                        bases.get(1), bases.get(2), bases.get(3),
+                        dests.get(1), dests.get(2), dests.get(3),
+                        batter_dest, runs, event, park, batter.hand,
+                        pitcher.hand, batter_position, *fielder_ids, *bip,
+                        credited))
+                    outs, bases, mask = new_outs, new_bases, new_mask
 
-    return SeasonDataset.from_records(pas, roster=roster, parks=parks)
+    raw = dict(zip(CSV_COLUMNS + OPTIONAL_COLUMNS, zip(*rows)))
+    return SeasonDataset.from_columns(raw, roster=roster, parks=parks)
 
 
 def _mask(bases):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -190,8 +191,9 @@ def value_players(ledger, roster, cutoff_pos=DEFAULT_CUTOFF_POS,
 
 def runs_per_win(p, r):
     """Runs equivalent to one win over 162 games: 2r / (81p)."""
-    if p <= 0 or r <= 0:
-        raise ValueError("exponent and runs-per-season must be positive")
+    if not (p > 0 and math.isfinite(p) and r > 0 and math.isfinite(r)):
+        raise ValueError("exponent and runs-per-season must be positive "
+                         "and finite")
     return 2.0 * r / (81.0 * p)
 
 

@@ -27,8 +27,10 @@ def test_pythag_prints_runs_per_win(capsys):
     assert capsys.readouterr().out.strip() == "10.0"
 
 
-def test_pythag_bad_input_is_validation_error(capsys):
-    assert main(["pythag", "--pythag-p", "0", "--pythag-r", "810"]) \
+@pytest.mark.parametrize("p,r", [("0", "810"), ("nan", "800"), ("inf", "800"),
+                                 ("2", "nan"), ("2", "inf")])
+def test_pythag_bad_input_is_validation_error(capsys, p, r):
+    assert main(["pythag", "--pythag-p", p, "--pythag-r", r]) \
         == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "validation"
@@ -64,6 +66,10 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert main(["simulate", "--games", "2", "--out", str(out2)]) == EXIT_OK
     body = lambda p: p.read_bytes().split(b"\n", 1)[1]
     assert body(out1) != body(out2)  # env seed 123 vs default seed 0
+    # the config line records the seed that was used, not the absent flag
+    seed = lambda p: json.loads(
+        p.read_text().splitlines()[0][len("# config: "):])["seed"]
+    assert (seed(out1), seed(out2)) == (123, 0)
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -256,19 +262,30 @@ _BAD_FIT = (["--bandwidth-x", "0", "--bandwidth-y", "30"],
             ["--cutoff-pos", "-1"], ["--cutoff-pitch", "-1"])
 
 
+_BAD_SEED = (["--seed", "-1"], ["OPENWAR_SEED=-2"], ["OPENWAR_SEED=abc"])
+
+
 @pytest.mark.parametrize("command,flags", [
     pytest.param(command, flags, id=f"{command} {' '.join(flags)}")
     for command, flags in
     [(c, f) for c in ("war", "boot") for f in _BAD_RPW + _BAD_FIT]
-    + [("boot", ["--replicates", "0"]), ("boot", ["--replicates", "-2"]),
-       ("boot", ["--seed", "-1"])]])
+    + [("boot", ["--replicates", "0"]), ("boot", ["--replicates", "-2"])]
+    + [(c, f) for c in ("boot", "simulate") for f in _BAD_SEED]
+    + [("simulate", ["--games", "0"]), ("simulate", ["--teams", "1"])]])
 def test_bad_config_value_is_config_error(tmp_path, war_season, capsys,
                                           monkeypatch, command, flags):
     """Values that parse but make no configuration exit 2 before the
-    season is read, and write nothing."""
+    season is read or generated, and write nothing.  A NAME=value entry
+    of `flags` sets that environment variable."""
     monkeypatch.setattr(cli, "parse_season", _must_not_run)
-    assert main([command, "--input", str(war_season), "--out",
-                 str(tmp_path / "out"), *flags]) == EXIT_CONFIG
+    monkeypatch.setattr(cli, "generate_synthetic_season", _must_not_run)
+    monkeypatch.delenv("OPENWAR_SEED", raising=False)
+    for name, value in (f.split("=") for f in flags if "=" in f):
+        monkeypatch.setenv(name, value)
+    flags = [f for f in flags if "=" not in f]
+    source = [] if command == "simulate" else ["--input", str(war_season)]
+    assert main([command, *source, "--out", str(tmp_path / "out"),
+                 *flags]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
     assert err["kind"] == "config"
     assert not (tmp_path / "out").exists()

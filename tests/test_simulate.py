@@ -1,13 +1,20 @@
 """Synthetic season generator tests."""
 
+import hashlib
+from bisect import bisect_right
+from collections import Counter
+
+import numpy as np
 import pytest
 
+from openwar import simulate
 from openwar.events import (
     EVENT_TYPES,
     parse_season,
     serialize_season,
     validate_dataset,
 )
+from openwar.numerics import master_rng
 from openwar.simulate import DEFAULT_EVENT_PROBS, generate_synthetic_season
 
 from fixtures import half_innings, records
@@ -111,3 +118,89 @@ def test_roster_covers_all_participants(season, season_records):
         assert pa.pitcher_id in season.roster
         for fid in pa.fielder_ids:
             assert fid in season.roster
+
+
+#: a custom mix with zero entries, so CDFs carry runs of equal values
+_SPARSE = {**dict.fromkeys(EVENT_TYPES, 0.0), "Strikeout": 0.3, "Single": 0.25,
+           "Groundout": 0.2, "Home Run": 0.1, "Walk": 0.15}
+
+
+def _draw_tables():
+    """name -> (p, table) for every distribution the generator draws from:
+    the hands, and the events of each (batter, pitcher) skill pair."""
+    tables = {"fielder hands": ([0.30, 0.62, 0.08], simulate._FIELDER_HANDS),
+              "pitcher hands": ([0.28, 0.72, 0.0], simulate._PITCHER_HANDS)}
+    for name, mix in (("default", DEFAULT_EVENT_PROBS), ("sparse", _SPARSE)):
+        probs = np.array([mix[e] for e in EVENT_TYPES])
+        for batter_skill in (1.0, 0.6):
+            for pitcher_skill in (1.0, 0.7):
+                w = simulate._event_weights(probs, batter_skill, pitcher_skill)
+                tables[f"{name} {batter_skill} v {pitcher_skill}"] = \
+                    (w, simulate._cdf(w))
+    return tables
+
+
+def _bip_location_reference(event, rng):
+    """`_bip_location` drawing through `Generator.uniform`."""
+    lo, hi = simulate._BIP_RANGE.get(event, (60, 250))
+    r = rng.uniform(lo, hi)
+    psi = rng.uniform(-np.pi / 4, np.pi / 4)
+    x = round(float(r * np.sin(psi)), 1)
+    y = round(float(r * np.cos(psi)), 1)
+    return (x, max(y, 1.0))
+
+
+@pytest.mark.parametrize("name", list(_draw_tables()))
+def test_table_draws_match_generator_choice(name):
+    """A bisect of the cached CDF draws what `Generator.choice(p=w)` draws
+    from a twin generator, consuming the same stream."""
+    p, table = _draw_tables()[name]
+    ours, numpy_s = master_rng(len(name)), master_rng(len(name))
+    drawn = [bisect_right(table, ours.random()) for _ in range(2000)]
+    assert drawn == [int(numpy_s.choice(len(p), p=p)) for _ in range(2000)]
+    assert ours.random() == numpy_s.random()
+
+
+def test_bip_location_matches_generator_uniform():
+    ours, numpy_s = master_rng(8), master_rng(8)
+    for event in [*simulate._BIP_RANGE, "Home Run"] * 50:
+        assert simulate._bip_location(event, ours) \
+            == _bip_location_reference(event, numpy_s)
+    assert ours.random() == numpy_s.random()
+
+
+@pytest.mark.parametrize("games,seed,event_probs,digest", [
+    (60, 11, None,
+     "647e57e0aea2f86fe884319372cdd78c1929c57460abba7853cd612afd550e5e"),
+    (20, 3, _SPARSE,
+     "8d5a9cd68866e4fd675387e769ab54e4526c5eaba3c396c1303207ef4c5d9b19"),
+], ids=["default", "sparse"])
+def test_season_bytes_are_pinned(games, seed, event_probs, digest):
+    """The serialized season of a seed never changes.  The digests depend
+    on numpy's Generator streams, so a numpy upgrade can move them."""
+    data = generate_synthetic_season(games, seed, event_probs, teams=4)
+    assert hashlib.sha256(serialize_season(data).encode()).hexdigest() == digest
+
+
+class _CountingRng:
+    """A Generator that counts the methods read from it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, Counter()
+
+    def __getattr__(self, name):
+        self.calls[name] += 1
+        return getattr(self.rng, name)
+
+
+def test_season_makes_no_choice_calls(monkeypatch):
+    made = []
+
+    def counting_rng(seed):
+        made.append(_CountingRng(master_rng(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(simulate, "master_rng", counting_rng)
+    data = generate_synthetic_season(20, 11, teams=4)
+    assert made[0].calls["choice"] == 0 and made[0].calls["uniform"] == 0
+    assert made[0].calls["random"] > len(data)  # every event is one draw

@@ -9,7 +9,7 @@ from openwar.simulate import generate_synthetic_season
 # Identical (games, seed) pairs always produce byte-identical seasons.
 season = generate_synthetic_season(games=20, seed=42)
 print(f"generated {len(season)} plate appearances "
-      f"across {len(season.parks)} parks, roster of {len(season.roster)}")
+      f"across {len(season.park_ids)} parks, roster of {len(season.roster)}")
 
 # Serialize to the flat CSV schema and parse it back.
 text = serialize_season(season)

@@ -220,24 +220,22 @@ class SeasonDataset:
     when a record has no ball-in-play location.
     """
 
-    def __init__(self, columns, game_ids, player_ids, park_ids, roster=None,
-                 parks=None):
+    def __init__(self, columns, game_ids, player_ids, park_ids, roster=None):
         vars(self).update(columns)  # the columns described above
         self.game_ids, self.player_ids, self.park_ids = \
             game_ids, player_ids, park_ids
         self.roster = {p: p for p in player_ids} if roster is None else roster
-        self.parks = set(park_ids) if parks is None else parks
 
     def __len__(self):
         return len(self.game)
 
     @classmethod
-    def from_records(cls, records, roster=None, parks=None):
+    def from_records(cls, records, roster=None):
         """Code a sequence of PlateAppearance rows (see `from_columns`)."""
-        return cls.from_columns(_raw_columns(list(records)), roster, parks)
+        return cls.from_columns(_raw_columns(list(records)), roster)
 
     @classmethod
-    def from_columns(cls, raw, roster=None, parks=None):
+    def from_columns(cls, raw, roster=None):
         """Code a season given as its CSV fields: `raw` maps each name in
         CSV_COLUMNS + OPTIONAL_COLUMNS to one sequence of values per record,
         with None or "" where a field is absent (coordinates absent only as
@@ -249,7 +247,7 @@ class SeasonDataset:
         if malformed.any():
             row = [raw[f][int(np.argmax(malformed))] for f in _FIELDS]
             raise RecordError(_row_problems(_FIELDS, row)[0])
-        return _finish([cols], tables, roster, parks)
+        return _finish([cols], tables, roster)
 
     def record(self, i):
         """Row view: plate appearance `i` as a PlateAppearance."""
@@ -285,7 +283,8 @@ def _raw_columns(pas):
         raw[f"f{j + 1}"] = get("fielder_ids", j)
     locations = get("bip_location")
     for k, f in enumerate(("bip_x", "bip_y")):
-        raw[f] = tuple("" if xy is None else xy[k] for xy in locations)
+        raw[f] = tuple("" if xy is None or xy[k] is None else xy[k]
+                       for xy in locations)
     return raw
 
 
@@ -391,7 +390,7 @@ def _renumber(index, columns):
     return [ids[k] for k in order]
 
 
-def _finish(blocks, tables, roster=None, parks=None):
+def _finish(blocks, tables, roster=None):
     """Join coded blocks into a SeasonDataset with sorted id tables."""
     cols = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
     for name, _, coding in _CODED:
@@ -399,8 +398,7 @@ def _finish(blocks, tables, roster=None, parks=None):
             np.maximum(cols[name], -1, out=cols[name])
     ids = {t: _renumber(index, [cols[name] for name, _, c in _CODED if c == t])
            for t, index in tables.items()}
-    return SeasonDataset(cols, ids["game"], ids["player"], ids["park"],
-                         roster, parks)
+    return SeasonDataset(cols, ids["game"], ids["player"], ids["park"], roster)
 
 
 @dataclass

@@ -96,71 +96,40 @@ def _outcomes(data):
     return on, player[on], event[on], base[on], rank[on]
 
 
-def _cell(event, base, rank):
-    """One integer per (event code, base, rank) outcome cell; ranks lie in
-    -2..4.  Sorting these is much faster than sorting rows."""
-    return (event * 4 + base) * 16 + rank + 8
-
-
-def _uncell(c):
-    """(event type, base, rank) of a `_cell` code."""
-    return EVENT_TYPES[c // 64], c // 16 % 4, c % 16 - 8
+#: advancement ranks lie in -2 (third base back to first) .. 4 (batter scores)
+_MIN_RANK, _N_RANKS = -2, 7
 
 
 @dataclass
 class AdvancementTable:
     """Empirical cumulative advancement probabilities per (event, start base).
 
-    kappa(event, base, rank) = Pr(K <= rank) within the cell; sparse cells
-    fall back to pooling over start bases, then over everything.
+    cdf[e, b, r + 2] = Pr(K <= r) within the cell of event code e and start
+    base b (0 for the batter); sparse cells fall back to pooling over start
+    bases, then over everything.
     """
 
-    cells: dict  # (event, base) -> list of (rank, cum_prob)
-    pooled: dict  # event -> list of (rank, cum_prob)
-    global_cdf: list
-
-    @staticmethod
-    def _cdf(counts):
-        total = sum(counts.values())
-        cdf, running = [], 0
-        for rank in sorted(counts):
-            running += counts[rank]
-            cdf.append((rank, running / total))
-        return cdf
-
-    @staticmethod
-    def _lookup(cdf, rank):
-        prob = 0.0
-        for r, c in cdf:
-            if r <= rank:
-                prob = c
-            else:
-                break
-        return prob
+    cdf: np.ndarray  # (len(EVENT_TYPES), 4, _N_RANKS)
 
     def kappa(self, event, base, rank):
-        cdf = self.cells.get((event, base)) or self.pooled.get(event) \
-            or self.global_cdf
-        return self._lookup(cdf, rank)
+        """Pr(K <= rank) for rank in -2..4."""
+        return float(self.cdf[EVENT_TYPES.index(event), base, rank - _MIN_RANK])
 
 
 def advancement_probabilities(data):
     _, _, event, base, rank = _outcomes(data)
-
-    def cdfs(label, event, base):
-        """The cdf of the ranks within each (event, base) cell, keyed by
-        label(event, base)."""
-        counts = {}
-        cells, sizes = np.unique(_cell(event, base, rank), return_counts=True)
-        for c, size in zip(cells.tolist(), sizes.tolist()):
-            e, b, r = _uncell(c)
-            counts.setdefault(label(e, b), {})[r] = size
-        return {k: AdvancementTable._cdf(v) for k, v in counts.items()}
-
-    return AdvancementTable(
-        cells=cdfs(lambda e, b: (e, b), event, base),
-        pooled=cdfs(lambda e, b: e, event, 0),
-        global_cdf=cdfs(lambda e, b: None, 0, 0).get(None, []))
+    counts = np.bincount((event * 4 + base) * _N_RANKS + rank - _MIN_RANK,
+                         minlength=len(EVENT_TYPES) * 4 * _N_RANKS
+                         ).reshape(len(EVENT_TYPES), 4, _N_RANKS)
+    pooled = counts.sum(axis=1, keepdims=True)
+    pooled = np.where(pooled.any(axis=2, keepdims=True), pooled,
+                      counts.sum(axis=(0, 1)))
+    counts = np.where(counts.any(axis=2, keepdims=True), counts, pooled)
+    # float division of integer counts: each cell is Python's running / total
+    running = counts.cumsum(axis=2)
+    total = running[..., -1:]
+    return AdvancementTable(np.divide(running, total, where=total > 0,
+                                      out=np.zeros(running.shape)))
 
 
 def _baserunning(data, eta_hat, table):
@@ -173,10 +142,8 @@ def _baserunning(data, eta_hat, table):
     cells) falls back to an equal split.
     """
     on, _, event, base, rank = _outcomes(data)
-    cells, which = np.unique(_cell(event, base, rank), return_inverse=True)
     kappa = np.zeros(on.shape)
-    kappa[on] = np.array([table.kappa(*_uncell(c))
-                          for c in cells.tolist()])[which]
+    kappa[on] = table.cdf[event, base, rank - _MIN_RANK]
     # summed left to right, runner by runner; empty bases add 0
     total = kappa[:, 0] + kappa[:, 1] + kappa[:, 2] + kappa[:, 3]
     weights = on / on.sum(axis=1, keepdims=True)

@@ -129,23 +129,43 @@ def _event_weights(probs, batter_skill, pitcher_skill):
     return w / s if s > 0 else w
 
 
-def _advance(base, n):
-    target = base + n
-    return "H" if target >= 4 else f"{target}B"
+# the runners an event puts out, as a slice of the runners lead first
+_NOBODY, _LEAD, _LEAD_TWO, _SECOND = slice(0), slice(1), slice(2), slice(1, 2)
+_FIRST = slice(-1, None)  # _downgrade keeps these events only with 1B occupied
+
+# event -> (batter destination, outs made, runners put out)
+_OUTCOMES = {
+    "Strikeout": ("O", 1, _NOBODY), "Batter Interference": ("O", 1, _NOBODY),
+    "Strikeout - DP": ("O", 2, _LEAD), "Walk": ("1B", 0, _NOBODY),
+    "Intent Walk": ("1B", 0, _NOBODY), "Hit By Pitch": ("1B", 0, _NOBODY),
+    "Catcher Interference": ("1B", 0, _NOBODY), "Home Run": ("H", 0, _NOBODY),
+    "Single": ("1B", 0, _NOBODY), "Double": ("2B", 0, _NOBODY),
+    "Triple": ("3B", 0, _NOBODY), "Field Error": ("1B", 0, _NOBODY),
+    "Fan interference": ("2B", 0, _NOBODY), "Groundout": ("O", 1, _NOBODY),
+    "Bunt Groundout": ("O", 1, _NOBODY), "Flyout": ("O", 1, _NOBODY),
+    "Pop Out": ("O", 1, _NOBODY), "Lineout": ("O", 1, _NOBODY),
+    "Bunt Pop Out": ("O", 1, _NOBODY), "Bunt Lineout": ("O", 1, _NOBODY),
+    "Sac Fly": ("O", 1, _NOBODY), "Sac Fly DP": ("O", 2, _SECOND),
+    "Sac Bunt": ("O", 1, _NOBODY), "Sacrifice Bunt DP": ("O", 2, _LEAD),
+    "Grounded Into DP": ("O", 2, _FIRST), "Double Play": ("O", 2, _LEAD),
+    "Triple Play": ("O", 3, _LEAD_TWO), "Forceout": ("1B", 1, _FIRST),
+    "Fielders Choice Out": ("1B", 1, _FIRST),
+    "Fielders Choice": ("1B", 0, _NOBODY), "Runner Out": ("1B", 1, _LEAD),
+    "null": ("O", 1, _NOBODY),
+}
+
+# events that move only the runners forced by the batter taking first
+_FORCED_ONLY = frozenset({"Walk", "Intent Walk", "Hit By Pitch",
+                          "Catcher Interference"})
+# bases every runner moves up on the events _step gives no rule of its own
+_STEPS = {"Home Run": 4, "Triple": 4, "Field Error": 1, "Fan interference": 2,
+          "Sac Bunt": 1, "Fielders Choice": 1}
 
 
-def _apply_event(event, outs, bases, rng):
-    """Resolve one event against the current base-out situation.
-
-    `bases` maps base number -> runner id.  Returns (event, batter_dest,
-    dests, new_outs, new_bases) where `dests` maps start base -> code and
-    `event` may have been downgraded when its prerequisites are unmet
-    (e.g. a double play with nobody on).
-    """
-    lead = max(bases) if bases else None
+def _downgrade(event, outs, bases):
+    """`event`, or the lesser event it becomes when its situation
+    prerequisites are unmet (e.g. a double play with nobody on)."""
     n_runners = len(bases)
-
-    # downgrade events whose situation prerequisites are not met
     if event == "Strikeout - DP" and (n_runners == 0 or outs > 1):
         event = "Strikeout"
     if event in ("Grounded Into DP",) and (1 not in bases or outs > 1):
@@ -166,161 +186,62 @@ def _apply_event(event, outs, bases, rng):
         event = "Groundout"
     if event in ("Runner Out", "Fielders Choice") and n_runners == 0:
         event = "Single"
+    return event
 
-    dests = {}
+
+def _step(event, base, outs, bases, taken, rng):
+    """How many bases the runner on `base` moves up; `taken` holds the
+    bases already given to the runners ahead of it.  Only singles, doubles
+    and groundouts with fewer than two outs draw from `rng`."""
+    if event in _FORCED_ONLY:
+        return int(all(b in bases for b in range(1, base)))
+    if event == "Single":
+        if base == 3:
+            return 1
+        if base == 2:
+            return 2 if rng.random() < 0.55 else 1
+        return 2 if rng.random() < 0.28 and 3 not in taken else 1
+    if event == "Double":
+        return 3 if base == 1 and rng.random() < 0.40 else 2
+    if event in ("Groundout", "Bunt Groundout"):
+        return int(outs < 2 and rng.random() < 0.35)
+    if event in ("Sac Fly", "Sac Fly DP"):
+        return int(base == 3)
+    if event == "Grounded Into DP":
+        return int(outs == 0)
+    return _STEPS.get(event, 0)
+
+
+def _apply_event(event, outs, bases, rng):
+    """Resolve one event against the current base-out situation.
+
+    `bases` maps base number -> runner id.  Returns (event, batter_dest,
+    dests, new_outs, new_bases) where `dests` maps start base -> code and
+    `event` may have been downgraded (see `_downgrade`).  Runners move lead
+    runner first; one sent to an occupied base goes on to the next free
+    one, and one sent to base 4 or beyond scores.
+    """
+    event = _downgrade(event, outs, bases)
+    batter_dest, outs_made, put_out = _OUTCOMES[event]
+    lead_first = sorted(bases, reverse=True)
+    dests = dict.fromkeys(lead_first[put_out], "O")
     new_bases = {}
-    batter_dest = None
-    outs_made = 0
-
-    def place(base, runner, dest):
-        dests[base] = dest
-        if dest in ("1B", "2B", "3B"):
-            tb = int(dest[0])
-            while tb in new_bases:  # safety: never stack two runners
-                tb += 1
-                if tb >= 4:
-                    dests[base] = "H"
-                    return
-            dests[base] = f"{tb}B"
-            new_bases[tb] = runner
-
-    def hold_all(skip=()):
-        for b, r in bases.items():
-            if b not in dests and b not in skip:
-                place(b, r, f"{b}B")
-
-    if event in ("Strikeout", "Batter Interference"):
-        batter_dest, outs_made = "O", 1
-        hold_all()
-    elif event == "Strikeout - DP":
-        batter_dest, outs_made = "O", 2
-        dests[lead] = "O"
-        hold_all(skip=(lead,))
-    elif event in ("Walk", "Intent Walk", "Hit By Pitch", "Catcher Interference"):
-        batter_dest = "1B"
-        # forced runners move up one base
-        forced = []
-        b = 1
-        while b in bases:
-            forced.append(b)
-            b += 1
-        for b in sorted(bases, reverse=True):
-            if b in forced:
-                place(b, bases[b], _advance(b, 1))
-            else:
-                place(b, bases[b], f"{b}B")
-    elif event == "Home Run":
-        batter_dest = "H"
-        for b in sorted(bases, reverse=True):
-            dests[b] = "H"
-    elif event == "Single":
-        for b in sorted(bases, reverse=True):
-            if b == 3:
-                place(b, bases[b], "H")
-            elif b == 2:
-                place(b, bases[b], "H" if rng.random() < 0.55 else "3B")
-            else:
-                extra = rng.random() < 0.28 and 3 not in new_bases
-                place(b, bases[b], "3B" if extra else "2B")
-        batter_dest = "1B"
-    elif event == "Double":
-        for b in sorted(bases, reverse=True):
-            if b >= 2:
-                place(b, bases[b], "H")
-            else:
-                place(b, bases[b], "H" if rng.random() < 0.40 else "3B")
-        batter_dest = "2B"
-    elif event == "Triple":
-        for b in sorted(bases, reverse=True):
-            dests[b] = "H"
-        batter_dest = "3B"
-    elif event in ("Field Error", "Fan interference"):
-        step = 2 if event == "Fan interference" else 1
-        for b in sorted(bases, reverse=True):
-            place(b, bases[b], _advance(b, step))
-        batter_dest = "2B" if event == "Fan interference" else "1B"
-        if int(batter_dest[0]) in new_bases:
-            batter_dest = _advance(int(batter_dest[0]), 1)
-    elif event in ("Groundout", "Bunt Groundout"):
-        batter_dest, outs_made = "O", 1
-        if outs < 2:
-            for b in sorted(bases, reverse=True):
-                if rng.random() < 0.35:
-                    place(b, bases[b], _advance(b, 1))
-                else:
-                    place(b, bases[b], f"{b}B")
+    for base in lead_first:
+        if base in dests:
+            continue
+        target = base + _step(event, base, outs, bases, new_bases, rng)
+        while target in new_bases:
+            target += 1
+        if target >= 4:
+            dests[base] = "H"
         else:
-            hold_all()
-    elif event in ("Flyout", "Pop Out", "Lineout", "Bunt Pop Out", "Bunt Lineout"):
-        batter_dest, outs_made = "O", 1
-        hold_all()
-    elif event == "Sac Fly":
-        batter_dest, outs_made = "O", 1
-        dests[3] = "H"
-        hold_all(skip=(3,))
-    elif event == "Sac Fly DP":
-        batter_dest, outs_made = "O", 2
-        dests[3] = "H"
-        other = max(b for b in bases if b != 3)
-        dests[other] = "O"
-        hold_all(skip=(3, other))
-    elif event == "Sac Bunt":
-        batter_dest, outs_made = "O", 1
-        for b in sorted(bases, reverse=True):
-            place(b, bases[b], _advance(b, 1))
-    elif event == "Sacrifice Bunt DP":
-        batter_dest, outs_made = "O", 2
-        dests[lead] = "O"
-        hold_all(skip=(lead,))
-    elif event == "Grounded Into DP":
-        batter_dest, outs_made = "O", 2
-        dests[1] = "O"
-        if outs == 0:
-            for b in sorted(bases, reverse=True):
-                if b != 1:
-                    place(b, bases[b], _advance(b, 1))
-        else:
-            hold_all(skip=(1,))
-    elif event == "Double Play":
-        batter_dest, outs_made = "O", 2
-        dests[lead] = "O"
-        hold_all(skip=(lead,))
-    elif event == "Triple Play":
-        batter_dest, outs_made = "O", 3
-        two = sorted(bases, reverse=True)[:2]
-        for b in two:
-            dests[b] = "O"
-        hold_all(skip=tuple(two))
-    elif event in ("Forceout", "Fielders Choice Out"):
-        outs_made = 1
-        dests[1] = "O"
-        hold_all(skip=(1,))
-        batter_dest = "1B"
-        new_bases[1] = None  # batter placed below
-    elif event == "Fielders Choice":
-        for b in sorted(bases, reverse=True):
-            place(b, bases[b], _advance(b, 1))
-        batter_dest = "1B"
-    elif event == "Runner Out":
-        outs_made = 1
-        dests[lead] = "O"
-        hold_all(skip=(lead,))
-        batter_dest = "1B"
-    else:  # "null" and anything unhandled: no-op out of caution
-        batter_dest, outs_made = "O", 1
-        hold_all()
+            dests[base] = f"{target}B"
+            new_bases[target] = bases[base]
 
-    new_outs = outs + outs_made
-    if new_outs >= 3:
-        # inning over: runs on the play stand only for destinations already
-        # marked "H" before the third out; our resolution above never scores
-        # a run on an inning-ending groundout because runners hold at 2 outs
-        new_outs = 3
-        end_bases = {}
-    else:
-        end_bases = {b: r for b, r in new_bases.items() if r is not None}
-
-    return event, batter_dest, dests, new_outs, end_bases
+    # inning over: no runner is left on.  Runs on the play stand, but no
+    # event that makes the third out moves a runner: they hold at two outs
+    new_outs = min(outs + outs_made, 3)
+    return event, batter_dest, dests, new_outs, new_bases if new_outs < 3 else {}
 
 
 def _bip_location(event, rng):
@@ -370,9 +291,7 @@ def generate_synthetic_season(games, seed, event_probs=None, teams=4):
     league = _build_league(teams, rng)
 
     roster = {}
-    parks = set()
     for team in league:
-        parks.add(team["park"])
         for p in list(team["starters"].values()) + team["bench"] + \
                 team["rotation"] + team["relievers"]:
             roster[p.pid] = p.name
@@ -463,7 +382,7 @@ def generate_synthetic_season(games, seed, event_probs=None, teams=4):
                     outs, bases, mask = new_outs, new_bases, new_mask
 
     raw = dict(zip(CSV_COLUMNS + OPTIONAL_COLUMNS, zip(*rows)))
-    return SeasonDataset.from_columns(raw, roster=roster, parks=parks)
+    return SeasonDataset.from_columns(raw, roster=roster)
 
 
 def _mask(bases):

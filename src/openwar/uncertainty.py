@@ -38,7 +38,6 @@ QUANTILE_BLOCK_ELEMENTS = 1 << 18
 class BootstrapConfig:
     replicates: int = 3500
     master_seed: int = 0
-    probs: tuple = DEFAULT_PROBS
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -100,11 +99,11 @@ def bootstrap_war(ledger, valuations, pool, config, rpw=10.0):
 
     step = max(1, QUANTILE_BLOCK_ELEMENTS // config.replicates)
     quantiles = np.vstack([
-        empirical_quantiles(mat[:, j:j + step], config.probs, axis=0).T
+        empirical_quantiles(mat[:, j:j + step], DEFAULT_PROBS, axis=0).T
         for j in range(0, len(players), step)])
     names = {p: valuations[p].name for p in players}
     return WarDistribution(players=players, names=names, point=point,
-                           replicates=mat, probs=tuple(config.probs),
+                           replicates=mat, probs=DEFAULT_PROBS,
                            quantiles=quantiles)
 
 

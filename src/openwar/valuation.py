@@ -93,10 +93,6 @@ class PlayerValuation:
         return self.counts["pitch"]
 
     @property
-    def playing_time(self):
-        return self.counts["hit"] + self.counts["pitch"]
-
-    @property
     def role(self):
         return "pitcher" if self.counts["pitch"] > self.counts["hit"] \
             else "position"
@@ -210,37 +206,28 @@ def pythag_wpct(rs, ra, p):
     return wpct, (common / rs, -common / ra)
 
 
+#: the columns of valuation_csv, and the keys of each valuation_json entry
+_COLUMNS = ("player_id", "name", "PA", "BF", "raa_hit", "raa_br", "raa_field",
+            "raa_pitch", "raa", "tier", "raa_repl", "war")
+
+
+def _row(v):
+    """One player's output fields, in _COLUMNS order."""
+    return (v.player_id, v.name, v.plate_appearances, v.batters_faced,
+            *(v.raa[c] for c in COMPONENTS), v.raa_total, v.tier, v.raa_repl,
+            v.war)
+
+
 def valuation_csv(valuations):
     out = io.StringIO()
-    out.write("player_id,name,PA,BF,raa_hit,raa_br,raa_field,raa_pitch,"
-              "raa,tier,raa_repl,war\n")
+    out.write(",".join(_COLUMNS) + "\n")
     for pid in sorted(valuations):
-        v = valuations[pid]
-        out.write(
-            f"{pid},{v.name},{v.plate_appearances},{v.batters_faced},"
-            f"{float(v.raa['hit'])!r},{float(v.raa['br'])!r},"
-            f"{float(v.raa['field'])!r},{float(v.raa['pitch'])!r},"
-            f"{float(v.raa_total)!r},{v.tier},"
-            f"{float(v.raa_repl)!r},{float(v.war)!r}\n")
+        out.write(",".join(repr(float(x)) if isinstance(x, float) else str(x)
+                           for x in _row(valuations[pid])) + "\n")
     return out.getvalue()
 
 
 def valuation_json(valuations):
-    payload = [
-        {
-            "player_id": v.player_id,
-            "name": v.name,
-            "PA": v.plate_appearances,
-            "BF": v.batters_faced,
-            "raa_hit": v.raa["hit"],
-            "raa_br": v.raa["br"],
-            "raa_field": v.raa["field"],
-            "raa_pitch": v.raa["pitch"],
-            "raa": v.raa_total,
-            "tier": v.tier,
-            "raa_repl": v.raa_repl,
-            "war": v.war,
-        }
-        for _, v in sorted(valuations.items())
-    ]
+    payload = [dict(zip(_COLUMNS, _row(valuations[pid])))
+               for pid in sorted(valuations)]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

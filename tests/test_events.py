@@ -161,6 +161,15 @@ def test_non_finite_bip_coordinates_are_record_errors(value):
         SeasonDataset.from_records([bad])
 
 
+@pytest.mark.parametrize("location", [(None, 5.0), (5.0, None)])
+def test_half_missing_bip_location_is_record_error(location):
+    data, _, _ = build_re_fixture()
+    pa = next(pa for pa in records(data) if pa.ball_in_play)
+    bad = dataclasses.replace(pa, bip_location=location)
+    with pytest.raises(RecordError, match="bip_x/bip_y must both be set"):
+        SeasonDataset.from_records([bad])
+
+
 def test_bip_presence_must_match_event():
     pa = make_pa("AWY@HOM-0001", 0, 1, "top", 0, 0, "Walk", "1B")
     no_coords = dataclasses.replace(
@@ -196,7 +205,7 @@ def test_parse_builds_roster_and_parks():
     parsed, _ = parse_season(serialize_season(data))
     assert "B1" in parsed.roster and "P1" in parsed.roster
     assert "R1" in parsed.roster  # runners belong to the roster too
-    assert parsed.parks == {"PK"}
+    assert parsed.park_ids == ["PK"]
 
 
 def test_optional_credited_column_round_trips():

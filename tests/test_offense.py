@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from openwar.events import SeasonDataset
+from openwar.events import EVENT_TYPES, SeasonDataset
 from openwar.offense import (
     OUT_RANK,
     AdvancementTable,
@@ -107,8 +107,9 @@ def test_apportion_baserunning_splits_eta():
 def test_apportion_baserunning_equal_split_fallback():
     g = "AWY@HOM-0001"
     pa = make_pa(g, 0, 1, "top", 0, 1, "Single", "1B", {1: "2B"})
-    # a table whose only mass sits above every achievable rank
-    table = AdvancementTable(cells={}, pooled={}, global_cdf=[(9, 1.0)])
+    # a table whose only mass sits above every achievable rank: Pr(K <= r)
+    # is 0 for every rank -2..4
+    table = AdvancementTable(np.zeros((len(EVENT_TYPES), 4, 7)))
     kappa, raa_br = _baserunning(SeasonDataset.from_records([pa]),
                                  np.array([1.0]), table)
     assert kappa.tolist() == [[0.0] * 4]
@@ -118,8 +119,9 @@ def test_apportion_baserunning_equal_split_fallback():
 def test_batter_always_credited():
     g = "AWY@HOM-0001"
     pa = make_pa(g, 0, 1, "top", 0, 0, "Strikeout", "O")
-    table = AdvancementTable(cells={}, pooled={},
-                             global_cdf=[(OUT_RANK, 0.3), (1, 1.0)])
+    # every cell: Pr(out) = 0.3, then 1.0 from rank +1 on (ranks -2..4)
+    table = AdvancementTable(np.broadcast_to(
+        [0.0, 0.3, 0.3, 1.0, 1.0, 1.0, 1.0], (len(EVENT_TYPES), 4, 7)))
     _, raa_br = _baserunning(SeasonDataset.from_records([pa]),
                              np.array([-0.2]), table)
     assert raa_br[0] == pytest.approx([0.0, 0.0, 0.0, -0.2])

@@ -174,7 +174,10 @@ def test_bip_location_matches_generator_uniform():
      "647e57e0aea2f86fe884319372cdd78c1929c57460abba7853cd612afd550e5e"),
     (20, 3, _SPARSE,
      "8d5a9cd68866e4fd675387e769ab54e4526c5eaba3c396c1303207ef4c5d9b19"),
-], ids=["default", "sparse"])
+    # every event type, the rare ones (Triple Play, Sac Fly DP) included
+    (40, 7, {e: 1 / 32 for e in EVENT_TYPES},
+     "d3d5798b52ca2d24d41deb08140b3ae336f1232cf136fe0a67f162e80aacae5a"),
+], ids=["default", "sparse", "uniform"])
 def test_season_bytes_are_pinned(games, seed, event_probs, digest):
     """The serialized season of a seed never changes.  The digests depend
     on numpy's Generator streams, so a numpy upgrade can move them."""

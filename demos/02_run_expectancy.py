@@ -22,10 +22,9 @@ for bases in range(8):
 # the runs that scored on the play (RE24).
 print("\nfirst few plate appearances of the season:")
 for pa in map(season.record, range(8)):
-    rv = run_value(pa, matrix)
     print(f"  {pa.event_type:<18} ({pa.start_state.outs} out, "
-          f"mask {pa.start_state.bases}) -> delta {rv.delta:+.3f} "
-          f"({rv.runs} scored)")
+          f"mask {pa.start_state.bases}) -> delta "
+          f"{run_value(pa, matrix):+.3f} ({pa.runs_scored} scored)")
 
 # Within a completed half-inning the deltas telescope: their sum equals
 # the runs scored minus the expectancy of the leadoff state.
@@ -33,7 +32,7 @@ for pa in map(season.record, range(8)):
 end = np.flatnonzero((season.inning != season.inning[0])
                      | (season.half != season.half[0]))[0]
 group = [season.record(i) for i in range(end)]
-total = sum(run_value(pa, matrix).delta for pa in group)
+total = sum(run_value(pa, matrix) for pa in group)
 runs = sum(pa.runs_scored for pa in group)
 print(f"\nfirst half-inning: {runs} runs; sum of deltas = {total:.6f}; "
       f"runs - rho(0,empty) = {runs - matrix.rho[(0, 0)]:.6f}")

@@ -22,7 +22,14 @@ from .events import parse_season, serialize_season
 from .pipeline import run_pipeline
 from .simulate import generate_synthetic_season
 from .uncertainty import BootstrapConfig, bootstrap_war, comparison_json
-from .valuation import runs_per_win, valuation_csv, valuation_json
+from .valuation import (
+    DEFAULT_CUTOFF_PITCH,
+    DEFAULT_CUTOFF_POS,
+    DEFAULT_RUNS_PER_WIN,
+    runs_per_win,
+    valuation_csv,
+    valuation_json,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -53,9 +60,11 @@ def _build_parser():
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--input", required=True)
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--cutoff-pos", type=int, default=390)
-        p.add_argument("--cutoff-pitch", type=int, default=360)
-        p.add_argument("--runs-per-win", type=float, default=10.0)
+        p.add_argument("--cutoff-pos", type=int, default=DEFAULT_CUTOFF_POS)
+        p.add_argument("--cutoff-pitch", type=int,
+                       default=DEFAULT_CUTOFF_PITCH)
+        p.add_argument("--runs-per-win", type=float,
+                       default=DEFAULT_RUNS_PER_WIN)
         p.add_argument("--pythag-p", type=float, default=None)
         p.add_argument("--pythag-r", type=float, default=None)
         p.add_argument("--bandwidth-x", type=float, default=None)
@@ -177,7 +186,8 @@ def cmd_simulate(args):
 
 def _run(args, compare=()):
     """Check the flags, parse the season, check that every player named
-    in the `compare` pairs plays in it, then run the pipeline."""
+    in the `compare` pairs plays in it, then run the pipeline.  Returns
+    the pipeline result and the runs per win it used."""
     bandwidth, rpw = _bandwidth(args), _resolve_rpw(args)
     _non_negative("cutoff-pos", args.cutoff_pos)
     _non_negative("cutoff-pitch", args.cutoff_pitch)
@@ -187,13 +197,14 @@ def _run(args, compare=()):
     if missing:
         raise ConfigError(f"--compare players not in the season: "
                           f"{', '.join(missing)}")
-    return run_pipeline(
+    result = run_pipeline(
         dataset, bandwidth=bandwidth, cutoff_pos=args.cutoff_pos,
         cutoff_pitch=args.cutoff_pitch, rpw=rpw)
+    return result, rpw
 
 
 def cmd_war(args):
-    result = _run(args)
+    result, _ = _run(args)
     cfg = _config_echo(args)
     out = Path(args.out)
     _write(out / "valuation.csv", valuation_csv(result.valuations), cfg)
@@ -212,10 +223,10 @@ def cmd_boot(args):
     if args.replicates < 1:
         raise ConfigError(f"--replicates must be >= 1, not {args.replicates}")
     seed = _seed(args)
-    result = _run(args, args.compare)
+    result, rpw = _run(args, args.compare)
     config = BootstrapConfig(replicates=args.replicates, master_seed=seed)
     dist = bootstrap_war(result.ledger, result.valuations, result.pool,
-                         config, rpw=_resolve_rpw(args))
+                         config, rpw=rpw)
     # every output is computed before the first is written
     comparisons = comparison_json(dist, args.compare)
     cfg = _config_echo(args)

@@ -201,16 +201,17 @@ class DefenseResult:
 
 
 def apportion_defense(data, deltas, bandwidth=None):
-    """Run the full defensive chain over a season."""
+    """Run the full defensive chain over a season.  A ball in play without
+    coordinates, which the fits would skip, is rejected before any fit."""
     deltas = np.asarray(deltas, dtype=float)
-    surface = fit_out_surface(data, bandwidth=bandwidth)
-    models = fit_fielding_models(data)
-
     bip = np.flatnonzero(_IN_PLAY[data.event])
     missing = np.isnan(data.bip_x[bip])
     if missing.any():
         raise _missing_coordinates(data.record(bip[np.argmax(missing)]))
     coords = np.column_stack([data.bip_x[bip], data.bip_y[bip]])
+
+    surface = fit_out_surface(data, bandwidth=bandwidth)
+    models = fit_fielding_models(data)
     p_hat = np.zeros(len(data))
     p_hat[bip] = surface.evaluate_binned(coords[:, 0], coords[:, 1])
     delta_p, delta_f = _split(deltas, p_hat)

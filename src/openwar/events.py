@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "EVENT_TYPES",
     "BALL_IN_PLAY",
-    "PITCHER_ONLY",
     "DESTINATIONS",
     "FIELDING_POSITIONS",
     "BATTER_POSITIONS",
@@ -69,9 +68,6 @@ EVENT_TYPES = (
 
 #: event -> True when the ball is fieldable by the defense
 BALL_IN_PLAY = {e: e not in _NOT_IN_PLAY for e in EVENT_TYPES}
-
-#: events whose entire defensive run value belongs to the pitcher
-PITCHER_ONLY = frozenset(e for e, bip in BALL_IN_PLAY.items() if not bip)
 
 DESTINATIONS = ("1B", "2B", "3B", "H", "O")
 
@@ -129,14 +125,6 @@ class GameState:
             # absorbing state is normalized to an empty-bases mask
             object.__setattr__(self, "bases", 0)
 
-    @property
-    def live(self):
-        return self.outs < 3
-
-    def occupied(self, base):
-        """True when `base` (1, 2 or 3) holds a runner."""
-        return bool(self.bases >> (base - 1) & 1)
-
 
 #: the 24 live base-out states, in (outs, bases) order
 LIVE_STATES = tuple((o, b) for o in range(3) for b in range(8))
@@ -164,22 +152,6 @@ class PlateAppearance:
     fielder_ids: tuple  # 9 ids, positions P..RF in FIELDING_POSITIONS order
     bip_location: tuple = None  # (x, y) feet, home plate at origin
     credited_fielder_position: str = None
-
-    @property
-    def ball_in_play(self):
-        return BALL_IN_PLAY[self.event_type]
-
-    def runners(self):
-        """Yield (start_base, runner_id, dest) for occupied start bases."""
-        for base in (1, 2, 3):
-            rid = self.runner_ids[base - 1]
-            if rid is not None:
-                yield base, rid, self.runner_dests[base - 1]
-
-    @property
-    def outs_on_play(self):
-        n = 1 if self.batter_dest == "O" else 0
-        return n + sum(1 for _, _, d in self.runners() if d == "O")
 
 
 #: string columns: (dataset column, CSV columns, vocabulary or id table)
@@ -650,13 +622,12 @@ def _csv_columns(d, index=slice(None)):
     return [out[f] for f in _FIELDS]
 
 
-def serialize_season(dataset, include_credited=True):
+def serialize_season(dataset):
     """Serialize a SeasonDataset to its canonical CSV string."""
-    cols = _csv_columns(dataset)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_FIELDS if include_credited else CSV_COLUMNS)
-    writer.writerows(zip(*(cols if include_credited else cols[:-1])))
+    writer.writerow(_FIELDS)
+    writer.writerows(zip(*_csv_columns(dataset)))
     return out.getvalue()
 
 

@@ -12,7 +12,6 @@ __all__ = [
     "LinearFit",
     "LogisticFit",
     "SmoothedSurface",
-    "ols_fit",
     "indicator_ols",
     "logistic_fit",
     "smooth_out_probability",
@@ -24,6 +23,10 @@ __all__ = [
 
 #: coefficient norm (standardized design) beyond which we flag separation
 SEPARATION_NORM = 30.0
+#: IRLS iteration cap, and the score-norm tolerance (per observation) that
+#: counts a logistic fit as converged
+MAX_IRLS_ITER = 50
+IRLS_TOL = 1e-9
 #: smoother queries whose total kernel weight falls below this get the
 #: global response rate
 MIN_KERNEL_WEIGHT = 1e-12
@@ -60,9 +63,6 @@ class LinearFit:
     fitted: np.ndarray
     dropped: list = field(default_factory=list)
 
-    def coef_vector(self, columns):
-        return np.array([self.coefficients[c] for c in columns])
-
 
 @dataclass
 class LogisticFit:
@@ -97,36 +97,11 @@ def _independent_columns(gram, n):
     return keep
 
 
-def _linear_fit(names, keep, beta, fitted, y):
-    """The LinearFit of coefficients `beta` (0 outside `keep`)."""
-    dropped = [name for j, name in enumerate(names) if j not in keep]
-    return LinearFit(dict(zip(names, beta)), y - fitted, fitted, dropped)
-
-
-def ols_fit(X, y):
-    """Least squares with rank-deficiency handling on a dense design.
-
-    Collinear columns are dropped in reverse index preference (later
-    columns go) and their coefficients are pinned at 0, so X @ beta is
-    always well defined over the full named design.  It is the reference
-    of `indicator_ols`."""
-    y = np.asarray(y, dtype=float)
-    if len(y) == 0:
-        raise ValueError("empty design")
-    if len(X.values) != len(y):
-        raise ValueError("design and response lengths differ")
-    if np.any(np.all(X.values == 0.0, axis=0)):
-        raise ValueError("design contains an all-zero column")
-
-    keep = _independent_columns(X.values.T @ X.values, len(y))
-    beta = np.zeros(len(X.columns))
-    beta[keep] = np.linalg.lstsq(X.values[:, keep], y, rcond=None)[0]
-    return _linear_fit(X.columns, keep, beta, X.values @ beta, y)
-
-
 def indicator_ols(factors, y, extra=()):
-    """`ols_fit` on an intercept, the indicator columns of categorical
+    """Least squares on an intercept, the indicator columns of categorical
     factors, then the `extra` (name, values) columns, without the dense design.
+    Collinear columns are dropped by `_independent_columns` (later columns
+    go) and their coefficients are pinned at 0.
 
     A factor is (prefix, labels, codes): row r is at level codes[r], whose
     column is named prefix + labels[codes[r]]; levels come in label order.
@@ -156,8 +131,9 @@ def indicator_ols(factors, y, extra=()):
     keep = _independent_columns(gram, n)
     beta = np.zeros(p)
     beta[keep] = np.linalg.solve(gram[np.ix_(keep, keep)], xty[keep])
-    return _linear_fit(names, keep, beta,
-                       sum(beta[c] * v for c, v in blocks), y)
+    fitted = sum(beta[c] * v for c, v in blocks)
+    dropped = [name for j, name in enumerate(names) if j not in keep]
+    return LinearFit(dict(zip(names, beta)), y - fitted, fitted, dropped)
 
 
 def _sigmoid(z):
@@ -169,7 +145,7 @@ def _sigmoid(z):
     return np.clip(out, 1e-12, 1.0 - 1e-12)
 
 
-def logistic_fit(X, y, max_iter=50, tol=1e-9):
+def logistic_fit(X, y):
     """Newton/IRLS maximization of the Bernoulli log-likelihood.
 
     Complete separation (coefficient norm on the standardized design
@@ -194,11 +170,11 @@ def logistic_fit(X, y, max_iter=50, tol=1e-9):
     converged = False
     separated = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_IRLS_ITER + 1):
         mu = _sigmoid(V @ beta)
         w = mu * (1.0 - mu)
         score = V.T @ (y - mu)
-        if np.linalg.norm(score[keep]) < tol * n:
+        if np.linalg.norm(score[keep]) < IRLS_TOL * n:
             converged = True
             break
         Vk = V[:, keep]
@@ -315,11 +291,6 @@ class SmoothedSurface:
         vals[ok] = np.clip(num_q[ok] / den_q[ok], 0.0, 1.0)
         out[near] = vals
         return out
-
-    def __call__(self, x, y):
-        scalar = np.isscalar(x) and np.isscalar(y)
-        vals = self.evaluate(x, y)
-        return float(vals[0]) if scalar else vals
 
 
 def _grid_corners(t, shape):

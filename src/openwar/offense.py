@@ -111,10 +111,6 @@ class AdvancementTable:
 
     cdf: np.ndarray  # (len(EVENT_TYPES), 4, _N_RANKS)
 
-    def kappa(self, event, base, rank):
-        """Pr(K <= rank) for rank in -2..4."""
-        return float(self.cdf[EVENT_TYPES.index(event), base, rank - _MIN_RANK])
-
 
 def advancement_probabilities(data):
     _, _, event, base, rank = _outcomes(data)

@@ -17,7 +17,13 @@ import numpy as np
 from .defense import apportion_defense
 from .offense import apportion_offense
 from .run_expectancy import _deltas, estimate_matrix
-from .valuation import CreditTable, value_players
+from .valuation import (
+    DEFAULT_CUTOFF_PITCH,
+    DEFAULT_CUTOFF_POS,
+    DEFAULT_RUNS_PER_WIN,
+    CreditTable,
+    value_players,
+)
 
 __all__ = ["SeasonLedger", "build_ledger", "run_pipeline", "PipelineResult"]
 
@@ -34,11 +40,11 @@ class SeasonLedger:
     def __len__(self):
         return len(self.deltas)
 
-    def surface_grid_csv(self, step=25.0, extent=400.0):
-        """(x, y, out probability) grid for contour plotting."""
-        xs = np.arange(-extent, extent + step, step)
-        ys = np.arange(0.0, extent + step, step)
-        gx, gy = np.meshgrid(xs, ys)
+    def surface_grid_csv(self):
+        """(x, y, out probability) on a 25 ft grid out to 400 ft from home
+        plate, for contour plotting."""
+        gx, gy = np.meshgrid(np.arange(-400.0, 425.0, 25.0),
+                             np.arange(0.0, 425.0, 25.0))
         vals = self.defense.surface.evaluate_binned(gx.ravel(), gy.ravel())
         out = io.StringIO()
         out.write("x,y,p_out\n")
@@ -100,8 +106,8 @@ class PipelineResult:
     pool: object
 
 
-def run_pipeline(data, bandwidth=None, cutoff_pos=390, cutoff_pitch=360,
-                 rpw=10.0):
+def run_pipeline(data, bandwidth=None, cutoff_pos=DEFAULT_CUTOFF_POS,
+                 cutoff_pitch=DEFAULT_CUTOFF_PITCH, rpw=DEFAULT_RUNS_PER_WIN):
     ledger = build_ledger(data, bandwidth=bandwidth)
     valuations, pool = value_players(
         ledger, data.roster, cutoff_pos=cutoff_pos,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .events import LIVE_STATES, GameState, _half_inning_starts
 
-__all__ = ["RunExpectancyMatrix", "RunValue", "estimate_matrix", "run_value"]
+__all__ = ["RunExpectancyMatrix", "estimate_matrix", "run_value"]
 
 
 @dataclass
@@ -42,16 +42,6 @@ class RunExpectancyMatrix:
         for key in LIVE_STATES:
             out.write(f"{key[0]},{key[1]},{self.rho[key]!r},{self.sample_counts[key]}\n")
         return out.getvalue()
-
-
-@dataclass
-class RunValue:
-    delta_rho: float
-    runs: int
-
-    @property
-    def delta(self):
-        return self.delta_rho + self.runs
 
 
 def estimate_matrix(data):
@@ -88,7 +78,7 @@ def estimate_matrix(data):
 
 
 def _deltas(data, matrix):
-    """`run_value(...).delta` of every plate appearance, as one array."""
+    """`run_value` of every plate appearance, as one array."""
     table = np.zeros((4, 8))  # the 3-out row stays 0
     for key in LIVE_STATES:
         table[key] = matrix.value(GameState(*key))
@@ -97,6 +87,7 @@ def _deltas(data, matrix):
 
 
 def run_value(pa, matrix):
-    """RE24 run value of one plate appearance under the given matrix."""
-    d_rho = matrix.value(pa.end_state) - matrix.value(pa.start_state)
-    return RunValue(delta_rho=d_rho, runs=pa.runs_scored)
+    """RE24 run value (delta) of one plate appearance under the given
+    matrix: the scalar oracle of `_deltas`."""
+    return (matrix.value(pa.end_state) - matrix.value(pa.start_state)) \
+        + pa.runs_scored

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import empirical_quantiles, replicate_rng
-from .valuation import COMPONENTS
+from .valuation import COMPONENTS, DEFAULT_RUNS_PER_WIN
 
 __all__ = ["BootstrapConfig", "WarDistribution", "bootstrap_war", "compare_players"]
 
@@ -63,7 +63,7 @@ class WarDistribution:
         return out.getvalue()
 
 
-def bootstrap_war(ledger, valuations, pool, config, rpw=10.0):
+def bootstrap_war(ledger, valuations, pool, config, rpw=DEFAULT_RUNS_PER_WIN):
     """Resample the season `config.replicates` times with frozen models.
 
     Each replicate weights every credit by the number of times its plate

@@ -1,11 +1,27 @@
 """Hand-built play-by-play fixtures shared across test modules."""
 
+import importlib
+import pkgutil
 from types import SimpleNamespace
 
 import numpy as np
 
-from openwar.events import BALL_IN_PLAY, GameState, PlateAppearance, SeasonDataset
-from openwar.numerics import DesignMatrix, replicate_rng
+import openwar
+
+from openwar.events import (
+    BALL_IN_PLAY,
+    EVENT_TYPES,
+    GameState,
+    PlateAppearance,
+    SeasonDataset,
+)
+from openwar.numerics import (
+    DesignMatrix,
+    LinearFit,
+    _independent_columns,
+    replicate_rng,
+)
+from openwar.offense import _MIN_RANK
 from openwar.valuation import COMPONENTS, CreditTable
 
 FIELDERS = tuple(f"D{i}" for i in range(1, 10))
@@ -73,6 +89,40 @@ def dense_design(factors, extra=()):
     return DesignMatrix(columns=names, values=np.column_stack(columns))
 
 
+def ols_fit(X, y):
+    """Least squares on a dense DesignMatrix: the reference of
+    `numerics.indicator_ols`, under the same rank rule.
+
+    Collinear columns are dropped in reverse index preference (later
+    columns go) and their coefficients are pinned at 0, so X @ beta is
+    always well defined over the full named design."""
+    y = np.asarray(y, dtype=float)
+    if len(y) == 0:
+        raise ValueError("empty design")
+    if len(X.values) != len(y):
+        raise ValueError("design and response lengths differ")
+    if np.any(np.all(X.values == 0.0, axis=0)):
+        raise ValueError("design contains an all-zero column")
+
+    keep = _independent_columns(X.values.T @ X.values, len(y))
+    beta = np.zeros(len(X.columns))
+    beta[keep] = np.linalg.lstsq(X.values[:, keep], y, rcond=None)[0]
+    fitted = X.values @ beta
+    dropped = [name for j, name in enumerate(X.columns) if j not in keep]
+    return LinearFit(dict(zip(X.columns, beta)), y - fitted, fitted, dropped)
+
+
+def coefs(fit, columns):
+    """The coefficients of a LinearFit for `columns`, as an array."""
+    return np.array([fit.coefficients[c] for c in columns])
+
+
+def kappa(table, event, base, rank):
+    """Pr(K <= rank), rank in -2..4, in the (event, start base) cell of an
+    AdvancementTable."""
+    return float(table.cdf[EVENT_TYPES.index(event), base, rank - _MIN_RANK])
+
+
 def bootstrap_reference(ledger, valuations, pool, config, rpw=10.0):
     """The (replicates, players) WAR matrix `bootstrap_war` returns, by
     the unfolded kernel: each replicate scatter-adds the draw-weighted
@@ -105,8 +155,7 @@ def assert_same_fit(fit, ref, tol=1e-10):
     assert list(fit.coefficients) == list(ref.coefficients)
     assert fit.dropped == ref.dropped
     columns = list(ref.coefficients)
-    assert np.max(np.abs(fit.coef_vector(columns)
-                         - ref.coef_vector(columns))) < tol
+    assert np.max(np.abs(coefs(fit, columns) - coefs(ref, columns))) < tol
     assert np.max(np.abs(fit.fitted - ref.fitted)) < tol
     assert np.max(np.abs(fit.residuals - ref.residuals)) < tol
 
@@ -124,6 +173,12 @@ def conservation_residuals(ledger):
         (fit.residuals + fit.fitted).reshape(-1, 9).sum(axis=1)
     defense = dfn.raa_pitch + dfn.pitch_fit.fitted + field
     return offense - ledger.deltas, defense + ledger.deltas
+
+
+def openwar_modules():
+    """The openwar package and every module in it, imported."""
+    return [openwar] + [importlib.import_module(f"openwar.{info.name}")
+                        for info in pkgutil.iter_modules(openwar.__path__)]
 
 
 def records(data):

@@ -18,7 +18,7 @@ from openwar.events import (
     serialize_season,
 )
 from openwar.numerics import DesignMatrix, indicator_ols, logistic_fit, \
-    ols_fit, smooth_out_probability
+    smooth_out_probability
 from openwar.pipeline import build_ledger
 from openwar.run_expectancy import estimate_matrix, run_value
 from openwar.uncertainty import BootstrapConfig, bootstrap_war
@@ -27,9 +27,11 @@ from openwar.simulate import generate_synthetic_season
 
 from fixtures import (
     build_re_fixture,
+    coefs,
     conservation_residuals,
     credit_ledger,
     half_innings,
+    ols_fit,
     records,
 )
 
@@ -79,8 +81,7 @@ def test_criterion_02_half_inning_telescoping(acc):
     for group in half_innings(data):
         if data.end_outs[group[-1]] != 3:
             continue
-        total = sum(run_value(data.record(i), ledger.matrix).delta
-                    for i in group)
+        total = sum(run_value(data.record(i), ledger.matrix) for i in group)
         runs = int(data.runs_scored[group].sum())
         worst = max(worst, abs(total - (runs - rho00)))
     assert worst < 1e-10
@@ -99,12 +100,12 @@ def test_criterion_03_regression_core_oracles():
         X = DesignMatrix(columns=[f"c{j}" for j in range(p)], values=V)
         fit = ols_fit(X, y)
         ref = np.linalg.pinv(V) @ y
-        assert np.max(np.abs(fit.coef_vector(X.columns) - ref)) < 1e-8
+        assert np.max(np.abs(coefs(fit, X.columns) - ref)) < 1e-8
         # the pipeline's count-based fit, with the columns after the
         # intercept as extras, agrees with the dense one
         counted = indicator_ols([], y, list(zip(X.columns[1:], V[:, 1:].T)))
-        assert np.max(np.abs(counted.coef_vector(["intercept"] + X.columns[1:])
-                             - fit.coef_vector(X.columns))) < 1e-10
+        assert np.max(np.abs(coefs(counted, ["intercept"] + X.columns[1:])
+                             - coefs(fit, X.columns))) < 1e-10
 
     # logistic IRLS dominates a 0.01-step likelihood grid on 10 problems
     def ll(v, y, b):
@@ -137,7 +138,7 @@ def test_criterion_03_regression_core_oracles():
             w = np.exp(-0.5 * (((qx - px) / 35.0) ** 2
                                + ((qy - py) / 50.0) ** 2))
             num, den = num + w * r, den + w
-        assert abs(surf(qx, qy) - num / den) < 1e-10
+        assert abs(surf.evaluate(qx, qy)[0] - num / den) < 1e-10
     _ok(3, "OLS (100 systems), logistic grid oracle (10), smoother oracle")
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from openwar import defense, events, numerics, offense
 from openwar.events import (
+    BALL_IN_PLAY,
     FIELDING_POSITIONS,
     SeasonDataset,
     parse_season,
@@ -29,7 +30,7 @@ from openwar.pipeline import SeasonLedger, build_ledger
 from openwar.simulate import generate_synthetic_season
 from openwar.uncertainty import BootstrapConfig, bootstrap_war
 
-from fixtures import conservation_residuals, make_pa
+from fixtures import conservation_residuals, make_pa, openwar_modules
 
 
 def _surface_from(points, outs, bandwidth=(30.0, 30.0)):
@@ -72,6 +73,10 @@ def test_bip_without_coordinates():
     assert len(fit_out_surface(data, bandwidth=(30.0, 30.0)).points) == 1
     with pytest.raises(ValueError, match="pa 1: ball in play without"):
         apportion_defense(data, np.zeros(2), bandwidth=(30.0, 30.0))
+    # with no located ball at all, the bare ball is still the one named
+    with pytest.raises(ValueError, match="pa 1: ball in play without"):
+        apportion_defense(SeasonDataset.from_records([bare]), np.zeros(1),
+                          bandwidth=(30.0, 30.0))
 
 
 def test_fielding_design_row():
@@ -147,8 +152,9 @@ def test_out_surface_tracks_conversion_rate():
     data = _clustered_dataset(rng)
     surface = fit_out_surface(data)
     # outs cluster at the CF spot; singles dilute everywhere else
-    assert surface(0.0, 295.0) > surface(100.0, 80.0)
-    assert 0.0 <= surface(0.0, 295.0) <= 1.0
+    cf_spot, elsewhere = surface.evaluate([0.0, 100.0], [295.0, 80.0])
+    assert cf_spot > elsewhere
+    assert 0.0 <= cf_spot <= 1.0
 
 
 def test_defense_chain_identities(pipeline):
@@ -165,7 +171,7 @@ def test_out_probabilities_are_probabilities(pipeline, season_records):
     assert np.all(dfn.p_hat >= 0.0) and np.all(dfn.p_hat <= 1.0)
     # non-BIP events have the whole value on the pitcher
     for i, pa in enumerate(season_records):
-        if not pa.ball_in_play:
+        if not BALL_IN_PLAY[pa.event_type]:
             assert dfn.delta_f[i] == 0.0
             assert dfn.delta_p[i] == -pipeline.ledger.deltas[i]
 
@@ -230,16 +236,24 @@ def test_ledger_builds_no_per_play_objects(season, monkeypatch):
 
 
 def test_ledger_builds_no_dense_design(season, monkeypatch):
-    """Guard against n x p regression designs: the chains fit from counts,
-    so the dense `ols_fit` is never called, under any name it is bound to."""
-    calls = {"ols": 0}
-    counted = _counted(calls, "ols", numerics.ols_fit)
-    for module in (numerics, offense, defense):
-        monkeypatch.setattr(module, "ols_fit", counted, raising=False)
+    """Guard against n x p regression designs: the chains fit their
+    regressions from counts, so building the ledger makes one
+    DesignMatrix, the (balls in play x 6) design of the fielding models,
+    and no openwar module binds a dense `ols_fit`."""
+    shapes = []
+    post_init = numerics.DesignMatrix.__post_init__
+
+    def recording(self):
+        post_init(self)
+        shapes.append(self.values.shape)
+
+    monkeypatch.setattr(numerics.DesignMatrix, "__post_init__", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         build_ledger(season)
-    assert calls["ols"] == 0
+    assert shapes == [(int(events._IN_PLAY[season.event].sum()), 6)]
+    assert not [m.__name__ for m in openwar_modules()
+                if hasattr(m, "ols_fit")]
 
 
 def test_bootstrap_scatter_adds_do_not_grow_with_replicates(pipeline,
@@ -292,10 +306,18 @@ def test_unconverged_fielding_fits_are_reported(season):
     assert named.split(", ") == stopped
 
 
-def test_defense_chain_rejects_bip_without_coordinates(season_records):
+def test_defense_chain_rejects_bip_without_coordinates(season_records,
+                                                      monkeypatch):
+    """The check runs before the out surface or any fielding model is fit."""
+    calls = {"surface": 0, "irls": 0}
+    monkeypatch.setattr(defense, "fit_out_surface", _counted(
+        calls, "surface", defense.fit_out_surface))
+    monkeypatch.setattr(defense, "logistic_fit", _counted(
+        calls, "irls", defense.logistic_fit))
     pas = list(season_records)
-    k = next(i for i, pa in enumerate(pas) if pa.ball_in_play)
+    k = next(i for i, pa in enumerate(pas) if BALL_IN_PLAY[pa.event_type])
     pas[k] = dataclasses.replace(pas[k], bip_location=None)
     data = SeasonDataset.from_records(pas)
     with pytest.raises(ValueError, match="ball in play without coordinates"):
         apportion_defense(data, np.zeros(len(pas)))
+    assert calls == {"surface": 0, "irls": 0}

@@ -12,7 +12,6 @@ from openwar.events import (
     BALL_IN_PLAY,
     CSV_COLUMNS,
     EVENT_TYPES,
-    PITCHER_ONLY,
     ChainError,
     GameState,
     RecordError,
@@ -38,7 +37,7 @@ def test_taxonomy_is_closed():
 
 
 def test_pitcher_only_events():
-    assert PITCHER_ONLY == {
+    assert {e for e, bip in BALL_IN_PLAY.items() if not bip} == {
         "Strikeout", "Walk", "Intent Walk", "Hit By Pitch", "Home Run",
         "Catcher Interference", "Batter Interference", "Strikeout - DP",
         "null",
@@ -49,8 +48,7 @@ def test_pitcher_only_events():
 
 def test_game_state_basics():
     s = GameState(1, 5)
-    assert s.occupied(1) and not s.occupied(2) and s.occupied(3)
-    assert s.live
+    assert (s.outs, s.bases) == (1, 5)
     with pytest.raises(RecordError):
         GameState(4, 0)
     with pytest.raises(RecordError):
@@ -59,14 +57,13 @@ def test_game_state_basics():
 
 def test_three_out_state_normalizes_bases():
     assert GameState(3, 6) == GameState(3, 0)
-    assert not GameState(3, 0).live
 
 
 def test_outs_on_play_and_runners():
     pa = make_pa("AWY@HOM-0001", 0, 1, "top", 0, 3,
                  "Grounded Into DP", "O", {1: "O", 2: "3B"})
-    assert pa.outs_on_play == 2
-    assert list(pa.runners()) == [(1, "R1", "O"), (2, "R2", "3B")]
+    assert pa.runner_ids == ("R1", "R2", None)
+    assert pa.runner_dests == ("O", "3B", None)
     assert pa.end_state == GameState(2, 4)
 
 
@@ -144,7 +141,7 @@ def test_strict_raises_lenient_drops():
 def test_non_finite_bip_coordinates_are_record_errors(value):
     data, _, _ = build_re_fixture()
     rows = records(data)
-    k = next(i for i, pa in enumerate(rows) if pa.ball_in_play)
+    k = next(i for i, pa in enumerate(rows) if BALL_IN_PLAY[pa.event_type])
     lines = serialize_season(data).splitlines()
     cells = lines[k + 1].split(",")
     cells[CSV_COLUMNS.index("bip_x")] = value
@@ -164,7 +161,7 @@ def test_non_finite_bip_coordinates_are_record_errors(value):
 @pytest.mark.parametrize("location", [(None, 5.0), (5.0, None)])
 def test_half_missing_bip_location_is_record_error(location):
     data, _, _ = build_re_fixture()
-    pa = next(pa for pa in records(data) if pa.ball_in_play)
+    pa = next(pa for pa in records(data) if BALL_IN_PLAY[pa.event_type])
     bad = dataclasses.replace(pa, bip_location=location)
     with pytest.raises(RecordError, match="bip_x/bip_y must both be set"):
         SeasonDataset.from_records([bad])
@@ -214,8 +211,10 @@ def test_optional_credited_column_round_trips():
     data = SeasonDataset.from_records([pa])
     parsed, _ = parse_season(serialize_season(data))
     assert parsed.record(0).credited_fielder_position == "CF"
-    # the column may be omitted entirely
-    parsed2, _ = parse_season(serialize_season(data, include_credited=False))
+    # the column, the last one, may be omitted entirely
+    without = "".join(line.rsplit(",", 1)[0] + "\n" for line in
+                      serialize_season(data).splitlines())
+    parsed2, _ = parse_season(without)
     assert parsed2.record(0).credited_fielder_position is None
 
 

@@ -17,13 +17,12 @@ from openwar.numerics import (
     indicator_ols,
     logistic_fit,
     master_rng,
-    ols_fit,
     replicate_rng,
     scott_bandwidth,
     smooth_out_probability,
 )
 
-from fixtures import assert_same_fit, dense_design
+from fixtures import assert_same_fit, coefs, dense_design, ols_fit
 
 
 def _random_system(rng, n=40, p=5):
@@ -39,7 +38,7 @@ def test_ols_matches_pseudo_inverse():
         X, y = _random_system(rng)
         fit = ols_fit(X, y)
         beta = np.linalg.pinv(X.values) @ y
-        assert np.allclose(fit.coef_vector(X.columns), beta, atol=1e-8)
+        assert np.allclose(coefs(fit, X.columns), beta, atol=1e-8)
         assert np.allclose(fit.fitted + fit.residuals, y, atol=1e-12)
 
 
@@ -88,7 +87,7 @@ def test_indicator_ols_matches_dense_ols_on_random_systems():
         X, y = _random_system(rng)
         extra = list(zip(X.columns[1:], X.values[:, 1:].T))
         fit = indicator_ols([], y, extra)
-        assert fit.coef_vector(["intercept"] + X.columns[1:]) == \
+        assert coefs(fit, ["intercept"] + X.columns[1:]) == \
             pytest.approx(np.linalg.pinv(X.values) @ y, abs=1e-8)
         assert_same_fit(fit, ols_fit(dense_design([], extra), y))
     V = np.column_stack([X.values[:, 1:], X.values[:, 1] + X.values[:, 2]])
@@ -194,7 +193,7 @@ def test_smoother_matches_naive_double_loop():
             w = np.exp(-0.5 * (((qx - px) / hx) ** 2 + ((qy - py) / hy) ** 2))
             num += w * r
             den += w
-        assert abs(surf(qx, qy) - num / den) < 1e-10
+        assert abs(surf.evaluate(qx, qy)[0] - num / den) < 1e-10
 
 
 def test_smoother_chunks_match_naive_double_loop(monkeypatch):
@@ -217,10 +216,10 @@ def test_smoother_far_query_falls_back_to_global_rate():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     resp = np.array([1.0, 0.0, 0.0])
     surf = smooth_out_probability(pts, resp, (1.0, 1.0))
-    assert surf(1e6, 1e6) == pytest.approx(resp.mean())
+    assert surf.evaluate(1e6, 1e6)[0] == pytest.approx(resp.mean())
     far = surf.evaluate_binned([1e6, 1.0], [1e6, 0.5])
     assert far[0] == surf.global_rate
-    assert far[1] == pytest.approx(surf(1.0, 0.5), abs=1e-3)
+    assert far[1] == pytest.approx(surf.evaluate(1.0, 0.5)[0], abs=1e-3)
 
 
 def test_binned_smoother_values_are_probabilities():

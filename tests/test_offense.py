@@ -14,7 +14,7 @@ from openwar.offense import (
     park_platoon_design,
 )
 
-from fixtures import make_pa, records
+from fixtures import kappa, make_pa, records
 
 
 def test_platoon_advantage_cases():
@@ -71,18 +71,18 @@ def test_advancement_table_hand_tallies():
     ]
     table = advancement_probabilities(SeasonDataset.from_records(rows))
     # cell (Single, base 1): ranks {+2, out}; each with probability 1/2
-    assert table.kappa("Single", 1, OUT_RANK) == pytest.approx(0.5)
-    assert table.kappa("Single", 1, 0) == pytest.approx(0.5)
-    assert table.kappa("Single", 1, 1) == pytest.approx(0.5)
-    assert table.kappa("Single", 1, 2) == pytest.approx(1.0)
+    assert kappa(table, "Single", 1, OUT_RANK) == pytest.approx(0.5)
+    assert kappa(table, "Single", 1, 0) == pytest.approx(0.5)
+    assert kappa(table, "Single", 1, 1) == pytest.approx(0.5)
+    assert kappa(table, "Single", 1, 2) == pytest.approx(1.0)
     # cell (Single, base 0): the batter reached first both times (rank 1)
-    assert table.kappa("Single", 0, 0) == pytest.approx(0.0)
-    assert table.kappa("Single", 0, 1) == pytest.approx(1.0)
+    assert kappa(table, "Single", 0, 0) == pytest.approx(0.0)
+    assert kappa(table, "Single", 0, 1) == pytest.approx(1.0)
     # unseen (event, base) falls back to pooling over the event
-    assert table.kappa("Single", 3, 1) == pytest.approx(0.75)
+    assert kappa(table, "Single", 3, 1) == pytest.approx(0.75)
     # unseen event falls back to the global table: ranks {-1,1,1,2}
-    assert table.kappa("Double", 2, 0) == pytest.approx(0.25)
-    assert table.kappa("Double", 2, 2) == pytest.approx(1.0)
+    assert kappa(table, "Double", 2, 0) == pytest.approx(0.25)
+    assert kappa(table, "Double", 2, 2) == pytest.approx(1.0)
 
 
 def test_apportion_baserunning_splits_eta():

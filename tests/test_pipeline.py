@@ -8,12 +8,26 @@ import numpy as np
 import pytest
 
 from openwar import defense, numerics, offense
-from openwar.numerics import ols_fit
+from openwar.events import BALL_IN_PLAY
 from openwar.pipeline import build_ledger
 from openwar.simulate import generate_synthetic_season
 from openwar.valuation import COMPONENTS
 
-from fixtures import assert_same_fit, conservation_residuals, dense_design
+from fixtures import (
+    assert_same_fit,
+    conservation_residuals,
+    dense_design,
+    ols_fit,
+    openwar_modules,
+)
+
+
+def test_every_exported_name_resolves():
+    """Every name in the `__all__` of the package and of each submodule
+    exists, so a deleted name cannot stay exported."""
+    missing = [f"{m.__name__}.{name}" for m in openwar_modules()
+               for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
+    assert missing == []
 
 
 def test_credit_lines_and_bundles_agree(pipeline, season_records):
@@ -72,7 +86,7 @@ def test_every_pa_has_hit_and_pitch_lines(pipeline, season_records):
     assert table.value.dtype == np.float64
     per_pa = {comp: np.bincount(table.pa[table.component == c], minlength=n)
               for c, comp in enumerate(COMPONENTS)}
-    bip = np.array([pa.ball_in_play for pa in season_records])
+    bip = np.array([BALL_IN_PLAY[pa.event_type] for pa in season_records])
     assert np.all(per_pa["hit"] == 1)
     assert np.all(per_pa["pitch"] == 1)
     assert np.array_equal(per_pa["field"], np.where(bip, 9, 0))
@@ -84,10 +98,14 @@ def test_every_pa_has_hit_and_pitch_lines(pipeline, season_records):
 
 
 def test_surface_grid_csv(pipeline):
-    text = pipeline.ledger.surface_grid_csv(step=100.0, extent=300.0)
+    text = pipeline.ledger.surface_grid_csv()
     lines = text.splitlines()
     assert lines[0] == "x,y,p_out"
     vals = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+    # a 25 ft grid, x from -400 to 400 ft and y from 0 to 400 ft
+    assert len(vals) == 33 * 17
+    assert vals[0, :2].tolist() == [-400.0, 0.0]
+    assert vals[-1, :2].tolist() == [400.0, 400.0]
     assert np.all((vals[:, 2] >= 0.0) & (vals[:, 2] <= 1.0))
 
 

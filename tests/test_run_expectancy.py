@@ -34,17 +34,17 @@ def test_run_value_on_fixture():
     data, rho, _ = build_re_fixture()
     matrix = estimate_matrix(data)
     # leadoff double in the fixture: (0,0) -> (0,2), no runs
-    rv = run_value(data.record(0), matrix)
-    assert rv.delta == pytest.approx(rho[(0, 2)] - rho[(0, 0)])
+    delta = run_value(data.record(0), matrix)
+    assert delta == pytest.approx(rho[(0, 2)] - rho[(0, 0)])
     # the grand slam: (0,7) -> (0,0), 4 runs
     slam = data.record(3)
-    rv = run_value(slam, matrix)
-    assert rv.runs == 4
-    assert rv.delta == pytest.approx(rho[(0, 0)] - rho[(0, 7)] + 4)
+    assert slam.runs_scored == 4
+    delta = run_value(slam, matrix)
+    assert delta == pytest.approx(rho[(0, 0)] - rho[(0, 7)] + 4)
     # inning-ending groundout: (2,6) -> three outs, rho drops to 0
     last = data.record(10)
-    rv = run_value(last, matrix)
-    assert rv.delta == pytest.approx(0.0 - rho[(2, 6)])
+    delta = run_value(last, matrix)
+    assert delta == pytest.approx(0.0 - rho[(2, 6)])
 
 
 def test_unterminated_trailing_half_inning_is_dropped():
@@ -105,7 +105,7 @@ def test_telescoping_on_synthetic_season(season, pipeline):
         total = sum(deltas[group].tolist())
         runs = int(season.runs_scored[group].sum())
         assert abs(total - (runs - rho00)) < 1e-10
-        assert total == sum(run_value(season.record(i), matrix).delta
+        assert total == sum(run_value(season.record(i), matrix)
                             for i in group)
 
 

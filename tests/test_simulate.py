@@ -9,6 +9,7 @@ import pytest
 
 from openwar import simulate
 from openwar.events import (
+    BALL_IN_PLAY,
     EVENT_TYPES,
     parse_season,
     serialize_season,
@@ -72,7 +73,7 @@ def test_park_follows_home_team():
 
 def test_bip_coordinates_in_fair_territory(season_records):
     for pa in season_records:
-        if pa.ball_in_play:
+        if BALL_IN_PLAY[pa.event_type]:
             x, y = pa.bip_location
             assert y >= 1.0
             # within the 45-degree foul lines, up to coordinate rounding
@@ -85,8 +86,8 @@ def test_bip_coordinates_in_fair_territory(season_records):
 def test_credited_fielder_only_on_out_plays(season_records):
     for pa in season_records:
         if pa.credited_fielder_position is not None:
-            assert pa.ball_in_play
-            assert pa.outs_on_play > 0
+            assert BALL_IN_PLAY[pa.event_type]
+            assert pa.end_state.outs > pa.start_state.outs
 
 
 def test_custom_event_probs():
@@ -95,7 +96,7 @@ def test_custom_event_probs():
     probs["Walk"] = 0.3
     data = generate_synthetic_season(1, 5, event_probs=probs)
     assert {pa.event_type for pa in records(data)} <= {"Strikeout", "Walk"}
-    assert all(not pa.ball_in_play for pa in records(data))
+    assert not any(BALL_IN_PLAY[pa.event_type] for pa in records(data))
 
 
 def test_event_probs_validation():

@@ -1,5 +1,6 @@
 """Bootstrap resampling tests."""
 
+from statistics import NormalDist
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,7 @@ from openwar.uncertainty import (
 )
 from openwar.valuation import (
     COMPONENTS,
+    DEFAULT_RUNS_PER_WIN,
     PlayerValuation,
     ReplacementPool,
     shadow_and_war,
@@ -162,6 +164,39 @@ def test_bootstrap_matches_reference_on_drawn_ledgers(bundles, idle, rates,
     ref = bootstrap_reference(ledger, vals, pool, cfg, rpw=rpw)
     assert np.max(np.abs(dist.replicates - ref)) < 1e-12
     assert np.all(dist.replicates[:, dist.players.index(idle)] == 0.0)
+
+
+def test_replicates_estimate_the_exact_moments(pipeline):
+    """What the bootstrap estimates.  Models and rates are frozen, so a
+    player's replicate WAR is Σ a_i c_i: a_i is the player's summed worth
+    on plate appearance i and the draw counts c are Multinomial(n, 1/n).
+    Its mean is Σ a_i, the point WAR, and its variance is
+    var_ex = Σ a_i² − (Σ a_i)²/n.  Each replicate mean must lie within z
+    standard errors √(var_ex / R) of Σ a_i, and each replicate variance
+    over var_ex within z standard errors of 1, that error estimated from
+    the replicates' own fourth moment.  z is Bonferroni over the players
+    at a family-wise level of 1e-3."""
+    table, pool = pipeline.ledger.credits, pipeline.pool
+    n, replicates = table.n_pas, 1000
+    rates = np.array([pool.rates[c] for c in COMPONENTS])
+    a = np.zeros((len(table.player_ids), n))
+    np.add.at(a, (table.player, table.pa),
+              (table.value - rates[table.component]) / DEFAULT_RUNS_PER_WIN)
+    total = a.sum(axis=1)
+    point = np.array([pipeline.valuations[p].war for p in table.player_ids])
+    assert np.max(np.abs(total - point)) < 1e-12
+
+    dist = bootstrap_war(pipeline.ledger, pipeline.valuations, pool,
+                         BootstrapConfig(replicates=replicates, master_seed=0))
+    assert dist.players == table.player_ids
+    z = NormalDist().inv_cdf(1.0 - 1e-3 / len(dist.players) / 2.0)
+    var_ex = (a * a).sum(axis=1) - total ** 2 / n
+    mean = dist.replicates.mean(axis=0)
+    assert np.all(np.abs(mean - total) <= z * np.sqrt(var_ex / replicates))
+    dev = dist.replicates - mean
+    var = (dev ** 2).sum(axis=0) / (replicates - 1)
+    se = np.sqrt(((dev ** 4).mean(axis=0) - var ** 2) / replicates)
+    assert np.all(np.abs(var / var_ex - 1.0) <= z * se / var_ex)
 
 
 def test_every_pa_once_reproduces_point_war(pipeline, monkeypatch):

@@ -5,6 +5,8 @@ Run with:  python3 demos/04_war_and_uncertainty.py
 
 import warnings
 
+import numpy as np
+
 from openwar.pipeline import run_pipeline
 from openwar.simulate import generate_synthetic_season
 from openwar.uncertainty import BootstrapConfig, bootstrap_war, compare_players
@@ -15,26 +17,31 @@ with warnings.catch_warnings():
     # desk-scale league: 36 major-league position players, 12 pitchers
     result = run_pipeline(season, cutoff_pos=36, cutoff_pitch=12)
 
-leaders = sorted(result.valuations.values(), key=lambda v: -v.war)[:10]
+# one row per credited player, in player-id order
+val = result.valuation
+ids, war, raa, repl = val.player_ids, val.war, val.raa_total, val.raa_repl
+pa, bf = val.counts[:, 0], val.counts[:, 3]  # hit and pitch events
+leaders = np.argsort(-war, kind="stable")[:10]
 print("WAR leaderboard")
 print(f"{'player':<10}{'PA':>5}{'BF':>5}{'RAA':>8}{'repl':>8}"
       f"{'WAR':>7}  tier")
-for v in leaders:
-    print(f"{v.player_id:<10}{v.plate_appearances:>5}{v.batters_faced:>5}"
-          f"{v.raa_total:>8.2f}{v.raa_repl:>8.2f}{v.war:>7.2f}  {v.tier}")
+for j in leaders:
+    tier = "replacement" if val.replacement[j] else "major_league"
+    print(f"{ids[j]:<10}{pa[j]:>5}{bf[j]:>5}"
+          f"{raa[j]:>8.2f}{repl[j]:>8.2f}{war[j]:>7.2f}  {tier}")
 
 # Bootstrap: resample the season's plate appearances with replacement,
-# carrying each PA's credits jointly, with all models frozen.
-dist = bootstrap_war(result.ledger, result.valuations, result.pool,
+# carrying each PA's credits jointly, with all models frozen.  The
+# distribution's players are the valuation's, in the same order.
+dist = bootstrap_war(result.ledger.credits, val,
                      BootstrapConfig(replicates=500, master_seed=0))
 print("\n95% WAR intervals for the leaders")
 lo = dist.probs.index(0.025)
 hi = dist.probs.index(0.975)
-for v in leaders[:5]:
-    j = dist.players.index(v.player_id)
-    print(f"{v.player_id:<10} {v.war:>6.2f}  "
+for j in leaders[:5]:
+    print(f"{ids[j]:<10} {war[j]:>6.2f}  "
           f"[{dist.quantiles[j, lo]:>6.2f}, {dist.quantiles[j, hi]:>6.2f}]")
 
-a, b = leaders[0].player_id, leaders[1].player_id
+a, b = ids[leaders[0]], ids[leaders[1]]
 pr = compare_players(dist, a, b)
 print(f"\nPr[{a} out-produced {b}] across replicates: {pr:.3f}")

@@ -19,10 +19,10 @@ from .run_expectancy import RunExpectancyMatrix, estimate_matrix, run_value
 from .simulate import generate_synthetic_season
 from .uncertainty import BootstrapConfig, bootstrap_war, compare_players
 from .valuation import (
+    Valuation,
     build_replacement_pool,
     pythag_wpct,
     runs_per_win,
-    shadow_and_war,
     tabulate_raa,
     value_players,
 )
@@ -48,10 +48,10 @@ __all__ = [
     "BootstrapConfig",
     "bootstrap_war",
     "compare_players",
+    "Valuation",
     "build_replacement_pool",
     "pythag_wpct",
     "runs_per_win",
-    "shadow_and_war",
     "tabulate_raa",
     "value_players",
 ]

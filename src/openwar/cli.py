@@ -186,8 +186,7 @@ def cmd_simulate(args):
 
 def _run(args, compare=()):
     """Check the flags, parse the season, check that every player named
-    in the `compare` pairs plays in it, then run the pipeline.  Returns
-    the pipeline result and the runs per win it used."""
+    in the `compare` pairs plays in it, then run the pipeline."""
     bandwidth, rpw = _bandwidth(args), _resolve_rpw(args)
     _non_negative("cutoff-pos", args.cutoff_pos)
     _non_negative("cutoff-pitch", args.cutoff_pitch)
@@ -197,25 +196,24 @@ def _run(args, compare=()):
     if missing:
         raise ConfigError(f"--compare players not in the season: "
                           f"{', '.join(missing)}")
-    result = run_pipeline(
+    return run_pipeline(
         dataset, bandwidth=bandwidth, cutoff_pos=args.cutoff_pos,
         cutoff_pitch=args.cutoff_pitch, rpw=rpw)
-    return result, rpw
 
 
 def cmd_war(args):
-    result, _ = _run(args)
+    result = _run(args)
     cfg = _config_echo(args)
     out = Path(args.out)
-    _write(out / "valuation.csv", valuation_csv(result.valuations), cfg)
-    payload = json.loads(valuation_json(result.valuations))
+    _write(out / "valuation.csv", valuation_csv(result.valuation), cfg)
+    payload = json.loads(valuation_json(result.valuation))
     _write(out / "valuation.json",
            json.dumps({"config": json.loads(cfg), "players": payload},
                       indent=2, sort_keys=True) + "\n")
     _write(out / "run_expectancy.csv", result.ledger.matrix.to_csv(), cfg)
     _write(out / "fielding_surface.csv", result.ledger.surface_grid_csv(), cfg)
     _write(out / "fielding_models.csv", result.ledger.fielding_models_csv(), cfg)
-    print(f"wrote valuation for {len(result.valuations)} players to {out}")
+    print(f"wrote valuation for {len(result.valuation)} players to {out}")
     return EXIT_OK
 
 
@@ -223,10 +221,9 @@ def cmd_boot(args):
     if args.replicates < 1:
         raise ConfigError(f"--replicates must be >= 1, not {args.replicates}")
     seed = _seed(args)
-    result, rpw = _run(args, args.compare)
+    result = _run(args, args.compare)
     config = BootstrapConfig(replicates=args.replicates, master_seed=seed)
-    dist = bootstrap_war(result.ledger, result.valuations, result.pool,
-                         config, rpw=rpw)
+    dist = bootstrap_war(result.ledger.credits, result.valuation, config)
     # every output is computed before the first is written
     comparisons = comparison_json(dist, args.compare)
     cfg = _config_echo(args)

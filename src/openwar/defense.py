@@ -35,7 +35,6 @@ __all__ = [
     "fit_fielding_park_adjustment",
     "fit_pitching_adjustment",
     "apportion_defense",
-    "fielding_design_row",
 ]
 
 #: coordinate scale (feet) for the quadratic fielding design; keeps the
@@ -60,21 +59,12 @@ def _made_out(data):
     return (data.batter_dest == out) | (data.runner_dest == out).any(axis=1)
 
 
-def _located(data):
-    """Balls in play that carry coordinates: (mask, (k, 2) coordinates)."""
-    bip = _IN_PLAY[data.event] & ~np.isnan(data.bip_x)
-    if not bip.any():
-        raise ValueError("no balls in play with coordinates")
-    return bip, np.column_stack([data.bip_x[bip], data.bip_y[bip]])
-
-
-def fit_out_surface(data, bandwidth=None):
-    """Kernel smoother of P(out | x, y) over all balls in play."""
-    bip, points = _located(data)
-    outs = _made_out(data)[bip].astype(float)
+def fit_out_surface(coords, outs, bandwidth=None):
+    """Kernel smoother of P(out | x, y) over the balls in play at the (k, 2)
+    `coords`, where `outs` marks the plays that made an out."""
     if bandwidth is None:
-        bandwidth = scott_bandwidth(points)
-    return smooth_out_probability(points, outs, bandwidth)
+        bandwidth = scott_bandwidth(coords)
+    return smooth_out_probability(coords, outs.astype(float), bandwidth)
 
 
 def _split(delta, p_hat):
@@ -86,33 +76,29 @@ def _missing_coordinates(pa):
     return ValueError(f"{_where(pa)}: ball in play without coordinates")
 
 
-def fielding_design_row(x, y):
-    """[1, x, y, x^2, y^2, xy] on the scaled coordinate system."""
-    xs, ys = x / _COORD_SCALE, y / _COORD_SCALE
-    return [1.0, xs, ys, xs * xs, ys * ys, xs * ys]
-
-
 def _fielding_design(coords):
-    """(k, 6) fielding design for k coordinate pairs."""
-    coords = np.asarray(coords, dtype=float)
-    terms = fielding_design_row(coords[:, 0], coords[:, 1])
-    return np.column_stack(np.broadcast_arrays(*terms))
+    """(k, 6) fielding design [1, x, y, x^2, y^2, xy] for k coordinate
+    pairs, on the scaled coordinate system."""
+    xs, ys = (np.asarray(coords, dtype=float) / _COORD_SCALE).T
+    return np.column_stack([np.ones(len(xs)), xs, ys, xs * xs, ys * ys,
+                            xs * ys])
 
 
 _FIELDING_COLS = ["intercept", "x", "y", "x2", "y2", "xy"]
 
 
-def fit_fielding_models(data):
-    """Nine logistic models: position made at least one out on the play.
+def fit_fielding_models(design, outs, credited):
+    """Nine logistic models over the (k, 6) fielding `design` of k balls
+    in play: position made at least one out on the play.
 
-    The response for position L is 1 exactly when the record credits L
-    with converting the out.  A single-class position gets a constant
-    model at its empirical rate.
+    `outs` marks the plays that made an out and `credited` holds each
+    play's credited position code (-1 for none).  The response for
+    position L is 1 exactly when the record credits L with converting the
+    out.  A single-class position gets a constant model at its empirical
+    rate.
     """
-    bip, coords = _located(data)
-    X = DesignMatrix(columns=_FIELDING_COLS, values=_fielding_design(coords))
-    credited = data.credited[bip]
-    uncredited = int(np.sum(_made_out(data)[bip] & (credited < 0)))
+    X = DesignMatrix(columns=_FIELDING_COLS, values=design)
+    uncredited = int(np.sum(outs & (credited < 0)))
     if uncredited:
         warnings.warn(
             f"{uncredited} out-making balls in play carry no credited fielder; "
@@ -135,13 +121,12 @@ def fit_fielding_models(data):
     return models
 
 
-def _fielding_shares(coords, models, play):
+def _fielding_shares(design, models, play):
     """Per-position out probabilities and normalized shares, each (k, 9),
-    at the coordinates of k balls in play: one prediction per model over
-    the whole design.  A play whose probabilities all vanish is split
-    equally, with a warning naming it (play(k) is its PlateAppearance)."""
-    X = _fielding_design(coords)
-    probs = np.column_stack([models[pos].predict(X)
+    over the (k, 6) fielding `design` of k balls in play: one prediction
+    per model.  A play whose probabilities all vanish is split equally,
+    with a warning naming it (play(k) is its PlateAppearance)."""
+    probs = np.column_stack([models[pos].predict(design)
                              for pos in FIELDING_POSITIONS])
     total = probs.sum(axis=1)
     vanish = total < 1e-12
@@ -202,21 +187,25 @@ class DefenseResult:
 
 def apportion_defense(data, deltas, bandwidth=None):
     """Run the full defensive chain over a season.  A ball in play without
-    coordinates, which the fits would skip, is rejected before any fit."""
+    coordinates is rejected before any fit."""
     deltas = np.asarray(deltas, dtype=float)
     bip = np.flatnonzero(_IN_PLAY[data.event])
     missing = np.isnan(data.bip_x[bip])
     if missing.any():
         raise _missing_coordinates(data.record(bip[np.argmax(missing)]))
+    if not len(bip):
+        raise ValueError("no balls in play with coordinates")
     coords = np.column_stack([data.bip_x[bip], data.bip_y[bip]])
+    outs = _made_out(data)[bip]
+    design = _fielding_design(coords)
 
-    surface = fit_out_surface(data, bandwidth=bandwidth)
-    models = fit_fielding_models(data)
+    surface = fit_out_surface(coords, outs, bandwidth=bandwidth)
+    models = fit_fielding_models(design, outs, data.credited[bip])
     p_hat = np.zeros(len(data))
     p_hat[bip] = surface.evaluate_binned(coords[:, 0], coords[:, 1])
     delta_p, delta_f = _split(deltas, p_hat)
 
-    probs, shares = _fielding_shares(coords, models,
+    probs, shares = _fielding_shares(design, models,
                                      lambda k: data.record(bip[k]))
     park_fit = fit_fielding_park_adjustment(data, bip,
                                             delta_f[bip, None] * shares)

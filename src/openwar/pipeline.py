@@ -22,6 +22,7 @@ from .valuation import (
     DEFAULT_CUTOFF_POS,
     DEFAULT_RUNS_PER_WIN,
     CreditTable,
+    Valuation,
     value_players,
 )
 
@@ -102,14 +103,13 @@ def build_ledger(data, bandwidth=None, matrix=None):
 @dataclass
 class PipelineResult:
     ledger: SeasonLedger
-    valuations: dict
-    pool: object
+    valuation: Valuation
 
 
 def run_pipeline(data, bandwidth=None, cutoff_pos=DEFAULT_CUTOFF_POS,
                  cutoff_pitch=DEFAULT_CUTOFF_PITCH, rpw=DEFAULT_RUNS_PER_WIN):
     ledger = build_ledger(data, bandwidth=bandwidth)
-    valuations, pool = value_players(
-        ledger, data.roster, cutoff_pos=cutoff_pos,
+    valuation = value_players(
+        ledger.credits, data.roster, cutoff_pos=cutoff_pos,
         cutoff_pitch=cutoff_pitch, rpw=rpw)
-    return PipelineResult(ledger=ledger, valuations=valuations, pool=pool)
+    return PipelineResult(ledger=ledger, valuation=valuation)

@@ -4,10 +4,12 @@ Each replicate redraws the season's plate appearances with replacement,
 carrying every credit of a drawn PA jointly (hitter, runners,
 fielders, pitcher), then re-aggregates RAA and re-applies the frozen
 replacement rates to the resampled event counts.  Models and the
-replacement pool are never refit inside a replicate.
+replacement tier are never refit inside a replicate.
 
-Because the rates and runs-per-win are frozen, a credit's contribution
-to WAR is linear in its PA's draw count: WAR = Σ worth · w[pa] with
+The rates, runs-per-win, point WAR and names all come from one
+`Valuation`, whose rows follow the credit table's players.  Because the
+rates and runs-per-win are frozen, a credit's contribution to WAR is
+linear in its PA's draw count: WAR = Σ worth · w[pa] with
 worth = (value − rate[component]) / rpw.  The credits are therefore
 folded to that worth once and summed per (player, PA), and each
 replicate is one gather of the draw counts and one contiguous
@@ -16,6 +18,7 @@ per-player reduction.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from dataclasses import dataclass
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import empirical_quantiles, replicate_rng
-from .valuation import COMPONENTS, DEFAULT_RUNS_PER_WIN
 
 __all__ = ["BootstrapConfig", "WarDistribution", "bootstrap_war", "compare_players"]
 
@@ -47,7 +49,7 @@ class BootstrapConfig:
 @dataclass
 class WarDistribution:
     players: list  # sorted player ids
-    names: dict
+    names: list  # by players
     point: np.ndarray  # point-estimate WAR per player
     replicates: np.ndarray  # (replicates, players) WAR matrix
     probs: tuple
@@ -55,54 +57,52 @@ class WarDistribution:
 
     def quantile_csv(self):
         out = io.StringIO()
-        labels = ",".join(f"q{100 * p:g}" for p in self.probs)
-        out.write(f"player_id,name,{labels}\n")
-        for j, pid in enumerate(self.players):
-            qs = ",".join(repr(float(q)) for q in self.quantiles[j])
-            out.write(f"{pid},{self.names[pid]},{qs}\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["player_id", "name",
+                         *(f"q{100 * p:g}" for p in self.probs)])
+        writer.writerows(zip(self.players, self.names,
+                             *self.quantiles.T.tolist()))
         return out.getvalue()
 
 
-def bootstrap_war(ledger, valuations, pool, config, rpw=DEFAULT_RUNS_PER_WIN):
+def bootstrap_war(credits, valuation, config):
     """Resample the season `config.replicates` times with frozen models.
 
-    Each replicate weights every credit by the number of times its plate
+    `valuation` is the Valuation of the CreditTable `credits`; its rates,
+    runs per win and point WAR are the ones every replicate uses.  Each
+    replicate weights every credit by the number of times its plate
     appearance was drawn, so a drawn PA carries all of its credits.
     Deterministic: each replicate draws from its own stream derived from
-    (master_seed, replicate index).  A player in `valuations` without
-    credits gets zero WAR in every replicate.
+    (master_seed, replicate index).
     """
-    table = ledger.credits
-    n = table.n_pas
+    n = credits.n_pas
     if not n:
         raise ValueError("empty ledger")
-    players = sorted(valuations)
-    column = {pid: j for j, pid in enumerate(players)}
-    code = np.array([column[pid] for pid in table.player_ids],
-                    dtype=np.int64)[table.player]
-    rates = np.array([pool.rates[c] for c in COMPONENTS])
-    worth = (table.value - rates[table.component]) / rpw
-    # one row per (player column, PA), sorted by player then PA
-    pairs, row = np.unique(code * n + table.pa, return_inverse=True)
+    if valuation.player_ids != credits.player_ids:
+        raise ValueError("the valuation is not of this credit table")
+    worth = (credits.value - valuation.rates[credits.component]) \
+        / valuation.rpw
+    # one row per (player, PA), sorted by player then PA
+    pairs, row = np.unique(credits.player * n + credits.pa,
+                           return_inverse=True)
     worth = np.bincount(row, weights=worth, minlength=len(pairs))
     pa = pairs % n
-    held, starts = np.unique(pairs // n, return_index=True)
-    del code, pairs, row
-    point = np.array([valuations[p].war for p in players])
+    starts = np.unique(pairs // n, return_index=True)[1]
+    del pairs, row
 
-    mat = np.zeros((config.replicates, len(players)))
+    mat = np.empty((config.replicates, len(valuation)))
     for rep in range(config.replicates):
         rng = replicate_rng(config.master_seed, rep)
         # float counts: a float x int64 multiply is several times slower
         w = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
-        mat[rep, held] = np.add.reduceat(worth * w[pa], starts)
+        mat[rep] = np.add.reduceat(worth * w[pa], starts)
 
     step = max(1, QUANTILE_BLOCK_ELEMENTS // config.replicates)
     quantiles = np.vstack([
         empirical_quantiles(mat[:, j:j + step], DEFAULT_PROBS, axis=0).T
-        for j in range(0, len(players), step)])
-    names = {p: valuations[p].name for p in players}
-    return WarDistribution(players=players, names=names, point=point,
+        for j in range(0, len(valuation), step)])
+    return WarDistribution(players=valuation.player_ids,
+                           names=valuation.names, point=valuation.war,
                            replicates=mat, probs=DEFAULT_PROBS,
                            quantiles=quantiles)
 

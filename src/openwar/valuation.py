@@ -6,26 +6,28 @@ Replacement level is the complement of the top-N players by playing
 time within each role (position players by plate appearances, pitchers
 by batters faced); a player's replacement shadow applies the
 replacement tier's per-event rates to the player's own event counts.
+`value_players` returns one `Valuation`: arrays with a row per credited
+player, in the credit table's player order, from which the shadow and
+WAR are derived.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "COMPONENTS",
     "CreditTable",
-    "PlayerValuation",
-    "ReplacementPool",
+    "Valuation",
     "tabulate_raa",
     "build_replacement_pool",
-    "shadow_and_war",
     "value_players",
     "runs_per_win",
     "pythag_wpct",
@@ -70,119 +72,110 @@ class CreditTable:
                    value=np.asarray(value, dtype=float))
 
 
+#: the playing-time columns of each role: plate appearances and batters faced
+_HIT, _PITCH = COMPONENTS.index("hit"), COMPONENTS.index("pitch")
+
+
+def _in_order(terms):
+    """Sum of `terms` over axis 0, added one after another from 0.0, as a
+    scalar loop adds (np.sum adds pairwise, Python 3.12's sum compensates),
+    so every output keeps its last digit."""
+    start = np.zeros((1, *terms.shape[1:]))
+    return np.cumsum(np.concatenate([start, terms]), axis=0)[-1]
+
+
 @dataclass
-class PlayerValuation:
-    player_id: str
-    name: str
-    raa: dict = field(default_factory=lambda: {c: 0.0 for c in COMPONENTS})
-    counts: dict = field(default_factory=lambda: {c: 0 for c in COMPONENTS})
-    tier: str = None  # major_league | replacement
-    raa_repl: float = 0.0
-    war: float = None
+class Valuation:
+    """Every credited player's valuation, as arrays indexed like the
+    credit table's sorted `player_ids`.
+
+    `raa` and `counts` are (m, 4) in COMPONENTS order: runs above average
+    and credited events.  Players in the `replacement` tier set the four
+    replacement `rates` (runs per event); the shadow and WAR follow from
+    those and `rpw` (runs per win), so they are never stored.
+    """
+
+    player_ids: list
+    names: list
+    raa: np.ndarray
+    counts: np.ndarray
+    replacement: np.ndarray  # bool
+    rates: np.ndarray
+    rpw: float
+
+    def __len__(self):
+        return len(self.player_ids)
 
     @property
     def raa_total(self):
-        return sum(self.raa.values())
+        return _in_order(self.raa.T)
 
     @property
-    def plate_appearances(self):
-        return self.counts["hit"]
+    def raa_repl(self):
+        """The replacement shadow: the rates charged to the player's own
+        event counts."""
+        return _in_order((self.rates * self.counts).T)
 
     @property
-    def batters_faced(self):
-        return self.counts["pitch"]
-
-    @property
-    def role(self):
-        return "pitcher" if self.counts["pitch"] > self.counts["hit"] \
-            else "position"
+    def war(self):
+        return (self.raa_total - self.raa_repl) / self.rpw
 
 
-def tabulate_raa(ledger, roster):
-    """Sum the ledger's credit table into per-player valuations.
-
-    `ledger.credits` is a CreditTable; any credited player missing from the
-    roster is an error.
-    """
-    table = ledger.credits
-    for pid in table.player_ids:
+def tabulate_raa(credits, roster):
+    """Sum the credit table per player: (names, raa, counts), the last two
+    (m, 4).  A credited player missing from the roster is an error."""
+    for pid in credits.player_ids:
         if pid not in roster:
             raise KeyError(f"player {pid!r} appears in the ledger but not the roster")
     k = len(COMPONENTS)
-    key = table.player * k + table.component
-    size = len(table.player_ids) * k
-    raa = np.bincount(key, weights=table.value, minlength=size).reshape(-1, k)
+    key = credits.player * k + credits.component
+    size = len(credits.player_ids) * k
+    raa = np.bincount(key, weights=credits.value, minlength=size).reshape(-1, k)
     counts = np.bincount(key, minlength=size).reshape(-1, k)
-    return {
-        pid: PlayerValuation(player_id=pid, name=roster[pid],
-                             raa=dict(zip(COMPONENTS, raa[j].tolist())),
-                             counts=dict(zip(COMPONENTS, counts[j].tolist())))
-        for j, pid in enumerate(table.player_ids)}
+    return [roster[pid] for pid in credits.player_ids], raa, counts
 
 
-@dataclass
-class ReplacementPool:
-    cutoff_pos: int
-    cutoff_pitch: int
-    rates: dict  # component -> replacement RAA per event
-    replacement_ids: set
-
-    def tier(self, player_id):
-        return "replacement" if player_id in self.replacement_ids \
-            else "major_league"
-
-
-def build_replacement_pool(valuations, cutoff_pos=DEFAULT_CUTOFF_POS,
+def build_replacement_pool(raa, counts, cutoff_pos=DEFAULT_CUTOFF_POS,
                            cutoff_pitch=DEFAULT_CUTOFF_PITCH):
-    """Split the league into major-league and replacement tiers.
+    """Split the league into major-league and replacement tiers: the
+    replacement mask and the tier's per-event rates.
 
-    Top `cutoff_pos` position players by plate appearances and top
-    `cutoff_pitch` pitchers by batters faced are major league; everyone
-    else is replacement.  Ties at the cutoff break by player id.
+    A player with more batters faced than plate appearances is a
+    pitcher.  The top `cutoff_pos` position players by plate appearances
+    and top `cutoff_pitch` pitchers by batters faced are major league;
+    everyone else is replacement.  Rows are in id order, so a stable sort
+    breaks ties at the cutoff by player id.
     """
     if min(cutoff_pos, cutoff_pitch) < 0:
         raise ValueError(f"cutoffs must be >= 0, not {cutoff_pos} and "
                          f"{cutoff_pitch}")
-    position = [v for v in valuations.values() if v.role == "position"]
-    pitchers = [v for v in valuations.values() if v.role == "pitcher"]
-    position.sort(key=lambda v: (-v.plate_appearances, v.player_id))
-    pitchers.sort(key=lambda v: (-v.batters_faced, v.player_id))
-
-    repl = set()
-    for group, cutoff, label in ((position, cutoff_pos, "position players"),
-                                 (pitchers, cutoff_pitch, "pitchers")):
-        if len(group) <= cutoff:
-            warnings.warn(f"only {len(group)} {label} for cutoff {cutoff}; "
+    pitcher = counts[:, _PITCH] > counts[:, _HIT]
+    replacement = np.zeros(len(counts), dtype=bool)
+    for group, column, cutoff, label in (
+            (~pitcher, _HIT, cutoff_pos, "position players"),
+            (pitcher, _PITCH, cutoff_pitch, "pitchers")):
+        members = np.flatnonzero(group)
+        if len(members) <= cutoff:
+            warnings.warn(f"only {len(members)} {label} for cutoff {cutoff}; "
                           "replacement pool is empty for that role")
-        repl.update(v.player_id for v in group[cutoff:])
-
-    rates = {}
-    ordered = sorted(repl)  # a set's order follows the hash seed
-    for comp in COMPONENTS:
-        total = sum(valuations[p].raa[comp] for p in ordered)
-        events = sum(valuations[p].counts[comp] for p in ordered)
-        rates[comp] = total / events if events else 0.0
-    return ReplacementPool(cutoff_pos=cutoff_pos, cutoff_pitch=cutoff_pitch,
-                           rates=rates, replacement_ids=repl)
+        order = np.argsort(-counts[members, column], kind="stable")
+        replacement[members[order[cutoff:]]] = True
+    events = counts[replacement].sum(axis=0)
+    rates = np.zeros(len(COMPONENTS))
+    np.divide(_in_order(raa[replacement]), events, out=rates,
+              where=events > 0)
+    return replacement, rates
 
 
-def shadow_and_war(valuation, pool, rpw=DEFAULT_RUNS_PER_WIN):
-    """Attach tier, replacement shadow, and WAR to one valuation."""
-    valuation.tier = pool.tier(valuation.player_id)
-    valuation.raa_repl = sum(
-        pool.rates[c] * valuation.counts[c] for c in COMPONENTS)
-    valuation.war = (valuation.raa_total - valuation.raa_repl) / rpw
-    return valuation
-
-
-def value_players(ledger, roster, cutoff_pos=DEFAULT_CUTOFF_POS,
+def value_players(credits, roster, cutoff_pos=DEFAULT_CUTOFF_POS,
                   cutoff_pitch=DEFAULT_CUTOFF_PITCH, rpw=DEFAULT_RUNS_PER_WIN):
-    """Tabulate, classify, and convert to WAR in one pass."""
-    valuations = tabulate_raa(ledger, roster)
-    pool = build_replacement_pool(valuations, cutoff_pos, cutoff_pitch)
-    for v in valuations.values():
-        shadow_and_war(v, pool, rpw)
-    return valuations, pool
+    """Tabulate the credit table and split it into tiers: the Valuation."""
+    names, raa, counts = tabulate_raa(credits, roster)
+    replacement, rates = build_replacement_pool(raa, counts, cutoff_pos,
+                                                cutoff_pitch)
+    return Valuation(player_ids=list(credits.player_ids), names=names,
+                     raa=raa, counts=counts, replacement=replacement,
+                     rates=rates, rpw=rpw)
 
 
 def runs_per_win(p, r):
@@ -211,23 +204,23 @@ _COLUMNS = ("player_id", "name", "PA", "BF", "raa_hit", "raa_br", "raa_field",
             "raa_pitch", "raa", "tier", "raa_repl", "war")
 
 
-def _row(v):
-    """One player's output fields, in _COLUMNS order."""
-    return (v.player_id, v.name, v.plate_appearances, v.batters_faced,
-            *(v.raa[c] for c in COMPONENTS), v.raa_total, v.tier, v.raa_repl,
-            v.war)
+def _rows(valuation):
+    """Each player's output fields, in _COLUMNS order, as Python scalars."""
+    v = valuation
+    tier = np.where(v.replacement, "replacement", "major_league")
+    arrays = (v.counts[:, _HIT], v.counts[:, _PITCH], *v.raa.T, v.raa_total,
+              tier, v.raa_repl, v.war)
+    return zip(v.player_ids, v.names, *(a.tolist() for a in arrays))
 
 
-def valuation_csv(valuations):
+def valuation_csv(valuation):
     out = io.StringIO()
-    out.write(",".join(_COLUMNS) + "\n")
-    for pid in sorted(valuations):
-        out.write(",".join(repr(float(x)) if isinstance(x, float) else str(x)
-                           for x in _row(valuations[pid])) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_COLUMNS)
+    writer.writerows(_rows(valuation))
     return out.getvalue()
 
 
-def valuation_json(valuations):
-    payload = [dict(zip(_COLUMNS, _row(valuations[pid])))
-               for pid in sorted(valuations)]
+def valuation_json(valuation):
+    payload = [dict(zip(_COLUMNS, row)) for row in _rows(valuation)]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -2,7 +2,6 @@
 
 import importlib
 import pkgutil
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -60,16 +59,16 @@ def make_pa(game_id, pa_index, inning, half, outs, bases, event, batter_dest,
     )
 
 
-def credit_ledger(bundles):
-    """A stand-in ledger whose credit table holds `bundles`: one list of
-    (player_id, component, raa) credits per plate appearance."""
+def credit_table(bundles):
+    """The CreditTable of `bundles`: one list of (player_id, component,
+    raa) credits per plate appearance."""
     rows = [(i, pid, COMPONENTS.index(comp), raa)
             for i, bundle in enumerate(bundles) for pid, comp, raa in bundle]
     pa, ids, component, value = zip(*rows)
     players = sorted(set(ids))
-    return SimpleNamespace(credits=CreditTable.build(
+    return CreditTable.build(
         n_pas=len(bundles), pa=pa, player=[players.index(p) for p in ids],
-        player_ids=players, component=component, value=value))
+        player_ids=players, component=component, value=value)
 
 
 def dense_design(factors, extra=()):
@@ -123,21 +122,18 @@ def kappa(table, event, base, rank):
     return float(table.cdf[EVENT_TYPES.index(event), base, rank - _MIN_RANK])
 
 
-def bootstrap_reference(ledger, valuations, pool, config, rpw=10.0):
+def bootstrap_reference(table, valuation, config):
     """The (replicates, players) WAR matrix `bootstrap_war` returns, by
     the unfolded kernel: each replicate scatter-adds the draw-weighted
     values and the draw-weighted event counts of every credit row into
-    (player, component) cells, then charges the frozen rates to the
-    counts.  Same draws, same column order (sorted player ids)."""
-    table = ledger.credits
-    players = sorted(valuations)
-    column = {pid: j for j, pid in enumerate(players)}
+    (player, component) cells, then charges the valuation's frozen rates
+    to the counts and divides by its runs per win.  Same draws, same
+    column order (the table's sorted player ids)."""
     k = len(COMPONENTS)
-    key = np.array([column[pid] for pid in table.player_ids],
-                   dtype=np.intp)[table.player] * k + table.component
-    size = len(players) * k
-    rates = np.array([pool.rates[c] for c in COMPONENTS])
-    mat = np.empty((config.replicates, len(players)))
+    key = table.player * k + table.component
+    size = len(table.player_ids) * k
+    rates, rpw = valuation.rates, valuation.rpw
+    mat = np.empty((config.replicates, len(table.player_ids)))
     for rep in range(config.replicates):
         rng = replicate_rng(config.master_seed, rep)
         idx = rng.integers(0, table.n_pas, table.n_pas)

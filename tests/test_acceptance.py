@@ -29,7 +29,7 @@ from fixtures import (
     build_re_fixture,
     coefs,
     conservation_residuals,
-    credit_ledger,
+    credit_table,
     half_innings,
     ols_fit,
     records,
@@ -48,10 +48,10 @@ def acc():
     elapsed = time.perf_counter() - start
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        valuations, pool = value_players(ledger, data.roster,
-                                         cutoff_pos=36, cutoff_pitch=12)
+        valuation = value_players(ledger.credits, data.roster,
+                                  cutoff_pos=36, cutoff_pitch=12)
     return {"data": data, "ledger": ledger, "elapsed": elapsed,
-            "valuations": valuations, "pool": pool}
+            "valuation": valuation}
 
 
 def _ok(n, msg):
@@ -174,18 +174,18 @@ def test_criterion_06_replacement_semantics(acc):
 
     roster = {f"pos{k}": "x" for k in range(12)}
     roster.update({f"pit{k}": "x" for k in range(6)})
-    vals, _ = value_players(credit_ledger(uniform), roster, cutoff_pos=0,
-                            cutoff_pitch=0)
-    assert max(abs(v.war) for v in vals.values()) < 1e-9
+    val = value_players(credit_table(uniform), roster, cutoff_pos=0,
+                        cutoff_pitch=0)
+    assert np.max(np.abs(val.war)) < 1e-9
 
     # a larger replacement tier weakly lowers total WAR on the fixed season
     totals = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for cp, cpit in [(36, 12), (27, 9), (18, 6), (9, 3), (0, 0)]:
-            v, _ = value_players(acc["ledger"], acc["data"].roster,
-                                 cutoff_pos=cp, cutoff_pitch=cpit)
-            totals.append(sum(p.war for p in v.values()))
+            val = value_players(acc["ledger"].credits, acc["data"].roster,
+                                cutoff_pos=cp, cutoff_pitch=cpit)
+            totals.append(val.war.sum())
     assert all(a >= b - 1e-9 for a, b in zip(totals, totals[1:]))
     _ok(6, f"uniform league WAR = 0; total WAR over growing tiers "
            f"{[round(t, 2) for t in totals]} is weakly decreasing")
@@ -220,25 +220,23 @@ def test_criterion_07_pythagorean_checks():
 def test_criterion_08_bootstrap_determinism_and_calibration(acc):
     cfg = BootstrapConfig(replicates=500, master_seed=5)
     start = time.perf_counter()
-    d1 = bootstrap_war(acc["ledger"], acc["valuations"], acc["pool"], cfg)
+    d1 = bootstrap_war(acc["ledger"].credits, acc["valuation"], cfg)
     elapsed = time.perf_counter() - start
-    d2 = bootstrap_war(acc["ledger"], acc["valuations"], acc["pool"], cfg)
+    d2 = bootstrap_war(acc["ledger"].credits, acc["valuation"], cfg)
     assert d1.quantile_csv().encode() == d2.quantile_csv().encode()
     assert np.all(np.diff(d1.quantiles, axis=1) >= -1e-12)
     assert elapsed < 60.0
 
     # analytic calibration: one player, iid single-credit plate appearances
-    from openwar.valuation import ReplacementPool, shadow_and_war, tabulate_raa
     values = np.random.default_rng(300).normal(0.0, 0.12, 400)
-    ledger = credit_ledger([[("a", "hit", float(v))] for v in values])
-    pool = ReplacementPool(0, 0, {c: 0.0 for c in ("hit", "br", "field",
-                                                   "pitch")}, set())
-    vals = tabulate_raa(ledger, {"a": "A"})
-    for v in vals.values():
-        shadow_and_war(v, pool, 1.0)
-    dist = bootstrap_war(ledger, vals, pool,
-                         BootstrapConfig(replicates=500, master_seed=6),
-                         rpw=1.0)
+    credits = credit_table([[("a", "hit", float(v))] for v in values])
+    # a one-player league whose cutoff keeps the player: zero rates
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        val = value_players(credits, {"a": "A"}, cutoff_pos=1,
+                            cutoff_pitch=0, rpw=1.0)
+    dist = bootstrap_war(credits, val,
+                         BootstrapConfig(replicates=500, master_seed=6))
     analytic = float(np.sqrt(len(values) * np.var(values)))
     observed = float(dist.replicates[:, 0].std())
     assert abs(observed - analytic) / analytic < 0.15

@@ -1,5 +1,6 @@
 """Command-line interface tests."""
 
+import csv
 import json
 import os
 import shutil
@@ -223,6 +224,47 @@ def test_boot_is_seed_deterministic(tmp_path, war_season):
         outs.append((out / "war_quantiles.csv")
                     .read_bytes().split(b"\n", 1)[1])
     assert outs[0] == outs[1]
+
+
+def _csv_rows(path):
+    """The rows of an output CSV, its config comment skipped."""
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines()
+             if not ln.startswith("#")]
+    return list(csv.DictReader(lines))
+
+
+def test_outputs_quote_a_player_id_with_a_comma(tmp_path):
+    """A player id holding a comma is legal input; the output CSVs quote
+    it, so every column of its row stays in place."""
+    season = _simulate(tmp_path, games=20)
+    comment, body = season.read_text(encoding="utf-8").split("\n", 1)
+    with open(season, "w", newline="", encoding="utf-8") as fh:
+        fh.write(comment + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(
+            ["Doe, J" if f == "T01_C" else f for f in row]
+            for row in csv.reader(body.splitlines()))
+    common = ["--input", str(season), "--cutoff-pos", "40",
+              "--cutoff-pitch", "18"]
+    assert main(["war", *common, "--out", str(tmp_path / "war")]) == EXIT_OK
+    assert main(["boot", *common, "--out", str(tmp_path / "boot"),
+                 "--replicates", "20", "--compare", "Doe, J",
+                 "T02_C"]) == EXIT_OK
+    text = ("player_id", "name", "tier")
+    for path in (tmp_path / "war" / "valuation.csv",
+                 tmp_path / "boot" / "war_quantiles.csv"):
+        rows = _csv_rows(path)
+        assert "Doe, J" in [row["player_id"] for row in rows]
+        for row in rows:
+            assert None not in row and None not in row.values()
+            for col, value in row.items():
+                if col not in text:
+                    float(value)
+    doe = next(row for row in _csv_rows(tmp_path / "war" / "valuation.csv")
+               if row["player_id"] == "Doe, J")
+    assert doe["name"] == "Doe, J" and int(doe["PA"]) > 0
+    comparison = json.loads((tmp_path / "boot" / "comparisons.json")
+                            .read_text())
+    assert comparison[0]["player_a"] == "Doe, J"
 
 
 def test_config_echo_has_no_threads_key(tmp_path, war_season):

@@ -17,11 +17,11 @@ from openwar.events import (
     validate_dataset,
 )
 from openwar.defense import (
+    _fielding_design,
     _fielding_shares,
-    _located,
+    _made_out,
     _split,
     apportion_defense,
-    fielding_design_row,
     fit_fielding_models,
     fit_out_surface,
 )
@@ -31,6 +31,19 @@ from openwar.simulate import generate_synthetic_season
 from openwar.uncertainty import BootstrapConfig, bootstrap_war
 
 from fixtures import conservation_residuals, make_pa, openwar_modules
+
+
+def _in_play(data):
+    """(coords, outs, credited) of the balls in play of `data`: the arrays
+    the defensive chain hands to its fits."""
+    bip = events._IN_PLAY[data.event]
+    return (np.column_stack([data.bip_x[bip], data.bip_y[bip]]),
+            _made_out(data)[bip], data.credited[bip])
+
+
+def _fit_models(data):
+    coords, outs, credited = _in_play(data)
+    return fit_fielding_models(_fielding_design(coords), outs, credited)
 
 
 def _surface_from(points, outs, bandwidth=(30.0, 30.0)):
@@ -60,8 +73,8 @@ def test_bip_split_follows_out_probability():
 
 
 def test_bip_without_coordinates():
-    """The surface and fielding fits skip a ball in play without
-    coordinates; the chain, which must split its value, rejects it."""
+    """The chain, which must split a ball in play's value by its
+    coordinates, rejects one without them, and a season without any."""
     located = make_pa("A@B-0001", 0, 1, "top", 0, 0, "Flyout", "O",
                       bip=(0.0, 100.0), credited="CF")
     bare = dataclasses.replace(
@@ -69,19 +82,22 @@ def test_bip_without_coordinates():
                 credited="CF"),
         bip_location=None)
     data = SeasonDataset.from_records([located, bare])
-    assert _located(data)[1].tolist() == [[0.0, 100.0]]
-    assert len(fit_out_surface(data, bandwidth=(30.0, 30.0)).points) == 1
     with pytest.raises(ValueError, match="pa 1: ball in play without"):
         apportion_defense(data, np.zeros(2), bandwidth=(30.0, 30.0))
     # with no located ball at all, the bare ball is still the one named
     with pytest.raises(ValueError, match="pa 1: ball in play without"):
         apportion_defense(SeasonDataset.from_records([bare]), np.zeros(1),
                           bandwidth=(30.0, 30.0))
+    strikeout = make_pa("A@B-0001", 0, 1, "top", 0, 0, "Strikeout", "O")
+    with pytest.raises(ValueError, match="no balls in play"):
+        apportion_defense(SeasonDataset.from_records([strikeout]),
+                          np.zeros(1), bandwidth=(30.0, 30.0))
 
 
 def test_fielding_design_row():
-    row = fielding_design_row(100.0, 200.0)
-    assert row == [1.0, 1.0, 2.0, 1.0, 4.0, 2.0]
+    design = _fielding_design([[100.0, 200.0], [-50.0, 0.0]])
+    assert design.tolist() == [[1.0, 1.0, 2.0, 1.0, 4.0, 2.0],
+                               [1.0, -0.5, 0.0, 0.25, 0.0, 0.0]]
 
 
 def _clustered_dataset(rng, n=40):
@@ -106,10 +122,10 @@ def _clustered_dataset(rng, n=40):
 def test_fielding_models_localize_responsibility():
     rng = master_rng(3)
     data = _clustered_dataset(rng)
-    models = fit_fielding_models(data)
+    models = _fit_models(data)
     cf = models["CF"]
-    near = np.array([fielding_design_row(0.0, 295.0)])
-    far = np.array([fielding_design_row(-35.0, 125.0)])
+    near = _fielding_design([[0.0, 295.0]])
+    far = _fielding_design([[-35.0, 125.0]])
     assert cf.predict(near)[0] > cf.predict(far)[0]
     ss = models["SS"]
     assert ss.predict(far)[0] > ss.predict(near)[0]
@@ -118,7 +134,7 @@ def test_fielding_models_localize_responsibility():
 def test_single_class_position_gets_constant_model():
     rng = master_rng(4)
     data = _clustered_dataset(rng)
-    models = fit_fielding_models(data)
+    models = _fit_models(data)
     # no play in this dataset credits the catcher
     assert models["C"].constant_rate == 0.0
     assert np.all(models["C"].predict(np.ones((3, 6))) == 0.0)
@@ -127,9 +143,9 @@ def test_single_class_position_gets_constant_model():
 def test_fielding_shares_sum_to_one():
     rng = master_rng(5)
     data = _clustered_dataset(rng)
-    models = fit_fielding_models(data)
-    _, coords = _located(data)
-    probs, shares = _fielding_shares(coords, models, data.record)
+    models = _fit_models(data)
+    design = _fielding_design(_in_play(data)[0])
+    probs, shares = _fielding_shares(design, models, data.record)
     assert probs.shape == shares.shape == (len(data), 9)
     assert np.max(np.abs(shares.sum(axis=1) - 1.0)) <= 1e-12
     assert np.all((shares >= 0.0) & (shares <= 1.0))
@@ -143,14 +159,16 @@ def test_vanishing_fielder_probabilities_split_equally():
                        constant_rate=0.0)
     models = {pos: zero for pos in FIELDING_POSITIONS}
     with pytest.warns(UserWarning, match="pa 7: all fielder probabilities"):
-        _, shares = _fielding_shares(_located(data)[1], models, data.record)
+        _, shares = _fielding_shares(_fielding_design(_in_play(data)[0]),
+                                     models, data.record)
     assert shares.tolist() == [[1.0 / 9.0] * 9]
 
 
 def test_out_surface_tracks_conversion_rate():
     rng = master_rng(6)
     data = _clustered_dataset(rng)
-    surface = fit_out_surface(data)
+    coords, outs, _ = _in_play(data)
+    surface = fit_out_surface(coords, outs)
     # outs cluster at the CF spot; singles dilute everywhere else
     cf_spot, elsewhere = surface.evaluate([0.0, 100.0], [295.0, 80.0])
     assert cf_spot > elsewhere
@@ -178,7 +196,8 @@ def test_out_probabilities_are_probabilities(pipeline, season_records):
 
 @pytest.fixture(scope="module")
 def surface_100g():
-    return fit_out_surface(generate_synthetic_season(100, 17, teams=30))
+    coords, outs, _ = _in_play(generate_synthetic_season(100, 17, teams=30))
+    return fit_out_surface(coords, outs)
 
 
 def test_binned_surface_matches_exact_at_balls_in_play(surface_100g):
@@ -272,7 +291,7 @@ def test_bootstrap_scatter_adds_do_not_grow_with_replicates(pipeline,
     seen = []
     for replicates in (5, 50):
         calls["weighted"] = 0
-        bootstrap_war(pipeline.ledger, pipeline.valuations, pipeline.pool,
+        bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
                       BootstrapConfig(replicates=replicates))
         seen.append(calls["weighted"])
     assert seen[0] == seen[1]
@@ -295,7 +314,7 @@ def test_clean_season_parses_without_per_row_work(season, monkeypatch):
 def test_unconverged_fielding_fits_are_reported(season):
     with pytest.warns(UserWarning, match="stopped separated or unconverged") \
             as caught:
-        models = fit_fielding_models(season)
+        models = _fit_models(season)
     stopped = [pos for pos, m in models.items()
                if m.separated or not m.converged]
     assert stopped  # true of every synthetic season tried so far

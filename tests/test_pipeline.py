@@ -92,7 +92,7 @@ def test_every_pa_has_hit_and_pitch_lines(pipeline, season_records):
     assert np.array_equal(per_pa["field"], np.where(bip, 9, 0))
     assert np.all(per_pa["br"] >= 1)  # the batter is always a runner
     # the credits are the league's whole RAA, which conservation puts at 0
-    total = sum(v.raa_total for v in pipeline.valuations.values())
+    total = float(pipeline.valuation.raa_total.sum())
     assert float(np.sum(table.value)) == pytest.approx(total, abs=1e-9)
     assert abs(total) < 1e-8 * float(np.sum(np.abs(ledger.deltas)))
 

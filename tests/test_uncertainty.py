@@ -16,55 +16,47 @@ from openwar.uncertainty import (
     compare_players,
     comparison_json,
 )
-from openwar.valuation import (
-    COMPONENTS,
-    DEFAULT_RUNS_PER_WIN,
-    PlayerValuation,
-    ReplacementPool,
-    shadow_and_war,
-    tabulate_raa,
-)
+from openwar.valuation import COMPONENTS, Valuation, tabulate_raa
 
-from fixtures import bootstrap_reference, credit_ledger
+from fixtures import bootstrap_reference, credit_table
 
 
-def _zero_pool():
-    return ReplacementPool(cutoff_pos=0, cutoff_pitch=0,
-                           rates={c: 0.0 for c in COMPONENTS},
-                           replacement_ids=set())
-
-
-def _valued(ledger, roster, rpw=1.0):
-    vals = tabulate_raa(ledger, roster)
-    pool = _zero_pool()
-    for v in vals.values():
-        shadow_and_war(v, pool, rpw)
-    return vals, pool
+def _valued(credits, rates=(0.0,) * len(COMPONENTS), rpw=1.0):
+    """The Valuation of `credits` at the given replacement rates and runs
+    per win, with no player in the replacement tier."""
+    names, raa, counts = tabulate_raa(
+        credits, {p: p.upper() for p in credits.player_ids})
+    return Valuation(player_ids=credits.player_ids, names=names, raa=raa,
+                     counts=counts, replacement=np.zeros(len(raa), bool),
+                     rates=np.array(rates, dtype=float), rpw=rpw)
 
 
 def test_bootstrap_is_deterministic():
     rng = np.random.default_rng(0)
     bundles = [[("a", "hit", float(v))] for v in rng.normal(0, 0.1, 50)]
-    ledger = credit_ledger(bundles)
-    vals, pool = _valued(ledger, {"a": "A"})
+    credits = credit_table(bundles)
+    val = _valued(credits)
     cfg = BootstrapConfig(replicates=40, master_seed=9)
-    d1 = bootstrap_war(ledger, vals, pool, cfg, rpw=1.0)
-    d2 = bootstrap_war(ledger, vals, pool, cfg, rpw=1.0)
+    d1 = bootstrap_war(credits, val, cfg)
+    d2 = bootstrap_war(credits, val, cfg)
     assert d1.quantile_csv() == d2.quantile_csv()
     assert np.array_equal(d1.replicates, d2.replicates)
-    d3 = bootstrap_war(ledger, vals, pool,
-                       BootstrapConfig(replicates=40, master_seed=10), rpw=1.0)
+    d3 = bootstrap_war(credits, val,
+                       BootstrapConfig(replicates=40, master_seed=10))
     assert not np.array_equal(d1.replicates, d3.replicates)
 
 
 def test_single_pa_season_has_zero_dispersion():
-    ledger = credit_ledger([[("a", "hit", 0.7)]])
-    vals, pool = _valued(ledger, {"a": "A"})
-    dist = bootstrap_war(ledger, vals, pool,
-                         BootstrapConfig(replicates=30, master_seed=1),
-                         rpw=1.0)
+    credits = credit_table([[("a", "hit", 0.7)]])
+    val = _valued(credits)
+    dist = bootstrap_war(credits, val,
+                         BootstrapConfig(replicates=30, master_seed=1))
     assert np.all(dist.replicates == 0.7)
     assert np.all(dist.quantiles == 0.7)
+    # a valuation pairs only with the credit table it was built from
+    with pytest.raises(ValueError, match="not of this credit table"):
+        bootstrap_war(credit_table([[("b", "hit", 0.7)]]), val,
+                      BootstrapConfig(replicates=30, master_seed=1))
 
 
 def test_bootstrap_sd_matches_analytic_value():
@@ -72,11 +64,10 @@ def test_bootstrap_sd_matches_analytic_value():
     rng = np.random.default_rng(2)
     values = rng.normal(0.0, 0.1, 400)
     bundles = [[("a", "hit", float(v))] for v in values]
-    ledger = credit_ledger(bundles)
-    vals, pool = _valued(ledger, {"a": "A"})
-    dist = bootstrap_war(ledger, vals, pool,
-                         BootstrapConfig(replicates=500, master_seed=3),
-                         rpw=1.0)
+    credits = credit_table(bundles)
+    val = _valued(credits)
+    dist = bootstrap_war(credits, val,
+                         BootstrapConfig(replicates=500, master_seed=3))
     analytic = np.sqrt(len(values) * np.var(values))
     observed = dist.replicates[:, 0].std()
     assert abs(observed - analytic) / analytic < 0.15
@@ -88,11 +79,10 @@ def test_bundles_are_resampled_jointly():
     rng = np.random.default_rng(4)
     bundles = [[("a", "hit", float(v)), ("b", "pitch", float(-v))]
                for v in rng.normal(0, 1, 80)]
-    ledger = credit_ledger(bundles)
-    vals, pool = _valued(ledger, {"a": "A", "b": "B"})
-    dist = bootstrap_war(ledger, vals, pool,
-                         BootstrapConfig(replicates=60, master_seed=5),
-                         rpw=1.0)
+    credits = credit_table(bundles)
+    val = _valued(credits)
+    dist = bootstrap_war(credits, val,
+                         BootstrapConfig(replicates=60, master_seed=5))
     a = dist.players.index("a")
     b = dist.players.index("b")
     assert np.allclose(dist.replicates[:, a], -dist.replicates[:, b],
@@ -100,7 +90,7 @@ def test_bundles_are_resampled_jointly():
 
 
 def test_quantiles_monotone_and_ordered(pipeline):
-    dist = bootstrap_war(pipeline.ledger, pipeline.valuations, pipeline.pool,
+    dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
                          BootstrapConfig(replicates=50, master_seed=0))
     assert dist.quantiles.shape == (len(dist.players), len(dist.probs))
     assert np.all(np.diff(dist.quantiles, axis=1) >= -1e-12)
@@ -114,7 +104,7 @@ def test_block_quantiles_match_per_player_loop(pipeline, monkeypatch):
     """Quantiles taken along axis 0 of blocks of 7 player columns, the last
     block short, equal those of each column alone."""
     monkeypatch.setattr(uncertainty, "QUANTILE_BLOCK_ELEMENTS", 40 * 7)
-    dist = bootstrap_war(pipeline.ledger, pipeline.valuations, pipeline.pool,
+    dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
                          BootstrapConfig(replicates=40, master_seed=2))
     loop = np.vstack([empirical_quantiles(dist.replicates[:, j], dist.probs)
                       for j in range(len(dist.players))])
@@ -124,13 +114,12 @@ def test_block_quantiles_match_per_player_loop(pipeline, monkeypatch):
 def test_bootstrap_matches_reference_on_session_season(pipeline):
     """The folded, per-(player, PA) kernel against the two-scatter-add
     oracle, with the season's nonzero replacement rates."""
-    assert any(pipeline.pool.rates.values())
+    credits, val = pipeline.ledger.credits, pipeline.valuation
+    assert val.rates.any()
     cfg = BootstrapConfig(replicates=30, master_seed=12)
-    dist = bootstrap_war(pipeline.ledger, pipeline.valuations, pipeline.pool,
-                         cfg)
-    ref = bootstrap_reference(pipeline.ledger, pipeline.valuations,
-                              pipeline.pool, cfg)
-    assert dist.players == sorted(pipeline.valuations)
+    dist = bootstrap_war(credits, val, cfg)
+    ref = bootstrap_reference(credits, val, cfg)
+    assert dist.players == credits.player_ids
     assert np.max(np.abs(dist.replicates - ref)) < 1e-12
 
 
@@ -141,29 +130,21 @@ _CREDIT = st.tuples(st.sampled_from(["p1", "p3", "p5"]),
 
 @given(bundles=st.lists(st.lists(_CREDIT, max_size=4), min_size=1,
                         max_size=25).filter(any),
-       idle=st.sampled_from(["p0", "p2", "p9"]),
        rates=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
        rpw=st.floats(2.0, 15.0),
        seed=st.integers(0, 2 ** 16))
 @settings(max_examples=60, deadline=None)
-def test_bootstrap_matches_reference_on_drawn_ledgers(bundles, idle, rates,
-                                                      rpw, seed):
-    """Drawn ledgers: repeated (player, PA) pairs, PAs without credits, a
-    player without credits sorting first, between or last, and the last
-    credited player's rows as the final reduced segment."""
-    ledger = credit_ledger(bundles)
-    pool = ReplacementPool(cutoff_pos=0, cutoff_pitch=0,
-                           rates=dict(zip(COMPONENTS, rates)),
-                           replacement_ids=set())
-    vals = tabulate_raa(ledger, {p: p.upper() for p in ("p1", "p3", "p5")})
-    vals[idle] = PlayerValuation(player_id=idle, name=idle.upper())
-    for v in vals.values():
-        shadow_and_war(v, pool, rpw)
+def test_bootstrap_matches_reference_on_drawn_ledgers(bundles, rates, rpw,
+                                                      seed):
+    """Drawn ledgers: repeated (player, PA) pairs, PAs without credits,
+    drawn rates and runs per win, and the last credited player's rows as
+    the final reduced segment."""
+    credits = credit_table(bundles)
+    val = _valued(credits, rates, rpw)
     cfg = BootstrapConfig(replicates=8, master_seed=seed)
-    dist = bootstrap_war(ledger, vals, pool, cfg, rpw=rpw)
-    ref = bootstrap_reference(ledger, vals, pool, cfg, rpw=rpw)
+    dist = bootstrap_war(credits, val, cfg)
+    ref = bootstrap_reference(credits, val, cfg)
     assert np.max(np.abs(dist.replicates - ref)) < 1e-12
-    assert np.all(dist.replicates[:, dist.players.index(idle)] == 0.0)
 
 
 def test_replicates_estimate_the_exact_moments(pipeline):
@@ -176,17 +157,15 @@ def test_replicates_estimate_the_exact_moments(pipeline):
     over var_ex within z standard errors of 1, that error estimated from
     the replicates' own fourth moment.  z is Bonferroni over the players
     at a family-wise level of 1e-3."""
-    table, pool = pipeline.ledger.credits, pipeline.pool
+    table, val = pipeline.ledger.credits, pipeline.valuation
     n, replicates = table.n_pas, 1000
-    rates = np.array([pool.rates[c] for c in COMPONENTS])
     a = np.zeros((len(table.player_ids), n))
     np.add.at(a, (table.player, table.pa),
-              (table.value - rates[table.component]) / DEFAULT_RUNS_PER_WIN)
+              (table.value - val.rates[table.component]) / val.rpw)
     total = a.sum(axis=1)
-    point = np.array([pipeline.valuations[p].war for p in table.player_ids])
-    assert np.max(np.abs(total - point)) < 1e-12
+    assert np.max(np.abs(total - val.war)) < 1e-12
 
-    dist = bootstrap_war(pipeline.ledger, pipeline.valuations, pool,
+    dist = bootstrap_war(table, val,
                          BootstrapConfig(replicates=replicates, master_seed=0))
     assert dist.players == table.player_ids
     z = NormalDist().inv_cdf(1.0 - 1e-3 / len(dist.players) / 2.0)
@@ -204,7 +183,7 @@ def test_every_pa_once_reproduces_point_war(pipeline, monkeypatch):
     appearance once is the point WAR, replacement shadow included."""
     once = SimpleNamespace(integers=lambda low, high, size: np.arange(high))
     monkeypatch.setattr(uncertainty, "replicate_rng", lambda *key: once)
-    dist = bootstrap_war(pipeline.ledger, pipeline.valuations, pipeline.pool,
+    dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
                          BootstrapConfig(replicates=2))
     assert np.max(np.abs(dist.replicates - dist.point)) < 1e-12
 
@@ -216,11 +195,10 @@ def test_compare_players_matches_recount():
         bundles.append([("a", "hit", float(v))])
     for v in rng.normal(-0.05, 1.0, 100):
         bundles.append([("b", "hit", float(v))])
-    ledger = credit_ledger(bundles)
-    vals, pool = _valued(ledger, {"a": "A", "b": "B"})
-    dist = bootstrap_war(ledger, vals, pool,
-                         BootstrapConfig(replicates=80, master_seed=7),
-                         rpw=1.0)
+    credits = credit_table(bundles)
+    val = _valued(credits)
+    dist = bootstrap_war(credits, val,
+                         BootstrapConfig(replicates=80, master_seed=7))
     pr = compare_players(dist, "a", "b")
     a = dist.players.index("a")
     b = dist.players.index("b")
@@ -232,11 +210,10 @@ def test_compare_players_matches_recount():
 
 
 def test_comparison_json_shape():
-    ledger = credit_ledger([[("a", "hit", 0.5), ("b", "hit", -0.5)]])
-    vals, pool = _valued(ledger, {"a": "A", "b": "B"})
-    dist = bootstrap_war(ledger, vals, pool,
-                         BootstrapConfig(replicates=5, master_seed=0),
-                         rpw=1.0)
+    credits = credit_table([[("a", "hit", 0.5), ("b", "hit", -0.5)]])
+    val = _valued(credits)
+    dist = bootstrap_war(credits, val,
+                         BootstrapConfig(replicates=5, master_seed=0))
     import json
     payload = json.loads(comparison_json(dist, [("a", "b")]))
     assert payload == [{"player_a": "a", "player_b": "b",

@@ -1,56 +1,72 @@
 """Tabulation, replacement level, WAR, and Pythagorean bridge tests."""
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from openwar.valuation import (
     COMPONENTS,
-    PlayerValuation,
     build_replacement_pool,
     pythag_wpct,
     runs_per_win,
-    shadow_and_war,
     tabulate_raa,
     valuation_csv,
     valuation_json,
     value_players,
 )
 
-from fixtures import credit_ledger
+from fixtures import credit_table
 
 
-def _line_ledger(lines):
+def _line_table(lines):
     """One plate appearance per credit line."""
-    return credit_ledger([[line] for line in lines])
+    return credit_table([[line] for line in lines])
 
 
 def test_tabulate_sums_components():
     lines = [("a", "hit", 0.5), ("a", "hit", -0.2), ("a", "br", 0.1),
              ("b", "pitch", -0.4), ("b", "pitch", -0.1), ("b", "field", 0.2)]
-    vals = tabulate_raa(_line_ledger(lines), {"a": "Able", "b": "Baker"})
-    assert vals["a"].raa["hit"] == pytest.approx(0.3)
-    assert vals["a"].counts == {"hit": 2, "br": 1, "field": 0, "pitch": 0}
-    assert vals["a"].raa_total == pytest.approx(0.4)
-    assert vals["b"].raa_total == pytest.approx(-0.3)
-    assert vals["a"].role == "position"
-    assert vals["b"].role == "pitcher"
-    assert list(vals) == ["a", "b"]  # sorted by id
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a two-player league has no tier
+        val = value_players(_line_table(lines), {"a": "Able", "b": "Baker"})
+    assert val.player_ids == ["a", "b"]  # sorted by id
+    assert val.names == ["Able", "Baker"]
+    assert val.raa[0].tolist() == pytest.approx([0.3, 0.1, 0.0, 0.0])
+    assert val.counts.tolist() == [[2, 1, 0, 0], [0, 0, 1, 2]]
+    assert val.raa_total.tolist() == pytest.approx([0.4, -0.3])
 
 
 def test_tabulate_rejects_unrostered_player():
     with pytest.raises(KeyError, match="ghost"):
-        tabulate_raa(_line_ledger([("ghost", "hit", 1.0)]), {"a": "Able"})
+        value_players(_line_table([("ghost", "hit", 1.0)]), {"a": "Able"})
+
+
+def _counts(hit, pitch):
+    """(m, 4) event counts with `hit` plate appearances and `pitch`
+    batters faced per player, and no baserunning or fielding events."""
+    return np.column_stack([hit, np.zeros(len(hit), dtype=int),
+                            np.zeros(len(hit), dtype=int), pitch])
+
+
+def _tiers(counts, cutoff_pos, cutoff_pitch):
+    """The replacement mask of `counts`, its warnings silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build_replacement_pool(np.zeros(counts.shape), counts,
+                                      cutoff_pos, cutoff_pitch)[0]
 
 
 def test_role_uses_batters_faced_vs_plate_appearances():
-    v = PlayerValuation(player_id="x", name="X")
-    v.counts["hit"] = 10
-    v.counts["pitch"] = 11
-    assert v.role == "pitcher"
-    v.counts["pitch"] = 10
-    assert v.role == "position"
+    # more batters faced than plate appearances makes a pitcher, kept by
+    # a pitcher cutoff of 1; a tie makes a position player, dropped by 0
+    counts = _counts(hit=[10, 10], pitch=[11, 10])
+    assert _tiers(counts, cutoff_pos=0, cutoff_pitch=1).tolist() \
+        == [False, True]
+    assert _tiers(counts, cutoff_pos=1, cutoff_pitch=0).tolist() \
+        == [True, False]
 
 
 def _uniform_league(n_pos=8, n_pitch=4, pa_each=30, rate_hit=-0.02,
@@ -63,56 +79,59 @@ def _uniform_league(n_pos=8, n_pitch=4, pa_each=30, rate_hit=-0.02,
     for k in range(n_pitch):
         lines += [(f"pit{k}", "pitch", rate_pitch)] * (3 * pa_each)
     roster = {pid: pid for pid, _, _ in lines}
-    return _line_ledger(lines), roster
+    return _line_table(lines), roster
 
 
 def test_uniform_rates_give_zero_war():
-    ledger, roster = _uniform_league()
+    credits, roster = _uniform_league()
     # cutoffs of zero put the whole league in the replacement tier
-    vals, pool = value_players(ledger, roster, cutoff_pos=0, cutoff_pitch=0)
-    assert pool.rates["hit"] == pytest.approx(-0.02)
-    for v in vals.values():
-        assert abs(v.war) < 1e-9
+    val = value_players(credits, roster, cutoff_pos=0, cutoff_pitch=0)
+    assert val.replacement.all()
+    assert val.rates[COMPONENTS.index("hit")] == pytest.approx(-0.02)
+    assert np.max(np.abs(val.war)) < 1e-9
 
 
 def test_replacement_pool_top_n_and_tie_break():
-    vals = {}
-    for pid, pa in (("a", 50), ("b", 40), ("c", 40), ("d", 10)):
-        v = PlayerValuation(player_id=pid, name=pid)
-        v.counts["hit"] = pa
-        vals[pid] = v
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # no pitchers in this toy league
-        pool = build_replacement_pool(vals, cutoff_pos=2, cutoff_pitch=0)
+    # players a, b, c, d in id order
+    counts = _counts(hit=[50, 40, 40, 10], pitch=[0, 0, 0, 0])
     # "a" is in; the 40-PA tie breaks by id, so "b" is major league
-    assert pool.replacement_ids == {"c", "d"}
-    assert pool.tier("a") == "major_league"
-    assert pool.tier("c") == "replacement"
+    assert _tiers(counts, cutoff_pos=2, cutoff_pitch=0).tolist() \
+        == [False, False, True, True]
+    # the sort is by playing time, not by id
+    counts = _counts(hit=[10, 40, 50, 40], pitch=[0, 0, 0, 0])
+    assert _tiers(counts, cutoff_pos=2, cutoff_pitch=0).tolist() \
+        == [True, False, False, True]
 
 
 def test_empty_replacement_pool_warns():
-    vals = {"a": PlayerValuation(player_id="a", name="a")}
-    vals["a"].counts["hit"] = 5
+    counts = _counts(hit=[5], pitch=[0])
     with pytest.warns(UserWarning, match="replacement pool is empty"):
-        pool = build_replacement_pool(vals, cutoff_pos=10, cutoff_pitch=0)
-    assert pool.rates == {c: 0.0 for c in COMPONENTS}
+        replacement, rates = build_replacement_pool(
+            np.ones(counts.shape), counts, cutoff_pos=10, cutoff_pitch=0)
+    assert not replacement.any()
+    assert rates.tolist() == [0.0] * len(COMPONENTS)
 
 
 @pytest.mark.parametrize("cutoffs", [(-1, 0), (0, -1)])
 def test_negative_cutoff_is_rejected(cutoffs):
-    vals = {"a": PlayerValuation(player_id="a", name="a")}
+    counts = _counts(hit=[5], pitch=[0])
     with pytest.raises(ValueError, match="cutoffs must be >= 0"):
-        build_replacement_pool(vals, *cutoffs)
+        build_replacement_pool(np.zeros(counts.shape), counts, *cutoffs)
 
 
 def test_shadow_scales_with_playing_time():
-    ledger, roster = _uniform_league()
-    vals, pool = value_players(ledger, roster, cutoff_pos=0, cutoff_pitch=0)
-    v = vals["pos0"]
-    expected = pool.rates["hit"] * 30 + pool.rates["br"] * 30
-    assert v.raa_repl == pytest.approx(expected)
-    assert v.war == pytest.approx((v.raa_total - expected) / 10.0)
+    credits, roster = _uniform_league()
+    val = value_players(credits, roster, cutoff_pos=0, cutoff_pitch=0)
+    j = val.player_ids.index("pos0")
+    expected = val.rates[0] * 30 + val.rates[1] * 30
+    assert val.raa_repl[j] == pytest.approx(expected)
+    assert val.war[j] == pytest.approx((val.raa_total[j] - expected) / 10.0)
+    # the shadow and WAR follow whatever rates and runs per win it holds
+    other = dataclasses.replace(val, rates=np.array([0.1, 0.0, 0.0, -0.2]),
+                                rpw=4.0)
+    k = val.player_ids.index("pit0")
+    assert other.raa_repl[[j, k]].tolist() == pytest.approx([3.0, -18.0])
+    assert other.war[k] == pytest.approx((other.raa_total[k] + 18.0) / 4.0)
 
 
 def test_runs_per_win_values():
@@ -153,44 +172,79 @@ def test_pythag_rejects_nonpositive_runs():
 
 
 def test_valuation_outputs_round_trip():
-    ledger, roster = _uniform_league(n_pos=2, n_pitch=1)
-    vals, _ = value_players(ledger, roster, cutoff_pos=1, cutoff_pitch=0)
-    csv_text = valuation_csv(vals)
+    credits, roster = _uniform_league(n_pos=2, n_pitch=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # one pitcher, cutoff 0
+        val = value_players(credits, roster, cutoff_pos=1, cutoff_pitch=0)
+    csv_text = valuation_csv(val)
     lines = csv_text.splitlines()
     assert lines[0].startswith("player_id,name,PA,BF,")
-    assert len(lines) == 1 + len(vals)
+    assert len(lines) == 1 + len(val)
     # float fields round-trip through repr
-    war_col = lines[1].split(",")[-1]
-    assert float(war_col) == vals[sorted(vals)[0]].war
-    payload = json.loads(valuation_json(vals))
-    assert {p["player_id"] for p in payload} == set(vals)
-    for p in payload:
-        assert p["war"] == vals[p["player_id"]].war
+    assert [float(ln.split(",")[-1]) for ln in lines[1:]] == val.war.tolist()
+    assert [ln.split(",")[9] for ln in lines[1:]] == \
+        ["replacement", "major_league", "replacement"]  # pit0, pos0, pos1
+    payload = json.loads(valuation_json(val))
+    assert [p["player_id"] for p in payload] == val.player_ids
+    assert [p["war"] for p in payload] == val.war.tolist()
+    assert [p["PA"] for p in payload] == [0, 30, 30]
 
 
 def test_league_war_on_pipeline(pipeline):
     """Total RAA is conserved at zero; WAR totals reflect the shadow only."""
-    vals = pipeline.valuations
-    total_raa = sum(v.raa_total for v in vals.values())
+    val = pipeline.valuation
+    total_raa = val.raa_total.sum()
     scale = float(np.sum(np.abs(pipeline.ledger.deltas)))
     assert abs(total_raa) < 1e-8 * scale
-    total_shadow = sum(v.raa_repl for v in vals.values())
-    total_war = sum(v.war for v in vals.values())
-    assert total_war == pytest.approx(-total_shadow / 10.0)
+    assert val.war.sum() == pytest.approx(-val.raa_repl.sum() / 10.0)
 
 
 def test_tabulate_matches_per_pa_loop(pipeline):
-    """The bincount sums equal, bit for bit, a loop that walks the credits
-    plate appearance by plate appearance."""
-    table = pipeline.ledger.credits
+    """The bincount sums, and the component total, replacement rates,
+    shadow and WAR derived from them, equal bit for bit a scalar loop
+    that walks the credits plate appearance by plate appearance and adds
+    every sum left to right."""
+    table, val = pipeline.ledger.credits, pipeline.valuation
     raa, counts = {}, {}
     for r in np.argsort(table.pa, kind="stable"):
         key = (table.player_ids[table.player[r]],
                COMPONENTS[table.component[r]])
         raa[key] = raa.get(key, 0.0) + float(table.value[r])
         counts[key] = counts.get(key, 0) + 1
-    for (pid, comp), total in raa.items():
-        assert pipeline.valuations[pid].raa[comp] == total
-        assert pipeline.valuations[pid].counts[comp] == counts[(pid, comp)]
-    assert sum(sum(v.counts.values()) for v in pipeline.valuations.values()) \
-        == len(table.value)
+    players = table.player_ids
+    for j, pid in enumerate(players):
+        for c, comp in enumerate(COMPONENTS):
+            assert val.raa[j, c] == raa.get((pid, comp), 0.0)
+            assert val.counts[j, c] == counts.get((pid, comp), 0)
+    assert int(val.counts.sum()) == len(table.value)
+
+    # the tiers at the session's cutoffs 40/18, ties broken by id
+    def events(pid, comp):
+        return counts.get((pid, comp), 0)
+
+    repl = set()
+    for pitching, cutoff in ((False, 40), (True, 18)):
+        comp = "pitch" if pitching else "hit"
+        group = [p for p in players
+                 if (events(p, "pitch") > events(p, "hit")) == pitching]
+        group.sort(key=lambda p: (-events(p, comp), p))
+        repl.update(group[cutoff:])
+    assert val.replacement.tolist() == [p in repl for p in players]
+
+    rates = []
+    for comp in COMPONENTS:
+        total, n = 0.0, 0
+        for pid in sorted(repl):
+            total += raa.get((pid, comp), 0.0)
+            n += events(pid, comp)
+        rates.append(total / n if n else 0.0)
+    assert val.rates.tolist() == rates
+
+    for j, pid in enumerate(players):
+        total = shadow = 0.0
+        for rate, comp in zip(rates, COMPONENTS):
+            total += raa.get((pid, comp), 0.0)
+            shadow += rate * events(pid, comp)
+        assert val.raa_total[j] == total
+        assert val.raa_repl[j] == shadow
+        assert val.war[j] == (total - shadow) / 10.0

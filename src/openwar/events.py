@@ -17,7 +17,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import dropwhile, islice, repeat
+from itertools import chain, repeat
 from operator import attrgetter, itemgetter, methodcaller, ne
 
 import numpy as np
@@ -91,8 +91,12 @@ OPTIONAL_COLUMNS = ("credited_fielder_position",)
 
 _INT_COLUMNS = ("pa_index", "inning", "start_outs", "start_bases",
                 "end_outs", "end_bases", "runs_scored")
-#: rows coded per step of the parser, so the row strings never all live at once
-_BLOCK_ROWS = 1 << 14
+#: characters read per step of the parser, so the text never all lives at once
+_CHUNK_CHARS = 1 << 20
+#: a chunk with any of these needs csv.reader's quoting and line-end rules
+_READER_ONLY = ('"', "\r", "\0")
+#: _MASKS[k] keeps the first k bytes of a little-endian 8-byte word
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 class SchemaError(ValueError):
@@ -215,7 +219,7 @@ class SeasonDataset:
         string outside its column's vocabulary is stored as absent.  Numbers
         must parse and coordinates must be finite."""
         tables = {"game": {}, "player": {}, "park": {}}
-        cols, malformed = _code_columns(raw, tables)
+        cols, malformed = _code_columns(_by_record(raw), tables)
         if malformed.any():
             row = [raw[f][int(np.argmax(malformed))] for f in _FIELDS]
             raise RecordError(_row_problems(_FIELDS, row)[0])
@@ -260,46 +264,64 @@ def _raw_columns(pas):
     return raw
 
 
-def _codes(strings, coding, tables, blank_absent):
-    """Codes of `strings` into a vocabulary (-1 for "" or None, -2 for any
+def _codes(values, coding, tables, blank_absent):
+    """Codes of `values` into a vocabulary (-1 for "" or None, -2 for any
     other value outside it, which only the parser's checks tell apart) or
     into the growing id table tables[coding] (id -> code in insertion
     order; "" and None are absent when `blank_absent`)."""
     if not isinstance(coding, str):
         index = {w: k for k, w in enumerate(coding)}
         index[""] = index[None] = -1
-        return np.fromiter(map(index.get, strings, repeat(-2)), np.int8,
-                           len(strings))
+        return np.fromiter(map(index.get, values, repeat(-2)), np.int8,
+                           len(values))
     index = tables[coding]
-    for s in set(strings).difference(index):
-        index[s] = len(index)
-    codes = np.fromiter(map(index.__getitem__, strings), np.int32,
-                        len(strings))
+    for v in set(values).difference(index):
+        index[v] = len(index)
+    codes = np.fromiter(map(index.__getitem__, values), np.int32, len(values))
     for blank in ("", None):
         if blank_absent and blank in index:
             codes[codes == index[blank]] = -1
     return codes
 
 
-def _converted(strings, convert):
-    """`convert` applied to every string: (values, mask of failures)."""
+def _converted(values, convert, dtype):
+    """`convert` applied to every value: (array of results, mask of
+    failures, whose results are 0)."""
     try:
-        return list(map(convert, strings)), np.zeros(len(strings), bool)
+        return (np.array(list(map(convert, values)), dtype=dtype),
+                np.zeros(len(values), bool))
     except ValueError:
         pass
-    values, failed = [], []
-    for s in strings:
+    results, failed = [], []
+    for v in values:
         try:
-            values.append(convert(s))
+            results.append(convert(v))
             failed.append(False)
         except ValueError:
-            values.append(0)
+            results.append(0)
             failed.append(True)
-    return values, np.array(failed, dtype=bool)
+    return np.array(results, dtype=dtype), np.array(failed, dtype=bool)
 
 
 def _float_or_nan(s):
     return float(s) if s != "" else math.nan
+
+
+def _by_record(raw):
+    """Fields given as one value per record, in the (values, inverse) form
+    of `_code_columns`.  Numbers such as 0.0 and -0.0 are equal keys of a
+    dict but not equal values, so each record keeps its own value."""
+    return {f: (values, np.arange(len(values))) for f, values in raw.items()}
+
+
+def _distinct(strings):
+    """(distinct strings in first-seen order, the index of each string's
+    value in them)."""
+    index = dict.fromkeys(strings)
+    for k, s in enumerate(index):
+        index[s] = k
+    return list(index), np.fromiter(map(index.__getitem__, strings), np.intp,
+                                    len(strings))
 
 
 def _code_rows(header, rows, tables):
@@ -310,20 +332,26 @@ def _code_rows(header, rows, tables):
     short = np.fromiter(map(len, rows), np.intp, len(rows)) != len(header)
     if short.any():
         rows = [r if len(r) == len(header) else [""] * len(header) for r in rows]
-    raw = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    columns = zip(*rows) if rows else [()] * len(header)
+    raw = {f: _distinct(column) for f, column in zip(header, columns)}
     cols, malformed = _code_columns(raw, tables)
     return cols, malformed | short
 
 
 def _code_columns(raw, tables):
-    """`_code_rows` over the fields of a block given column by column."""
-    n = len(raw["game_id"])
+    """`_code_rows` over the fields of a block given column by column:
+    raw[f] = (values, inverse), record r having the value
+    values[inverse[r]] in field f.  Each value is converted, checked and
+    coded once, and the results are gathered by `inverse`."""
+    n = len(raw["game_id"][1])
+    absent = ([""], np.zeros(n, np.intp))  # an optional column not given
     malformed = np.zeros(n, dtype=bool)
     cols = {}
     for name in _INT_COLUMNS:
-        values, failed = _converted(raw[name], int)
-        cols[name] = np.array(values, dtype=np.int64)
-        malformed |= failed
+        values, inverse = raw[name]
+        converted, failed = _converted(values, int, np.int64)
+        cols[name] = converted[inverse]
+        malformed |= failed[inverse]
     for s in ("start", "end"):
         outs, bases = cols[f"{s}_outs"], cols[f"{s}_bases"]
         malformed |= (outs < 0) | (outs > 3) | (bases < 0) | (bases > 7)
@@ -331,17 +359,23 @@ def _code_columns(raw, tables):
         cols[f"{s}_bases"] = np.where(outs == 3, 0, bases).astype(np.int8)
     present = []
     for name in ("bip_x", "bip_y"):
-        values, failed = _converted(raw[name], _float_or_nan)
-        cols[name] = np.array(values, dtype=float)
-        present.append(np.fromiter(map(ne, raw[name], repeat("")), bool, n))
-        malformed |= failed | (present[-1] & ~np.isfinite(cols[name]))
+        values, inverse = raw[name]
+        converted, failed = _converted(values, _float_or_nan, float)
+        given = np.fromiter(map(ne, values, repeat("")), bool, len(values))
+        cols[name] = converted[inverse]
+        present.append(given[inverse])
+        malformed |= (failed | (given & ~np.isfinite(converted)))[inverse]
     malformed |= present[0] != present[1]
     # after the header a '#' line is a record, not a comment
-    malformed |= np.fromiter(map(methodcaller("startswith", "#"),
-                                 raw["game_id"]), bool, n)
+    values, inverse = raw["game_id"]
+    malformed |= np.fromiter(map(methodcaller("startswith", "#"), values),
+                             bool, len(values))[inverse]
     for name, fields, coding in _CODED:
-        parts = [_codes(raw.get(f, ("",) * n), coding, tables,
-                        name in ("runner", "fielder")) for f in fields]
+        parts = []
+        for f in fields:
+            values, inverse = raw.get(f, absent)
+            parts.append(_codes(values, coding, tables,
+                                name in ("runner", "fielder"))[inverse])
         cols[name] = parts[0] if len(parts) == 1 else \
             np.column_stack(parts).reshape(n, len(parts))
     return cols, malformed
@@ -441,7 +475,8 @@ def _check_record(pa):
     """Return a list of invariant-violation messages for one record."""
     if pa.event_type not in BALL_IN_PLAY:
         raise TaxonomyError(f"{_where(pa)}: unknown event_type {pa.event_type!r}")
-    c, _ = _code_columns(_raw_columns([pa]), {"game": {}, "player": {}, "park": {}})
+    c, _ = _code_columns(_by_record(_raw_columns([pa])),
+                         {"game": {}, "player": {}, "park": {}})
     return [f"{_where(pa)}: {message(pa)}" for m, message in _rules(c) if m[0]]
 
 
@@ -493,11 +528,21 @@ def validate_dataset(dataset, strict=True):
 
 def _view(row):
     """Row view of one record's CSV fields (column -> value), converted
-    field by field; raises RecordError or ValueError on a malformed field."""
-    start = GameState(int(row["start_outs"]), int(row["start_bases"]))
-    end = GameState(int(row["end_outs"]), int(row["end_bases"]))
-    bx, by = (None if row[c] == "" else float(row[c]) for c in ("bip_x", "bip_y"))
+    field by field; raises RecordError on a malformed field."""
     where = f"game {row['game_id']} pa {row['pa_index']}"
+
+    def number(column, convert, kind):
+        try:
+            return convert(row[column])
+        except ValueError:
+            raise RecordError(f"{where}: {column} must be {kind}, "
+                              f"got {row[column]!r}") from None
+
+    start, end = (GameState(number(f"{s}_outs", int, "an integer"),
+                            number(f"{s}_bases", int, "an integer"))
+                  for s in ("start", "end"))
+    bx, by = (None if row[c] == "" else number(c, float, "a number")
+              for c in ("bip_x", "bip_y"))
     if (bx is None) != (by is None):
         raise RecordError(f"{where}: bip_x/bip_y must both be set")
     if bx is not None and not (math.isfinite(bx) and math.isfinite(by)):
@@ -506,8 +551,8 @@ def _view(row):
         raise RecordError(f"{where}: game_id must not start with '#'")
     return PlateAppearance(
         game_id=row["game_id"],
-        pa_index=int(row["pa_index"]),
-        inning=int(row["inning"]),
+        pa_index=number("pa_index", int, "an integer"),
+        inning=number("inning", int, "an integer"),
         half=row["half"],
         batter_id=row["batter_id"],
         pitcher_id=row["pitcher_id"],
@@ -516,7 +561,7 @@ def _view(row):
         runner_ids=tuple(row[f"runner{b}_id"] or None for b in (1, 2, 3)),
         runner_dests=tuple(row[f"runner{b}_dest"] or None for b in (1, 2, 3)),
         batter_dest=row["batter_dest"],
-        runs_scored=int(row["runs_scored"]),
+        runs_scored=number("runs_scored", int, "an integer"),
         event_type=row["event_type"],
         ballpark_id=row["ballpark_id"],
         batter_hand=row["batter_hand"],
@@ -543,6 +588,148 @@ def _row_problems(header, row):
     return None, _check_record(pa)
 
 
+class _Text:
+    """A text file object read on from its position _CHUNK_CHARS characters
+    at a time."""
+
+    def __init__(self, source):
+        self.source, self.rest = source, ""
+
+    def chunk(self):
+        """The next whole lines, the last one without its '\\n' only at the
+        end of the text; "" when the text is used up."""
+        parts = [self.rest]
+        while piece := self.source.read(_CHUNK_CHARS):
+            cut = piece.rfind("\n") + 1
+            if cut:
+                parts.append(piece[:cut])
+                self.rest = piece[cut:]
+                return "".join(parts)
+            parts.append(piece)
+        self.rest = ""
+        return "".join(parts)
+
+    def line(self):
+        """The next line; "" when the text is used up."""
+        while not (cut := self.rest.find("\n") + 1):
+            piece = self.source.read(_CHUNK_CHARS)
+            if not piece:
+                line, self.rest = self.rest, ""
+                return line
+            self.rest += piece
+        line, self.rest = self.rest[:cut], self.rest[cut:]
+        return line
+
+
+def _field_values(buf, start, length):
+    """(distinct values, inverse) of the fields of one column: field r is
+    bytes buf[start[r]:start[r] + length[r]].  Fields are keyed by their
+    bytes, 8 at a time, as little-endian words masked to the field's end;
+    with no NUL in `buf`, fields share a key only if their bytes are equal.
+    `buf` ends with 8 spare bytes."""
+    words = np.ndarray(len(buf) - 7, "<u8", buf, strides=(1,))  # word at each byte
+    first, inverse = np.unique(words[start] & _MASKS[np.minimum(length, 8)],
+                               return_inverse=True)
+    codes, rows = len(first), np.arange(len(start))
+    for j in range(8, int(length.max(initial=0)), 8):
+        # a field longer than j bytes takes a new code for its code so far
+        # and its next word, so the work follows the bytes, not the rows
+        rows = rows[length[rows] > j]
+        keys, word = np.unique(words[start[rows] + j]
+                               & _MASKS[np.minimum(length[rows] - j, 8)],
+                               return_inverse=True)
+        pairs, new = np.unique(inverse[rows] * len(keys) + word,
+                               return_inverse=True)
+        inverse[rows] = codes + new
+        codes += len(pairs)
+    if codes > len(first):  # number the codes left in use from 0
+        _, inverse = np.unique(inverse, return_inverse=True)
+    some = np.zeros(int(inverse.max(initial=-1)) + 1, np.intp)
+    some[inverse] = np.arange(len(inverse))  # a record with each value
+    values = [buf[s:s + k].decode("utf-8", "surrogatepass") for s, k in
+              zip(start[some].tolist(), length[some].tolist())]
+    return values, inverse
+
+
+def _tokenized(chunk, header):
+    """Split a chunk of whole lines at ',' and '\\n' with array operations:
+    (the `_code_columns` input of its records, mask of records with a wrong
+    field count, record k -> its fields, lines in the chunk).  A record
+    with a wrong field count has "" in every field.  None when the chunk
+    needs csv.reader: it quotes, has '\\r' or NUL, or has a field longer
+    than csv.field_size_limit()."""
+    if any(c in chunk for c in _READER_ONLY):
+        return None
+    data = chunk.encode("utf-8", "surrogatepass")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = data + bytes(8)
+    text = np.frombuffer(data, np.uint8)
+    sep = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
+    last = np.flatnonzero(text[sep] == ord("\n"))  # each line's last separator
+    # the field that each separator ends, and one more, empty, that stands
+    # for every field of a record with a wrong field count
+    begins = np.concatenate([[0], sep[:-1] + 1, [0]])
+    lengths = np.concatenate([sep, [0]]) - begins
+    if lengths.max() > csv.field_size_limit():
+        return None
+    count = np.diff(last, prepend=-1)  # fields per line
+    # a blank line is one empty field, and carries no record
+    record = (count > 1) | (lengths[last] > 0)
+    begin, end = begins[last - count + 1][record], sep[last][record]
+    width = len(header)
+    whole = count[record] == width
+    fields = np.where(whole, np.arange(1 - width, 1)[:, None] + last[record],
+                      len(sep))
+    start, length = begins[fields], lengths[fields]
+    raw = {f: _field_values(buf, start[j], length[j])
+           for j, f in enumerate(header)}
+
+    def row(k):
+        return buf[begin[k]:end[k]].decode("utf-8", "surrogatepass").split(",")
+    return raw, ~whole, row, len(last)
+
+
+def _reader_rows(chunk, text, line):
+    """The rows of a chunk by csv.reader, blank lines skipped; a quoted
+    field may run on into the lines of `text` after the chunk.  `line`
+    lines came before the chunk.  Returns (rows, lines read, a RecordError
+    naming the line csv.reader could not read, or None)."""
+    lines = chunk.count("\n") + (not chunk.endswith("\n"))
+    reader = csv.reader(chain(io.StringIO(chunk), iter(text.line, "")))
+    rows = []
+    try:
+        while reader.line_num < lines:
+            row = next(reader, None)
+            if row is None:
+                break
+            if row:
+                rows.append(row)
+    except csv.Error as exc:
+        return rows, reader.line_num, RecordError(
+            f"line {line + reader.line_num}: {exc}")
+    return rows, reader.line_num, None
+
+
+def _coded_chunks(text, header, tables, line):
+    """Code the records of `text` (after the header, `line` lines in)
+    chunk by chunk.  Yields (SeasonDataset columns, mask of malformed
+    records, record k -> its raw fields) per chunk; a line that csv.reader
+    cannot read raises once the records before it are yielded."""
+    while chunk := text.chunk():
+        tokens = _tokenized(chunk, header)
+        if tokens is not None:
+            raw, short, row, lines = tokens
+            cols, malformed = _code_columns(raw, tables)
+            yield cols, malformed | short, row
+        else:
+            rows, lines, error = _reader_rows(chunk, text, line)
+            yield *_code_rows(header, rows, tables), rows.__getitem__
+            if error is not None:
+                raise error
+        line += lines
+
+
 def parse_season(source, strictness="strict"):
     """Parse a season CSV into a SeasonDataset.
 
@@ -552,9 +739,14 @@ def parse_season(source, strictness="strict"):
     mode any invariant violation raises; in lenient mode violating records
     are dropped and counted, and chain breaks become warnings.
 
-    Rows are read in blocks of _BLOCK_ROWS and checked with array
-    operations; only a row those checks flag is parsed and checked again
-    one field at a time, which gives its message.
+    The text after the header is read _CHUNK_CHARS characters at a time
+    and cut at line ends.  A chunk is split at ',' and '\\n' and each field
+    column coded from its distinct values with array operations; a chunk
+    that quotes, or has '\\r' or NUL, goes through csv.reader instead.
+    Every record is checked with array operations; only a record those
+    checks flag is parsed and checked again one field at a time, which
+    gives its message.  A line csv.reader cannot read raises RecordError in
+    either mode.
 
     Returns (dataset, report).
     """
@@ -566,28 +758,37 @@ def parse_season(source, strictness="strict"):
     if isinstance(source, str):
         source = io.StringIO(source)
 
-    reader = csv.reader(dropwhile(methodcaller("startswith", "#"), source))
-    header = next(reader, None)
-    if header is None:
+    comments = 0
+    for line in source:
+        if not line.startswith("#"):
+            break
+        comments += 1
+    else:
         raise SchemaError("empty input: no header row")
+    reader = csv.reader(chain([line], source))
+    try:
+        header = next(reader)
+    except csv.Error as exc:
+        raise SchemaError(f"line {comments + reader.line_num}: {exc}") from None
     have = set(header)
     missing = set(CSV_COLUMNS) - have
     unknown = have - set(CSV_COLUMNS) - set(OPTIONAL_COLUMNS)
     if missing or unknown:
         raise SchemaError(
             f"bad header: missing {sorted(missing)}, unknown {sorted(unknown)}")
+    if len(have) < len(header):
+        duplicated = sorted({c for c in header if header.count(c) > 1})
+        raise SchemaError(f"bad header: duplicated columns {duplicated}")
 
     report = ValidationReport()
     tables = {"game": {}, "player": {}, "park": {}}
-    rows = filter(None, reader)  # blank lines carry no record
     blocks = []
-    while True:
-        block = list(islice(rows, _BLOCK_ROWS))
-        cols, malformed = _code_rows(header, block, tables)
+    for cols, malformed, row in _coded_chunks(
+            _Text(source), header, tables, comments + reader.line_num):
         flagged = malformed | _record_mask(cols)
         keep = ~flagged
         for k in np.flatnonzero(flagged).tolist():
-            message, problems = _row_problems(header, block[k])
+            message, problems = _row_problems(header, row(k))
             if strict and (message or problems):
                 raise RecordError(message or "; ".join(problems))
             report.dropped += bool(message or problems)
@@ -596,14 +797,12 @@ def parse_season(source, strictness="strict"):
             keep[k] = not (message or problems)
         blocks.append({name: col[keep] for name, col in cols.items()}
                       if flagged.any() else cols)
-        if len(block) < _BLOCK_ROWS:
-            break
 
-    dataset = _finish(blocks, tables)
-    chain = _chain_messages(dataset)
-    if strict and chain:
-        raise ChainError("; ".join(chain[:5]))
-    report.warnings.extend(chain)
+    dataset = _finish(blocks or [_code_rows(header, [], tables)[0]], tables)
+    breaks = _chain_messages(dataset)
+    if strict and breaks:
+        raise ChainError("; ".join(breaks[:5]))
+    report.warnings.extend(breaks)
     return dataset, report
 
 

@@ -151,6 +151,23 @@ def test_validate_rejects_commented_out_row(tmp_path, capsys, lenient):
         assert "game_id must not start with '#'" in err["error"]
 
 
+@pytest.mark.parametrize("lenient", [False, True])
+def test_validate_rejects_field_over_the_csv_limit(tmp_path, capsys, lenient):
+    """csv.reader cannot read on past a field over csv.field_size_limit(),
+    so both modes exit with the JSON error, which names the line."""
+    lines = _simulate(tmp_path).read_text().splitlines()
+    cells = lines[5].split(",")  # lines[0] is the config comment, [1] the header
+    cells[0] = "G" * 140_000
+    lines[5] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    args = ["validate", "--input", str(bad)] + (["--lenient"] if lenient else [])
+    assert main(args) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "line 6: field larger than field limit (131072)",
+        "kind": "validation"}
+
+
 def test_missing_input_is_config_error(tmp_path, capsys):
     assert main(["validate", "--input", str(tmp_path / "nope.csv")]) \
         == EXIT_CONFIG

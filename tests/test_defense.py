@@ -311,6 +311,22 @@ def test_clean_season_parses_without_per_row_work(season, monkeypatch):
     assert calls == {"check": 0, "view": 0}
 
 
+def test_clean_season_reads_only_its_header_with_csv_reader(season,
+                                                            monkeypatch):
+    """Guard against the csv.reader path: a clean season written by
+    serialize_season has no quotes, '\\r' or NUL, so only its header goes
+    through csv.reader and every record through the array tokenizer."""
+    calls, lines = {"reader": 0}, []
+    reader = _counted(calls, "reader", events.csv.reader)
+    monkeypatch.setattr(events.csv, "reader", lambda source, *args: reader(
+        (lines.append(line) or line for line in source), *args))
+    text = serialize_season(season)
+    data, report = parse_season(text)
+    assert report.ok and not report.warnings and len(data) == len(season)
+    assert calls == {"reader": 1}
+    assert lines == text.splitlines(keepends=True)[:1]
+
+
 def test_unconverged_fielding_fits_are_reported(season):
     with pytest.warns(UserWarning, match="stopped separated or unconverged") \
             as caught:

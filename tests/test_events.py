@@ -3,11 +3,14 @@
 import csv
 import dataclasses
 import io
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openwar import events
 from openwar.events import (
     BALL_IN_PLAY,
     CSV_COLUMNS,
@@ -113,6 +116,12 @@ def test_parse_rejects_bad_header():
     header = ",".join(c for c in lines[0].split(",") if c != "bip_x")
     with pytest.raises(SchemaError):
         parse_season("\n".join([header] + lines[1:]))
+    # so is a column listed twice, even with rows as wide as the header
+    k = CSV_COLUMNS.index("bip_y")
+    twice = [line + "," + line.split(",")[k] for line in lines]
+    with pytest.raises(SchemaError,
+                       match=r"^bad header: duplicated columns \['bip_y'\]$"):
+        parse_season("\n".join(twice) + "\n")
 
 
 def test_parse_rejects_unknown_event():
@@ -302,3 +311,196 @@ def _csv(rows):
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows([_HEADER] + rows)
     return out.getvalue()
+
+
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+@pytest.mark.parametrize("column,value,expected", [
+    ("start_outs", "x", "start_outs must be an integer, got 'x'"),
+    ("runs_scored", "1.5", "runs_scored must be an integer, got '1.5'"),
+    ("bip_x", "abc", "bip_x must be a number, got 'abc'"),
+])
+def test_malformed_number_names_its_record(strictness, column, value,
+                                           expected):
+    rows = [list(r) for r in _ROWS]
+    k = next(i for i, r in enumerate(rows)
+             if r[_HEADER.index("bip_x")] != "")
+    rows[k][_HEADER.index(column)] = value
+    message = f"game {rows[k][0]} pa {rows[k][1]}: {expected}"
+    if strictness == "strict":
+        with pytest.raises(RecordError) as exc:
+            parse_season(_csv(rows), strictness)
+        assert str(exc.value) == message
+    else:
+        parsed, report = parse_season(_csv(rows), strictness)
+        assert (len(parsed), report.dropped) == (len(rows) - 1, 1)
+        # chain warnings about the gap the dropped row leaves follow
+        assert report.warnings[0] == f"dropped malformed row: {message}"
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 64])
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+def test_line_csv_reader_cannot_read_is_a_record_error(strictness, chunk,
+                                                       monkeypatch):
+    """csv.reader stops at a '\\r' inside an unquoted field and cannot go
+    on, so both modes raise, naming the line, also in a later chunk; a bad
+    row before it in the file is reported first."""
+    monkeypatch.setattr(events, "_CHUNK_CHARS", chunk)
+    rows = [list(r) for r in _ROWS]
+    rows[3][_HEADER.index("batter_id")] = "B\r1"
+    with pytest.raises(RecordError, match=r"^line 5: new-line character"):
+        parse_season(_csv(rows), strictness)
+    rows[1][_HEADER.index("runs_scored")] = "x"
+    if strictness == "strict":
+        with pytest.raises(RecordError, match="runs_scored must be an integer"):
+            parse_season(_csv(rows), strictness)
+
+
+@pytest.mark.parametrize("chunk", [1, 100, 1 << 20])
+def test_quoted_line_break_may_span_chunks(chunk, monkeypatch):
+    monkeypatch.setattr(events, "_CHUNK_CHARS", chunk)
+    rows = [list(r) for r in _ROWS]
+    for k in (2, 5):
+        rows[k][_HEADER.index("batter_id")] = "B\n\n1"
+    data, report = parse_season(_csv(rows), "strict")
+    assert len(data) == len(rows) and "B\n\n1" in data.player_ids
+    assert [data.player_ids[data.batter[k]] for k in (1, 2, 5)] == \
+        ["B1", "B\n\n1", "B\n\n1"]
+
+
+def test_ids_that_differ_past_byte_eight_stay_apart():
+    rows = [list(r) for r in _ROWS]
+    names = ["ABCDEFGH", "ABCDEFGH1", "ABCDEFGH2", "ABCDEFGH12345678",
+             "ABCDEFGH12345679", "Bätter", "Bätte"]
+    for k, row in enumerate(rows):
+        row[_HEADER.index("batter_id")] = names[k % len(names)]
+    data, report = parse_season(_csv(rows), "strict")
+    assert set(names) <= set(data.player_ids)
+    assert [data.player_ids[b] for b in data.batter] == \
+        [names[k % len(names)] for k in range(len(rows))]
+    # csv.reader may refuse NUL; either way the two paths agree
+    for k in range(0, len(rows), 2):
+        rows[k][_HEADER.index("batter_id")] = "B1\0"
+    text = _csv(rows).replace("ABCDEFGH", "B1")
+    with mock.patch.object(events, "_tokenized", lambda chunk, header: None):
+        expected = _outcome(text, "lenient")
+    assert _outcome(text, "lenient") == expected
+
+
+def test_long_field_costs_its_bytes_not_the_rows(monkeypatch):
+    """Guard against keying every field of a column 8 bytes at a time up to
+    the longest one: past their first 8 bytes only the fields that long are
+    sorted, so one 10,000-byte id adds about 2 x 1,250 sorted words."""
+    rows = [list(r) for r in _ROWS]
+    rows[0][_HEADER.index("batter_id")] = "B" * 10_000
+    sorted_words = []
+    unique = np.unique
+    monkeypatch.setattr(events.np, "unique", lambda a, *args, **kwargs: (
+        sorted_words.append(np.size(a)) or unique(a, *args, **kwargs)))
+    data, report = parse_season(_csv(rows), "strict")
+    assert data.player_ids[data.batter[0]] == "B" * 10_000
+    assert sum(sorted_words) < 2 * (len(_HEADER) * len(rows) + 2 * 1_250)
+
+
+def test_parse_reads_the_source_in_chunks(season, monkeypatch):
+    """The text is read a chunk at a time, never whole."""
+    text = serialize_season(season)
+    monkeypatch.setattr(events, "_CHUNK_CHARS", 1 << 14)
+    sizes = []
+
+    class Recorded(io.StringIO):
+        def read(self, size=-1):
+            sizes.append(size)
+            return super().read(size)
+
+    data, report = parse_season(Recorded(text))
+    assert report.ok and len(data) == len(season)
+    assert len(sizes) > len(text) >> 14
+    assert all(0 < size <= 1 << 14 for size in sizes)
+    assert serialize_season(data) == text
+
+
+def _outcome(text, strictness):
+    """What parse_season makes of `text`: its columns, id tables and
+    report, or the type and text of what it raises."""
+    try:
+        data, report = parse_season(text, strictness)
+    except Exception as exc:  # any failure, compared by type and text
+        return type(exc), str(exc)
+    columns = {name: (col.dtype.str, col.shape, col.tobytes())
+               for name, col in vars(data).items()
+               if isinstance(col, np.ndarray)}
+    return (columns, data.game_ids, data.player_ids, data.park_ids,
+            report.dropped, report.warnings)
+
+
+_RENAMES = st.sampled_from([
+    {}, {"B1": "Bätter"}, {"P1": "名前"}, {"PK": "PARKPARK"},
+    {"B1": "ABCDEFGH1", "R1": "ABCDEFGH2", "R2": "ABCDEFGH"},
+    {"R1": "R1\0"}])
+_ODD_VALUES = st.one_of(
+    st.sampled_from([
+        "", "x", " 2", "1_0", "-0.0", "1e400", "nan", "B1", "B1\0", "R1",
+        "ABCDEFGH", "ABCDEFGH1", "ABCDEFGH2", "Bätter", "名前", "#", "# AWY",
+        "a\nb", "x,y", '5"', "a\rb", "X" * 40, "Single", "O", "1B"]),
+    st.text(max_size=10))
+
+
+@st.composite
+def _season_texts(draw):
+    """A season CSV drawn around the valid rows: blank lines, '#' rows,
+    rows with a field changed or missing or added, quoted rows, non-ASCII
+    and long ids, CRLF line ends and a last line with no line end."""
+    rename = draw(_RENAMES)
+    first = draw(st.integers(0, len(_ROWS) - 1))
+    lines = [",".join(_HEADER)]
+    for row in _ROWS[first:first + draw(st.integers(0, 12))]:
+        row = [rename.get(v, v) for v in row]
+        kind = draw(st.sampled_from(
+            ["keep"] * 2 + ["field", "short", "long", "blank", "comment"]))
+        if kind == "field":
+            row[draw(st.integers(0, len(row) - 1))] = draw(_ODD_VALUES)
+        elif kind == "short":
+            row.pop()
+        elif kind == "long":
+            row.append("")
+        elif kind == "blank":
+            lines.append("")
+        elif kind == "comment":
+            lines.append("# " + ",".join(row[:3]))
+        if draw(st.integers(0, 4)) == 0:  # quoted, as csv.writer would
+            out = io.StringIO()
+            csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="") \
+                .writerow(row)
+            lines.append(out.getvalue())
+        else:
+            lines.append(",".join(row))
+    ends = draw(st.lists(st.sampled_from(["\n"] * 5 + ["\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-len(ends[-1])] if draw(st.booleans()) else text
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_season_texts(), chunk=st.integers(1, 300),
+       strictness=st.sampled_from(["strict", "lenient"]),
+       limit=st.sampled_from([None, 30]))
+def test_tokenizer_agrees_with_csv_reader(text, chunk, strictness, limit):
+    """The array tokenizer and csv.reader, on records across chunk
+    boundaries, give what csv.reader gives on the whole text in one chunk:
+    the same columns, id tables and report, or the same error, also for
+    fields too long to read under a lowered csv.field_size_limit."""
+    outcomes = []
+    previous = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        for tokenized, size in ((events._tokenized, chunk),
+                                (lambda chunk, header: None, chunk),
+                                (lambda chunk, header: None, len(text) + 1)):
+            with mock.patch.object(events, "_CHUNK_CHARS", size), \
+                    mock.patch.object(events, "_tokenized", tokenized):
+                outcomes.append(_outcome(text, strictness))
+    finally:
+        csv.field_size_limit(previous)
+    assert outcomes[0] == outcomes[2]
+    assert outcomes[1] == outcomes[2]

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .events import parse_season, serialize_season
+from .events import parse_season, season_csv
 from .pipeline import run_pipeline
-from .simulate import generate_synthetic_season
+from .simulate import synthetic_season_rows
 from .uncertainty import BootstrapConfig, bootstrap_war, comparison_json
 from .valuation import (
     DEFAULT_CUTOFF_PITCH,
@@ -178,9 +178,9 @@ def cmd_simulate(args):
         raise ConfigError(f"--games must be >= 1, not {args.games}")
     if args.teams < 2:
         raise ConfigError(f"--teams must be >= 2, not {args.teams}")
-    data = generate_synthetic_season(args.games, seed, teams=args.teams)
-    _write(args.out, serialize_season(data), _config_echo(args))
-    print(f"wrote {len(data)} plate appearances to {args.out}")
+    rows, _ = synthetic_season_rows(args.games, seed, teams=args.teams)
+    _write(args.out, season_csv(rows), _config_echo(args))
+    print(f"wrote {len(rows)} plate appearances to {args.out}")
     return EXIT_OK
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "ChainError",
     "RecordError",
     "parse_season",
+    "season_csv",
     "serialize_season",
     "validate_dataset",
     "aggregate_team_totals",
@@ -91,6 +92,7 @@ OPTIONAL_COLUMNS = ("credited_fielder_position",)
 
 _INT_COLUMNS = ("pa_index", "inning", "start_outs", "start_bases",
                 "end_outs", "end_bases", "runs_scored")
+_INT64 = np.iinfo(np.int64)
 #: characters read per step of the parser, so the text never all lives at once
 _CHUNK_CHARS = 1 << 20
 #: a chunk with any of these needs csv.reader's quoting and line-end rules
@@ -286,18 +288,19 @@ def _codes(values, coding, tables, blank_absent):
 
 def _converted(values, convert, dtype):
     """`convert` applied to every value: (array of results, mask of
-    failures, whose results are 0)."""
+    failures, whose results are 0).  A result that `dtype` cannot hold, an
+    integer beyond int64, is a failure."""
     try:
         return (np.array(list(map(convert, values)), dtype=dtype),
                 np.zeros(len(values), bool))
-    except ValueError:
+    except (ValueError, OverflowError):
         pass
     results, failed = [], []
     for v in values:
         try:
-            results.append(convert(v))
+            results.append(dtype(convert(v)))
             failed.append(False)
-        except ValueError:
+        except (ValueError, OverflowError):
             results.append(0)
             failed.append(True)
     return np.array(results, dtype=dtype), np.array(failed, dtype=bool)
@@ -538,8 +541,16 @@ def _view(row):
             raise RecordError(f"{where}: {column} must be {kind}, "
                               f"got {row[column]!r}") from None
 
-    start, end = (GameState(number(f"{s}_outs", int, "an integer"),
-                            number(f"{s}_bases", int, "an integer"))
+    def integer(column, top=None):
+        value = number(column, int, "an integer")
+        if top is not None and not 0 <= value <= top:
+            raise RecordError(f"{where}: {column} must be 0-{top}, got {value}")
+        if not _INT64.min <= value <= _INT64.max:
+            raise RecordError(f"{where}: {column} must be a 64-bit integer, "
+                              f"got {value}")
+        return value
+
+    start, end = (GameState(integer(f"{s}_outs", 3), integer(f"{s}_bases", 7))
                   for s in ("start", "end"))
     bx, by = (None if row[c] == "" else number(c, float, "a number")
               for c in ("bip_x", "bip_y"))
@@ -551,8 +562,8 @@ def _view(row):
         raise RecordError(f"{where}: game_id must not start with '#'")
     return PlateAppearance(
         game_id=row["game_id"],
-        pa_index=number("pa_index", int, "an integer"),
-        inning=number("inning", int, "an integer"),
+        pa_index=integer("pa_index"),
+        inning=integer("inning"),
         half=row["half"],
         batter_id=row["batter_id"],
         pitcher_id=row["pitcher_id"],
@@ -561,7 +572,7 @@ def _view(row):
         runner_ids=tuple(row[f"runner{b}_id"] or None for b in (1, 2, 3)),
         runner_dests=tuple(row[f"runner{b}_dest"] or None for b in (1, 2, 3)),
         batter_dest=row["batter_dest"],
-        runs_scored=number("runs_scored", int, "an integer"),
+        runs_scored=integer("runs_scored"),
         event_type=row["event_type"],
         ballpark_id=row["ballpark_id"],
         batter_hand=row["batter_hand"],
@@ -821,13 +832,19 @@ def _csv_columns(d, index=slice(None)):
     return [out[f] for f in _FIELDS]
 
 
-def serialize_season(dataset):
-    """Serialize a SeasonDataset to its canonical CSV string."""
+def season_csv(rows):
+    """The canonical CSV string of a season given as rows of its fields in
+    CSV_COLUMNS + OPTIONAL_COLUMNS order, None or "" where absent."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_FIELDS)
-    writer.writerows(zip(*_csv_columns(dataset)))
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def serialize_season(dataset):
+    """Serialize a SeasonDataset to its canonical CSV string."""
+    return season_csv(zip(*_csv_columns(dataset)))
 
 
 # Team aggregation.  The schema carries no team column; game ids of the

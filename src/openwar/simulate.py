@@ -24,7 +24,8 @@ from .events import (
 )
 from .numerics import master_rng
 
-__all__ = ["DEFAULT_EVENT_PROBS", "generate_synthetic_season"]
+__all__ = ["DEFAULT_EVENT_PROBS", "generate_synthetic_season",
+           "synthetic_season_rows"]
 
 # 2012 MLBAM event frequencies, renormalized over the taxonomy.
 _RAW_FREQ = {
@@ -244,25 +245,47 @@ def _apply_event(event, outs, bases, rng):
     return event, batter_dest, dests, new_outs, new_bases if new_outs < 3 else {}
 
 
-def _bip_location(event, rng):
-    # lo + (hi - lo) * random() is how Generator.uniform(lo, hi) draws
-    lo, hi = _BIP_RANGE.get(event, (60, 250))
-    r = lo + (hi - lo) * rng.random()
-    lo, hi = -np.pi / 4, np.pi / 4  # fair territory spans 90 degrees
-    psi = lo + (hi - lo) * rng.random()
-    x = round(float(r * np.sin(psi)), 1)
-    y = round(float(r * np.cos(psi)), 1)
-    return (x, max(y, 1.0))
+#: (lo, hi) radial range of each event code's batted balls
+_BIP_LO_HI = np.array([_BIP_RANGE.get(e, (60, 250)) for e in EVENT_TYPES], float)
+_EVENT_CODE = {e: k for k, e in enumerate(EVENT_TYPES)}
+_SPOTS = np.array(list(_FIELDER_SPOTS.values()))
+_SPOT_NAMES = np.array(list(_FIELDER_SPOTS), dtype=object)
 
 
-def _credited_position(xy):
-    x, y = xy
-    best, best_d = None, None
-    for pos, (px, py) in _FIELDER_SPOTS.items():
-        d = (x - px) ** 2 + (y - py) ** 2
-        if best_d is None or d < best_d:
-            best, best_d = pos, d
-    return best
+def _tenths(v):
+    """`round(v, 1)` of every value of float array `v`: the tenth nearest
+    its exact binary value, ties to even.  10v is exactly s + e, where s is
+    8v + 2v rounded and e its rounding error (Knuth's TwoSum); only a
+    rounded s that lands on a half can round the other way than 10v."""
+    a, b = 8.0 * v, 2.0 * v
+    s = a + b
+    bb = s - a
+    e = (a - (s - bb)) + (b - bb)
+    q = np.rint(s)
+    half = s - q
+    q += (half == 0.5) & (e > 0)
+    q -= (half == -0.5) & (e < 0)
+    return np.copysign(q / 10.0, v)  # -0.0 as round gives it
+
+
+def _bip_locations(events, draws):
+    """Batted-ball coordinates (x, y) of in-play events: the event codes
+    `events` and, per event, its two uniform draws (radius, angle).  The
+    arithmetic is the scalar `lo + (hi - lo) * random()` of
+    `Generator.uniform(lo, hi)`, then `round(..., 1)`, done on arrays."""
+    lo, hi = _BIP_LO_HI[events].T
+    u = np.asarray(draws, dtype=float).reshape(-1, 2)
+    r = lo + (hi - lo) * u[:, 0]
+    lo = -np.pi / 4  # fair territory spans 90 degrees
+    psi = lo + (np.pi / 4 - lo) * u[:, 1]
+    return _tenths(r * np.sin(psi)), np.maximum(_tenths(r * np.cos(psi)), 1.0)
+
+
+def _credited_positions(x, y):
+    """The fielder standing spot nearest each (x, y), by position name; the
+    first of equally near spots wins."""
+    d = (x[:, None] - _SPOTS[:, 0]) ** 2 + (y[:, None] - _SPOTS[:, 1]) ** 2
+    return _SPOT_NAMES[np.argmin(d, axis=1)]
 
 
 def generate_synthetic_season(games, seed, event_probs=None, teams=4):
@@ -273,6 +296,16 @@ def generate_synthetic_season(games, seed, event_probs=None, teams=4):
     event_probs optional dict event type -> probability (must sum to 1)
     teams       league size (>= 2)
     """
+    rows, roster = synthetic_season_rows(games, seed, event_probs, teams)
+    raw = dict(zip(CSV_COLUMNS + OPTIONAL_COLUMNS, zip(*rows)))
+    return SeasonDataset.from_columns(raw, roster=roster)
+
+
+def synthetic_season_rows(games, seed, event_probs=None, teams=4):
+    """The season of `generate_synthetic_season` as (rows, roster): one
+    list per plate appearance of its fields in CSV_COLUMNS +
+    OPTIONAL_COLUMNS order (None or "" where absent), as `season_csv`
+    writes them, and player id -> name."""
     if games < 1:
         raise ValueError("games must be >= 1")
     if teams < 2:
@@ -296,9 +329,11 @@ def generate_synthetic_season(games, seed, event_probs=None, teams=4):
                 team["rotation"] + team["relievers"]:
             roster[p.pid] = p.name
 
-    # one tuple per plate appearance: its fields in CSV_COLUMNS +
-    # OPTIONAL_COLUMNS order, as SeasonDataset.from_columns takes them
+    # one list per plate appearance of its fields up to the fielders; the
+    # batted balls are located after the loop, from the draws they took
     rows = []
+    in_play = []  # per ball in play: its row, event code, whether out made
+    draws = []  # per ball in play: radius draw, then angle draw
     cdfs = {}  # (batter skill, pitcher skill) -> CDF of the event draw
     for g in range(games):
         away = league[(2 * g) % teams]
@@ -363,26 +398,29 @@ def generate_synthetic_season(games, seed, event_probs=None, teams=4):
 
                     runs = list(dests.values()).count("H") + (batter_dest == "H")
                     if BALL_IN_PLAY[event]:
-                        bip = _bip_location(event, rng)
-                        credited = (_credited_position(bip) if new_outs > outs
-                                    else None)
-                    else:
-                        bip, credited = ("", ""), None
+                        in_play += len(rows), _EVENT_CODE[event], new_outs > outs
+                        draws += rng.random(), rng.random()
 
                     pa_index += 1
                     new_mask = _mask(new_bases)
-                    rows.append((
+                    rows.append([
                         game_id, pa_index, inning, half, batter.pid, pitcher.pid,
                         outs, mask, new_outs, new_mask,
                         bases.get(1), bases.get(2), bases.get(3),
                         dests.get(1), dests.get(2), dests.get(3),
                         batter_dest, runs, event, park, batter.hand,
-                        pitcher.hand, batter_position, *fielder_ids, *bip,
-                        credited))
+                        pitcher.hand, batter_position, *fielder_ids])
                     outs, bases, mask = new_outs, new_bases, new_mask
 
-    raw = dict(zip(CSV_COLUMNS + OPTIONAL_COLUMNS, zip(*rows)))
-    return SeasonDataset.from_columns(raw, roster=roster)
+    # bip_x, bip_y and credited_fielder_position of every row
+    tails = np.full((3, len(rows)), "", dtype=object)
+    tails[2] = None
+    at, events, made_out = np.array(in_play, np.intp).reshape(-1, 3).T
+    x, y = _bip_locations(events, draws)
+    tails[:, at] = x, y, np.where(made_out == 1, _credited_positions(x, y), None)
+    for row, tail in zip(rows, zip(*tails.tolist())):
+        row += tail
+    return rows, roster
 
 
 def _mask(bases):

@@ -168,6 +168,28 @@ def test_validate_rejects_field_over_the_csv_limit(tmp_path, capsys, lenient):
         "kind": "validation"}
 
 
+@pytest.mark.parametrize("lenient", [False, True])
+def test_validate_rejects_integer_beyond_int64(tmp_path, capsys, lenient):
+    """An integer field beyond int64 is a validation failure naming its
+    record, not a numeric one."""
+    lines = _simulate(tmp_path).read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[1] = "99999999999999999999"  # pa_index
+    lines[5] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    message = (f"game {cells[0]} pa {cells[1]}: pa_index must be a 64-bit "
+               f"integer, got {cells[1]}")
+    args = ["validate", "--input", str(bad)] + (["--lenient"] if lenient else [])
+    assert main(args) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    if lenient:
+        assert "dropped: 1" in out.splitlines()
+        assert f"warning: dropped malformed row: {message}" in out.splitlines()
+    else:
+        assert json.loads(err) == {"error": message, "kind": "validation"}
+
+
 def test_missing_input_is_config_error(tmp_path, capsys):
     assert main(["validate", "--input", str(tmp_path / "nope.csv")]) \
         == EXIT_CONFIG
@@ -337,7 +359,7 @@ def test_bad_config_value_is_config_error(tmp_path, war_season, capsys,
     season is read or generated, and write nothing.  A NAME=value entry
     of `flags` sets that environment variable."""
     monkeypatch.setattr(cli, "parse_season", _must_not_run)
-    monkeypatch.setattr(cli, "generate_synthetic_season", _must_not_run)
+    monkeypatch.setattr(cli, "synthetic_season_rows", _must_not_run)
     monkeypatch.delenv("OPENWAR_SEED", raising=False)
     for name, value in (f.split("=") for f in flags if "=" in f):
         monkeypatch.setenv(name, value)

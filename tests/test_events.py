@@ -267,7 +267,8 @@ _FIELD_VALUES = st.one_of(
         "", "0", "3", "4", "7", "8", "-1", " 2", "1_0", "1.5", "1e400", "nan",
         "inf", "H", "O", "1B", "3B", "top", "bottom", "L", "S", "P", "CF",
         "DH", "Single", "Walk", "Groundout", "Home Run", "null", "R1", "B1",
-        "D1", "#", "# AWY@HOM-0001"]),
+        "D1", "#", "# AWY@HOM-0001", "9223372036854775807",
+        "9223372036854775808", "-9223372036854775809"]),
     st.integers(-2, 9).map(str),
     st.floats().map(repr),
     # no line breaks
@@ -334,6 +335,38 @@ def test_malformed_number_names_its_record(strictness, column, value,
         parsed, report = parse_season(_csv(rows), strictness)
         assert (len(parsed), report.dropped) == (len(rows) - 1, 1)
         # chain warnings about the gap the dropped row leaves follow
+        assert report.warnings[0] == f"dropped malformed row: {message}"
+
+
+@pytest.mark.parametrize("reader", [False, True], ids=["arrays", "csv.reader"])
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+@pytest.mark.parametrize("column,value,expected", [
+    ("pa_index", "99999999999999999999",
+     "pa_index must be a 64-bit integer, got 99999999999999999999"),
+    ("runs_scored", "-9223372036854775809",
+     "runs_scored must be a 64-bit integer, got -9223372036854775809"),
+    ("start_outs", "5", "start_outs must be 0-3, got 5"),
+    ("end_bases", "9", "end_bases must be 0-7, got 9"),
+    ("start_bases", "-1", "start_bases must be 0-7, got -1"),
+], ids=["pa_index", "runs_scored", "start_outs", "end_bases", "start_bases"])
+def test_out_of_range_integer_names_its_record(strictness, reader, column,
+                                               value, expected):
+    """An integer beyond int64 or a state out of range is a record error
+    naming the record and column, on the array tokenizer and on the
+    csv.reader path (a quoted field sends the chunk there) alike."""
+    rows = [list(r) for r in _ROWS]
+    k = 4
+    rows[k][_HEADER.index(column)] = value
+    if reader:
+        rows[1][_HEADER.index("batter_id")] = "B,1"
+    message = f"game {rows[k][0]} pa {rows[k][1]}: {expected}"
+    if strictness == "strict":
+        with pytest.raises(RecordError) as exc:
+            parse_season(_csv(rows), strictness)
+        assert str(exc.value) == message
+    else:
+        parsed, report = parse_season(_csv(rows), strictness)
+        assert (len(parsed), report.dropped) == (len(rows) - 1, 1)
         assert report.warnings[0] == f"dropped malformed row: {message}"
 
 

@@ -7,7 +7,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from openwar import simulate
+from openwar import events, simulate
+from openwar.cli import main
 from openwar.events import (
     BALL_IN_PLAY,
     EVENT_TYPES,
@@ -142,7 +143,8 @@ def _draw_tables():
 
 
 def _bip_location_reference(event, rng):
-    """`_bip_location` drawing through `Generator.uniform`."""
+    """One ball in play's (x, y), drawn with `Generator.uniform` and scalar
+    trigonometry and rounding: the reference of `_bip_locations`."""
     lo, hi = simulate._BIP_RANGE.get(event, (60, 250))
     r = rng.uniform(lo, hi)
     psi = rng.uniform(-np.pi / 4, np.pi / 4)
@@ -163,27 +165,139 @@ def test_table_draws_match_generator_choice(name):
 
 
 def test_bip_location_matches_generator_uniform():
+    """The array pass locates each ball in play, from the two draws the
+    generator takes for it, where `Generator.uniform` and scalar rounding
+    put it, consuming the same stream."""
     ours, numpy_s = master_rng(8), master_rng(8)
-    for event in [*simulate._BIP_RANGE, "Home Run"] * 50:
-        assert simulate._bip_location(event, ours) \
-            == _bip_location_reference(event, numpy_s)
+    names = [*simulate._BIP_RANGE, "Home Run"] * 50
+    draws = [ours.random() for _ in range(2 * len(names))]
+    x, y = simulate._bip_locations(
+        [EVENT_TYPES.index(e) for e in names], draws)
+    expected = [_bip_location_reference(e, numpy_s) for e in names]
+    assert list(zip(x.tolist(), y.tolist())) == expected
     assert ours.random() == numpy_s.random()
 
 
-@pytest.mark.parametrize("games,seed,event_probs,digest", [
-    (60, 11, None,
-     "647e57e0aea2f86fe884319372cdd78c1929c57460abba7853cd612afd550e5e"),
-    (20, 3, _SPARSE,
-     "8d5a9cd68866e4fd675387e769ab54e4526c5eaba3c396c1303207ef4c5d9b19"),
+def _tenths_cases():
+    """Values at and around every half-tenth tie up to 400 (the 10x of
+    some of them rounds onto a half), and random ones, both signs."""
+    rng = master_rng(3)
+    ties = (np.arange(8000) + 0.5) / 10
+    near = [np.nextafter(ties, side) for side in (0, np.inf)]
+    values = np.concatenate([ties, *near, rng.uniform(0, 400, 20000),
+                             [0.0, 0.04, 0.05, 0.25, 0.75, 2.675, 384.95]])
+    return np.concatenate([values, -values])
+
+
+def test_tenths_match_round():
+    v = _tenths_cases()
+    got = simulate._tenths(v).tolist()
+    want = [round(x, 1) for x in v.tolist()]
+    assert got == want
+    assert [str(g) for g in got] == [str(w) for w in want]  # -0.0 too
+
+
+def _credited_position_reference(x, y):
+    """The nearest standing spot by a scalar search, the first of equally
+    near ones winning: the reference of `_credited_positions`."""
+    best, best_d = None, None
+    for pos, (px, py) in simulate._FIELDER_SPOTS.items():
+        d = (x - px) ** 2 + (y - py) ** 2
+        if best_d is None or d < best_d:
+            best, best_d = pos, d
+    return best
+
+
+def test_credited_positions_match_scalar_search():
+    # a grid of tenths (x = 0 ties 1B with 3B), and the points that lie
+    # halfway between two spots, where the first spot must win
+    grid = np.array(np.meshgrid(np.arange(-3848, 3849, 37) / 10,
+                                np.arange(10, 3851, 29) / 10)).reshape(2, -1)
+    spots = np.array(list(simulate._FIELDER_SPOTS.values()))
+    mid = (spots[:, None] + spots[None]).reshape(-1, 2).T / 2
+    x, y = np.concatenate([grid, mid], axis=1)
+    assert simulate._credited_positions(x, y).tolist() == \
+        [_credited_position_reference(*p) for p in zip(x.tolist(), y.tolist())]
+
+
+_PINNED = [
+    pytest.param(
+        60, 11, None,
+        "647e57e0aea2f86fe884319372cdd78c1929c57460abba7853cd612afd550e5e",
+        id="default"),
+    pytest.param(
+        20, 3, _SPARSE,
+        "8d5a9cd68866e4fd675387e769ab54e4526c5eaba3c396c1303207ef4c5d9b19",
+        id="sparse"),
     # every event type, the rare ones (Triple Play, Sac Fly DP) included
-    (40, 7, {e: 1 / 32 for e in EVENT_TYPES},
-     "d3d5798b52ca2d24d41deb08140b3ae336f1232cf136fe0a67f162e80aacae5a"),
-], ids=["default", "sparse", "uniform"])
+    pytest.param(
+        40, 7, {e: 1 / 32 for e in EVENT_TYPES},
+        "d3d5798b52ca2d24d41deb08140b3ae336f1232cf136fe0a67f162e80aacae5a",
+        id="uniform"),
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("games,seed,event_probs,digest", _PINNED)
 def test_season_bytes_are_pinned(games, seed, event_probs, digest):
     """The serialized season of a seed never changes.  The digests depend
     on numpy's Generator streams, so a numpy upgrade can move them."""
     data = generate_synthetic_season(games, seed, event_probs, teams=4)
-    assert hashlib.sha256(serialize_season(data).encode()).hexdigest() == digest
+    assert _sha256(serialize_season(data)) == digest
+
+
+def _simulated_csv(tmp_path, games, seed, teams):
+    """What `openwar simulate` writes after its config line."""
+    out = tmp_path / "season.csv"
+    assert main(["simulate", "--games", str(games), "--seed", str(seed),
+                 "--teams", str(teams), "--out", str(out)]) == 0
+    config, text = out.read_text(encoding="utf-8").split("\n", 1)
+    assert config.startswith("# config: ")
+    return text
+
+
+@pytest.mark.parametrize("games,seed,event_probs,digest", [
+    *_PINNED, pytest.param(30, 17, None, None, id="30 teams")])
+def test_simulate_writes_the_serialized_season(tmp_path, monkeypatch, games,
+                                               seed, event_probs, digest):
+    """`openwar simulate` writes its rows straight to CSV; the bytes are
+    those of the coded dataset, serialized.  The command takes no event
+    mix, so a custom mix goes in as the default."""
+    teams = 30 if digest is None else 4  # the pinned seasons have 4 teams
+    if event_probs is not None:
+        monkeypatch.setattr(simulate, "DEFAULT_EVENT_PROBS", event_probs)
+    text = _simulated_csv(tmp_path, games, seed, teams)
+    data = generate_synthetic_season(games, seed, event_probs, teams=teams)
+    assert text == serialize_season(data)
+    assert digest is None or _sha256(text) == digest
+
+
+def test_simulate_codes_and_decodes_nothing(tmp_path, monkeypatch):
+    """Guard against the code round trip: the command neither codes the
+    generated rows into a SeasonDataset nor decodes one to write it."""
+    calls = Counter()
+    from_columns = events.SeasonDataset.from_columns.__func__
+    csv_columns = events._csv_columns
+
+    def counted_from_columns(cls, *args, **kwargs):
+        calls["from_columns"] += 1
+        return from_columns(cls, *args, **kwargs)
+
+    def counted_csv_columns(*args, **kwargs):
+        calls["_csv_columns"] += 1
+        return csv_columns(*args, **kwargs)
+
+    monkeypatch.setattr(events.SeasonDataset, "from_columns",
+                        classmethod(counted_from_columns))
+    monkeypatch.setattr(events, "_csv_columns", counted_csv_columns)
+    text = _simulated_csv(tmp_path, 20, 11, 4)
+    assert calls == Counter()
+    # the counters do count: the library path codes and decodes once each
+    assert serialize_season(generate_synthetic_season(20, 11)) == text
+    assert calls == Counter(from_columns=1, _csv_columns=1)
 
 
 class _CountingRng:

@@ -36,8 +36,9 @@ EXACT_CHUNK_ELEMENTS = 1 << 20
 #: grid step of the binned smoother, as a fraction of the bandwidth
 BIN_STEP = 1.0 / 20.0
 #: largest binned grid axis (nodes); a wider grid (a bandwidth tiny next to
-#: the spread of the data) is evaluated exactly instead, because the dense
-#: kernel matrix grows with the square of the axis
+#: the spread of the data) is evaluated exactly instead.  It bounds the
+#: m_x x m_y binned grid and each (touched nodes x m) kernel, which the
+#: queries of a dense sample make as large as m x m
 MAX_GRID_NODES = 2048
 
 
@@ -233,9 +234,12 @@ class SmoothedSurface:
         chunk = max(1, EXACT_CHUNK_ELEMENTS // len(self.points))
         for start in range(0, x.shape[0], chunk):
             part = slice(start, start + chunk)
-            dx = (x[part, None] - self.points[None, :, 0]) / hx
-            dy = (y[part, None] - self.points[None, :, 1]) / hy
-            w = np.exp(-0.5 * (dx * dx + dy * dy))
+            # a distance of many bandwidths may overflow to inf: its weight
+            # is then exp(-inf) = 0, its limit
+            with np.errstate(over="ignore"):
+                dx = (x[part, None] - self.points[None, :, 0]) / hx
+                dy = (y[part, None] - self.points[None, :, 1]) / hy
+                w = np.exp(-0.5 * (dx * dx + dy * dy))
             total = w.sum(axis=1)
             ok = total >= MIN_KERNEL_WEIGHT
             out[part][ok] = (w[ok] @ self.response) / total[ok]
@@ -246,12 +250,13 @@ class SmoothedSurface:
         estimator behind KernSmooth's bkde2D).
 
         Training points and their responses are binned linearly onto a
-        grid of step BIN_STEP * h per axis, the numerator and denominator
+        grid of step BIN_STEP * h per axis.  The numerator and denominator
         grids are smoothed by the separable kernel as dense products
-        Kx @ C @ Ky (every term positive, so no cancellation in the sparse
-        tails), and both are interpolated bilinearly at the queries.  A
-        query more than sqrt(2 ln(n / MIN_KERNEL_WEIGHT)) bandwidths outside
-        the training points' bounding box has an exact kernel total below
+        (Kx @ C) @ Ky (every term positive, so no cancellation in the sparse
+        tails), but only at the grid rows and columns that the queries'
+        bilinear corners touch, and interpolated there.  A query more than
+        sqrt(2 ln(n / MIN_KERNEL_WEIGHT)) bandwidths outside the training
+        points' bounding box has an exact kernel total below
         MIN_KERNEL_WEIGHT, so it gets the global rate without widening the
         grid.
         """
@@ -268,21 +273,29 @@ class SmoothedSurface:
         lo = np.minimum(lo, q[near].min(axis=0))
         hi = np.maximum(hi, q[near].max(axis=0))
         step = h * BIN_STEP
-        shape = np.floor((hi - lo) / step).astype(int) + 2
-        if shape.max() > MAX_GRID_NODES:
+        # compared before the cast: a tiny bandwidth makes the node count
+        # too large for an int, or infinite
+        nodes = np.floor((hi - lo) / step) + 2
+        if nodes.max() > MAX_GRID_NODES:
             return self.evaluate(x, y)
+        shape = nodes.astype(int)
 
-        idx, wts = _grid_corners((self.points - lo) / step, shape)
-        kx, ky = (_binned_kernel(m) for m in shape)
+        base, frac = _grid_cells((self.points - lo) / step, shape)
+        idx, wts = _grid_corners(base, frac, shape[1])
+        qbase, qfrac = _grid_cells((q[near] - lo) / step, shape)
+        rows, qx = _touched(qbase[:, 0], shape[0])
+        cols, qy = _touched(qbase[:, 1], shape[1])
+        kx = _binned_kernel(rows, shape[0])
+        ky = _binned_kernel(cols, shape[1]).T
 
         def smoothed(weights):
             grid = np.bincount(idx.ravel(), weights=weights.ravel(),
                                minlength=shape.prod()).reshape(shape)
-            return (kx @ grid @ ky).ravel()
+            return ((kx @ grid) @ ky).ravel()
 
         num, den = smoothed(wts * self.response), smoothed(wts)
 
-        idx, wts = _grid_corners((q[near] - lo) / step, shape)
+        idx, wts = _grid_corners(np.column_stack([qx, qy]), qfrac, len(cols))
         num_q = (num[idx] * wts).sum(axis=0)
         den_q = (den[idx] * wts).sum(axis=0)
         ok = den_q >= MIN_KERNEL_WEIGHT
@@ -293,25 +306,42 @@ class SmoothedSurface:
         return out
 
 
-def _grid_corners(t, shape):
-    """Flat indices and bilinear weights, each (4, k), of the grid nodes
-    around k fractional grid coordinates `t` (k, 2) on a grid of `shape`."""
+def _grid_cells(t, shape):
+    """The grid cell of each of k fractional grid coordinates `t` (k, 2) on
+    a grid of `shape`: its lower corner node (k, 2) and the offset of `t`
+    from that node."""
     base = np.clip(np.floor(t), 0, shape - 2).astype(np.intp)
-    frac = t - base
+    return base, t - base
+
+
+def _grid_corners(base, frac, ncols):
+    """Flat indices and bilinear weights, each (4, k), of the four nodes of
+    the cells with lower corners `base` (k, 2), on a grid of `ncols`
+    columns, for points at offsets `frac` (k, 2) inside them."""
     idx, wts = [], []
     for cx in (0, 1):
         for cy in (0, 1):
-            idx.append((base[:, 0] + cx) * shape[1] + base[:, 1] + cy)
+            idx.append((base[:, 0] + cx) * ncols + base[:, 1] + cy)
             wts.append((frac[:, 0] if cx else 1.0 - frac[:, 0])
                        * (frac[:, 1] if cy else 1.0 - frac[:, 1]))
     return np.stack(idx), np.stack(wts)
 
 
-def _binned_kernel(m):
-    """(m, m) Gaussian kernel between the nodes of one grid axis."""
+def _touched(base, m):
+    """The nodes, in order, of one grid axis of m nodes that cells with
+    lower nodes `base` touch (each base and the node after it), and each
+    base's position among them."""
+    used = np.zeros(m, dtype=bool)
+    used[base] = used[base + 1] = True
+    return np.flatnonzero(used), np.cumsum(used)[base] - 1
+
+
+def _binned_kernel(rows, m):
+    """(len(rows), m) Gaussian kernel between the nodes `rows` of one grid
+    axis of m nodes and every node of it."""
     d = np.arange(m) * BIN_STEP
-    # in place: at up to MAX_GRID_NODES^2 entries this is the largest array
-    k = np.subtract.outer(d, d)
+    # in place: with every node touched this is the largest array
+    k = np.subtract.outer(d[rows], d)
     k *= k
     k *= -0.5
     return np.exp(k, out=k)

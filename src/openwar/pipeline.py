@@ -68,14 +68,16 @@ class SeasonLedger:
 def _credit_table(data, offense, defense):
     """The season's CreditTable: hitting, baserunning, fielding and
     pitching blocks, each in plate-appearance order, so every
-    (player, component) sum adds in that order."""
-    every = np.arange(len(data))
+    (player, component) sum adds in that order.  The columns are built in
+    the table's dtypes (the id columns are int32 already)."""
+    every = np.arange(len(data), dtype=np.int32)
     runners = np.column_stack([data.runner, data.batter])
     on = runners >= 0
-    bip = defense.bip_indices
+    bip = every[defense.bip_indices]
     blocks = [
         (every, data.batter, offense.raa_hit),
-        (np.nonzero(on)[0], runners[on], offense.raa_br[on]),
+        (np.broadcast_to(every[:, None], on.shape)[on], runners[on],
+         offense.raa_br[on]),
         (np.repeat(bip, data.fielder.shape[1]), data.fielder[bip].ravel(),
          defense.fielding_park_fit.residuals),
         (every, data.pitcher, defense.raa_pitch),
@@ -84,7 +86,8 @@ def _credit_table(data, offense, defense):
     return CreditTable.build(
         n_pas=len(data), pa=np.concatenate(pa), player=np.concatenate(player),
         player_ids=data.player_ids,
-        component=np.repeat(np.arange(len(blocks)), [len(b) for b in player]),
+        component=np.repeat(np.arange(len(blocks), dtype=np.int8),
+                            [len(b) for b in player]),
         value=np.concatenate(values))
 
 

@@ -82,8 +82,9 @@ def bootstrap_war(credits, valuation, config):
         raise ValueError("the valuation is not of this credit table")
     worth = (credits.value - valuation.rates[credits.component]) \
         / valuation.rpw
-    # one row per (player, PA), sorted by player then PA
-    pairs, row = np.unique(credits.player * n + credits.pa,
+    # one row per (player, PA), sorted by player then PA; the int32 codes
+    # are widened first, since player code x n can pass 2**31
+    pairs, row = np.unique(credits.player.astype(np.int64) * n + credits.pa,
                            return_inverse=True)
     worth = np.bincount(row, weights=worth, minlength=len(pairs))
     pa = pairs % n

@@ -51,6 +51,7 @@ class CreditTable:
     an ordinal below `n_pas`.  `player_ids` is sorted, so player codes
     follow id order.  Rows of one (player, component) pair come in
     plate-appearance order, which fixes the order their sums add in.
+    `pa` and `player` are int32, `component` int8 and `value` float64.
     """
 
     player_ids: list
@@ -63,12 +64,20 @@ class CreditTable:
     @classmethod
     def build(cls, n_pas, pa, player, player_ids, component, value):
         """`player` holds codes into the sorted `player_ids`; the table
-        keeps only the players with a credit, recoded in the same order."""
-        used, player = np.unique(player, return_inverse=True)
-        return cls(player_ids=[player_ids[k] for k in used.tolist()],
-                   n_pas=n_pas, pa=np.asarray(pa, dtype=np.intp),
-                   player=player.reshape(-1),
-                   component=np.asarray(component, dtype=np.intp),
+        keeps only the players with a credit, recoded in the same order:
+        a player's new code is the number of used codes below its own."""
+        if n_pas >= 2 ** 31:
+            raise ValueError(f"{n_pas} plate appearances do not fit the "
+                             "int32 pa column")
+        player = np.asarray(player)
+        used = np.zeros(len(player_ids), dtype=bool)
+        used[player] = True
+        code = np.cumsum(used, dtype=np.int32) - 1
+        return cls(player_ids=[player_ids[k]
+                               for k in np.flatnonzero(used).tolist()],
+                   n_pas=n_pas, pa=np.asarray(pa, dtype=np.int32),
+                   player=code[player],
+                   component=np.asarray(component, dtype=np.int8),
                    value=np.asarray(value, dtype=float))
 
 

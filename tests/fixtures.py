@@ -15,6 +15,9 @@ from openwar.events import (
     SeasonDataset,
 )
 from openwar.numerics import (
+    BIN_STEP,
+    MAX_GRID_NODES,
+    MIN_KERNEL_WEIGHT,
     DesignMatrix,
     LinearFit,
     _independent_columns,
@@ -109,6 +112,62 @@ def ols_fit(X, y):
     fitted = X.values @ beta
     dropped = [name for j, name in enumerate(X.columns) if j not in keep]
     return LinearFit(dict(zip(X.columns, beta)), y - fitted, fitted, dropped)
+
+
+def binned_full_grid(surface, x, y):
+    """`SmoothedSurface.evaluate_binned` by the full-grid product: the
+    reference of the touched-node smoother.  The numerator and denominator
+    grids are smoothed at every node, Kx @ C @ Ky with the (m, m) kernel of
+    each axis, then interpolated bilinearly at the queries."""
+    q = np.column_stack([np.atleast_1d(np.asarray(x, dtype=float)),
+                         np.atleast_1d(np.asarray(y, dtype=float))])
+    h = np.asarray(surface.bandwidth, dtype=float)
+    points = surface.points
+    reach = h * np.sqrt(2.0 * np.log(len(points) / MIN_KERNEL_WEIGHT))
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    near = np.all((q >= lo - reach) & (q <= hi + reach), axis=1)
+    out = np.full(len(q), surface.global_rate)
+    if not near.any():
+        return out
+    lo = np.minimum(lo, q[near].min(axis=0))
+    hi = np.maximum(hi, q[near].max(axis=0))
+    step = h * BIN_STEP
+    nodes = np.floor((hi - lo) / step) + 2
+    if nodes.max() > MAX_GRID_NODES:
+        return surface.evaluate(x, y)
+    shape = nodes.astype(int)
+
+    def corners(t):
+        base = np.clip(np.floor(t), 0, shape - 2).astype(np.intp)
+        frac = t - base
+        idx = [(base[:, 0] + cx) * shape[1] + base[:, 1] + cy
+               for cx in (0, 1) for cy in (0, 1)]
+        wts = [(frac[:, 0] if cx else 1.0 - frac[:, 0])
+               * (frac[:, 1] if cy else 1.0 - frac[:, 1])
+               for cx in (0, 1) for cy in (0, 1)]
+        return np.stack(idx), np.stack(wts)
+
+    def kernel(m):
+        d = np.arange(m) * BIN_STEP
+        return np.exp(-0.5 * np.subtract.outer(d, d) ** 2)
+
+    idx, wts = corners((points - lo) / step)
+    kx, ky = kernel(shape[0]), kernel(shape[1])
+
+    def smoothed(weights):
+        grid = np.bincount(idx.ravel(), weights=weights.ravel(),
+                           minlength=shape.prod()).reshape(shape)
+        return (kx @ grid @ ky).ravel()
+
+    num, den = smoothed(wts * surface.response), smoothed(wts)
+    idx, wts = corners((q[near] - lo) / step)
+    num_q = (num[idx] * wts).sum(axis=0)
+    den_q = (den[idx] * wts).sum(axis=0)
+    ok = den_q >= MIN_KERNEL_WEIGHT
+    vals = np.full(len(den_q), surface.global_rate)
+    vals[ok] = np.clip(num_q[ok] / den_q[ok], 0.0, 1.0)
+    out[near] = vals
+    return out
 
 
 def coefs(fit, columns):

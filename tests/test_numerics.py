@@ -22,7 +22,13 @@ from openwar.numerics import (
     smooth_out_probability,
 )
 
-from fixtures import assert_same_fit, coefs, dense_design, ols_fit
+from fixtures import (
+    assert_same_fit,
+    binned_full_grid,
+    coefs,
+    dense_design,
+    ols_fit,
+)
 
 
 def _random_system(rng, n=40, p=5):
@@ -240,6 +246,51 @@ def test_binned_smoother_too_wide_a_grid_evaluates_exactly():
     surf = smooth_out_probability(pts, resp, (0.5, 0.5))
     assert np.array_equal(surf.evaluate_binned(pts[:, 0], pts[:, 1]),
                           surf.evaluate(pts[:, 0], pts[:, 1]))
+
+
+@pytest.mark.parametrize("h", [1e-200, 1e-300])
+def test_binned_smoother_tiny_bandwidth_evaluates_exactly(h):
+    """A node count too large for an int (or infinite) is compared before
+    any cast, so the grid falls back to the exact path; there a query on a
+    training point gets that point's response and any other query, whose
+    kernel distances overflow, gets the global rate."""
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(0, 400, size=(30, 2))
+    resp = (rng.random(30) < 0.5).astype(float)
+    surf = smooth_out_probability(pts, resp, (h, h))
+    q = np.vstack([pts, pts + 1.0])
+    vals = surf.evaluate_binned(q[:, 0], q[:, 1])
+    assert np.array_equal(vals, surf.evaluate(q[:, 0], q[:, 1]))
+    assert np.array_equal(vals[:30], resp)
+    assert np.all(vals[30:] == surf.global_rate)
+
+
+def _contour_queries():
+    gx, gy = np.meshgrid(np.arange(-400.0, 425.0, 25.0),
+                         np.arange(0.0, 425.0, 25.0))
+    return gx.ravel(), gy.ravel()
+
+
+def test_binned_smoother_matches_full_grid_oracle(pipeline):
+    """Smoothing only the touched nodes gives the full-grid product's
+    values within 1e-15 relative: on the contour grid, on random queries
+    (dense, and sparse ones that touch few nodes), and beyond the reach,
+    where both give the global rate."""
+    rng = np.random.default_rng(12)
+    session = pipeline.ledger.defense.surface
+    pts = rng.uniform([-200, 50], [200, 350], size=(300, 2))
+    sparse = smooth_out_probability(pts, (rng.random(300) < 0.6).astype(float),
+                                    (18.0, 24.0))
+    far = (np.array([5e4, -5e4, 0.0]), np.array([0.0, 1e5, -5e4]))
+    for surf in (session, sparse):
+        dense = rng.uniform([-350, 0], [350, 450], size=(400, 2)).T
+        few = rng.uniform([-350, 0], [350, 450], size=(5, 2)).T
+        for qx, qy in (_contour_queries(), dense, few, far,
+                       np.hstack([few, far])):
+            got = surf.evaluate_binned(qx, qy)
+            ref = binned_full_grid(surf, qx, qy)
+            assert np.all(np.abs(got - ref) <= 1e-15 * ref)
+        assert np.all(surf.evaluate_binned(*far) == surf.global_rate)
 
 
 def test_smoother_validates_bandwidth():

@@ -83,7 +83,9 @@ def test_every_pa_has_hit_and_pitch_lines(pipeline, season_records):
     assert len(table.pa) == len(table.player) == len(table.component) \
         == len(table.value)
     assert table.player_ids == sorted(set(table.player_ids))
-    assert table.value.dtype == np.float64
+    assert [c.dtype for c in (table.pa, table.player, table.component,
+                              table.value)] == \
+        [np.int32, np.int32, np.int8, np.float64]
     per_pa = {comp: np.bincount(table.pa[table.component == c], minlength=n)
               for c, comp in enumerate(COMPONENTS)}
     bip = np.array([BALL_IN_PLAY[pa.event_type] for pa in season_records])
@@ -107,6 +109,24 @@ def test_surface_grid_csv(pipeline):
     assert vals[0, :2].tolist() == [-400.0, 0.0]
     assert vals[-1, :2].tolist() == [400.0, 400.0]
     assert np.all((vals[:, 2] >= 0.0) & (vals[:, 2] <= 1.0))
+
+
+def test_surface_grid_builds_only_touched_kernel_rows(pipeline, monkeypatch):
+    """Guard against m x m smoothing kernels: the 33 x 17 contour grid's
+    bilinear corners touch at most 66 x nodes and 34 y nodes, and those are
+    the only kernel rows `surface_grid_csv` builds."""
+    shapes = []
+    kernel = numerics._binned_kernel
+
+    def recording(*args):
+        k = kernel(*args)
+        shapes.append(k.shape)
+        return k
+
+    monkeypatch.setattr(numerics, "_binned_kernel", recording)
+    pipeline.ledger.surface_grid_csv()
+    assert len(shapes) == 2
+    assert shapes[0][0] <= 66 and shapes[1][0] <= 34
 
 
 def test_fielding_models_csv(pipeline):

@@ -1,5 +1,6 @@
 """Bootstrap resampling tests."""
 
+import dataclasses
 from statistics import NormalDist
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from openwar.uncertainty import (
     compare_players,
     comparison_json,
 )
-from openwar.valuation import COMPONENTS, Valuation, tabulate_raa
+from openwar.valuation import COMPONENTS, CreditTable, Valuation, tabulate_raa
 
 from fixtures import bootstrap_reference, credit_table
 
@@ -186,6 +187,27 @@ def test_every_pa_once_reproduces_point_war(pipeline, monkeypatch):
     dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
                          BootstrapConfig(replicates=2))
     assert np.max(np.abs(dist.replicates - dist.point)) < 1e-12
+
+
+def test_bootstrap_keys_beyond_int32():
+    """With 2,200 players over 1,000,003 plate appearances, player code x
+    n_pas passes 2**31: the int32 table resamples exactly like the same
+    table with int64 columns."""
+    rng = np.random.default_rng(13)
+    players, n = 2200, 1_000_003
+    player = np.repeat(np.arange(players), 3)
+    credits = CreditTable.build(
+        n_pas=n, pa=rng.integers(0, n, len(player)), player=player,
+        player_ids=[f"p{k:04d}" for k in range(players)],
+        component=rng.integers(0, len(COMPONENTS), len(player)),
+        value=rng.normal(0.0, 0.1, len(player)))
+    assert int(credits.player.max()) * n > 2 ** 31
+    wide = dataclasses.replace(credits, pa=credits.pa.astype(np.int64),
+                               player=credits.player.astype(np.int64))
+    val = _valued(credits, rates=(0.01, -0.02, 0.03, 0.0), rpw=10.0)
+    cfg = BootstrapConfig(replicates=3, master_seed=4)
+    assert np.array_equal(bootstrap_war(credits, val, cfg).replicates,
+                          bootstrap_war(wide, val, cfg).replicates)
 
 
 def test_compare_players_matches_recount():

@@ -6,9 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from openwar.valuation import (
     COMPONENTS,
+    CreditTable,
     build_replacement_pool,
     pythag_wpct,
     runs_per_win,
@@ -37,6 +40,34 @@ def test_tabulate_sums_components():
     assert val.raa[0].tolist() == pytest.approx([0.3, 0.1, 0.0, 0.0])
     assert val.counts.tolist() == [[2, 1, 0, 0], [0, 0, 1, 2]]
     assert val.raa_total.tolist() == pytest.approx([0.4, -0.3])
+
+
+def _coded(n_ids, codes):
+    """A CreditTable with one hitting credit per code, of ids p00, p01..."""
+    return CreditTable.build(
+        n_pas=len(codes), pa=np.arange(len(codes)), player=codes,
+        player_ids=[f"p{k:02d}" for k in range(n_ids)],
+        component=np.zeros(len(codes)), value=np.zeros(len(codes)))
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, n - 1), min_size=1, max_size=60))))
+@example((10, [3, 3, 7, 5, 3]))  # unused ids first, between and last
+@example((1, [0]))
+@settings(max_examples=100, deadline=None)
+def test_credit_table_recodes_players_like_unique_inverse(case):
+    n_ids, codes = case
+    table = _coded(n_ids, codes)
+    used, inverse = np.unique(codes, return_inverse=True)
+    assert table.player.dtype == np.int32
+    assert np.array_equal(table.player, inverse)
+    assert table.player_ids == [f"p{k:02d}" for k in used.tolist()]
+
+
+def test_credit_table_rejects_pa_beyond_int32():
+    with pytest.raises(ValueError, match="int32"):
+        CreditTable.build(n_pas=2 ** 31, pa=[0], player=[0],
+                          player_ids=["a"], component=[0], value=[0.0])
 
 
 def test_tabulate_rejects_unrostered_player():

@@ -19,12 +19,13 @@ for bases in range(8):
     print(f"{label:>6} | {row}")
 
 # The run value of a plate appearance is the change in expectancy plus
-# the runs that scored on the play (RE24).
+# the runs that scored on the play (RE24).  A record's row view is the
+# dict of its CSV fields.
 print("\nfirst few plate appearances of the season:")
 for pa in map(season.record, range(8)):
-    print(f"  {pa.event_type:<18} ({pa.start_state.outs} out, "
-          f"mask {pa.start_state.bases}) -> delta "
-          f"{run_value(pa, matrix):+.3f} ({pa.runs_scored} scored)")
+    print(f"  {pa['event_type']:<18} ({pa['start_outs']} out, "
+          f"mask {pa['start_bases']}) -> delta "
+          f"{run_value(pa, matrix):+.3f} ({pa['runs_scored']} scored)")
 
 # Within a completed half-inning the deltas telescope: their sum equals
 # the runs scored minus the expectancy of the leadoff state.
@@ -33,6 +34,6 @@ end = np.flatnonzero((season.inning != season.inning[0])
                      | (season.half != season.half[0]))[0]
 group = [season.record(i) for i in range(end)]
 total = sum(run_value(pa, matrix) for pa in group)
-runs = sum(pa.runs_scored for pa in group)
+runs = sum(pa["runs_scored"] for pa in group)
 print(f"\nfirst half-inning: {runs} runs; sum of deltas = {total:.6f}; "
       f"runs - rho(0,empty) = {runs - matrix.rho[(0, 0)]:.6f}")

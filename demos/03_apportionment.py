@@ -32,16 +32,18 @@ print(f"league total RAA = {total:.2e} "
 k = next(k for k, i in enumerate(dfn.bip_indices)
          if abs(ledger.deltas[i]) > 0.3)
 i = dfn.bip_indices[k]
-pa = season.record(i)  # the row view of plate appearance i
-print(f"\nexample: {pa.event_type} by {pa.batter_id} off {pa.pitcher_id} "
-      f"(delta {ledger.deltas[i]:+.3f})")
+pa = season.record(i)  # the CSV fields of plate appearance i, as a dict
+print(f"\nexample: {pa['event_type']} by {pa['batter_id']} off "
+      f"{pa['pitcher_id']} (delta {ledger.deltas[i]:+.3f})")
 print("  offense:")
 print(f"    park/platoon context   {off.park_fit.fitted[i]:+.3f}")
 print(f"    position adjustment    {off.position_fit.fitted[i]:+.3f}")
 print(f"    hitting RAA            {off.raa_hit[i]:+.3f}")
 # raa_br and kappa columns: the runners on 1B, 2B, 3B, then the batter
-for slot, runner in enumerate(pa.runner_ids + (pa.batter_id,)):
-    if runner is not None:
+runners = [pa["runner1_id"], pa["runner2_id"], pa["runner3_id"],
+           pa["batter_id"]]
+for slot, runner in enumerate(runners):
+    if runner:  # "" where the base was empty
         where = "batter" if slot == 3 else f"runner on {slot + 1}"
         print(f"    baserunning ({where:<11}) {off.raa_br[i, slot]:+.3f} "
               f"(kappa {off.kappa[i, slot]:.2f})")

@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 from .events import (
     BALL_IN_PLAY,
     EVENT_TYPES,
-    GameState,
-    PlateAppearance,
     SeasonDataset,
     aggregate_team_totals,
     parse_season,
@@ -30,8 +28,6 @@ from .valuation import (
 __all__ = [
     "BALL_IN_PLAY",
     "EVENT_TYPES",
-    "GameState",
-    "PlateAppearance",
     "SeasonDataset",
     "aggregate_team_totals",
     "parse_season",

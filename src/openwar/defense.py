@@ -72,10 +72,6 @@ def _split(delta, p_hat):
     return -delta * (1.0 - p_hat), -delta * p_hat
 
 
-def _missing_coordinates(pa):
-    return ValueError(f"{_where(pa)}: ball in play without coordinates")
-
-
 def _fielding_design(coords):
     """(k, 6) fielding design [1, x, y, x^2, y^2, xy] for k coordinate
     pairs, on the scaled coordinate system."""
@@ -121,17 +117,17 @@ def fit_fielding_models(design, outs, credited):
     return models
 
 
-def _fielding_shares(design, models, play):
+def _fielding_shares(design, models, name):
     """Per-position out probabilities and normalized shares, each (k, 9),
     over the (k, 6) fielding `design` of k balls in play: one prediction
     per model.  A play whose probabilities all vanish is split equally,
-    with a warning naming it (play(k) is its PlateAppearance)."""
+    with a warning naming it (name(k) names play k)."""
     probs = np.column_stack([models[pos].predict(design)
                              for pos in FIELDING_POSITIONS])
     total = probs.sum(axis=1)
     vanish = total < 1e-12
     for k in np.flatnonzero(vanish):
-        warnings.warn(f"{_where(play(k))}: all fielder probabilities "
+        warnings.warn(f"{name(k)}: all fielder probabilities "
                       "vanish; splitting equally")
     shares = np.full_like(probs, 1.0 / 9.0)
     shares[~vanish] = probs[~vanish] / total[~vanish, None]
@@ -192,7 +188,8 @@ def apportion_defense(data, deltas, bandwidth=None):
     bip = np.flatnonzero(_IN_PLAY[data.event])
     missing = np.isnan(data.bip_x[bip])
     if missing.any():
-        raise _missing_coordinates(data.record(bip[np.argmax(missing)]))
+        raise ValueError(f"{_where(data, bip[np.argmax(missing)])}: "
+                         "ball in play without coordinates")
     if not len(bip):
         raise ValueError("no balls in play with coordinates")
     coords = np.column_stack([data.bip_x[bip], data.bip_y[bip]])
@@ -206,7 +203,7 @@ def apportion_defense(data, deltas, bandwidth=None):
     delta_p, delta_f = _split(deltas, p_hat)
 
     probs, shares = _fielding_shares(design, models,
-                                     lambda k: data.record(bip[k]))
+                                     lambda k: _where(data, bip[k]))
     park_fit = fit_fielding_park_adjustment(data, bip,
                                             delta_f[bip, None] * shares)
     pitch_fit = fit_pitching_adjustment(data, delta_p)

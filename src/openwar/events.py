@@ -7,8 +7,11 @@ batter destinations use the codes "1B", "2B", "3B", "H" (scored) and
 "O" (out); empty string means the field is absent.
 
 In memory a season is a SeasonDataset of integer-coded numpy columns.
-`PlateAppearance` is its row view: the input of
-`SeasonDataset.from_records` and what `SeasonDataset.record(i)` returns.
+Its row view is a record's CSV fields, a dict column -> value: the input
+of `SeasonDataset.from_records` and what `SeasonDataset.record(i)`
+returns.  A record is checked by one pass of array rules (`_rules`) over
+the coded columns; only a record they flag is read one field at a time,
+to find its messages.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import attrgetter, itemgetter, methodcaller, ne
+from operator import methodcaller
 
 import numpy as np
 
@@ -28,8 +31,6 @@ __all__ = [
     "DESTINATIONS",
     "FIELDING_POSITIONS",
     "BATTER_POSITIONS",
-    "GameState",
-    "PlateAppearance",
     "SeasonDataset",
     "ValidationReport",
     "SchemaError",
@@ -99,6 +100,8 @@ _CHUNK_CHARS = 1 << 20
 _READER_ONLY = ('"', "\r", "\0")
 #: _MASKS[k] keeps the first k bytes of a little-endian 8-byte word
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+#: the values of an absent field
+_ABSENT = ("", None)
 
 
 class SchemaError(ValueError):
@@ -117,47 +120,8 @@ class ChainError(ValueError):
     """Consecutive records within a half-inning disagree on game state."""
 
 
-@dataclass(frozen=True)
-class GameState:
-    outs: int
-    bases: int
-
-    def __post_init__(self):
-        if self.outs not in (0, 1, 2, 3):
-            raise RecordError(f"outs must be 0-3, got {self.outs}")
-        if not 0 <= self.bases <= 7:
-            raise RecordError(f"bases mask must be 0-7, got {self.bases}")
-        if self.outs == 3 and self.bases != 0:
-            # absorbing state is normalized to an empty-bases mask
-            object.__setattr__(self, "bases", 0)
-
-
 #: the 24 live base-out states, in (outs, bases) order
 LIVE_STATES = tuple((o, b) for o in range(3) for b in range(8))
-
-
-@dataclass
-class PlateAppearance:
-    game_id: str
-    pa_index: int
-    inning: int
-    half: str  # "top" | "bottom"
-    batter_id: str
-    pitcher_id: str
-    start_state: GameState
-    end_state: GameState
-    runner_ids: tuple  # (runner on 1B, 2B, 3B); None when base empty
-    runner_dests: tuple  # destination code per start base, None when empty
-    batter_dest: str
-    runs_scored: int
-    event_type: str
-    ballpark_id: str
-    batter_hand: str
-    pitcher_hand: str
-    batter_position: str
-    fielder_ids: tuple  # 9 ids, positions P..RF in FIELDING_POSITIONS order
-    bip_location: tuple = None  # (x, y) feet, home plate at origin
-    credited_fielder_position: str = None
 
 
 #: string columns: (dataset column, CSV columns, vocabulary or id table)
@@ -209,61 +173,40 @@ class SeasonDataset:
 
     @classmethod
     def from_records(cls, records, roster=None):
-        """Code a sequence of PlateAppearance rows (see `from_columns`)."""
-        return cls.from_columns(_raw_columns(list(records)), roster)
+        """Code a sequence of rows, each a dict of CSV fields as `record`
+        returns; a field left out is absent (see `from_columns`)."""
+        records = list(records)
+        return cls.from_columns(
+            {f: [r.get(f) for r in records] for f in _FIELDS}, roster)
 
     @classmethod
     def from_columns(cls, raw, roster=None):
         """Code a season given as its CSV fields: `raw` maps each name in
         CSV_COLUMNS + OPTIONAL_COLUMNS to one sequence of values per record,
-        with None or "" where a field is absent (coordinates absent only as
-        "").  Records are not checked (`validate_dataset` does that): a
-        string outside its column's vocabulary is stored as absent.  Numbers
-        must parse and coordinates must be finite."""
+        with None or "" where a field is absent.  Records are not checked
+        (`validate_dataset` does that): a string outside its column's
+        vocabulary is stored as absent.  Numbers must parse and coordinates
+        must be finite."""
         tables = {"game": {}, "player": {}, "park": {}}
         cols, malformed = _code_columns(_by_record(raw), tables)
         if malformed.any():
-            row = [raw[f][int(np.argmax(malformed))] for f in _FIELDS]
-            raise RecordError(_row_problems(_FIELDS, row)[0])
+            row = [v[int(np.argmax(malformed))] for v in raw.values()]
+            raise RecordError(_field_problem(list(raw), row))
         return _finish([cols], tables, roster)
 
     def record(self, i):
-        """Row view: plate appearance `i` as a PlateAppearance."""
-        i = range(len(self))[i]  # negative indices count from the end
-        fields = next(zip(*_csv_columns(self, slice(i, i + 1))))
-        return _view(dict(zip(_FIELDS, fields)))
+        """Row view: plate appearance `i` as a dict of its CSV fields,
+        column -> value: an int for the integer columns, a float or "" for
+        the coordinates, a string ("" where absent) for the rest."""
+        return {f: v for f, (v,) in zip(_FIELDS, _csv_columns(self, [i]))}
 
 
-def _where(pa):
-    return f"game {pa.game_id} pa {pa.pa_index}"
+def _where(data, i):
+    """Names record `i` of a SeasonDataset by its game and pa_index."""
+    return f"game {data.game_ids[data.game[i]]} pa {data.pa_index[i]}"
 
 
 _FIELDS = CSV_COLUMNS + OPTIONAL_COLUMNS
-
-
-def _raw_columns(pas):
-    """The CSV fields of a list of PlateAppearances, one tuple per column of
-    _FIELDS; an absent field is None or ""."""
-    def get(path, k=None):
-        values = map(attrgetter(path), pas)
-        return tuple(values if k is None else map(itemgetter(k), values))
-
-    if any(len(ids) != 9 for ids in get("fielder_ids")):
-        raise RecordError("fielder_ids must list 9 players")
-    raw = {f: get(f) for f in _FIELDS if f in PlateAppearance.__dataclass_fields__}
-    for s in ("start", "end"):
-        raw[f"{s}_outs"], raw[f"{s}_bases"] = \
-            get(f"{s}_state.outs"), get(f"{s}_state.bases")
-    for b in range(3):
-        raw[f"runner{b + 1}_id"] = get("runner_ids", b)
-        raw[f"runner{b + 1}_dest"] = get("runner_dests", b)
-    for j in range(9):
-        raw[f"f{j + 1}"] = get("fielder_ids", j)
-    locations = get("bip_location")
-    for k, f in enumerate(("bip_x", "bip_y")):
-        raw[f] = tuple("" if xy is None or xy[k] is None else xy[k]
-                       for xy in locations)
-    return raw
 
 
 def _codes(values, coding, tables, blank_absent):
@@ -280,7 +223,7 @@ def _codes(values, coding, tables, blank_absent):
     for v in set(values).difference(index):
         index[v] = len(index)
     codes = np.fromiter(map(index.__getitem__, values), np.int32, len(values))
-    for blank in ("", None):
+    for blank in _ABSENT:
         if blank_absent and blank in index:
             codes[codes == index[blank]] = -1
     return codes
@@ -288,26 +231,27 @@ def _codes(values, coding, tables, blank_absent):
 
 def _converted(values, convert, dtype):
     """`convert` applied to every value: (array of results, mask of
-    failures, whose results are 0).  A result that `dtype` cannot hold, an
-    integer beyond int64, is a failure."""
+    failures, whose results are 0).  A value that does not convert, such as
+    None for an integer, or a result that `dtype` cannot hold, an integer
+    beyond int64, is a failure."""
     try:
         return (np.array(list(map(convert, values)), dtype=dtype),
                 np.zeros(len(values), bool))
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         pass
     results, failed = [], []
     for v in values:
         try:
             results.append(dtype(convert(v)))
             failed.append(False)
-        except (ValueError, OverflowError):
+        except (TypeError, ValueError, OverflowError):
             results.append(0)
             failed.append(True)
     return np.array(results, dtype=dtype), np.array(failed, dtype=bool)
 
 
 def _float_or_nan(s):
-    return float(s) if s != "" else math.nan
+    return math.nan if s in _ABSENT else float(s)
 
 
 def _by_record(raw):
@@ -329,9 +273,9 @@ def _distinct(strings):
 
 def _code_rows(header, rows, tables):
     """Code one block of raw CSV rows under `header`: (SeasonDataset
-    columns, mask of malformed rows).  A row is malformed where `_view`
-    would raise: a wrong field count, a number that does not parse, a state
-    out of range, or a coordinate pair that is half given or not finite."""
+    columns, mask of malformed rows).  A row is malformed where
+    `_field_problem` finds a problem: a wrong field count, a number that
+    does not parse, a state out of range, bad coordinates, a '#' game id."""
     short = np.fromiter(map(len, rows), np.intp, len(rows)) != len(header)
     if short.any():
         rows = [r if len(r) == len(header) else [""] * len(header) for r in rows]
@@ -364,7 +308,7 @@ def _code_columns(raw, tables):
     for name in ("bip_x", "bip_y"):
         values, inverse = raw[name]
         converted, failed = _converted(values, _float_or_nan, float)
-        given = np.fromiter(map(ne, values, repeat("")), bool, len(values))
+        given = np.array([v not in _ABSENT for v in values], dtype=bool)
         cols[name] = converted[inverse]
         present.append(given[inverse])
         malformed |= (failed | (given & ~np.isfinite(converted)))[inverse]
@@ -430,57 +374,56 @@ def _rules(c):
     """The invariants of a record, over SeasonDataset columns `c` whose
     string codes may still use -2 for a value outside the vocabulary.
     Yields, in message order, (mask of the records that break a rule,
-    message for a broken record's row view)."""
-    yield c["half"] < 0, lambda pa: f"half must be top/bottom, got {pa.half!r}"
+    message(fields, k) of broken record k, whose CSV fields are `fields`)."""
+    yield c["half"] < 0, lambda fields, k: \
+        f"half must be top/bottom, got {fields['half']!r}"
     yield ((c["batter_hand"] < 0) | (c["pitcher_hand"] < 0),
-           lambda pa: "bad handedness")
-    yield (c["batter_position"] < 0,
-           lambda pa: f"bad batter_position {pa.batter_position!r}")
+           lambda *_: "bad handedness")
+    yield c["batter_position"] < 0, lambda fields, k: \
+        f"bad batter_position {fields['batter_position']!r}"
     yield ((c["fielder"] < 0).any(axis=1),
-           lambda pa: "fielder_ids must list 9 players")
+           lambda *_: "fielder_ids must list 9 players")
     # runner columns must agree with the start-state occupancy mask
     rid, dest = c["runner"] >= 0, c["runner_dest"]
     for b in range(3):
         occupied = (c["start_bases"] >> b) & 1 == 1
         yield (occupied & ~(rid[:, b] & (dest[:, b] != -1)),
-               lambda pa, b=b: f"base {b + 1} occupied but runner id/dest missing")
-        yield (occupied & rid[:, b] & (dest[:, b] == -2),
-               lambda pa, b=b: f"bad destination {pa.runner_dests[b]!r}")
+               lambda *_, b=b: f"base {b + 1} occupied but runner id/dest missing")
+        yield (occupied & rid[:, b] & (dest[:, b] == -2), lambda fields, k, b=b:
+               f"bad destination {fields[f'runner{b + 1}_dest']!r}")
         yield (~occupied & (rid[:, b] | (dest[:, b] != -1)),
-               lambda pa, b=b: f"base {b + 1} empty but runner fields present")
+               lambda *_, b=b: f"base {b + 1} empty but runner fields present")
     # only a null event may leave batter_dest empty (-1)
     yield (((c["event"] != EVENT_TYPES.index("null")) & (c["batter_dest"] < 0))
            | (c["batter_dest"] == -2),
-           lambda pa: f"bad batter_dest {pa.batter_dest!r}")
+           lambda fields, k: f"bad batter_dest {fields['batter_dest']!r}")
+    runs = c["runs_scored"]
     scored = (rid & (dest == _H)).sum(axis=1) + (c["batter_dest"] == _H)
-    yield (c["runs_scored"] != scored, lambda pa: f"runs_scored={pa.runs_scored} "
-           f"but {scored[0]} scored destinations")
+    yield (runs != scored, lambda fields, k:
+           f"runs_scored={runs[k]} but {scored[k]} scored destinations")
     made = c["end_outs"].astype(np.int64) - c["start_outs"]
     outs = (rid & (dest == _O)).sum(axis=1) + (c["batter_dest"] == _O)
-    yield made < 0, lambda pa: "outs decrease within a plate appearance"
-    yield ((made >= 0) & (outs != made), lambda pa:
-           f"{outs[0]} out destinations but outs advanced by {made[0]}")
+    yield made < 0, lambda *_: "outs decrease within a plate appearance"
+    yield ((made >= 0) & (outs != made), lambda fields, k:
+           f"{outs[k]} out destinations but outs advanced by {made[k]}")
     in_play = _IN_PLAY[np.maximum(c["event"], 0)]
     located = ~np.isnan(c["bip_x"])
-    yield (in_play & ~located, lambda pa:
-           f"in-play event {pa.event_type!r} missing bip location")
-    yield (~in_play & located, lambda pa:
-           f"event {pa.event_type!r} cannot carry a bip location")
-    yield c["credited"] == -2, lambda pa: "bad credited_fielder_position"
+    yield (in_play & ~located, lambda fields, k:
+           f"in-play event {fields['event_type']!r} missing bip location")
+    yield (~in_play & located, lambda fields, k:
+           f"event {fields['event_type']!r} cannot carry a bip location")
+    yield c["credited"] == -2, lambda *_: "bad credited_fielder_position"
 
 
-def _record_mask(c):
-    """True where a record breaks a rule or has an unknown event."""
-    return np.logical_or.reduce([m for m, _ in _rules(c)] + [c["event"] < 0])
-
-
-def _check_record(pa):
-    """Return a list of invariant-violation messages for one record."""
-    if pa.event_type not in BALL_IN_PLAY:
-        raise TaxonomyError(f"{_where(pa)}: unknown event_type {pa.event_type!r}")
-    c, _ = _code_columns(_by_record(_raw_columns([pa])),
-                         {"game": {}, "player": {}, "park": {}})
-    return [f"{_where(pa)}: {message(pa)}" for m, message in _rules(c) if m[0]]
+def _problems(rules, c, k, fields):
+    """The messages of record k of columns `c`, whose CSV fields are
+    `fields`: one per rule of `rules` (from `_rules(c)`) that it breaks.
+    Raises TaxonomyError on an unknown event."""
+    where = f"game {fields['game_id']} pa {c['pa_index'][k]}"
+    if c["event"][k] < 0:
+        raise TaxonomyError(
+            f"{where}: unknown event_type {fields['event_type']!r}")
+    return [f"{where}: {msg(fields, k)}" for mask, msg in rules if mask[k]]
 
 
 def _half_inning_starts(data):
@@ -500,14 +443,14 @@ def _chain_messages(data):
                            | (data.end_bases[:-1] != data.start_bases[1:]))
     messages = []
     for i in np.flatnonzero(bad).tolist():
-        game = data.game_ids[data.game[i]]
         if new[i]:
             messages.append(
-                f"game {game} {(*HALVES, '')[data.half[i]]} {data.inning[i]}: "
+                f"game {data.game_ids[data.game[i]]} "
+                f"{(*HALVES, '')[data.half[i]]} {data.inning[i]}: "
                 f"half-inning does not start at (0 outs, bases empty)")
         else:
             messages.append(
-                f"game {game} pa {data.pa_index[i]}: state chain break "
+                f"{_where(data, i)}: state chain break "
                 f"({data.end_outs[i - 1]},{data.end_bases[i - 1]}) -> "
                 f"({data.start_outs[i]},{data.start_bases[i]})")
     return messages
@@ -520,8 +463,11 @@ def validate_dataset(dataset, strict=True):
     warnings in lenient mode and ChainErrors in strict mode.
     """
     report = ValidationReport()
-    for i in np.flatnonzero(_record_mask(vars(dataset))).tolist():
-        report.errors.extend(_check_record(dataset.record(i)))
+    c = vars(dataset)
+    rules = list(_rules(c))
+    flagged = np.logical_or.reduce([c["event"] < 0] + [m for m, _ in rules])
+    for i in np.flatnonzero(flagged).tolist():
+        report.errors.extend(_problems(rules, c, i, dataset.record(i)))
     chain = _chain_messages(dataset)
     (report.errors if strict else report.warnings).extend(chain)
     if strict and report.errors:
@@ -529,74 +475,47 @@ def validate_dataset(dataset, strict=True):
     return report
 
 
-def _view(row):
-    """Row view of one record's CSV fields (column -> value), converted
-    field by field; raises RecordError on a malformed field."""
-    where = f"game {row['game_id']} pa {row['pa_index']}"
+def _field_problem(header, row):
+    """The message of the first malformed field of one record's CSV fields
+    `row` under `header`, or None: the scalar reference of the `malformed`
+    mask of `_code_rows`."""
+    fields = dict(zip(header, row))
+    where = f"game {fields.get('game_id')} pa {fields.get('pa_index')}"
+    if len(row) != len(header):
+        return f"{where}: {len(row)} fields, header has {len(header)}"
 
     def number(column, convert, kind):
         try:
-            return convert(row[column])
-        except ValueError:
-            raise RecordError(f"{where}: {column} must be {kind}, "
-                              f"got {row[column]!r}") from None
+            return convert(fields[column])
+        except (TypeError, ValueError):
+            raise RecordError(f"{column} must be {kind}, "
+                              f"got {fields[column]!r}") from None
 
     def integer(column, top=None):
         value = number(column, int, "an integer")
         if top is not None and not 0 <= value <= top:
-            raise RecordError(f"{where}: {column} must be 0-{top}, got {value}")
+            raise RecordError(f"{column} must be 0-{top}, got {value}")
         if not _INT64.min <= value <= _INT64.max:
-            raise RecordError(f"{where}: {column} must be a 64-bit integer, "
+            raise RecordError(f"{column} must be a 64-bit integer, "
                               f"got {value}")
-        return value
 
-    start, end = (GameState(integer(f"{s}_outs", 3), integer(f"{s}_bases", 7))
-                  for s in ("start", "end"))
-    bx, by = (None if row[c] == "" else number(c, float, "a number")
-              for c in ("bip_x", "bip_y"))
-    if (bx is None) != (by is None):
-        raise RecordError(f"{where}: bip_x/bip_y must both be set")
-    if bx is not None and not (math.isfinite(bx) and math.isfinite(by)):
-        raise RecordError(f"{where}: bip_x/bip_y must be finite")
-    if row["game_id"].startswith("#"):
-        raise RecordError(f"{where}: game_id must not start with '#'")
-    return PlateAppearance(
-        game_id=row["game_id"],
-        pa_index=integer("pa_index"),
-        inning=integer("inning"),
-        half=row["half"],
-        batter_id=row["batter_id"],
-        pitcher_id=row["pitcher_id"],
-        start_state=start,
-        end_state=end,
-        runner_ids=tuple(row[f"runner{b}_id"] or None for b in (1, 2, 3)),
-        runner_dests=tuple(row[f"runner{b}_dest"] or None for b in (1, 2, 3)),
-        batter_dest=row["batter_dest"],
-        runs_scored=integer("runs_scored"),
-        event_type=row["event_type"],
-        ballpark_id=row["ballpark_id"],
-        batter_hand=row["batter_hand"],
-        pitcher_hand=row["pitcher_hand"],
-        batter_position=row["batter_position"],
-        fielder_ids=tuple(row[f"f{i}"] for i in range(1, 10)),
-        bip_location=(bx, by) if bx is not None else None,
-        credited_fielder_position=row.get("credited_fielder_position", "") or None,
-    )
-
-
-def _row_problems(header, row):
-    """Scalar parse and checks of one raw row: (malformed-field message or
-    None, record problems).  Raises TaxonomyError on an unknown event."""
-    fields = dict(zip(header, row))
     try:
-        if len(row) != len(header):
-            raise RecordError(
-                f"game {fields.get('game_id')} pa {fields.get('pa_index')}: "
-                f"{len(row)} fields, header has {len(header)}")
-        pa = _view(fields)
-    except ValueError as exc:  # RecordError included
-        return str(exc), []
-    return None, _check_record(pa)
+        for s in ("start", "end"):
+            integer(f"{s}_outs", 3)
+            integer(f"{s}_bases", 7)
+        bx, by = (None if fields[c] in _ABSENT else number(c, float, "a number")
+                  for c in ("bip_x", "bip_y"))
+        if (bx is None) != (by is None):
+            raise RecordError("bip_x/bip_y must both be set")
+        if bx is not None and not (math.isfinite(bx) and math.isfinite(by)):
+            raise RecordError("bip_x/bip_y must be finite")
+        if fields["game_id"].startswith("#"):
+            raise RecordError("game_id must not start with '#'")
+        for column in ("pa_index", "inning", "runs_scored"):
+            integer(column)
+    except RecordError as exc:
+        return f"{where}: {exc}"
+    return None
 
 
 class _Text:
@@ -755,9 +674,8 @@ def parse_season(source, strictness="strict"):
     column coded from its distinct values with array operations; a chunk
     that quotes, or has '\\r' or NUL, goes through csv.reader instead.
     Every record is checked with array operations; only a record those
-    checks flag is parsed and checked again one field at a time, which
-    gives its message.  A line csv.reader cannot read raises RecordError in
-    either mode.
+    checks flag is read again, its fields one at a time, for its messages.
+    A line csv.reader cannot read raises RecordError in either mode.
 
     Returns (dataset, report).
     """
@@ -796,18 +714,22 @@ def parse_season(source, strictness="strict"):
     blocks = []
     for cols, malformed, row in _coded_chunks(
             _Text(source), header, tables, comments + reader.line_num):
-        flagged = malformed | _record_mask(cols)
-        keep = ~flagged
+        rules = list(_rules(cols))
+        flagged = np.logical_or.reduce(
+            [malformed, cols["event"] < 0] + [m for m, _ in rules])
         for k in np.flatnonzero(flagged).tolist():
-            message, problems = _row_problems(header, row(k))
-            if strict and (message or problems):
-                raise RecordError(message or "; ".join(problems))
-            report.dropped += bool(message or problems)
+            fields = row(k)
+            message = _field_problem(header, fields)
+            problems = [message] if message else \
+                _problems(rules, cols, k, dict(zip(header, fields)))
+            if strict:
+                raise RecordError("; ".join(problems))
             report.warnings.extend(
                 [f"dropped malformed row: {message}"] if message else problems)
-            keep[k] = not (message or problems)
-        blocks.append({name: col[keep] for name, col in cols.items()}
+        report.dropped += int(flagged.sum())
+        blocks.append({name: col[~flagged] for name, col in cols.items()}
                       if flagged.any() else cols)
+        del rules  # free the rule masks before the next chunk is coded
 
     dataset = _finish(blocks or [_code_rows(header, [], tables)[0]], tables)
     breaks = _chain_messages(dataset)

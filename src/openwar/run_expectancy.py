@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import LIVE_STATES, GameState, _half_inning_starts
+from .events import LIVE_STATES, _half_inning_starts
 
 __all__ = ["RunExpectancyMatrix", "estimate_matrix", "run_value"]
 
@@ -28,10 +28,10 @@ class RunExpectancyMatrix:
     rho: dict  # (outs, bases) -> expected runs to end of half-inning
     sample_counts: dict = field(default_factory=dict)
 
-    def value(self, state):
-        if state.outs == 3:
+    def value(self, outs, bases):
+        if outs == 3:
             return 0.0
-        key = (state.outs, state.bases)
+        key = (outs, bases)
         if key not in self.rho:
             raise KeyError(f"state {key} not covered by the matrix")
         return self.rho[key]
@@ -81,13 +81,15 @@ def _deltas(data, matrix):
     """`run_value` of every plate appearance, as one array."""
     table = np.zeros((4, 8))  # the 3-out row stays 0
     for key in LIVE_STATES:
-        table[key] = matrix.value(GameState(*key))
+        table[key] = matrix.value(*key)
     end = table[data.end_outs, data.end_bases]
     return (end - table[data.start_outs, data.start_bases]) + data.runs_scored
 
 
-def run_value(pa, matrix):
+def run_value(row, matrix):
     """RE24 run value (delta) of one plate appearance under the given
-    matrix: the scalar oracle of `_deltas`."""
-    return (matrix.value(pa.end_state) - matrix.value(pa.start_state)) \
-        + pa.runs_scored
+    matrix, from its row view `SeasonDataset.record(i)`: the scalar oracle
+    of `_deltas`."""
+    return (matrix.value(row["end_outs"], row["end_bases"])
+            - matrix.value(row["start_outs"], row["start_bases"])) \
+        + row["runs_scored"]

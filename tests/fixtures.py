@@ -7,13 +7,7 @@ import numpy as np
 
 import openwar
 
-from openwar.events import (
-    BALL_IN_PLAY,
-    EVENT_TYPES,
-    GameState,
-    PlateAppearance,
-    SeasonDataset,
-)
+from openwar.events import BALL_IN_PLAY, EVENT_TYPES, SeasonDataset
 from openwar.numerics import (
     BIN_STEP,
     MAX_GRID_NODES,
@@ -33,33 +27,34 @@ def make_pa(game_id, pa_index, inning, half, outs, bases, event, batter_dest,
             runner_dests=None, batter_id="B1", pitcher_id="P1", park="PK",
             batter_hand="R", pitcher_hand="R", position="CF", bip=None,
             credited=None):
-    """Build a valid PlateAppearance; the end state follows from the
+    """Build a valid record as the dict of its CSV fields that
+    `SeasonDataset.record` returns; the end state follows from the
     destination codes."""
     runner_dests = runner_dests or {}
-    runner_ids = tuple(
-        f"R{b}" if bases >> (b - 1) & 1 else None for b in (1, 2, 3))
-    dests = tuple(
-        runner_dests.get(b) if runner_ids[b - 1] is not None else None
-        for b in (1, 2, 3))
+    on = [bases >> (b - 1) & 1 for b in (1, 2, 3)]
+    dests = [runner_dests.get(b, "") if on[b - 1] else "" for b in (1, 2, 3)]
     end_bases = 0
-    for d in dests + (batter_dest,):
+    for d in dests + [batter_dest]:
         if d in ("1B", "2B", "3B"):
             end_bases |= 1 << (int(d[0]) - 1)
-    outs_made = (batter_dest == "O") + sum(1 for d in dests if d == "O")
-    runs = (batter_dest == "H") + sum(1 for d in dests if d == "H")
+    end_outs = outs + (batter_dest == "O") + dests.count("O")
     if bip is None and BALL_IN_PLAY[event]:
         bip = (30.0, 150.0)
-    return PlateAppearance(
-        game_id=game_id, pa_index=pa_index, inning=inning, half=half,
-        batter_id=batter_id, pitcher_id=pitcher_id,
-        start_state=GameState(outs, bases),
-        end_state=GameState(outs + outs_made, end_bases),
-        runner_ids=runner_ids, runner_dests=dests,
-        batter_dest=batter_dest, runs_scored=runs, event_type=event,
-        ballpark_id=park, batter_hand=batter_hand, pitcher_hand=pitcher_hand,
-        batter_position=position, fielder_ids=FIELDERS,
-        bip_location=bip, credited_fielder_position=credited,
-    )
+    return {
+        "game_id": game_id, "pa_index": pa_index, "inning": inning,
+        "half": half, "batter_id": batter_id, "pitcher_id": pitcher_id,
+        "start_outs": outs, "start_bases": bases, "end_outs": end_outs,
+        "end_bases": end_bases if end_outs < 3 else 0,
+        **{f"runner{b}_id": f"R{b}" if on[b - 1] else "" for b in (1, 2, 3)},
+        **{f"runner{b}_dest": dests[b - 1] for b in (1, 2, 3)},
+        "batter_dest": batter_dest,
+        "runs_scored": (batter_dest == "H") + dests.count("H"),
+        "event_type": event, "ballpark_id": park, "batter_hand": batter_hand,
+        "pitcher_hand": pitcher_hand, "batter_position": position,
+        **{f"f{j}": pid for j, pid in enumerate(FIELDERS, 1)},
+        "bip_x": bip[0] if bip else "", "bip_y": bip[1] if bip else "",
+        "credited_fielder_position": credited or "",
+    }
 
 
 def credit_table(bundles):

@@ -146,8 +146,7 @@ def test_criterion_04_run_expectancy_oracle():
     data, expected_rho, _ = build_re_fixture()
     matrix = estimate_matrix(data)
     assert matrix.rho == expected_rho  # exact equality, no tolerance
-    from openwar.events import GameState
-    assert all(matrix.value(GameState(3, b)) == 0.0 for b in range(8))
+    assert all(matrix.value(3, b) == 0.0 for b in range(8))
     _ok(4, "hand-computed 24-state matrix reproduced exactly; rho(3,.) = 0")
 
 
@@ -256,16 +255,16 @@ def test_criterion_09_data_round_trip(acc):
     # independent team tally, written from scratch against the raw records
     wanted = {}
     for pa in rows:
-        away, rest = pa.game_id.split("@")
-        team = away if pa.half == "top" else rest.split("-")[0]
+        away, rest = pa["game_id"].split("@")
+        team = away if pa["half"] == "top" else rest.split("-")[0]
         t = wanted.setdefault(team, {"PA": 0, "R": 0, "HR": 0, "K": 0,
                                      "BB": 0, "H": 0})
         t["PA"] += 1
-        t["R"] += pa.runs_scored
-        t["HR"] += pa.event_type == "Home Run"
-        t["K"] += pa.event_type in ("Strikeout", "Strikeout - DP")
-        t["BB"] += pa.event_type in ("Walk", "Intent Walk")
-        t["H"] += pa.event_type in ("Single", "Double", "Triple", "Home Run")
+        t["R"] += pa["runs_scored"]
+        t["HR"] += pa["event_type"] == "Home Run"
+        t["K"] += pa["event_type"] in ("Strikeout", "Strikeout - DP")
+        t["BB"] += pa["event_type"] in ("Walk", "Intent Walk")
+        t["H"] += pa["event_type"] in ("Single", "Double", "Triple", "Home Run")
     totals = aggregate_team_totals(data)
     assert set(totals) == set(wanted)
     for team, t in wanted.items():

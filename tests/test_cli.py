@@ -237,8 +237,8 @@ def test_boot_outputs_and_compare(tmp_path, war_season):
     out = tmp_path / "boot"
     # pick two real player ids out of the roster
     data, _ = parse_season(war_season.read_text())
-    a = data.record(0).batter_id
-    b = data.record(0).pitcher_id
+    a = data.record(0)["batter_id"]
+    b = data.record(0)["pitcher_id"]
     code = main(["boot", "--input", str(war_season), "--out", str(out),
                  "--replicates", "25", "--seed", "4",
                  "--cutoff-pos", "40", "--cutoff-pitch", "18",
@@ -375,7 +375,7 @@ def test_bad_config_value_is_config_error(tmp_path, war_season, capsys,
 def test_boot_compare_unknown_player_fails_before_any_work(
         tmp_path, war_season, capsys, monkeypatch):
     data, _ = parse_season(war_season.read_text())
-    known = data.record(0).batter_id
+    known = data.record(0)["batter_id"]
     monkeypatch.setattr(cli, "run_pipeline", _must_not_run)
     out = tmp_path / "boot"
     assert main(["boot", "--input", str(war_season), "--out", str(out),

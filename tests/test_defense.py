@@ -1,7 +1,7 @@
 """Defensive split and fielding model tests."""
 
-import dataclasses
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +15,7 @@ from openwar.events import (
     parse_season,
     serialize_season,
     validate_dataset,
+    _where,
 )
 from openwar.defense import (
     _fielding_design,
@@ -26,7 +27,7 @@ from openwar.defense import (
     fit_out_surface,
 )
 from openwar.numerics import LogisticFit, SmoothedSurface, master_rng
-from openwar.pipeline import SeasonLedger, build_ledger
+from openwar.pipeline import SeasonLedger, build_ledger, run_pipeline
 from openwar.simulate import generate_synthetic_season
 from openwar.uncertainty import BootstrapConfig, bootstrap_war
 
@@ -77,10 +78,8 @@ def test_bip_without_coordinates():
     coordinates, rejects one without them, and a season without any."""
     located = make_pa("A@B-0001", 0, 1, "top", 0, 0, "Flyout", "O",
                       bip=(0.0, 100.0), credited="CF")
-    bare = dataclasses.replace(
-        make_pa("A@B-0001", 1, 1, "top", 1, 0, "Flyout", "O",
-                credited="CF"),
-        bip_location=None)
+    bare = {**make_pa("A@B-0001", 1, 1, "top", 1, 0, "Flyout", "O",
+                      credited="CF"), "bip_x": "", "bip_y": ""}
     data = SeasonDataset.from_records([located, bare])
     with pytest.raises(ValueError, match="pa 1: ball in play without"):
         apportion_defense(data, np.zeros(2), bandwidth=(30.0, 30.0))
@@ -145,7 +144,7 @@ def test_fielding_shares_sum_to_one():
     data = _clustered_dataset(rng)
     models = _fit_models(data)
     design = _fielding_design(_in_play(data)[0])
-    probs, shares = _fielding_shares(design, models, data.record)
+    probs, shares = _fielding_shares(design, models, partial(_where, data))
     assert probs.shape == shares.shape == (len(data), 9)
     assert np.max(np.abs(shares.sum(axis=1) - 1.0)) <= 1e-12
     assert np.all((shares >= 0.0) & (shares <= 1.0))
@@ -160,7 +159,7 @@ def test_vanishing_fielder_probabilities_split_equally():
     models = {pos: zero for pos in FIELDING_POSITIONS}
     with pytest.warns(UserWarning, match="pa 7: all fielder probabilities"):
         _, shares = _fielding_shares(_fielding_design(_in_play(data)[0]),
-                                     models, data.record)
+                                     models, partial(_where, data))
     assert shares.tolist() == [[1.0 / 9.0] * 9]
 
 
@@ -189,7 +188,7 @@ def test_out_probabilities_are_probabilities(pipeline, season_records):
     assert np.all(dfn.p_hat >= 0.0) and np.all(dfn.p_hat <= 1.0)
     # non-BIP events have the whole value on the pitcher
     for i, pa in enumerate(season_records):
-        if not BALL_IN_PLAY[pa.event_type]:
+        if not BALL_IN_PLAY[pa["event_type"]]:
             assert dfn.delta_f[i] == 0.0
             assert dfn.delta_p[i] == -pipeline.ledger.deltas[i]
 
@@ -298,17 +297,23 @@ def test_bootstrap_scatter_adds_do_not_grow_with_replicates(pipeline,
 
 
 def test_clean_season_parses_without_per_row_work(season, monkeypatch):
-    """Guard against per-record parsing: a clean season is checked with
-    array operations only, so no record is checked or viewed one by one."""
-    calls = {"check": 0, "view": 0}
-    monkeypatch.setattr(events, "_check_record",
-                        _counted(calls, "check", events._check_record))
-    # every row view, of a CSV row or of a coded record, is built by _view
-    monkeypatch.setattr(events, "_view", _counted(calls, "view", events._view))
+    """Guard against per-record work: a clean season is parsed and checked
+    with array operations only, so no record is read field by field or
+    checked one by one, and the pipeline builds no row view."""
+    calls = {"fields": 0, "problems": 0, "record": 0}
+    monkeypatch.setattr(events, "_field_problem", _counted(
+        calls, "fields", events._field_problem))
+    monkeypatch.setattr(events, "_problems", _counted(
+        calls, "problems", events._problems))
+    monkeypatch.setattr(SeasonDataset, "record", _counted(
+        calls, "record", SeasonDataset.record))
     data, report = parse_season(serialize_season(season))
     assert validate_dataset(data).ok and report.ok and not report.warnings
     assert len(data) == len(season)
-    assert calls == {"check": 0, "view": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_pipeline(data, cutoff_pos=40, cutoff_pitch=18)
+    assert calls == {"fields": 0, "problems": 0, "record": 0}
 
 
 def test_clean_season_reads_only_its_header_with_csv_reader(season,
@@ -350,8 +355,8 @@ def test_defense_chain_rejects_bip_without_coordinates(season_records,
     monkeypatch.setattr(defense, "logistic_fit", _counted(
         calls, "irls", defense.logistic_fit))
     pas = list(season_records)
-    k = next(i for i, pa in enumerate(pas) if BALL_IN_PLAY[pa.event_type])
-    pas[k] = dataclasses.replace(pas[k], bip_location=None)
+    k = next(i for i, pa in enumerate(pas) if BALL_IN_PLAY[pa["event_type"]])
+    pas[k] = {**pas[k], "bip_x": "", "bip_y": ""}
     data = SeasonDataset.from_records(pas)
     with pytest.raises(ValueError, match="ball in play without coordinates"):
         apportion_defense(data, np.zeros(len(pas)))

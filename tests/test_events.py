@@ -1,7 +1,6 @@
 """Data model, parsing, validation, and serialization tests."""
 
 import csv
-import dataclasses
 import io
 from unittest import mock
 
@@ -15,8 +14,8 @@ from openwar.events import (
     BALL_IN_PLAY,
     CSV_COLUMNS,
     EVENT_TYPES,
+    OPTIONAL_COLUMNS,
     ChainError,
-    GameState,
     RecordError,
     SchemaError,
     SeasonDataset,
@@ -26,9 +25,11 @@ from openwar.events import (
     serialize_season,
     validate_dataset,
     _code_rows,
-    _record_mask,
-    _row_problems,
+    _field_problem,
+    _problems,
+    _rules,
 )
+from openwar.simulate import synthetic_season_rows
 
 from fixtures import build_re_fixture, make_pa, records
 
@@ -50,24 +51,31 @@ def test_pitcher_only_events():
 
 
 def test_game_state_basics():
-    s = GameState(1, 5)
-    assert (s.outs, s.bases) == (1, 5)
-    with pytest.raises(RecordError):
-        GameState(4, 0)
-    with pytest.raises(RecordError):
-        GameState(0, 8)
+    """A base-out state is an out count 0-3 and a base mask 0-7; a state
+    outside them is a record error."""
+    pa = make_pa("AWY@HOM-0001", 0, 1, "top", 1, 5, "Walk", "1B",
+                 {1: "2B", 3: "3B"})
+    data = SeasonDataset.from_records([pa])
+    assert (data.start_outs[0], data.start_bases[0]) == (1, 5)
+    assert data.record(0) == pa
+    for column, value in (("start_outs", 4), ("start_bases", 8)):
+        with pytest.raises(RecordError, match=f"{column} must be 0-"):
+            SeasonDataset.from_records([{**pa, column: value}])
 
 
 def test_three_out_state_normalizes_bases():
-    assert GameState(3, 6) == GameState(3, 0)
+    pa = make_pa("AWY@HOM-0001", 0, 1, "top", 2, 2, "Flyout", "O",
+                 {2: "2B"})
+    data = SeasonDataset.from_records([{**pa, "end_bases": 6}])
+    assert (data.end_outs[0], data.end_bases[0]) == (3, 0)
 
 
 def test_outs_on_play_and_runners():
     pa = make_pa("AWY@HOM-0001", 0, 1, "top", 0, 3,
                  "Grounded Into DP", "O", {1: "O", 2: "3B"})
-    assert pa.runner_ids == ("R1", "R2", None)
-    assert pa.runner_dests == ("O", "3B", None)
-    assert pa.end_state == GameState(2, 4)
+    assert [pa[f"runner{b}_id"] for b in (1, 2, 3)] == ["R1", "R2", ""]
+    assert [pa[f"runner{b}_dest"] for b in (1, 2, 3)] == ["O", "3B", ""]
+    assert (pa["end_outs"], pa["end_bases"]) == (2, 4)
 
 
 def test_serialize_parse_round_trip():
@@ -136,7 +144,7 @@ def test_parse_rejects_unknown_event():
 
 def test_strict_raises_lenient_drops():
     data, _, _ = build_re_fixture()
-    bad = dataclasses.replace(data.record(0), runs_scored=9)
+    bad = {**data.record(0), "runs_scored": 9}
     rows = [bad] + records(data)[1:]
     text = serialize_season(SeasonDataset.from_records(rows))
     with pytest.raises(RecordError):
@@ -150,7 +158,7 @@ def test_strict_raises_lenient_drops():
 def test_non_finite_bip_coordinates_are_record_errors(value):
     data, _, _ = build_re_fixture()
     rows = records(data)
-    k = next(i for i, pa in enumerate(rows) if BALL_IN_PLAY[pa.event_type])
+    k = next(i for i, pa in enumerate(rows) if BALL_IN_PLAY[pa["event_type"]])
     lines = serialize_season(data).splitlines()
     cells = lines[k + 1].split(",")
     cells[CSV_COLUMNS.index("bip_x")] = value
@@ -162,7 +170,7 @@ def test_non_finite_bip_coordinates_are_record_errors(value):
     assert report.dropped == 1
     assert len(parsed) == len(data) - 1
     # NaN marks an absent coordinate in memory, so records are checked too
-    bad = dataclasses.replace(rows[k], bip_location=(float(value), 150.0))
+    bad = {**rows[k], "bip_x": float(value)}
     with pytest.raises(RecordError, match="bip_x/bip_y must be finite"):
         SeasonDataset.from_records([bad])
 
@@ -170,22 +178,80 @@ def test_non_finite_bip_coordinates_are_record_errors(value):
 @pytest.mark.parametrize("location", [(None, 5.0), (5.0, None)])
 def test_half_missing_bip_location_is_record_error(location):
     data, _, _ = build_re_fixture()
-    pa = next(pa for pa in records(data) if BALL_IN_PLAY[pa.event_type])
-    bad = dataclasses.replace(pa, bip_location=location)
+    pa = next(pa for pa in records(data) if BALL_IN_PLAY[pa["event_type"]])
+    bad = {**pa, "bip_x": location[0], "bip_y": location[1]}
     with pytest.raises(RecordError, match="bip_x/bip_y must both be set"):
         SeasonDataset.from_records([bad])
 
 
+def test_fields_left_out_or_none_are_absent():
+    """A dict row may leave a field out, or give it as None: absent
+    coordinates code as NaN, and an absent integer is a record error."""
+    walk = make_pa("AWY@HOM-0001", 0, 1, "top", 0, 0, "Walk", "1B")
+    bare = {f: v for f, v in walk.items() if f not in ("bip_x", "bip_y")}
+    assert SeasonDataset.from_records([bare]).record(0) == walk
+    with pytest.raises(RecordError, match="runs_scored must be an integer, "
+                                          "got None"):
+        SeasonDataset.from_records([{**walk, "runs_scored": None}])
+
+
+def test_none_coordinates_of_a_season_code_as_absent():
+    rows, _ = synthetic_season_rows(1, 3, teams=2)
+    raw = dict(zip(CSV_COLUMNS + OPTIONAL_COLUMNS, zip(*rows)))
+    none = {f: [None if f.startswith("bip_") and v == "" else v
+                for v in values] for f, values in raw.items()}
+    assert None in none["bip_x"]
+    assert serialize_season(SeasonDataset.from_columns(none)) == \
+        serialize_season(SeasonDataset.from_columns(raw))
+
+
 def test_bip_presence_must_match_event():
     pa = make_pa("AWY@HOM-0001", 0, 1, "top", 0, 0, "Walk", "1B")
-    no_coords = dataclasses.replace(
-        make_pa("AWY@HOM-0001", 1, 1, "top", 0, 1, "Single", "1B", {1: "2B"}),
-        bip_location=None)
-    with_coords = dataclasses.replace(pa, bip_location=(10.0, 10.0))
+    no_coords = {**make_pa("AWY@HOM-0001", 1, 1, "top", 0, 1, "Single", "1B",
+                           {1: "2B"}), "bip_x": "", "bip_y": ""}
+    with_coords = {**pa, "bip_x": 10.0, "bip_y": 10.0}
     for bad in (no_coords, with_coords):
         report = validate_dataset(
             SeasonDataset.from_records([bad]), strict=False)
         assert any("bip" in e or "location" in e for e in report.errors)
+
+
+_SINGLE = make_pa("AWY@HOM-0001", 0, 1, "top", 0, 0, "Single", "1B")
+_WALK = make_pa("AWY@HOM-0001", 0, 1, "top", 0, 0, "Walk", "1B")
+_FLYOUT = make_pa("AWY@HOM-0001", 0, 1, "top", 0, 0, "Flyout", "O",
+                  credited="CF")
+
+
+@pytest.mark.parametrize("bad", [
+    {**_SINGLE, "runs_scored": 2},
+    {**_SINGLE, "end_outs": 2},
+    {**_SINGLE, "end_outs": 0, "start_outs": 1},
+    {**_SINGLE, "start_bases": 1},
+    {**_SINGLE, "runner2_id": "R2", "runner2_dest": "3B"},
+    {**_SINGLE, "runner3_dest": "H"},
+    {**_SINGLE, "bip_x": "", "bip_y": ""},
+    {**_WALK, "bip_x": 10.0, "bip_y": 10.0},
+    {**_FLYOUT, "credited_fielder_position": "DH"},
+    {**_FLYOUT, "half": "", "batter_dest": "", "f4": ""},
+    {**_FLYOUT, "event_type": "Ground Rule Kerfuffle"},
+], ids=["runs", "outs", "outs-decrease", "occupied", "empty", "empty-dest",
+        "bip-missing", "bip-present", "credited", "absent", "taxonomy"])
+def test_validate_and_parse_report_the_same_problems(bad):
+    """A record broken with values a SeasonDataset can hold gets the same
+    messages from `validate_dataset` on the dataset as from a lenient
+    `parse_season` of its CSV.  A credited position outside the vocabulary
+    is stored as absent, so both find nothing wrong with it; an unknown
+    event is absent too, and both raise the same TaxonomyError."""
+    data = SeasonDataset.from_records([bad])
+    try:
+        errors = validate_dataset(data, strict=False).errors
+    except TaxonomyError as exc:
+        with pytest.raises(TaxonomyError) as parsed:
+            parse_season(serialize_season(data), "lenient")
+        assert str(parsed.value) == str(exc)
+        return
+    assert errors == parse_season(serialize_season(data), "lenient")[1].warnings
+    assert errors or bad["credited_fielder_position"] == "DH"
 
 
 def test_chain_break_strict_vs_lenient():
@@ -219,12 +285,12 @@ def test_optional_credited_column_round_trips():
                  credited="CF")
     data = SeasonDataset.from_records([pa])
     parsed, _ = parse_season(serialize_season(data))
-    assert parsed.record(0).credited_fielder_position == "CF"
+    assert parsed.record(0)["credited_fielder_position"] == "CF"
     # the column, the last one, may be omitted entirely
     without = "".join(line.rsplit(",", 1)[0] + "\n" for line in
                       serialize_season(data).splitlines())
     parsed2, _ = parse_season(without)
-    assert parsed2.record(0).credited_fielder_position is None
+    assert parsed2.record(0)["credited_fielder_position"] == ""
 
 
 def test_csv_column_order_is_stable():
@@ -287,9 +353,14 @@ def test_array_checks_agree_with_scalar_checks(row, column, value):
     rows[row][column] = value
     cols, malformed = _code_rows(_HEADER, rows,
                                  {"game": {}, "player": {}, "park": {}})
-    flagged = malformed | _record_mask(cols)
-    try:  # the other rows are valid as they stand
-        malformed, problems = _row_problems(_HEADER, rows[row])
+    rules = list(_rules(cols))
+    flagged = np.logical_or.reduce(
+        [malformed, cols["event"] < 0] + [m for m, _ in rules])
+    # the scalar reads: the other rows are valid as they stand
+    malformed = _field_problem(_HEADER, rows[row])
+    try:
+        problems = [] if malformed else \
+            _problems(rules, cols, row, dict(zip(_HEADER, rows[row])))
     except TaxonomyError:
         assert flagged.tolist() == [k == row for k in range(len(rows))]
         with pytest.raises(TaxonomyError):

@@ -46,12 +46,12 @@ def _two_park_dataset(n_per_park=6):
 def test_park_fit_recovers_constructed_park_effect():
     data = _two_park_dataset()
     # park PX inflates run values by +0.3, PY deflates by -0.3
-    deltas = np.array([0.3 if pa.ballpark_id == "PX" else -0.3
+    deltas = np.array([0.3 if pa["ballpark_id"] == "PX" else -0.3
                        for pa in records(data)])
     fit = fit_park_platoon(data, deltas)
     for pa, fitted, resid in zip(records(data), fit.fitted,
                                  fit.residuals):
-        want = 0.3 if pa.ballpark_id == "PX" else -0.3
+        want = 0.3 if pa["ballpark_id"] == "PX" else -0.3
         assert fitted == pytest.approx(want, abs=1e-10)
         assert resid == pytest.approx(0.0, abs=1e-10)
     # the later of the two exhaustive park indicators is the dropped one

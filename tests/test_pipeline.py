@@ -40,13 +40,13 @@ def test_credit_lines_and_bundles_agree(pipeline, season_records):
         dfn.fielding_park_fit.residuals.reshape(-1, 9).tolist()))
     bundles = []
     for i, pa in enumerate(season_records):
-        bundle = [(pa.batter_id, "hit", float(off.raa_hit[i]))]
+        bundle = [(pa["batter_id"], "hit", float(off.raa_hit[i]))]
         bundle += [(pid, "br", v) for pid, v in zip(
-            pa.runner_ids + (pa.batter_id,), off.raa_br[i].tolist())
-            if pid is not None]
+            [pa[f"runner{b}_id"] for b in (1, 2, 3)] + [pa["batter_id"]],
+            off.raa_br[i].tolist()) if pid]
         bundle += [(pid, "field", v) for pid, v in zip(
-            pa.fielder_ids, raa_field.get(i, ()))]
-        bundle.append((pa.pitcher_id, "pitch", float(dfn.raa_pitch[i])))
+            [pa[f"f{j}"] for j in range(1, 10)], raa_field.get(i, ()))]
+        bundle.append((pa["pitcher_id"], "pitch", float(dfn.raa_pitch[i])))
         bundles.append(bundle)
 
     table = ledger.credits
@@ -88,7 +88,7 @@ def test_every_pa_has_hit_and_pitch_lines(pipeline, season_records):
         [np.int32, np.int32, np.int8, np.float64]
     per_pa = {comp: np.bincount(table.pa[table.component == c], minlength=n)
               for c, comp in enumerate(COMPONENTS)}
-    bip = np.array([BALL_IN_PLAY[pa.event_type] for pa in season_records])
+    bip = np.array([BALL_IN_PLAY[pa["event_type"]] for pa in season_records])
     assert np.all(per_pa["hit"] == 1)
     assert np.all(per_pa["pitch"] == 1)
     assert np.array_equal(per_pa["field"], np.where(bip, 9, 0))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from openwar.events import LIVE_STATES, GameState, SeasonDataset
+from openwar.events import LIVE_STATES, SeasonDataset
 from openwar.run_expectancy import estimate_matrix, run_value
 
 from fixtures import build_re_fixture, half_innings, make_pa, records
@@ -20,14 +20,14 @@ def test_three_out_state_is_worth_zero():
     data, _, _ = build_re_fixture()
     matrix = estimate_matrix(data)
     for bases in range(8):
-        assert matrix.value(GameState(3, bases)) == 0.0
+        assert matrix.value(3, bases) == 0.0
 
 
 def test_value_raises_on_uncovered_state():
     from openwar.run_expectancy import RunExpectancyMatrix
     m = RunExpectancyMatrix(rho={(0, 0): 0.5})
     with pytest.raises(KeyError):
-        m.value(GameState(1, 3))
+        m.value(1, 3)
 
 
 def test_run_value_on_fixture():
@@ -38,7 +38,7 @@ def test_run_value_on_fixture():
     assert delta == pytest.approx(rho[(0, 2)] - rho[(0, 0)])
     # the grand slam: (0,7) -> (0,0), 4 runs
     slam = data.record(3)
-    assert slam.runs_scored == 4
+    assert slam["runs_scored"] == 4
     delta = run_value(slam, matrix)
     assert delta == pytest.approx(rho[(0, 0)] - rho[(0, 7)] + 4)
     # inning-ending groundout: (2,6) -> three outs, rho drops to 0

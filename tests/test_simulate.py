@@ -68,27 +68,27 @@ def test_structure_of_small_season():
 def test_park_follows_home_team():
     data = generate_synthetic_season(4, 1, teams=2)
     for pa in records(data):
-        home = pa.game_id.split("@")[1].split("-")[0]
-        assert pa.ballpark_id == f"PARK_{home}"
+        home = pa["game_id"].split("@")[1].split("-")[0]
+        assert pa["ballpark_id"] == f"PARK_{home}"
 
 
 def test_bip_coordinates_in_fair_territory(season_records):
     for pa in season_records:
-        if BALL_IN_PLAY[pa.event_type]:
-            x, y = pa.bip_location
+        if BALL_IN_PLAY[pa["event_type"]]:
+            x, y = pa["bip_x"], pa["bip_y"]
             assert y >= 1.0
             # within the 45-degree foul lines, up to coordinate rounding
             assert abs(x) <= y + 0.1
             assert round(x, 1) == x and round(y, 1) == y
         else:
-            assert pa.bip_location is None
+            assert pa["bip_x"] == pa["bip_y"] == ""
 
 
 def test_credited_fielder_only_on_out_plays(season_records):
     for pa in season_records:
-        if pa.credited_fielder_position is not None:
-            assert BALL_IN_PLAY[pa.event_type]
-            assert pa.end_state.outs > pa.start_state.outs
+        if pa["credited_fielder_position"]:
+            assert BALL_IN_PLAY[pa["event_type"]]
+            assert pa["end_outs"] > pa["start_outs"]
 
 
 def test_custom_event_probs():
@@ -96,8 +96,8 @@ def test_custom_event_probs():
     probs["Strikeout"] = 0.7
     probs["Walk"] = 0.3
     data = generate_synthetic_season(1, 5, event_probs=probs)
-    assert {pa.event_type for pa in records(data)} <= {"Strikeout", "Walk"}
-    assert not any(BALL_IN_PLAY[pa.event_type] for pa in records(data))
+    assert {pa["event_type"] for pa in records(data)} <= {"Strikeout", "Walk"}
+    assert not any(BALL_IN_PLAY[pa["event_type"]] for pa in records(data))
 
 
 def test_event_probs_validation():
@@ -116,9 +116,9 @@ def test_argument_validation():
 
 def test_roster_covers_all_participants(season, season_records):
     for pa in season_records:
-        assert pa.batter_id in season.roster
-        assert pa.pitcher_id in season.roster
-        for fid in pa.fielder_ids:
+        assert pa["batter_id"] in season.roster
+        assert pa["pitcher_id"] in season.roster
+        for fid in (pa[f"f{j}"] for j in range(1, 10)):
             assert fid in season.roster
 
 

@@ -3,7 +3,8 @@
 Subcommands: validate, simulate, war, boot, pythag.  Every command is
 deterministic given its flags; outputs carry the run configuration as a
 leading comment (CSV) or a config key (JSON).  Exit codes: 0 success,
-1 validation failure, 2 configuration error, 3 internal numeric failure.
+1 validation failure, 2 configuration error, 3 internal (numeric or
+worker) failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ from . import __version__
 from .events import parse_season, season_csv
 from .pipeline import run_pipeline
 from .simulate import synthetic_season_rows
-from .uncertainty import BootstrapConfig, bootstrap_war, comparison_json
+from .uncertainty import (
+    BootstrapConfig,
+    WorkerError,
+    bootstrap_war,
+    comparison_json,
+)
 from .valuation import (
     DEFAULT_CUTOFF_PITCH,
     DEFAULT_CUTOFF_POS,
@@ -262,6 +268,9 @@ def main(argv=None):
     except (np.linalg.LinAlgError, ArithmeticError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(json.dumps({"error": str(exc), "kind": "numeric"}), file=sys.stderr)
+        return EXIT_NUMERIC
+    except WorkerError as exc:
+        print(json.dumps({"error": str(exc), "kind": "worker"}), file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError, OSError, ConfigError) as exc:
         kind = "validation" if isinstance(exc, ValueError) else "config"

@@ -21,7 +21,6 @@ import io
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import methodcaller
 
 import numpy as np
 
@@ -185,8 +184,9 @@ class SeasonDataset:
         CSV_COLUMNS + OPTIONAL_COLUMNS to one sequence of values per record,
         with None or "" where a field is absent.  Records are not checked
         (`validate_dataset` does that): a string outside its column's
-        vocabulary is stored as absent.  Numbers must parse and coordinates
-        must be finite."""
+        vocabulary is stored as absent.  Numbers must parse, coordinates
+        must be finite, and the game, batter, pitcher and ballpark ids must
+        be given."""
         tables = {"game": {}, "player": {}, "park": {}}
         cols, malformed = _code_columns(_by_record(raw), tables)
         if malformed.any():
@@ -207,6 +207,8 @@ def _where(data, i):
 
 
 _FIELDS = CSV_COLUMNS + OPTIONAL_COLUMNS
+#: the id columns a record must give
+_REQUIRED_IDS = ("game_id", "batter_id", "pitcher_id", "ballpark_id")
 
 
 def _codes(values, coding, tables, blank_absent):
@@ -275,7 +277,8 @@ def _code_rows(header, rows, tables):
     """Code one block of raw CSV rows under `header`: (SeasonDataset
     columns, mask of malformed rows).  A row is malformed where
     `_field_problem` finds a problem: a wrong field count, a number that
-    does not parse, a state out of range, bad coordinates, a '#' game id."""
+    does not parse, a state out of range, bad coordinates, an empty
+    required id, a '#' game id."""
     short = np.fromiter(map(len, rows), np.intp, len(rows)) != len(header)
     if short.any():
         rows = [r if len(r) == len(header) else [""] * len(header) for r in rows]
@@ -313,10 +316,13 @@ def _code_columns(raw, tables):
         present.append(given[inverse])
         malformed |= (failed | (given & ~np.isfinite(converted)))[inverse]
     malformed |= present[0] != present[1]
-    # after the header a '#' line is a record, not a comment
-    values, inverse = raw["game_id"]
-    malformed |= np.fromiter(map(methodcaller("startswith", "#"), values),
-                             bool, len(values))[inverse]
+    # a required id left empty is malformed; after the header a '#' line
+    # is a record, not a comment
+    for f in _REQUIRED_IDS:
+        values, inverse = raw[f]
+        bad = [v in _ABSENT or f == "game_id" and v.startswith("#")
+               for v in values]
+        malformed |= np.array(bad, dtype=bool)[inverse]
     for name, fields, coding in _CODED:
         parts = []
         for f in fields:
@@ -509,6 +515,9 @@ def _field_problem(header, row):
             raise RecordError("bip_x/bip_y must both be set")
         if bx is not None and not (math.isfinite(bx) and math.isfinite(by)):
             raise RecordError("bip_x/bip_y must be finite")
+        for column in _REQUIRED_IDS:
+            if fields[column] in _ABSENT:
+                raise RecordError(f"{column} must be given")
         if fields["game_id"].startswith("#"):
             raise RecordError("game_id must not start with '#'")
         for column in ("pa_index", "inning", "runs_scored"):

@@ -14,6 +14,14 @@ worth = (value − rate[component]) / rpw.  The credits are therefore
 folded to that worth once and summed per (player, PA), and each
 replicate is one gather of the draw counts and one contiguous
 per-player reduction.
+
+Replicates are independent, and row `rep` of the replicate matrix
+depends only on (master_seed, rep).  The rows are therefore filled by
+one worker process per CPU this process may run on, made with `os.fork`:
+worker k of W fills rows k, k + W, ... of one matrix in an anonymous
+shared mapping, and the calling process is worker 0.  The matrix is the
+same for any worker count.  A worker that fails raises WorkerError in
+the caller once every worker has exited.
 """
 
 from __future__ import annotations
@@ -21,19 +29,29 @@ from __future__ import annotations
 import csv
 import io
 import json
+import mmap
+import os
+import sys
+import traceback
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import empirical_quantiles, replicate_rng
 
-__all__ = ["BootstrapConfig", "WarDistribution", "bootstrap_war", "compare_players"]
+__all__ = ["BootstrapConfig", "WarDistribution", "WorkerError",
+           "bootstrap_war", "compare_players"]
 
 DEFAULT_PROBS = (0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0)
 #: element budget of one block of replicate columns: `np.quantile` copies
 #: what it is given, and a copy of the whole matrix would raise the peak
 #: memory of a run by the matrix's size
 QUANTILE_BLOCK_ELEMENTS = 1 << 18
+
+
+class WorkerError(RuntimeError):
+    """A bootstrap worker process exited with a nonzero status."""
 
 
 @dataclass
@@ -91,12 +109,17 @@ def bootstrap_war(credits, valuation, config):
     starts = np.unique(pairs // n, return_index=True)[1]
     del pairs, row
 
-    mat = np.empty((config.replicates, len(valuation)))
-    for rep in range(config.replicates):
-        rng = replicate_rng(config.master_seed, rep)
-        # float counts: a float x int64 multiply is several times slower
-        w = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
-        mat[rep] = np.add.reduceat(worth * w[pa], starts)
+    shape = (config.replicates, len(valuation))
+    # shared with the forked workers; the array keeps the mapping alive
+    mat = np.frombuffer(mmap.mmap(-1, max(1, 8 * shape[0] * shape[1])),
+                        dtype=float, count=shape[0] * shape[1]).reshape(shape)
+
+    def fill(first, step):
+        for rep in range(first, config.replicates, step):
+            mat[rep] = _replicate(rep, config.master_seed, n, worth, pa,
+                                  starts)
+
+    _in_workers(fill, _workers(config.replicates))
 
     step = max(1, QUANTILE_BLOCK_ELEMENTS // config.replicates)
     quantiles = np.vstack([
@@ -106,6 +129,65 @@ def bootstrap_war(credits, valuation, config):
                            names=valuation.names, point=valuation.war,
                            replicates=mat, probs=DEFAULT_PROBS,
                            quantiles=quantiles)
+
+
+def _replicate(rep, master_seed, n, worth, pa, starts):
+    """Row `rep` of the replicate matrix: n plate appearances drawn from
+    the stream of (master_seed, rep), and each player's WAR with the
+    worth of every (player, PA) pair weighted by its PA's draw count."""
+    rng = replicate_rng(master_seed, rep)
+    # float counts: a float x int64 multiply is several times slower
+    w = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
+    return np.add.reduceat(worth * w[pa], starts)
+
+
+def _workers(replicates):
+    """The number of worker processes for `replicates` rows: one per CPU
+    this process may run on, and 1 where processes cannot be forked."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return min(len(os.sched_getaffinity(0)), replicates)
+
+
+def _in_workers(fill, workers):
+    """Run fill(k, workers) in `workers` processes, k = 0 in this one and
+    k = 1, 2, ... in forked children, and return when all have exited.
+    A child leaves by os._exit, so it never returns into the caller's
+    stack, runs no atexit handler and flushes no inherited buffer."""
+    pids = []
+    try:
+        for k in range(1, workers):
+            # Python 3.12+ warns on fork in a process with threads, as
+            # numpy's BLAS pool is.  The children call no BLAS: they run
+            # numpy gathers and ufuncs only, then leave by os._exit.
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", r"This process (\(pid=\d+\) )?is multi-threaded,"
+                    r" use of fork\(\) may lead to deadlocks in the child",
+                    DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    fill(k, workers)
+                    status = 0
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    try:
+                        sys.stderr.flush()
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        fill(0, workers)
+    finally:
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    for pid in pids]
+    for k, code in enumerate(statuses, 1):
+        if code:
+            how = f"status {code}" if code > 0 else f"signal {-code}"
+            raise WorkerError(f"bootstrap worker {k} of {workers} exited "
+                              f"with {how}")
 
 
 def compare_players(dist, player_a, player_b):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openwar import cli
+from openwar import cli, uncertainty
 from openwar.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from openwar.events import parse_season
 
@@ -397,6 +397,32 @@ def test_failing_solve_is_numeric_error(tmp_path, war_season, monkeypatch,
                  str(tmp_path / "war")]) == EXIT_NUMERIC
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "SVD did not converge", "kind": "numeric"}
+
+
+def test_failed_boot_worker_is_reported_failure(tmp_path, war_season,
+                                               monkeypatch, capsys):
+    """A bootstrap worker that fails makes `boot` exit 3 with a JSON error
+    giving the worker's exit status, after every worker has exited and
+    before any output is written."""
+    replicate = uncertainty._replicate
+
+    def fails_on_odd_rows(rep, *args):
+        if rep % 2:
+            raise FloatingPointError(f"row {rep}")
+        return replicate(rep, *args)
+
+    monkeypatch.setattr(uncertainty, "_workers", lambda replicates: 2)
+    monkeypatch.setattr(uncertainty, "_replicate", fails_on_odd_rows)
+    out = tmp_path / "boot"
+    assert main(["boot", "--input", str(war_season), "--out", str(out),
+                 "--replicates", "10", "--cutoff-pos", "40",
+                 "--cutoff-pitch", "18"]) == EXIT_NUMERIC
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err == {"error": "bootstrap worker 1 of 2 exited with status 1",
+                   "kind": "worker"}
+    assert not out.exists()
 
 
 def test_war_artifacts_independent_of_hash_seed(tmp_path, war_season):

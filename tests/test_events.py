@@ -195,6 +195,38 @@ def test_fields_left_out_or_none_are_absent():
         SeasonDataset.from_records([{**walk, "runs_scored": None}])
 
 
+@pytest.mark.parametrize("given", ["none", "empty", "left-out"])
+@pytest.mark.parametrize("column", ["game_id", "batter_id", "pitcher_id",
+                                    "ballpark_id"])
+def test_missing_id_is_record_error(column, given):
+    """An id a record must give, None, empty or left out of the second
+    record, is a RecordError naming the field and the record, from rows,
+    from columns and from CSV text alike."""
+    first = make_pa("AWY@HOM-0001", 0, 1, "top", 0, 0, "Walk", "1B")
+    second = make_pa("AWY@HOM-0001", 1, 1, "top", 0, 1, "Strikeout", "O",
+                     {1: "1B"})
+    text = serialize_season(SeasonDataset.from_records([first, second]))
+    if given == "left-out":
+        del second[column]
+    else:
+        second[column] = None if given == "none" else ""
+    message = f"pa 1: {column} must be given"
+    with pytest.raises(RecordError, match=message):
+        SeasonDataset.from_records([first, second])
+    raw = {f: [first[f], second.get(f)] for f in CSV_COLUMNS}
+    with pytest.raises(RecordError, match=message):
+        SeasonDataset.from_columns(raw)
+    if given == "empty":
+        header, *rows = text.splitlines()
+        cells = rows[1].split(",")
+        cells[CSV_COLUMNS.index(column)] = ""
+        blanked = "\n".join([header, rows[0], ",".join(cells)]) + "\n"
+        with pytest.raises(RecordError, match=message):
+            parse_season(blanked, "strict")
+        parsed, report = parse_season(blanked, "lenient")
+        assert (len(parsed), report.dropped) == (1, 1)
+
+
 def test_none_coordinates_of_a_season_code_as_absent():
     rows, _ = synthetic_season_rows(1, 3, teams=2)
     raw = dict(zip(CSV_COLUMNS + OPTIONAL_COLUMNS, zip(*rows)))

@@ -1,6 +1,8 @@
 """Bootstrap resampling tests."""
 
 import dataclasses
+import os
+import warnings
 from statistics import NormalDist
 from types import SimpleNamespace
 
@@ -208,6 +210,101 @@ def test_bootstrap_keys_beyond_int32():
     cfg = BootstrapConfig(replicates=3, master_seed=4)
     assert np.array_equal(bootstrap_war(credits, val, cfg).replicates,
                           bootstrap_war(wide, val, cfg).replicates)
+
+
+def _no_child_left():
+    """Every process a bootstrap forked has been waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _by_workers(monkeypatch, credits, val, cfg, counts=(1, 2, 3)):
+    """The distributions of `bootstrap_war` run with each worker count."""
+    dists = []
+    for workers in counts:
+        monkeypatch.setattr(uncertainty, "_workers",
+                            lambda replicates, w=workers: min(w, replicates))
+        dists.append(bootstrap_war(credits, val, cfg))
+        _no_child_left()
+    return dists
+
+
+def _assert_same(dists):
+    for dist in dists[1:]:
+        assert np.array_equal(dist.replicates, dists[0].replicates)
+        assert dist.quantile_csv() == dists[0].quantile_csv()
+
+
+def test_worker_count_does_not_change_results(pipeline, monkeypatch):
+    """Row `rep` depends only on (master_seed, rep), so 1, 2 and 3 worker
+    processes fill the same matrix."""
+    _assert_same(_by_workers(monkeypatch, pipeline.ledger.credits,
+                             pipeline.valuation,
+                             BootstrapConfig(replicates=41, master_seed=3)))
+
+
+@given(bundles=st.lists(st.lists(_CREDIT, max_size=4), min_size=1,
+                        max_size=25).filter(any),
+       replicates=st.integers(1, 7), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=15, deadline=None)
+def test_worker_count_does_not_change_drawn_ledgers(bundles, replicates, seed):
+    credits = credit_table(bundles)
+    val = _valued(credits, (0.1, -0.2, 0.0, 0.3), 9.0)
+    cfg = BootstrapConfig(replicates=replicates, master_seed=seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_same(_by_workers(monkeypatch, credits, val, cfg))
+
+
+def _must_not_fork():
+    raise AssertionError("one worker runs in the calling process")
+
+
+def test_one_replicate_runs_in_one_worker(pipeline, monkeypatch):
+    assert uncertainty._workers(1) == 1
+    monkeypatch.setattr(os, "fork", _must_not_fork)
+    dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
+                         BootstrapConfig(replicates=1))
+    assert dist.replicates.shape == (1, len(pipeline.valuation))
+
+
+def test_fork_warning_of_threaded_process_is_ignored(pipeline, monkeypatch):
+    """Python 3.12+ warns when a process with threads forks, and the suite
+    turns a DeprecationWarning into an error; the bootstrap ignores that
+    one warning around its fork.  Here the warning is raised before the
+    real fork, so a fork it stops leaves no child."""
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, "
+                      f"use of fork() may lead to deadlocks in the child.",
+                      DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    _by_workers(monkeypatch, pipeline.ledger.credits, pipeline.valuation,
+                BootstrapConfig(replicates=4), counts=(2,))
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["caller", "child"])
+def test_a_failing_worker_fails_the_call(pipeline, monkeypatch, failing):
+    """A failure in the calling process (worker 0) propagates as it is,
+    and one in a forked worker as WorkerError with its exit status; either
+    way every worker has exited when the call returns."""
+    replicate = uncertainty._replicate
+
+    def fails_on_some_rows(rep, *args):
+        if rep % 2 == failing:
+            raise FloatingPointError(f"row {rep}")
+        return replicate(rep, *args)
+
+    monkeypatch.setattr(uncertainty, "_workers", lambda replicates: 2)
+    monkeypatch.setattr(uncertainty, "_replicate", fails_on_some_rows)
+    expected = (FloatingPointError, "row 0") if failing == 0 else \
+        (uncertainty.WorkerError, "worker 1 of 2 exited with status 1")
+    with pytest.raises(expected[0], match=expected[1]):
+        bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
+                      BootstrapConfig(replicates=6))
+    _no_child_left()
 
 
 def test_compare_players_matches_recount():

@@ -212,10 +212,8 @@ def cmd_war(args):
     cfg = _config_echo(args)
     out = Path(args.out)
     _write(out / "valuation.csv", valuation_csv(result.valuation), cfg)
-    payload = json.loads(valuation_json(result.valuation))
     _write(out / "valuation.json",
-           json.dumps({"config": json.loads(cfg), "players": payload},
-                      indent=2, sort_keys=True) + "\n")
+           valuation_json(result.valuation, json.loads(cfg)))
     _write(out / "run_expectancy.csv", result.ledger.matrix.to_csv(), cfg)
     _write(out / "fielding_surface.csv", result.ledger.surface_grid_csv(), cfg)
     _write(out / "fielding_models.csv", result.ledger.fielding_models_csv(), cfg)

@@ -19,10 +19,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import pickle
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain, repeat
 
 import numpy as np
+
+from .forking import fork_worker, reaped, usable_cpus
 
 __all__ = [
     "EVENT_TYPES",
@@ -95,6 +102,9 @@ _INT_COLUMNS = ("pa_index", "inning", "start_outs", "start_bases",
 _INT64 = np.iinfo(np.int64)
 #: characters read per step of the parser, so the text never all lives at once
 _CHUNK_CHARS = 1 << 20
+#: the chunks a text must have for its parse to fork workers; a text of
+#: 2 or 5 chunks (100 or 400 games) measured no slower forked than not
+_FORK_CHUNKS = 2
 #: a chunk with any of these needs csv.reader's quoting and line-end rules
 _READER_ONLY = ('"', "\r", "\0")
 #: _MASKS[k] keeps the first k bytes of a little-endian 8-byte word
@@ -187,7 +197,7 @@ class SeasonDataset:
         vocabulary is stored as absent.  Numbers must parse, coordinates
         must be finite, and the game, batter, pitcher and ballpark ids must
         be given."""
-        tables = {"game": {}, "player": {}, "park": {}}
+        tables = _id_tables()
         cols, malformed = _code_columns(_by_record(raw), tables)
         if malformed.any():
             row = [v[int(np.argmax(malformed))] for v in raw.values()]
@@ -209,6 +219,11 @@ def _where(data, i):
 _FIELDS = CSV_COLUMNS + OPTIONAL_COLUMNS
 #: the id columns a record must give
 _REQUIRED_IDS = ("game_id", "batter_id", "pitcher_id", "ballpark_id")
+
+
+def _id_tables():
+    """Empty id tables, id -> code, one per id coding of _CODED."""
+    return {"game": {}, "player": {}, "park": {}}
 
 
 def _codes(values, coding, tables, blank_absent):
@@ -350,8 +365,11 @@ def _renumber(index, columns):
 
 
 def _finish(blocks, tables, roster=None):
-    """Join coded blocks into a SeasonDataset with sorted id tables."""
-    cols = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+    """Join coded blocks into a SeasonDataset with sorted id tables.  Each
+    column is dropped from its block as it is joined, so the blocks and
+    the joined columns are never all held at once."""
+    cols = {name: np.concatenate([b.pop(name) for b in blocks])
+            for name in list(blocks[0])}
     for name, _, coding in _CODED:
         if not isinstance(coding, str):
             np.maximum(cols[name], -1, out=cols[name])
@@ -590,16 +608,13 @@ def _field_values(buf, start, length):
     return values, inverse
 
 
-def _tokenized(chunk, header):
-    """Split a chunk of whole lines at ',' and '\\n' with array operations:
-    (the `_code_columns` input of its records, mask of records with a wrong
-    field count, record k -> its fields, lines in the chunk).  A record
-    with a wrong field count has "" in every field.  None when the chunk
-    needs csv.reader: it quotes, has '\\r' or NUL, or has a field longer
-    than csv.field_size_limit()."""
-    if any(c in chunk for c in _READER_ONLY):
-        return None
-    data = chunk.encode("utf-8", "surrogatepass")
+def _tokenized(data, header):
+    """Split a chunk of whole lines, UTF-8 encoded with no quote, '\\r' or
+    NUL, at ',' and '\\n' with array operations: (the `_code_columns` input
+    of its records, mask of records with a wrong field count, record k ->
+    its fields, lines in the chunk).  A record with a wrong field count has
+    "" in every field.  None when the chunk needs csv.reader after all: it
+    has a field longer than csv.field_size_limit()."""
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = data + bytes(8)
@@ -629,13 +644,13 @@ def _tokenized(chunk, header):
     return raw, ~whole, row, len(last)
 
 
-def _reader_rows(chunk, text, line):
+def _reader_rows(chunk, more, line):
     """The rows of a chunk by csv.reader, blank lines skipped; a quoted
-    field may run on into the lines of `text` after the chunk.  `line`
-    lines came before the chunk.  Returns (rows, lines read, a RecordError
-    naming the line csv.reader could not read, or None)."""
+    field may run on into the lines that `more` gives after the chunk.
+    `line` lines came before the chunk.  Returns (rows, lines read, a
+    RecordError naming the line csv.reader could not read, or None)."""
     lines = chunk.count("\n") + (not chunk.endswith("\n"))
-    reader = csv.reader(chain(io.StringIO(chunk), iter(text.line, "")))
+    reader = csv.reader(chain(io.StringIO(chunk), more))
     rows = []
     try:
         while reader.line_num < lines:
@@ -650,33 +665,213 @@ def _reader_rows(chunk, text, line):
     return rows, reader.line_num, None
 
 
-def _coded_chunks(text, header, tables, line):
-    """Code the records of `text` (after the header, `line` lines in)
-    chunk by chunk.  Yields (SeasonDataset columns, mask of malformed
-    records, record k -> its raw fields) per chunk; a line that csv.reader
-    cannot read raises once the records before it are yielded."""
-    while chunk := text.chunk():
-        tokens = _tokenized(chunk, header)
-        if tokens is not None:
-            raw, short, row, lines = tokens
-            cols, malformed = _code_columns(raw, tables)
-            yield cols, malformed | short, row
-        else:
-            rows, lines, error = _reader_rows(chunk, text, line)
-            yield *_code_rows(header, rows, tables), rows.__getitem__
-            if error is not None:
-                raise error
-        line += lines
+@dataclass
+class _Chunk:
+    """The records of one chunk, coded with id tables of their own and
+    checked."""
+    columns: dict  # SeasonDataset columns of the records that pass
+    ids: dict  # id table -> the chunk's ids, in code order
+    dropped: int
+    warnings: list
+    lines: int  # lines read for the chunk
+    error: Exception | None  # what the parse raises at this chunk
+
+
+def _checked(header, strict, tables, cols, malformed, row, lines, error):
+    """The _Chunk of the records coded as `cols` into `tables`, `malformed`
+    and `row` as `_code_rows` and `_tokenized` give them.  Its error is
+    the first of: a record that breaks a check in strict mode, an unknown
+    event in either mode, `error`; no record after it is checked."""
+    rules = list(_rules(cols))
+    flagged = np.logical_or.reduce(
+        [malformed, cols["event"] < 0] + [m for m, _ in rules])
+    warnings = []
+    try:
+        for k in np.flatnonzero(flagged).tolist():
+            fields = row(k)
+            message = _field_problem(header, fields)
+            problems = [message] if message else \
+                _problems(rules, cols, k, dict(zip(header, fields)))
+            if strict:
+                raise RecordError("; ".join(problems))
+            warnings.extend(
+                [f"dropped malformed row: {message}"] if message else problems)
+    except (RecordError, TaxonomyError) as exc:
+        error = exc
+    del rules  # free the rule masks before the columns are filtered
+    if flagged.any():
+        cols = {name: col[~flagged] for name, col in cols.items()}
+    return _Chunk(cols, {t: list(index) for t, index in tables.items()},
+                  int(flagged.sum()), warnings, lines, error)
+
+
+def _coded_chunk(header, strict, data):
+    """The _Chunk of a chunk that `_tokenized` takes, coded with id tables
+    of its own, or None when it declines it: the work of a parse worker."""
+    tables = _id_tables()
+    tokens = _tokenized(data, header)
+    if tokens is None:
+        return None
+    raw, short, row, lines = tokens
+    cols, malformed = _code_columns(raw, tables)
+    return _checked(header, strict, tables, cols, malformed | short, row,
+                    lines, None)
+
+
+def _read_chunk(header, strict, chunk, line, more):
+    """The _Chunk of a chunk read by csv.reader, `line` lines into the
+    text; a quoted field may run on into the lines that `more` gives."""
+    tables = _id_tables()
+    rows, lines, error = _reader_rows(chunk, more, line)
+    cols, malformed = _code_rows(header, rows, tables)
+    return _checked(header, strict, tables, cols, malformed, rows.__getitem__,
+                    lines, error)
+
+
+def _write(fd, data):
+    """Write all of `data` to the pipe `fd`."""
+    data = memoryview(data)
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _serve(tasks, results, code, theirs):
+    """A parse worker: for each encoded chunk read from the pipe `tasks`,
+    after its length in 8 bytes, code(chunk) pickled to the pipe
+    `results`, until the caller closes either pipe.  `theirs` are the
+    caller's pipe ends that the worker inherited; it closes them, so that
+    only the caller holds them and the worker sees the caller close its
+    own."""
+    for fd in theirs:
+        os.close(fd)
+    tasks = open(tasks, "rb")
+    try:
+        while size := tasks.read(8):
+            part = code(tasks.read(int.from_bytes(size, "little")))
+            _write(results, pickle.dumps(part, pickle.HIGHEST_PROTOCOL))
+    except BrokenPipeError:
+        pass  # the caller wants no more results
+
+
+class _Pool:
+    """Forked parse workers, each coding one chunk at a time.  The caller
+    sends a worker its next chunk only after reading its last result, so
+    neither side waits on a full pipe that the other is not reading.
+    Leaving a `with` block closes the caller's pipe ends, which ends the
+    workers."""
+
+    def __init__(self, code, pids):
+        self.code, self.pids = code, pids  # pids: those of `reaped`
+        self.tasks, self.results = [], []  # the caller's pipe ends
+        self.idle = deque()
+        self.busy = deque()  # (worker, its chunk), in file order
+
+    def fork(self, workers):
+        for k in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            self.tasks.append(task_w)
+            self.results.append(open(result_r, "rb"))
+            theirs = self.tasks + [f.fileno() for f in self.results]
+            try:
+                self.pids.append(fork_worker(
+                    partial(_serve, task_r, result_w, self.code, theirs)))
+            finally:
+                os.close(task_r)
+                os.close(result_w)
+            self.idle.append(k)
+
+    def send(self, chunk):
+        k = self.idle.popleft()
+        data = chunk.encode("utf-8", "surrogatepass")
+        _write(self.tasks[k], len(data).to_bytes(8, "little") + data)
+        self.busy.append((k, chunk))
+
+    def receive(self):
+        """The first chunk in file order still out, and its result."""
+        k, chunk = self.busy.popleft()
+        part = pickle.load(self.results[k])
+        self.idle.append(k)
+        return chunk, part
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for fd in self.tasks:
+            os.close(fd)
+        for f in self.results:
+            f.close()
+
+
+def _workers():
+    """The number of parse workers: one per CPU this process may run on."""
+    return usable_cpus()
+
+
+def _coded_chunks(text, code):
+    """(chunk, its _Chunk or None) for each chunk of `text`, in file order.
+
+    A chunk without a quote, '\\r' or NUL is given to `code` UTF-8
+    encoded: here, or, once _FORK_CHUNKS of them are read and where
+    `_workers()` is more than one, in that many forked parse workers.  The
+    others, and any chunk `code` declines, come with None, for the
+    consumer to read with csv.reader before it asks for the next: a quoted
+    field may run on into the text after it.  A worker that fails raises
+    WorkerError; every worker has exited when the generator ends or is
+    closed."""
+    workers = _workers()
+    held = deque()  # chunks read and not yet coded or sent
+    with reaped("parse worker", workers) as pids, _Pool(code, pids) as pool:
+
+        def every_chunk_read():
+            while pool.busy:
+                yield pool.receive()
+            while held:
+                chunk = held.popleft()
+                yield chunk, code(chunk.encode("utf-8", "surrogatepass"))
+
+        while chunk := text.chunk():
+            if any(c in chunk for c in _READER_ONLY):
+                yield from every_chunk_read()
+                yield chunk, None
+                continue
+            held.append(chunk)
+            if workers > 1 and not pool.pids and len(held) >= _FORK_CHUNKS:
+                pool.fork(workers)
+            if pool.pids:
+                while held:
+                    if not pool.idle:
+                        yield pool.receive()
+                    pool.send(held.popleft())
+            elif workers == 1:
+                yield from every_chunk_read()
+        yield from every_chunk_read()
+
+
+def _recoded(part, tables):
+    """The columns of a _Chunk, their id codes moved (in place) from the
+    chunk's id tables into the season's growing `tables`."""
+    cols = part.columns
+    for t, ids in part.ids.items():
+        index = tables[t]
+        recode = np.array([index.setdefault(i, len(index)) for i in ids]
+                          + [-1], np.int32)  # absent (-1) stays absent
+        for name, _, coding in _CODED:
+            if coding == t:
+                cols[name] = recode[cols[name]]
+    return cols
 
 
 def parse_season(source, strictness="strict"):
     """Parse a season CSV into a SeasonDataset.
 
-    `source` may be a str, bytes, or a text file object.  Lines starting
-    with '#' before the header are ignored (the CLI writes a provenance
-    comment); after it such a line is a malformed record.  In strict
-    mode any invariant violation raises; in lenient mode violating records
-    are dropped and counted, and chain breaks become warnings.
+    `source` may be a str, bytes, or a text file object.  One byte-order
+    mark at its start is ignored.  Lines starting with '#' before the
+    header are ignored (the CLI writes a provenance comment); after it
+    such a line is a malformed record.  In strict mode any invariant
+    violation raises; in lenient mode violating records are dropped and
+    counted, and chain breaks become warnings.
 
     The text after the header is read _CHUNK_CHARS characters at a time
     and cut at line ends.  A chunk is split at ',' and '\\n' and each field
@@ -684,7 +879,10 @@ def parse_season(source, strictness="strict"):
     that quotes, or has '\\r' or NUL, goes through csv.reader instead.
     Every record is checked with array operations; only a record those
     checks flag is read again, its fields one at a time, for its messages.
-    A line csv.reader cannot read raises RecordError in either mode.
+    A line csv.reader cannot read raises RecordError in either mode.  A
+    text of more than one chunk is coded and checked by one forked worker
+    process per CPU (`_coded_chunks`), and the results are merged in file
+    order here, so they do not depend on the worker count.
 
     Returns (dataset, report).
     """
@@ -698,6 +896,8 @@ def parse_season(source, strictness="strict"):
 
     comments = 0
     for line in source:
+        if not comments:  # the first line: a byte-order mark is not text
+            line = line.removeprefix("\ufeff")
         if not line.startswith("#"):
             break
         comments += 1
@@ -719,26 +919,24 @@ def parse_season(source, strictness="strict"):
         raise SchemaError(f"bad header: duplicated columns {duplicated}")
 
     report = ValidationReport()
-    tables = {"game": {}, "player": {}, "park": {}}
+    tables = _id_tables()
     blocks = []
-    for cols, malformed, row in _coded_chunks(
-            _Text(source), header, tables, comments + reader.line_num):
-        rules = list(_rules(cols))
-        flagged = np.logical_or.reduce(
-            [malformed, cols["event"] < 0] + [m for m, _ in rules])
-        for k in np.flatnonzero(flagged).tolist():
-            fields = row(k)
-            message = _field_problem(header, fields)
-            problems = [message] if message else \
-                _problems(rules, cols, k, dict(zip(header, fields)))
-            if strict:
-                raise RecordError("; ".join(problems))
-            report.warnings.extend(
-                [f"dropped malformed row: {message}"] if message else problems)
-        report.dropped += int(flagged.sum())
-        blocks.append({name: col[~flagged] for name, col in cols.items()}
-                      if flagged.any() else cols)
-        del rules  # free the rule masks before the next chunk is coded
+    line = comments + reader.line_num
+    text = _Text(source)
+    with closing(_coded_chunks(text, partial(_coded_chunk, header,
+                                             strict))) as chunks:
+        for chunk, part in chunks:
+            if part is None:
+                # a quoted field may run on into the text after its chunk;
+                # a chunk the tokenizer declined has no quote to do so
+                part = _read_chunk(header, strict, chunk, line,
+                                   iter(text.line, ""))
+            if part.error is not None:
+                raise part.error
+            line += part.lines
+            report.warnings.extend(part.warnings)
+            report.dropped += part.dropped
+            blocks.append(_recoded(part, tables))
 
     dataset = _finish(blocks or [_code_rows(header, [], tables)[0]], tables)
     breaks = _chain_messages(dataset)

@@ -30,14 +30,12 @@ import csv
 import io
 import json
 import mmap
-import os
-import sys
-import traceback
-import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .forking import WorkerError, fork_worker, reaped, usable_cpus
 from .numerics import empirical_quantiles, replicate_rng
 
 __all__ = ["BootstrapConfig", "WarDistribution", "WorkerError",
@@ -48,10 +46,6 @@ DEFAULT_PROBS = (0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0)
 #: what it is given, and a copy of the whole matrix would raise the peak
 #: memory of a run by the matrix's size
 QUANTILE_BLOCK_ELEMENTS = 1 << 18
-
-
-class WorkerError(RuntimeError):
-    """A bootstrap worker process exited with a nonzero status."""
 
 
 @dataclass
@@ -144,50 +138,16 @@ def _replicate(rep, master_seed, n, worth, pa, starts):
 def _workers(replicates):
     """The number of worker processes for `replicates` rows: one per CPU
     this process may run on, and 1 where processes cannot be forked."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return min(len(os.sched_getaffinity(0)), replicates)
+    return min(usable_cpus(), replicates)
 
 
 def _in_workers(fill, workers):
     """Run fill(k, workers) in `workers` processes, k = 0 in this one and
-    k = 1, 2, ... in forked children, and return when all have exited.
-    A child leaves by os._exit, so it never returns into the caller's
-    stack, runs no atexit handler and flushes no inherited buffer."""
-    pids = []
-    try:
+    k = 1, 2, ... in forked children, and return when all have exited."""
+    with reaped("bootstrap worker", workers) as pids:
         for k in range(1, workers):
-            # Python 3.12+ warns on fork in a process with threads, as
-            # numpy's BLAS pool is.  The children call no BLAS: they run
-            # numpy gathers and ufuncs only, then leave by os._exit.
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", r"This process (\(pid=\d+\) )?is multi-threaded,"
-                    r" use of fork\(\) may lead to deadlocks in the child",
-                    DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    fill(k, workers)
-                    status = 0
-                except BaseException:
-                    traceback.print_exc()
-                finally:
-                    try:
-                        sys.stderr.flush()
-                    finally:
-                        os._exit(status)
-            pids.append(pid)
+            pids.append(fork_worker(partial(fill, k, workers)))
         fill(0, workers)
-    finally:
-        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    for pid in pids]
-    for k, code in enumerate(statuses, 1):
-        if code:
-            how = f"status {code}" if code > 0 else f"signal {-code}"
-            raise WorkerError(f"bootstrap worker {k} of {workers} exited "
-                              f"with {how}")
 
 
 def compare_players(dist, player_a, player_b):

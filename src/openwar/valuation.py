@@ -230,6 +230,9 @@ def valuation_csv(valuation):
     return out.getvalue()
 
 
-def valuation_json(valuation):
-    payload = [dict(zip(_COLUMNS, row)) for row in _rows(valuation)]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def valuation_json(valuation, config):
+    """The JSON document {"config": config, "players": [each player's
+    output fields]}."""
+    players = [dict(zip(_COLUMNS, row)) for row in _rows(valuation)]
+    return json.dumps({"config": config, "players": players}, indent=2,
+                      sort_keys=True) + "\n"

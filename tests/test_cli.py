@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openwar import cli, uncertainty
+from openwar import cli, events, uncertainty
 from openwar.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from openwar.events import parse_season
 
@@ -423,6 +423,28 @@ def test_failed_boot_worker_is_reported_failure(tmp_path, war_season,
     assert err == {"error": "bootstrap worker 1 of 2 exited with status 1",
                    "kind": "worker"}
     assert not out.exists()
+
+
+def test_failed_parse_worker_is_reported_failure(war_season, monkeypatch,
+                                                 capsys):
+    """A parse worker that fails makes `validate` exit 3 with a JSON error
+    giving the worker's exit status, after every worker has exited."""
+    coded, parent = events._coded_chunk, os.getpid()
+
+    def fails_in_a_worker(*args):
+        if os.getpid() != parent:
+            raise FloatingPointError("in a parse worker")
+        return coded(*args)
+
+    monkeypatch.setattr(events, "_CHUNK_CHARS", 1 << 14)
+    monkeypatch.setattr(events, "_workers", lambda: 2)
+    monkeypatch.setattr(events, "_coded_chunk", fails_in_a_worker)
+    assert main(["validate", "--input", str(war_season)]) == EXIT_NUMERIC
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err == {"error": "parse worker 1 of 2 exited with status 1",
+                   "kind": "worker"}
 
 
 def test_war_artifacts_independent_of_hash_seed(tmp_path, war_season):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from openwar.events import (
     _rules,
 )
 from openwar.simulate import synthetic_season_rows
+from openwar.uncertainty import WorkerError
 
 from fixtures import build_re_fixture, make_pa, records
 
@@ -622,9 +624,10 @@ def _season_texts(draw):
        limit=st.sampled_from([None, 30]))
 def test_tokenizer_agrees_with_csv_reader(text, chunk, strictness, limit):
     """The array tokenizer and csv.reader, on records across chunk
-    boundaries, give what csv.reader gives on the whole text in one chunk:
-    the same columns, id tables and report, or the same error, also for
-    fields too long to read under a lowered csv.field_size_limit."""
+    boundaries coded by two parse workers, give what csv.reader gives on
+    the whole text in one chunk: the same columns, id tables and report,
+    or the same error, also for fields too long to read under a lowered
+    csv.field_size_limit."""
     outcomes = []
     previous = csv.field_size_limit()
     try:
@@ -634,9 +637,115 @@ def test_tokenizer_agrees_with_csv_reader(text, chunk, strictness, limit):
                                 (lambda chunk, header: None, chunk),
                                 (lambda chunk, header: None, len(text) + 1)):
             with mock.patch.object(events, "_CHUNK_CHARS", size), \
-                    mock.patch.object(events, "_tokenized", tokenized):
+                    mock.patch.object(events, "_tokenized", tokenized), \
+                    mock.patch.object(events, "_workers", lambda: 2):
                 outcomes.append(_outcome(text, strictness))
+            _no_child_left()
     finally:
         csv.field_size_limit(previous)
     assert outcomes[0] == outcomes[2]
     assert outcomes[1] == outcomes[2]
+
+
+def _no_child_left():
+    """Every process a parse forked has been waited for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _many_chunk_season(season):
+    """The session season as CSV text, with two records flagged in the
+    middle (one malformed, one breaking a rule) and one record quoted
+    between them, as csv.writer quotes, so that its chunk goes through
+    csv.reader between chunks that the tokenizer takes."""
+    lines = serialize_season(season).splitlines(keepends=True)
+    mid = len(lines) // 2
+    header = lines[0].rstrip("\n").split(",")
+    for k, column, value in ((mid - 40, "runs_scored", "x"),
+                             (mid + 40, "half", "middle")):
+        fields = lines[k].rstrip("\n").split(",")
+        fields[header.index(column)] = value
+        lines[k] = ",".join(fields) + "\n"
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n").writerow(
+        lines[mid].rstrip("\n").split(","))
+    lines[mid] = out.getvalue()
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+def test_worker_count_does_not_change_the_parse(season, strictness,
+                                                monkeypatch):
+    """1, 2 and 3 parse workers over a season of about a hundred chunks
+    give the same columns, dtypes, id tables, dropped count and warnings
+    in order, or the same error; and every worker has exited after the
+    parse, whether it returned or raised mid-stream."""
+    text = _many_chunk_season(season)
+    monkeypatch.setattr(events, "_CHUNK_CHARS", 1 << 13)
+    assert len(text) >> 13 > 50
+    outcomes = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(events, "_workers", lambda w=workers: w)
+        outcomes.append(_outcome(text, strictness))
+        _no_child_left()
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+    if strictness == "strict":
+        error, message = outcomes[0]
+        assert error is RecordError
+        assert message.endswith("runs_scored must be an integer, got 'x'")
+    else:
+        *_, dropped, warnings = outcomes[0]
+        assert dropped == 2 and len(warnings) == 2
+        assert warnings[0].startswith("dropped malformed row: ")
+        assert warnings[1].endswith("half must be top/bottom, got 'middle'")
+
+
+def test_one_chunk_forks_no_worker(monkeypatch):
+    """A text of one chunk, as every season of the tests but the
+    many-chunk ones is, is parsed in the calling process."""
+    monkeypatch.setattr(events, "_workers", lambda: 2)
+
+    def must_not_fork():
+        raise AssertionError("a text of one chunk forks no worker")
+
+    monkeypatch.setattr(os, "fork", must_not_fork)
+    data, report = parse_season(_csv(_ROWS), "strict")
+    assert len(data) == len(_ROWS) and report.ok
+
+
+def test_a_failing_parse_worker_fails_the_parse(season, monkeypatch):
+    """A worker that fails raises WorkerError with its exit status once
+    every worker has exited."""
+    coded, parent = events._coded_chunk, os.getpid()
+
+    def fails_in_a_worker(*args):
+        if os.getpid() != parent:
+            raise FloatingPointError("in a parse worker")
+        return coded(*args)
+
+    monkeypatch.setattr(events, "_CHUNK_CHARS", 1 << 13)
+    monkeypatch.setattr(events, "_workers", lambda: 2)
+    monkeypatch.setattr(events, "_coded_chunk", fails_in_a_worker)
+    with pytest.raises(WorkerError,
+                       match="parse worker 1 of 2 exited with status 1"):
+        parse_season(serialize_season(season))
+    _no_child_left()
+
+
+@pytest.mark.parametrize("kind", ["str", "bytes", "file"])
+def test_byte_order_mark_is_ignored(season, kind, tmp_path):
+    """A season saved with a UTF-8 byte-order mark, as spreadsheet "CSV
+    UTF-8" exports are, parses as the same season without it."""
+    text = "# config: {}\n" + serialize_season(season)
+    if kind == "file":  # opened as the command line opens it
+        path = tmp_path / "season.csv"
+        path.write_text(text, encoding="utf-8-sig")
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read(1) == "\ufeff"
+            fh.seek(0)
+            marked = _outcome(fh, "strict")
+    else:
+        marked = _outcome("\ufeff" + text if kind == "str"
+                          else text.encode("utf-8-sig"), "strict")
+    assert marked == _outcome(text, "strict")
+    assert isinstance(marked[0], dict)

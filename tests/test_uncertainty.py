@@ -269,9 +269,10 @@ def test_one_replicate_runs_in_one_worker(pipeline, monkeypatch):
 
 def test_fork_warning_of_threaded_process_is_ignored(pipeline, monkeypatch):
     """Python 3.12+ warns when a process with threads forks, and the suite
-    turns a DeprecationWarning into an error; the bootstrap ignores that
-    one warning around its fork.  Here the warning is raised before the
-    real fork, so a fork it stops leaves no child."""
+    turns a DeprecationWarning into an error; the fork helper that the
+    bootstrap and the parser share ignores that one warning around its
+    fork.  Here the warning is raised before the real fork, so a fork it
+    stops leaves no child."""
     fork = os.fork
 
     def warning_fork():

@@ -215,7 +215,9 @@ def test_valuation_outputs_round_trip():
     assert [float(ln.split(",")[-1]) for ln in lines[1:]] == val.war.tolist()
     assert [ln.split(",")[9] for ln in lines[1:]] == \
         ["replacement", "major_league", "replacement"]  # pit0, pos0, pos1
-    payload = json.loads(valuation_json(val))
+    document = json.loads(valuation_json(val, {"runs_per_win": 10.0}))
+    assert document["config"] == {"runs_per_win": 10.0}
+    payload = document["players"]
     assert [p["player_id"] for p in payload] == val.player_ids
     assert [p["war"] for p in payload] == val.war.tolist()
     assert [p["PA"] for p in payload] == [0, 30, 30]

@@ -192,19 +192,26 @@ def cmd_simulate(args):
 
 def _run(args, compare=()):
     """Check the flags, parse the season, check that every player named
-    in the `compare` pairs plays in it, then run the pipeline."""
+    in the `compare` pairs plays in it, run the pipeline, then check that
+    each of them has a credit to resample."""
     bandwidth, rpw = _bandwidth(args), _resolve_rpw(args)
     _non_negative("cutoff-pos", args.cutoff_pos)
     _non_negative("cutoff-pitch", args.cutoff_pitch)
     dataset, _ = _load(args)
-    missing = sorted({pid for pair in compare for pid in pair}
-                     - set(dataset.player_ids))
-    if missing:
-        raise ConfigError(f"--compare players not in the season: "
-                          f"{', '.join(missing)}")
-    return run_pipeline(
+    _check_compare(compare, dataset.player_ids, "not in the season")
+    result = run_pipeline(
         dataset, bandwidth=bandwidth, cutoff_pos=args.cutoff_pos,
         cutoff_pitch=args.cutoff_pitch, rpw=rpw)
+    _check_compare(compare, result.valuation.player_ids,
+                   "with no credit in the season")
+    return result
+
+
+def _check_compare(compare, players, why):
+    missing = sorted({pid for pair in compare for pid in pair}
+                     - set(players))
+    if missing:
+        raise ConfigError(f"--compare players {why}: {', '.join(missing)}")
 
 
 def cmd_war(args):

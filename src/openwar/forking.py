@@ -37,8 +37,14 @@ def fork_worker(work):
     leaves by os._exit: with status 0 when work returns, and with status 1
     after printing the traceback of anything it raised."""
     # Python 3.12+ warns on fork in a process with threads, as numpy's
-    # BLAS pool is.  A worker calls no BLAS: it runs numpy gathers, ufuncs
-    # and sorts only, then leaves by os._exit.
+    # BLAS pool is.  With the pthreads OpenBLAS that numpy's wheels ship,
+    # a fork there is safe: its pthread_atfork handlers stop the pool
+    # before the fork and start a new one when a process next needs it,
+    # and the products a bootstrap worker runs, one small game at a time,
+    # fall below its threading threshold anyway.  An OpenMP BLAS (an
+    # OpenMP OpenBLAS build, MKL) gives no such guarantee once the parent
+    # has run threaded products.  A parse worker runs no BLAS at all.
+    # Either leaves by os._exit.
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", r"This process (\(pid=\d+\) )?is multi-threaded,"

@@ -69,7 +69,8 @@ def _credit_table(data, offense, defense):
     """The season's CreditTable: hitting, baserunning, fielding and
     pitching blocks, each in plate-appearance order, so every
     (player, component) sum adds in that order.  The columns are built in
-    the table's dtypes (the id columns are int32 already)."""
+    the table's dtypes (the id columns are int32 already).  A game starts
+    at each plate appearance whose game differs from the one before."""
     every = np.arange(len(data), dtype=np.int32)
     runners = np.column_stack([data.runner, data.batter])
     on = runners >= 0
@@ -88,7 +89,8 @@ def _credit_table(data, offense, defense):
         player_ids=data.player_ids,
         component=np.repeat(np.arange(len(blocks), dtype=np.int8),
                             [len(b) for b in player]),
-        value=np.concatenate(values))
+        value=np.concatenate(values),
+        game_starts=np.flatnonzero(np.diff(data.game, prepend=-1)))
 
 
 def build_ledger(data, bandwidth=None, matrix=None):

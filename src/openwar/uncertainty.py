@@ -10,18 +10,31 @@ The rates, runs-per-win, point WAR and names all come from one
 `Valuation`, whose rows follow the credit table's players.  Because the
 rates and runs-per-win are frozen, a credit's contribution to WAR is
 linear in its PA's draw count: WAR = Σ worth · w[pa] with
-worth = (value − rate[component]) / rpw.  The credits are therefore
-folded to that worth once and summed per (player, PA), and each
-replicate is one gather of the draw counts and one contiguous
-per-player reduction.
+worth = (value − rate[component]) / rpw.  A credit's player plays in its
+PA's game, so the (players × PAs) worth matrix is block-diagonal by
+game.  The credits are therefore folded once into one dense block per
+game, (the game's PAs × the players credited in it): at full season
+about 22 players, and 2.8 cells per (player, PA) pair that has a
+credit.  A game longer than BLOCK_PAS PAs, or a table with no games, is
+cut into runs of that length.
 
-Replicates are independent, and row `rep` of the replicate matrix
-depends only on (master_seed, rep).  The rows are therefore filled by
-one worker process per CPU this process may run on, made with `os.fork`:
-worker k of W fills rows k, k + W, ... of one matrix in an anonymous
-shared mapping, and the calling process is worker 0.  The matrix is the
-same for any worker count.  A worker that fails raises WorkerError in
-the caller once every worker has exited.
+Replicates are filled in blocks of B rows, B set by the element budget
+COUNT_BLOCK_ELEMENTS at the season's size and capped at BLOCK_ROWS.  A
+block draws B rows of int32 draw counts (B × PAs), multiplies each
+game's columns by the game's worth block, one BLAS product per game,
+and sums each replicate's products per player.  The last block is
+padded with zero rows, so every product has the same shape, and row
+`rep` of the replicate matrix depends only on (master_seed, rep).
+
+Blocks are filled by one worker process per CPU this process may run
+on, made with `os.fork`: worker k of W fills blocks k, k + W, ... of one
+matrix in an anonymous shared mapping, and the calling process is
+worker 0.  The matrix is the same for any worker count.  Each worker
+holds its counts (16 MiB, or one row where a row is larger) and its
+products (B × the summed players of every game, 9 MiB at full season);
+the worth blocks (33 MiB at full season) are shared with the caller.  A
+worker that fails raises WorkerError in the caller once every worker has
+exited.
 """
 
 from __future__ import annotations
@@ -46,6 +59,16 @@ DEFAULT_PROBS = (0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0)
 #: what it is given, and a copy of the whole matrix would raise the peak
 #: memory of a run by the matrix's size
 QUANTILE_BLOCK_ELEMENTS = 1 << 18
+#: element budget of the int32 draw counts a worker holds: one block of
+#: replicates × the season's plate appearances (16 MiB)
+COUNT_BLOCK_ELEMENTS = 1 << 22
+#: the most replicates in one block: more rows spread the cost of each
+#: game's product call, fewer keep a block's counts in cache
+BLOCK_ROWS = 32
+#: the most plate appearances in one dense block of the worth; a longer
+#: game is cut, and so is a table with no games, which keeps the blocks
+#: linear in the credits
+BLOCK_PAS = 128
 
 
 @dataclass
@@ -87,21 +110,13 @@ def bootstrap_war(credits, valuation, config):
     Deterministic: each replicate draws from its own stream derived from
     (master_seed, replicate index).
     """
-    n = credits.n_pas
-    if not n:
+    if not credits.n_pas:
         raise ValueError("empty ledger")
     if valuation.player_ids != credits.player_ids:
         raise ValueError("the valuation is not of this credit table")
-    worth = (credits.value - valuation.rates[credits.component]) \
-        / valuation.rpw
-    # one row per (player, PA), sorted by player then PA; the int32 codes
-    # are widened first, since player code x n can pass 2**31
-    pairs, row = np.unique(credits.player.astype(np.int64) * n + credits.pa,
-                           return_inverse=True)
-    worth = np.bincount(row, weights=worth, minlength=len(pairs))
-    pa = pairs % n
-    starts = np.unique(pairs // n, return_index=True)[1]
-    del pairs, row
+    dense = _Dense.of(credits, valuation)
+    rows = _block_rows(credits.n_pas)
+    blocks = -(-config.replicates // rows)
 
     shape = (config.replicates, len(valuation))
     # shared with the forked workers; the array keeps the mapping alive
@@ -109,11 +124,15 @@ def bootstrap_war(credits, valuation, config):
                         dtype=float, count=shape[0] * shape[1]).reshape(shape)
 
     def fill(first, step):
-        for rep in range(first, config.replicates, step):
-            mat[rep] = _replicate(rep, config.master_seed, n, worth, pa,
-                                  starts)
+        counts = np.empty((rows, credits.n_pas), dtype=np.int32)
+        products = np.empty((rows, len(dense.order)))
+        for block in range(first, blocks, step):
+            reps = range(block * rows,
+                         min(block * rows + rows, config.replicates))
+            mat[reps.start:reps.stop] = _block(
+                reps, config.master_seed, counts, products, dense)
 
-    _in_workers(fill, _workers(config.replicates))
+    _in_workers(fill, _workers(blocks))
 
     step = max(1, QUANTILE_BLOCK_ELEMENTS // config.replicates)
     quantiles = np.vstack([
@@ -125,20 +144,94 @@ def bootstrap_war(credits, valuation, config):
                            quantiles=quantiles)
 
 
-def _replicate(rep, master_seed, n, worth, pa, starts):
-    """Row `rep` of the replicate matrix: n plate appearances drawn from
-    the stream of (master_seed, rep), and each player's WAR with the
-    worth of every (player, PA) pair weighted by its PA's draw count."""
-    rng = replicate_rng(master_seed, rep)
-    # float counts: a float x int64 multiply is several times slower
-    w = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
-    return np.add.reduceat(worth * w[pa], starts)
+def _block_rows(n_pas):
+    """The replicates in one count block: as many as COUNT_BLOCK_ELEMENTS
+    allows at `n_pas` plate appearances, at least 1 and at most
+    BLOCK_ROWS.  It depends on nothing else, so neither the replicate nor
+    the worker count moves a replicate to another row of its product."""
+    return max(1, min(BLOCK_ROWS, COUNT_BLOCK_ELEMENTS // n_pas))
 
 
-def _workers(replicates):
-    """The number of worker processes for `replicates` rows: one per CPU
-    this process may run on, and 1 where processes cannot be forked."""
-    return min(usable_cpus(), replicates)
+@dataclass
+class _Dense:
+    """The folded worth of a credit table as dense blocks.
+
+    A block is a run of at most BLOCK_PAS plate appearances of one game,
+    [start, stop), and `worth` its (stop − start, m) matrix: the summed
+    worth of each of the m players credited in the run, on each of its
+    plate appearances.  The block's players are the product slots lo …
+    hi − 1, in player order.  `order` sorts the slots by player, each
+    player's slots in block order, and `starts` begins each player's run
+    of them."""
+
+    blocks: list  # (start, stop, worth, lo, hi)
+    order: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, credits, valuation):
+        n, players = credits.n_pas, len(credits.player_ids)
+        bounds = np.union1d(credits.game_starts, [0, n]).tolist()
+        # each game cut into runs of BLOCK_PAS, the last one shorter
+        first = np.concatenate([np.arange(a, b, BLOCK_PAS)
+                                for a, b in zip(bounds, bounds[1:])])
+        height = np.diff(first, append=n)
+        # one slot per (block, player), sorted by block then player
+        key = np.searchsorted(first, credits.pa, "right") - 1
+        key *= players
+        key += credits.player
+        slots, slot = np.unique(key, return_inverse=True)
+        del key
+        slot_block = slots // players
+        edges = np.searchsorted(slot_block, np.arange(len(first) + 1))
+        width = np.diff(edges)
+        offset = np.concatenate([[0], np.cumsum(height * width)])
+        # each credit's cell: its block's offset, then its plate
+        # appearance's row and its player's column in that block
+        block = slot_block[slot]
+        cell = credits.pa - first[block]
+        cell *= width[block]
+        cell += offset[block] + slot - edges[block]
+        del block, slot
+        worth = (credits.value - valuation.rates[credits.component]) \
+            / valuation.rpw
+        flat = np.bincount(cell, weights=worth, minlength=offset[-1])
+        del cell, worth
+        blocks = [
+            (start, start + h, flat[o:o + h * w].reshape(h, w), lo, lo + w)
+            for start, h, w, o, lo in zip(
+                first.tolist(), height.tolist(), width.tolist(),
+                offset.tolist(), edges.tolist()) if w]
+        player = slots % players
+        order = np.argsort(player, kind="stable")
+        starts = np.flatnonzero(np.diff(player[order], prepend=-1))
+        return cls(blocks=blocks, order=order, starts=starts)
+
+
+def _block(reps, master_seed, counts, products, dense):
+    """Rows `reps` of the replicate matrix.  Row i of `counts` holds the
+    draw counts of replicate reps[i], n plate appearances drawn from the
+    stream of (master_seed, reps[i]), and the rows past the last of
+    `reps` hold zeros, so every product has the same B rows.
+    Each block of the worth is multiplied by its plate appearances'
+    counts, then each replicate's slots are summed per player, in block
+    order."""
+    n = counts.shape[1]
+    for i, rep in enumerate(reps):
+        counts[i] = np.bincount(replicate_rng(master_seed, rep)
+                                .integers(0, n, n), minlength=n)
+    counts[len(reps):] = 0
+    for start, stop, worth, lo, hi in dense.blocks:
+        np.matmul(counts[:, start:stop], worth, out=products[:, lo:hi])
+    return [np.add.reduceat(row[dense.order], dense.starts)
+            for row in products[:len(reps)]]
+
+
+def _workers(blocks):
+    """The number of worker processes for `blocks` blocks of replicates:
+    one per CPU this process may run on, and 1 where processes cannot be
+    forked."""
+    return min(usable_cpus(), blocks)
 
 
 def _in_workers(fill, workers):

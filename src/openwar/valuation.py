@@ -52,6 +52,9 @@ class CreditTable:
     follow id order.  Rows of one (player, component) pair come in
     plate-appearance order, which fixes the order their sums add in.
     `pa` and `player` are int32, `component` int8 and `value` float64.
+    `game_starts` holds the sorted ordinals of the plate appearances that
+    begin a game, empty when the games are not known; it shapes only the
+    bootstrap's blocks, which no result depends on beyond rounding.
     """
 
     player_ids: list
@@ -60,15 +63,22 @@ class CreditTable:
     player: np.ndarray
     component: np.ndarray  # index into COMPONENTS
     value: np.ndarray
+    game_starts: np.ndarray
 
     @classmethod
-    def build(cls, n_pas, pa, player, player_ids, component, value):
+    def build(cls, n_pas, pa, player, player_ids, component, value,
+              game_starts=()):
         """`player` holds codes into the sorted `player_ids`; the table
         keeps only the players with a credit, recoded in the same order:
         a player's new code is the number of used codes below its own."""
         if n_pas >= 2 ** 31:
             raise ValueError(f"{n_pas} plate appearances do not fit the "
                              "int32 pa column")
+        game_starts = np.asarray(game_starts, dtype=np.int64)
+        if np.any(np.diff(game_starts) <= 0) or np.any(game_starts < 0) \
+                or np.any(game_starts >= n_pas):
+            raise ValueError("game starts must be increasing plate "
+                             f"appearances below {n_pas}")
         player = np.asarray(player)
         used = np.zeros(len(player_ids), dtype=bool)
         used[player] = True
@@ -78,7 +88,8 @@ class CreditTable:
                    n_pas=n_pas, pa=np.asarray(pa, dtype=np.int32),
                    player=code[player],
                    component=np.asarray(component, dtype=np.int8),
-                   value=np.asarray(value, dtype=float))
+                   value=np.asarray(value, dtype=float),
+                   game_starts=game_starts)
 
 
 #: the playing-time columns of each role: plate appearances and batters faced

@@ -57,16 +57,18 @@ def make_pa(game_id, pa_index, inning, half, outs, bases, event, batter_dest,
     }
 
 
-def credit_table(bundles):
+def credit_table(bundles, game_starts=()):
     """The CreditTable of `bundles`: one list of (player_id, component,
-    raa) credits per plate appearance."""
+    raa) credits per plate appearance, with games starting at the plate
+    appearances `game_starts`."""
     rows = [(i, pid, COMPONENTS.index(comp), raa)
             for i, bundle in enumerate(bundles) for pid, comp, raa in bundle]
     pa, ids, component, value = zip(*rows)
     players = sorted(set(ids))
     return CreditTable.build(
         n_pas=len(bundles), pa=pa, player=[players.index(p) for p in ids],
-        player_ids=players, component=component, value=value)
+        player_ids=players, component=component, value=value,
+        game_starts=game_starts)
 
 
 def dense_design(factors, extra=()):

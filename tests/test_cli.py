@@ -387,6 +387,31 @@ def test_boot_compare_unknown_player_fails_before_any_work(
     assert not out.exists()
 
 
+def test_boot_compare_uncredited_player_fails_before_resampling(
+        tmp_path, capsys, monkeypatch):
+    """A player who plays but has no credit, here a right fielder on one
+    strikeout only, has no replicates to compare: `boot` says so before
+    it resamples."""
+    path = _simulate(tmp_path, games=20)
+    config, header, *lines = path.read_text().splitlines()
+    rows = list(csv.DictReader(lines, fieldnames=header.split(",")))
+    strikeout = next(r for r in rows if r["event_type"] == "Strikeout")
+    strikeout["f9"] = "SUB1"
+    with path.open("w", newline="") as fh:
+        fh.write(f"{config}\n{header}\n")
+        csv.DictWriter(fh, header.split(","), lineterminator="\n") \
+            .writerows(rows)
+    monkeypatch.setattr(cli, "bootstrap_war", _must_not_run)
+    out = tmp_path / "boot"
+    assert main(["boot", "--input", str(path), "--out", str(out),
+                 "--replicates", "5", "--compare", rows[0]["batter_id"],
+                 "SUB1"]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "--compare players with no credit in the "
+                            "season: SUB1", "kind": "config"}
+    assert not out.exists()
+
+
 def test_failing_solve_is_numeric_error(tmp_path, war_season, monkeypatch,
                                         capsys):
     def failing_solve(*args, **kwargs):
@@ -403,16 +428,18 @@ def test_failed_boot_worker_is_reported_failure(tmp_path, war_season,
                                                monkeypatch, capsys):
     """A bootstrap worker that fails makes `boot` exit 3 with a JSON error
     giving the worker's exit status, after every worker has exited and
-    before any output is written."""
-    replicate = uncertainty._replicate
+    before any output is written.  Ten replicates in blocks of two give
+    worker 1 the odd blocks."""
+    block = uncertainty._block
 
-    def fails_on_odd_rows(rep, *args):
-        if rep % 2:
-            raise FloatingPointError(f"row {rep}")
-        return replicate(rep, *args)
+    def fails_on_odd_blocks(reps, *args):
+        if reps.start // 2 % 2:
+            raise FloatingPointError(f"block {reps.start // 2}")
+        return block(reps, *args)
 
-    monkeypatch.setattr(uncertainty, "_workers", lambda replicates: 2)
-    monkeypatch.setattr(uncertainty, "_replicate", fails_on_odd_rows)
+    monkeypatch.setattr(uncertainty, "BLOCK_ROWS", 2)
+    monkeypatch.setattr(uncertainty, "_workers", lambda blocks: 2)
+    monkeypatch.setattr(uncertainty, "_block", fails_on_odd_blocks)
     out = tmp_path / "boot"
     assert main(["boot", "--input", str(war_season), "--out", str(out),
                  "--replicates", "10", "--cutoff-pos", "40",

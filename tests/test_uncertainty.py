@@ -8,10 +8,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from openwar import uncertainty
+from openwar.forking import fork_worker
 from openwar.numerics import empirical_quantiles
 from openwar.uncertainty import (
     BootstrapConfig,
@@ -150,6 +151,69 @@ def test_bootstrap_matches_reference_on_drawn_ledgers(bundles, rates, rpw,
     assert np.max(np.abs(dist.replicates - ref)) < 1e-12
 
 
+@given(bundles=st.lists(st.lists(_CREDIT, max_size=4), min_size=1,
+                        max_size=25).filter(any),
+       starts=st.sets(st.integers(0, 24)), pas=st.integers(1, 6),
+       rows=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+@example(bundles=[[("p1", "hit", 0.5)], [("p3", "br", -0.25)],
+                  [("p1", "field", 0.125), ("p1", "pitch", 1.0)],
+                  [("p5", "hit", 2.0)], [], [("p1", "br", -1.5)]],
+         starts={0, 3}, pas=2, rows=2, seed=7)  # p1 in both games, one cut
+@settings(max_examples=60, deadline=None)
+def test_block_layout_matches_reference(bundles, starts, pas, rows, seed):
+    """Drawn game boundaries cut into blocks of at most `pas` plate
+    appearances: players credited in several games and blocks, games
+    longer than a block, and blocks with no credit.  Nine replicates in
+    blocks of `rows`, filled by one worker and by three."""
+    credits = credit_table(
+        bundles, sorted(s for s in starts if s < len(bundles)))
+    val = _valued(credits, (0.1, -0.2, 0.05, 0.3), 9.0)
+    cfg = BootstrapConfig(replicates=9, master_seed=seed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(uncertainty, "BLOCK_PAS", pas)
+        dists = _by_workers(monkeypatch, credits, val, cfg, counts=(1, 3),
+                            rows=rows)
+    _assert_same(dists)
+    assert np.max(np.abs(dists[0].replicates - bootstrap_reference(
+        credits, val, cfg))) < 1e-12
+
+
+def test_session_blocks_are_games(pipeline):
+    """The session season's blocks are its games, none cut: each starts
+    where a game starts and holds that game's players once each, and the
+    slots sort by player, in block order, into the runs `starts` begins."""
+    credits, data = pipeline.ledger.credits, pipeline.ledger.data
+    dense = uncertainty._Dense.of(credits, pipeline.valuation)
+    assert [block[0] for block in dense.blocks] == \
+        credits.game_starts.tolist()
+    assert len(dense.blocks) == len(data.game_ids)
+    slot_player = []
+    for start, stop, worth, lo, hi in dense.blocks:
+        assert len(set(data.game[start:stop].tolist())) == 1
+        assert stop - start <= uncertainty.BLOCK_PAS
+        on = (credits.pa >= start) & (credits.pa < stop)
+        assert lo == len(slot_player)
+        slot_player.extend(np.unique(credits.player[on]).tolist())
+        assert worth.shape == (stop - start, hi - lo)
+    by_player = np.array(slot_player)[dense.order]
+    same = np.diff(by_player) == 0
+    assert np.all(np.diff(by_player) >= 0)
+    assert np.all(np.diff(dense.order)[same] > 0)
+    assert np.array_equal(by_player[dense.starts],
+                          np.arange(len(credits.player_ids)))
+
+
+def test_rows_do_not_depend_on_the_replicate_count(pipeline):
+    """Row `rep` is the same whether it is the only row, one of a padded
+    last block (41) or of a full block (100)."""
+    credits, val = pipeline.ledger.credits, pipeline.valuation
+    assert uncertainty._block_rows(credits.n_pas) == 32
+    rows = [bootstrap_war(credits, val, BootstrapConfig(
+        replicates=r, master_seed=8)).replicates for r in (1, 41, 100)]
+    assert np.array_equal(rows[0], rows[1][:1])
+    assert np.array_equal(rows[1], rows[2][:41])
+
+
 def test_replicates_estimate_the_exact_moments(pipeline):
     """What the bootstrap estimates.  Models and rates are frozen, so a
     player's replicate WAR is Σ a_i c_i: a_i is the player's summed worth
@@ -193,8 +257,9 @@ def test_every_pa_once_reproduces_point_war(pipeline, monkeypatch):
 
 def test_bootstrap_keys_beyond_int32():
     """With 2,200 players over 1,000,003 plate appearances, player code x
-    n_pas passes 2**31: the int32 table resamples exactly like the same
-    table with int64 columns."""
+    n_pas passes 2**31, and with no games the blocks are runs of
+    BLOCK_PAS plate appearances: the int32 table resamples exactly like
+    the same table with int64 columns."""
     rng = np.random.default_rng(13)
     players, n = 2200, 1_000_003
     player = np.repeat(np.arange(players), 3)
@@ -218,14 +283,27 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _by_workers(monkeypatch, credits, val, cfg, counts=(1, 2, 3)):
-    """The distributions of `bootstrap_war` run with each worker count."""
+def _by_workers(monkeypatch, credits, val, cfg, counts=(1, 2, 3), rows=1):
+    """The distributions of `bootstrap_war` run with each worker count, in
+    blocks of `rows` replicates.  W workers on at least W blocks must fork
+    W − 1 children, so a layout that leaves too few blocks fails here."""
+    monkeypatch.setattr(uncertainty, "BLOCK_ROWS", rows)
+    blocks = -(-cfg.replicates // uncertainty._block_rows(credits.n_pas))
+    forks = []
+
+    def counted_fork(work):
+        forks.append(work)
+        return fork_worker(work)
+
+    monkeypatch.setattr(uncertainty, "fork_worker", counted_fork)
     dists = []
     for workers in counts:
         monkeypatch.setattr(uncertainty, "_workers",
-                            lambda replicates, w=workers: min(w, replicates))
+                            lambda n, w=workers: min(w, n))
+        forks.clear()
         dists.append(bootstrap_war(credits, val, cfg))
         _no_child_left()
+        assert len(forks) == min(workers, blocks) - 1
     return dists
 
 
@@ -240,7 +318,8 @@ def test_worker_count_does_not_change_results(pipeline, monkeypatch):
     processes fill the same matrix."""
     _assert_same(_by_workers(monkeypatch, pipeline.ledger.credits,
                              pipeline.valuation,
-                             BootstrapConfig(replicates=41, master_seed=3)))
+                             BootstrapConfig(replicates=41, master_seed=3),
+                             rows=8))
 
 
 @given(bundles=st.lists(st.lists(_CREDIT, max_size=4), min_size=1,
@@ -274,8 +353,10 @@ def test_fork_warning_of_threaded_process_is_ignored(pipeline, monkeypatch):
     fork.  Here the warning is raised before the real fork, so a fork it
     stops leaves no child."""
     fork = os.fork
+    warned = []
 
     def warning_fork():
+        warned.append(os.getpid())
         warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, "
                       f"use of fork() may lead to deadlocks in the child.",
                       DeprecationWarning, stacklevel=2)
@@ -284,23 +365,26 @@ def test_fork_warning_of_threaded_process_is_ignored(pipeline, monkeypatch):
     monkeypatch.setattr(os, "fork", warning_fork)
     _by_workers(monkeypatch, pipeline.ledger.credits, pipeline.valuation,
                 BootstrapConfig(replicates=4), counts=(2,))
+    assert warned
 
 
 @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "child"])
 def test_a_failing_worker_fails_the_call(pipeline, monkeypatch, failing):
     """A failure in the calling process (worker 0) propagates as it is,
     and one in a forked worker as WorkerError with its exit status; either
-    way every worker has exited when the call returns."""
-    replicate = uncertainty._replicate
+    way every worker has exited when the call returns.  Six replicates in
+    blocks of two give worker 0 blocks 0 and 2, and worker 1 block 1."""
+    block = uncertainty._block
 
-    def fails_on_some_rows(rep, *args):
-        if rep % 2 == failing:
-            raise FloatingPointError(f"row {rep}")
-        return replicate(rep, *args)
+    def fails_on_some_blocks(reps, *args):
+        if reps.start // 2 % 2 == failing:
+            raise FloatingPointError(f"block {reps.start // 2}")
+        return block(reps, *args)
 
-    monkeypatch.setattr(uncertainty, "_workers", lambda replicates: 2)
-    monkeypatch.setattr(uncertainty, "_replicate", fails_on_some_rows)
-    expected = (FloatingPointError, "row 0") if failing == 0 else \
+    monkeypatch.setattr(uncertainty, "BLOCK_ROWS", 2)
+    monkeypatch.setattr(uncertainty, "_workers", lambda blocks: 2)
+    monkeypatch.setattr(uncertainty, "_block", fails_on_some_blocks)
+    expected = (FloatingPointError, "block 0") if failing == 0 else \
         (uncertainty.WorkerError, "worker 1 of 2 exited with status 1")
     with pytest.raises(expected[0], match=expected[1]):
         bootstrap_war(pipeline.ledger.credits, pipeline.valuation,

@@ -70,6 +70,13 @@ def test_credit_table_rejects_pa_beyond_int32():
                           player_ids=["a"], component=[0], value=[0.0])
 
 
+@pytest.mark.parametrize("starts", [[2, 1], [0, 0], [-1], [3]])
+def test_credit_table_rejects_game_starts_out_of_order(starts):
+    with pytest.raises(ValueError, match="game starts"):
+        CreditTable.build(n_pas=3, pa=[0], player=[0], player_ids=["a"],
+                          component=[0], value=[0.0], game_starts=starts)
+
+
 def test_tabulate_rejects_unrostered_player():
     with pytest.raises(KeyError, match="ghost"):
         value_players(_line_table([("ghost", "hit", 1.0)]), {"a": "Able"})

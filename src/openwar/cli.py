@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .events import parse_season, season_csv
+from .events import parse_season, season_writer
 from .pipeline import run_pipeline
-from .simulate import synthetic_season_rows
+from .simulate import synthetic_season_batches
 from .uncertainty import (
     BootstrapConfig,
     WorkerError,
@@ -184,9 +184,17 @@ def cmd_simulate(args):
         raise ConfigError(f"--games must be >= 1, not {args.games}")
     if args.teams < 2:
         raise ConfigError(f"--teams must be >= 2, not {args.teams}")
-    rows, _ = synthetic_season_rows(args.games, seed, teams=args.teams)
-    _write(args.out, season_csv(rows), _config_echo(args))
-    print(f"wrote {len(rows)} plate appearances to {args.out}")
+    batches, _ = synthetic_season_batches(args.games, seed, teams=args.teams)
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    rows = 0
+    with open(out, "w", encoding="utf-8") as f:
+        f.write(f"# config: {_config_echo(args)}\n")
+        writer = season_writer(f)
+        for batch in batches:
+            writer.writerows(batch)
+            rows += len(batch)
+    print(f"wrote {rows} plate appearances to {args.out}")
     return EXIT_OK
 
 

@@ -102,7 +102,7 @@ def fit_fielding_models(design, outs, credited):
     models = {}
     for j, pos in enumerate(FIELDING_POSITIONS):
         y = (credited == j).astype(float)
-        if len(np.unique(y)) < 2:
+        if not y.size or y.min() == y.max():
             models[pos] = LogisticFit(
                 coefficients={c: 0.0 for c in _FIELDING_COLS},
                 converged=True, iterations=0, constant_rate=float(y.mean()))

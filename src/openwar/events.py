@@ -1,6 +1,7 @@
 """Play-by-play data model: event taxonomy, records, CSV parsing and validation.
 
-The on-disk format is a flat UTF-8 CSV with one row per plate appearance.
+The on-disk format is a flat UTF-8 CSV with one row per plate appearance,
+its fields bare or quoted (see `parse_season`).
 Base-out states are encoded as an out count (0-3) plus a 3-bit base
 occupancy mask (bit0 = first, bit1 = second, bit2 = third).  Runner and
 batter destinations use the codes "1B", "2B", "3B", "H" (scored) and
@@ -45,6 +46,7 @@ __all__ = [
     "RecordError",
     "parse_season",
     "season_csv",
+    "season_writer",
     "serialize_season",
     "validate_dataset",
     "aggregate_team_totals",
@@ -105,8 +107,13 @@ _CHUNK_CHARS = 1 << 20
 #: the chunks a text must have for its parse to fork workers; a text of
 #: 2 or 5 chunks (100 or 400 games) measured no slower forked than not
 _FORK_CHUNKS = 2
-#: a chunk with any of these needs csv.reader's quoting and line-end rules
-_READER_ONLY = ('"', "\r", "\0")
+#: the bytes that may come before a quote that opens a field or is the
+#: second of a doubled quote, and after one that closes a field or is the
+#: first of a doubled quote; a '\r' must also start a '\r\n' line end
+_BESIDE_QUOTE = np.zeros(256, dtype=bool)
+_BESIDE_QUOTE[list(b',\n\r"')] = True
+_MALFORMED = ("malformed CSV: a quote out of place or never closed, "
+              "a '\\r' outside a '\\r\\n' line end, or a NUL")
 #: _MASKS[k] keeps the first k bytes of a little-endian 8-byte word
 _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 #: the values of an absent field
@@ -278,36 +285,14 @@ def _by_record(raw):
     return {f: (values, np.arange(len(values))) for f, values in raw.items()}
 
 
-def _distinct(strings):
-    """(distinct strings in first-seen order, the index of each string's
-    value in them)."""
-    index = dict.fromkeys(strings)
-    for k, s in enumerate(index):
-        index[s] = k
-    return list(index), np.fromiter(map(index.__getitem__, strings), np.intp,
-                                    len(strings))
-
-
-def _code_rows(header, rows, tables):
-    """Code one block of raw CSV rows under `header`: (SeasonDataset
-    columns, mask of malformed rows).  A row is malformed where
-    `_field_problem` finds a problem: a wrong field count, a number that
-    does not parse, a state out of range, bad coordinates, an empty
-    required id, a '#' game id."""
-    short = np.fromiter(map(len, rows), np.intp, len(rows)) != len(header)
-    if short.any():
-        rows = [r if len(r) == len(header) else [""] * len(header) for r in rows]
-    columns = zip(*rows) if rows else [()] * len(header)
-    raw = {f: _distinct(column) for f, column in zip(header, columns)}
-    cols, malformed = _code_columns(raw, tables)
-    return cols, malformed | short
-
-
 def _code_columns(raw, tables):
-    """`_code_rows` over the fields of a block given column by column:
-    raw[f] = (values, inverse), record r having the value
-    values[inverse[r]] in field f.  Each value is converted, checked and
-    coded once, and the results are gathered by `inverse`."""
+    """Code a block of records given column by column, raw[f] = (values,
+    inverse), record r having the value values[inverse[r]] in field f:
+    (SeasonDataset columns, mask of malformed records).  A record is
+    malformed where `_field_problem` finds a problem: a number that does
+    not parse, a state out of range, bad coordinates, an empty required
+    id, a '#' game id.  Each value is converted, checked and coded once,
+    and the results are gathered by `inverse`."""
     n = len(raw["game_id"][1])
     absent = ([""], np.zeros(n, np.intp))  # an optional column not given
     malformed = np.zeros(n, dtype=bool)
@@ -502,7 +487,7 @@ def validate_dataset(dataset, strict=True):
 def _field_problem(header, row):
     """The message of the first malformed field of one record's CSV fields
     `row` under `header`, or None: the scalar reference of the `malformed`
-    mask of `_code_rows`."""
+    mask of `_code_columns`, and of a wrong field count."""
     fields = dict(zip(header, row))
     where = f"game {fields.get('game_id')} pa {fields.get('pa_index')}"
     if len(row) != len(header):
@@ -553,37 +538,33 @@ class _Text:
         self.source, self.rest = source, ""
 
     def chunk(self):
-        """The next whole lines, the last one without its '\\n' only at the
-        end of the text; "" when the text is used up."""
-        parts = [self.rest]
+        """The next whole records: the text up to its last line end outside
+        quotes, one that an even number of quote characters come before;
+        the last record goes without its '\\n' only at the end of the text.
+        "" when the text is used up."""
+        parts, quotes = [self.rest], self.rest.count('"')
         while piece := self.source.read(_CHUNK_CHARS):
-            cut = piece.rfind("\n") + 1
-            if cut:
-                parts.append(piece[:cut])
-                self.rest = piece[cut:]
-                return "".join(parts)
+            if '"' in piece:  # a fast scan, where counting is not
+                quotes += piece.count('"')
+            before, end = quotes, len(piece)  # the quotes before piece[end]
+            while cut := piece.rfind("\n", 0, end) + 1:
+                before -= piece.count('"', cut, end)
+                if before % 2 == 0:
+                    parts.append(piece[:cut])
+                    self.rest = piece[cut:]
+                    return "".join(parts)
+                end = cut - 1
             parts.append(piece)
         self.rest = ""
         return "".join(parts)
-
-    def line(self):
-        """The next line; "" when the text is used up."""
-        while not (cut := self.rest.find("\n") + 1):
-            piece = self.source.read(_CHUNK_CHARS)
-            if not piece:
-                line, self.rest = self.rest, ""
-                return line
-            self.rest += piece
-        line, self.rest = self.rest[:cut], self.rest[cut:]
-        return line
 
 
 def _field_values(buf, start, length):
     """(distinct values, inverse) of the fields of one column: field r is
     bytes buf[start[r]:start[r] + length[r]].  Fields are keyed by their
     bytes, 8 at a time, as little-endian words masked to the field's end;
-    with no NUL in `buf`, fields share a key only if their bytes are equal.
-    `buf` ends with 8 spare bytes."""
+    with no NUL in a field, fields share a key only if their bytes are
+    equal.  `buf` ends with 8 spare bytes."""
     words = np.ndarray(len(buf) - 7, "<u8", buf, strides=(1,))  # word at each byte
     first, inverse = np.unique(words[start] & _MASKS[np.minimum(length, 8)],
                                return_inverse=True)
@@ -608,61 +589,98 @@ def _field_values(buf, start, length):
     return values, inverse
 
 
+def _records_before(sep, text, position):
+    """The separators `sep` of the records of `text` that end before byte
+    `position`."""
+    ends = np.flatnonzero(text[sep] == ord("\n"))  # each line's last one
+    k = np.searchsorted(sep[ends], position)
+    return sep[:ends[k - 1] + 1] if k else sep[:0]
+
+
 def _tokenized(data, header):
-    """Split a chunk of whole lines, UTF-8 encoded with no quote, '\\r' or
-    NUL, at ',' and '\\n' with array operations: (the `_code_columns` input
-    of its records, mask of records with a wrong field count, record k ->
-    its fields, lines in the chunk).  A record with a wrong field count has
-    "" in every field.  None when the chunk needs csv.reader after all: it
-    has a field longer than csv.field_size_limit()."""
+    """Split a chunk of whole records, UTF-8 encoded, at its ',' and '\\n'
+    outside quotes with array operations: a separator is outside quotes
+    when an even number of quote bytes come before it in the chunk.
+    Returns (the `_code_columns` input of its records, mask of records
+    with a wrong field count, record k -> its fields, lines read, why the
+    text breaks off after them or None).  A record with a wrong field
+    count has "" in every field.  The text breaks off at the first record
+    with malformed CSV (`_MALFORMED`) or a field longer than
+    csv.field_size_limit(); only the records before it are read."""
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = data + bytes(8)
-    text = np.frombuffer(data, np.uint8)
-    sep = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
-    last = np.flatnonzero(text[sep] == ord("\n"))  # each line's last separator
+    pad = np.frombuffer(buf, np.uint8)
+    text = pad[:len(data)]
+    newline = text == ord("\n")
+    sep = np.flatnonzero(newline | (text == ord(",")))
+    bad = len(data)  # where the first malformed CSV is
+    quoted = b'"' in data
+    if quoted:
+        is_quote = text == ord('"')
+        quote = np.flatnonzero(is_quote)
+        sep = sep[~np.bitwise_xor.accumulate(is_quote)[sep]]  # even counts
+        # an even number of quotes come before one that opens a field or
+        # is the second of a doubled quote, which follows a separator or a
+        # quote; an odd number before one that closes a field or is the
+        # first of a doubled quote, which a separator or a quote follows
+        odd = np.arange(len(quote)) % 2 == 1
+        ok = _BESIDE_QUOTE[np.where(odd, pad[quote + 1], pad[quote - 1])]
+        ok[0] |= quote[0] == 0
+        ok[-1] &= len(quote) % 2 == 0  # else it opens a field never closed
+        if not ok.all():
+            bad = quote[np.argmin(ok)]
+    if b"\r" in data:
+        cr = np.flatnonzero(text == ord("\r"))
+        lone = cr[pad[cr + 1] != ord("\n")]
+        bad = min(bad, lone[0]) if len(lone) else bad
+    if b"\0" in data:
+        bad = min(bad, data.index(b"\0"))
+    broken = None
+    if bad < len(data):
+        broken, sep = _MALFORMED, _records_before(sep, text, bad)
     # the field that each separator ends, and one more, empty, that stands
     # for every field of a record with a wrong field count
-    begins = np.concatenate([[0], sep[:-1] + 1, [0]])
-    lengths = np.concatenate([sep, [0]]) - begins
-    if lengths.max() > csv.field_size_limit():
-        return None
+    begins = np.concatenate([[0], sep + 1])
+    lengths = np.append(sep, begins[-1]) - begins
+    if b"\r" in data:
+        lengths[:-1] -= pad[sep - 1] == ord("\r")  # a '\r\n' line end
+    blank = lengths == 0  # a blank line is one empty field, and no record
+    if quoted:  # a quoted field is read between its quotes
+        inner = pad[begins[:-1]] == ord('"')
+        begins[:-1] += inner
+        lengths[:-1] -= 2 * inner
+
+    def field(j):
+        value = buf[begins[j]:begins[j] + lengths[j]]
+        return value.decode("utf-8", "surrogatepass").replace('""', '"')
+
+    limit = csv.field_size_limit()
+    for j in np.flatnonzero(lengths > limit).tolist():  # bytes >= characters
+        if len(field(j)) > limit:
+            broken = f"field larger than field limit ({limit})"
+            sep = _records_before(sep, text, begins[j])
+            begins, lengths = begins[:len(sep) + 1], lengths[:len(sep) + 1]
+            lengths[-1] = 0
+            break
+    last = np.flatnonzero(text[sep] == ord("\n"))  # each line's last field
     count = np.diff(last, prepend=-1)  # fields per line
-    # a blank line is one empty field, and carries no record
-    record = (count > 1) | (lengths[last] > 0)
-    begin, end = begins[last - count + 1][record], sep[last][record]
+    record = (count > 1) | ~blank[last]
+    first, count = (last - count + 1)[record], count[record]
     width = len(header)
-    whole = count[record] == width
-    fields = np.where(whole, np.arange(1 - width, 1)[:, None] + last[record],
-                      len(sep))
+    whole = count == width
+    fields = np.where(whole, first + np.arange(width)[:, None], len(sep))
     start, length = begins[fields], lengths[fields]
     raw = {f: _field_values(buf, start[j], length[j])
            for j, f in enumerate(header)}
+    if quoted:
+        raw = {f: ([v.replace('""', '"') for v in values], inverse)
+               for f, (values, inverse) in raw.items()}
 
     def row(k):
-        return buf[begin[k]:end[k]].decode("utf-8", "surrogatepass").split(",")
-    return raw, ~whole, row, len(last)
-
-
-def _reader_rows(chunk, more, line):
-    """The rows of a chunk by csv.reader, blank lines skipped; a quoted
-    field may run on into the lines that `more` gives after the chunk.
-    `line` lines came before the chunk.  Returns (rows, lines read, a
-    RecordError naming the line csv.reader could not read, or None)."""
-    lines = chunk.count("\n") + (not chunk.endswith("\n"))
-    reader = csv.reader(chain(io.StringIO(chunk), more))
-    rows = []
-    try:
-        while reader.line_num < lines:
-            row = next(reader, None)
-            if row is None:
-                break
-            if row:
-                rows.append(row)
-    except csv.Error as exc:
-        return rows, reader.line_num, RecordError(
-            f"line {line + reader.line_num}: {exc}")
-    return rows, reader.line_num, None
+        return [field(j) for j in range(first[k], first[k] + count[k])]
+    lines = int(np.count_nonzero(newline[:sep[-1] + 1])) if len(sep) else 0
+    return raw, ~whole, row, lines, broken
 
 
 @dataclass
@@ -675,17 +693,21 @@ class _Chunk:
     warnings: list
     lines: int  # lines read for the chunk
     error: Exception | None  # what the parse raises at this chunk
+    broken: str | None  # why the text breaks off after `lines` lines
 
 
-def _checked(header, strict, tables, cols, malformed, row, lines, error):
-    """The _Chunk of the records coded as `cols` into `tables`, `malformed`
-    and `row` as `_code_rows` and `_tokenized` give them.  Its error is
-    the first of: a record that breaks a check in strict mode, an unknown
-    event in either mode, `error`; no record after it is checked."""
+def _coded_chunk(header, strict, data):
+    """The _Chunk of an encoded chunk, tokenized, coded with id tables of
+    its own and checked: the work of a parse worker.  Its error is the
+    first of: a record that breaks a check in strict mode, an unknown
+    event in either mode; no record after it is checked."""
+    tables = _id_tables()
+    raw, short, row, lines, broken = _tokenized(data, header)
+    cols, malformed = _code_columns(raw, tables)
     rules = list(_rules(cols))
     flagged = np.logical_or.reduce(
-        [malformed, cols["event"] < 0] + [m for m, _ in rules])
-    warnings = []
+        [malformed, short, cols["event"] < 0] + [m for m, _ in rules])
+    warnings, error = [], None
     try:
         for k in np.flatnonzero(flagged).tolist():
             fields = row(k)
@@ -702,30 +724,7 @@ def _checked(header, strict, tables, cols, malformed, row, lines, error):
     if flagged.any():
         cols = {name: col[~flagged] for name, col in cols.items()}
     return _Chunk(cols, {t: list(index) for t, index in tables.items()},
-                  int(flagged.sum()), warnings, lines, error)
-
-
-def _coded_chunk(header, strict, data):
-    """The _Chunk of a chunk that `_tokenized` takes, coded with id tables
-    of its own, or None when it declines it: the work of a parse worker."""
-    tables = _id_tables()
-    tokens = _tokenized(data, header)
-    if tokens is None:
-        return None
-    raw, short, row, lines = tokens
-    cols, malformed = _code_columns(raw, tables)
-    return _checked(header, strict, tables, cols, malformed | short, row,
-                    lines, None)
-
-
-def _read_chunk(header, strict, chunk, line, more):
-    """The _Chunk of a chunk read by csv.reader, `line` lines into the
-    text; a quoted field may run on into the lines that `more` gives."""
-    tables = _id_tables()
-    rows, lines, error = _reader_rows(chunk, more, line)
-    cols, malformed = _code_rows(header, rows, tables)
-    return _checked(header, strict, tables, cols, malformed, rows.__getitem__,
-                    lines, error)
+                  int(flagged.sum()), warnings, lines, error, broken)
 
 
 def _write(fd, data):
@@ -764,7 +763,7 @@ class _Pool:
         self.code, self.pids = code, pids  # pids: those of `reaped`
         self.tasks, self.results = [], []  # the caller's pipe ends
         self.idle = deque()
-        self.busy = deque()  # (worker, its chunk), in file order
+        self.busy = deque()  # the workers with a chunk, in file order
 
     def fork(self, workers):
         for k in range(workers):
@@ -781,18 +780,17 @@ class _Pool:
                 os.close(result_w)
             self.idle.append(k)
 
-    def send(self, chunk):
+    def send(self, data):
         k = self.idle.popleft()
-        data = chunk.encode("utf-8", "surrogatepass")
         _write(self.tasks[k], len(data).to_bytes(8, "little") + data)
-        self.busy.append((k, chunk))
+        self.busy.append(k)
 
     def receive(self):
-        """The first chunk in file order still out, and its result."""
-        k, chunk = self.busy.popleft()
+        """The result of the first chunk in file order still out."""
+        k = self.busy.popleft()
         part = pickle.load(self.results[k])
         self.idle.append(k)
-        return chunk, part
+        return part
 
     def __enter__(self):
         return self
@@ -810,43 +808,28 @@ def _workers():
 
 
 def _coded_chunks(text, code):
-    """(chunk, its _Chunk or None) for each chunk of `text`, in file order.
-
-    A chunk without a quote, '\\r' or NUL is given to `code` UTF-8
-    encoded: here, or, once _FORK_CHUNKS of them are read and where
-    `_workers()` is more than one, in that many forked parse workers.  The
-    others, and any chunk `code` declines, come with None, for the
-    consumer to read with csv.reader before it asks for the next: a quoted
-    field may run on into the text after it.  A worker that fails raises
-    WorkerError; every worker has exited when the generator ends or is
-    closed."""
+    """code(chunk) for each chunk of `text`, UTF-8 encoded, in file order:
+    here, or, once _FORK_CHUNKS of them are read and where `_workers()` is
+    more than one, in that many forked parse workers.  A worker that
+    fails raises WorkerError; every worker has exited when the generator
+    ends or is closed."""
     workers = _workers()
     held = deque()  # chunks read and not yet coded or sent
     with reaped("parse worker", workers) as pids, _Pool(code, pids) as pool:
-
-        def every_chunk_read():
-            while pool.busy:
-                yield pool.receive()
-            while held:
-                chunk = held.popleft()
-                yield chunk, code(chunk.encode("utf-8", "surrogatepass"))
-
         while chunk := text.chunk():
-            if any(c in chunk for c in _READER_ONLY):
-                yield from every_chunk_read()
-                yield chunk, None
-                continue
-            held.append(chunk)
+            held.append(chunk.encode("utf-8", "surrogatepass"))
             if workers > 1 and not pool.pids and len(held) >= _FORK_CHUNKS:
                 pool.fork(workers)
-            if pool.pids:
-                while held:
-                    if not pool.idle:
-                        yield pool.receive()
-                    pool.send(held.popleft())
-            elif workers == 1:
-                yield from every_chunk_read()
-        yield from every_chunk_read()
+            while pool.pids and held:
+                if not pool.idle:
+                    yield pool.receive()
+                pool.send(held.popleft())
+            if workers == 1:
+                yield code(held.popleft())
+        while pool.busy:
+            yield pool.receive()
+        while held:
+            yield code(held.popleft())
 
 
 def _recoded(part, tables):
@@ -873,16 +856,23 @@ def parse_season(source, strictness="strict"):
     violation raises; in lenient mode violating records are dropped and
     counted, and chain breaks become warnings.
 
+    Fields may be quoted as R's write.csv and csv.writer quote them: a
+    quoted field may hold ',', line ends and doubled quotes ('""' is one
+    '"'), and reads as the same value bare.  A line may end in '\\r\\n'.
+    Malformed CSV raises RecordError naming the line its record starts
+    on, in either mode: a quote inside a bare field, text after a closing
+    quote, a quote never closed, a '\\r' outside a '\\r\\n' line end, a
+    NUL.  So does a field longer than csv.field_size_limit().
+
     The text after the header is read _CHUNK_CHARS characters at a time
-    and cut at line ends.  A chunk is split at ',' and '\\n' and each field
-    column coded from its distinct values with array operations; a chunk
-    that quotes, or has '\\r' or NUL, goes through csv.reader instead.
-    Every record is checked with array operations; only a record those
-    checks flag is read again, its fields one at a time, for its messages.
-    A line csv.reader cannot read raises RecordError in either mode.  A
-    text of more than one chunk is coded and checked by one forked worker
-    process per CPU (`_coded_chunks`), and the results are merged in file
-    order here, so they do not depend on the worker count.
+    and cut at line ends outside quotes.  A chunk is split at its ',' and
+    '\\n' outside quotes and each field column coded from its distinct
+    values with array operations (`_tokenized`).  Every record is checked
+    with array operations; only a record those checks flag is read again,
+    its fields one at a time, for its messages.  A text of more than one
+    chunk is coded and checked by one forked worker process per CPU
+    (`_coded_chunks`), and the results are merged in file order here, so
+    they do not depend on the worker count.
 
     Returns (dataset, report).
     """
@@ -922,23 +912,20 @@ def parse_season(source, strictness="strict"):
     tables = _id_tables()
     blocks = []
     line = comments + reader.line_num
-    text = _Text(source)
-    with closing(_coded_chunks(text, partial(_coded_chunk, header,
-                                             strict))) as chunks:
-        for chunk, part in chunks:
-            if part is None:
-                # a quoted field may run on into the text after its chunk;
-                # a chunk the tokenizer declined has no quote to do so
-                part = _read_chunk(header, strict, chunk, line,
-                                   iter(text.line, ""))
+    with closing(_coded_chunks(_Text(source), partial(_coded_chunk, header,
+                                                      strict))) as chunks:
+        for part in chunks:
             if part.error is not None:
                 raise part.error
+            if part.broken is not None:
+                raise RecordError(f"line {line + part.lines + 1}: {part.broken}")
             line += part.lines
             report.warnings.extend(part.warnings)
             report.dropped += part.dropped
             blocks.append(_recoded(part, tables))
 
-    dataset = _finish(blocks or [_code_rows(header, [], tables)[0]], tables)
+    dataset = _finish(blocks, tables) if blocks else \
+        SeasonDataset.from_columns(dict.fromkeys(header, ()))
     breaks = _chain_messages(dataset)
     if strict and breaks:
         raise ChainError("; ".join(breaks[:5]))
@@ -961,13 +948,21 @@ def _csv_columns(d, index=slice(None)):
     return [out[f] for f in _FIELDS]
 
 
-def season_csv(rows):
-    """The canonical CSV string of a season given as rows of its fields in
-    CSV_COLUMNS + OPTIONAL_COLUMNS order, None or "" where absent."""
-    out = io.StringIO()
+def season_writer(out):
+    """A csv.writer of the canonical season CSV on the text file `out`,
+    after the header it writes: each row it is given holds the fields of
+    one record in CSV_COLUMNS + OPTIONAL_COLUMNS order, None or "" where
+    absent."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_FIELDS)
-    writer.writerows(rows)
+    return writer
+
+
+def season_csv(rows):
+    """The canonical CSV string of a season given as rows of its fields,
+    as `season_writer` takes them."""
+    out = io.StringIO()
+    season_writer(out).writerows(rows)
     return out.getvalue()
 
 

@@ -154,9 +154,9 @@ def logistic_fit(X, y):
     the separated flag set; the capped coefficients are returned as-is.
     """
     y = np.asarray(y, dtype=float)
-    if not set(np.unique(y)) <= {0.0, 1.0}:
+    if np.any((y != 0) & (y != 1)):  # NaN too
         raise ValueError("response must be binary")
-    if len(np.unique(y)) < 2:
+    if not y.size or y.min() == y.max():
         raise ValueError("single-class response")
 
     V = X.values

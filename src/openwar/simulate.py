@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .events import (
 from .numerics import master_rng
 
 __all__ = ["DEFAULT_EVENT_PROBS", "generate_synthetic_season",
-           "synthetic_season_rows"]
+           "synthetic_season_batches", "synthetic_season_rows"]
 
 # 2012 MLBAM event frequencies, renormalized over the taxonomy.
 _RAW_FREQ = {
@@ -306,6 +307,19 @@ def synthetic_season_rows(games, seed, event_probs=None, teams=4):
     list per plate appearance of its fields in CSV_COLUMNS +
     OPTIONAL_COLUMNS order (None or "" where absent), as `season_csv`
     writes them, and player id -> name."""
+    batches, roster = synthetic_season_batches(games, seed, event_probs, teams)
+    return list(chain.from_iterable(batches)), roster
+
+
+#: games per batch of `synthetic_season_batches`
+_BATCH_GAMES = 100
+
+
+def synthetic_season_batches(games, seed, event_probs=None, teams=4):
+    """The season of `synthetic_season_rows` as (batches, roster): an
+    iterator of lists of its rows, _BATCH_GAMES games at a time, so that
+    the season need not be held whole.  The arguments are checked here,
+    before the first batch is drawn."""
     if games < 1:
         raise ValueError("games must be >= 1")
     if teams < 2:
@@ -329,8 +343,16 @@ def synthetic_season_rows(games, seed, event_probs=None, teams=4):
                 team["rotation"] + team["relievers"]:
             roster[p.pid] = p.name
 
+    return _batches(games, probs, league, rng), roster
+
+
+def _batches(games, probs, league, rng):
+    """The batches of `synthetic_season_batches`, drawn from `rng` for a
+    season of `games` games in `league`."""
+    teams = len(league)
     # one list per plate appearance of its fields up to the fielders; the
-    # batted balls are located after the loop, from the draws they took
+    # batted balls of a batch are located after it, from the draws they
+    # took, and that pass draws nothing
     rows = []
     in_play = []  # per ball in play: its row, event code, whether out made
     draws = []  # per ball in play: radius draw, then angle draw
@@ -412,7 +434,15 @@ def synthetic_season_rows(games, seed, event_probs=None, teams=4):
                         pitcher.hand, batter_position, *fielder_ids])
                     outs, bases, mask = new_outs, new_bases, new_mask
 
-    # bip_x, bip_y and credited_fielder_position of every row
+        if (g + 1) % _BATCH_GAMES == 0 or g + 1 == games:
+            _locate(rows, in_play, draws)
+            yield rows
+            rows, in_play, draws = [], [], []
+
+
+def _locate(rows, in_play, draws):
+    """Append bip_x, bip_y and credited_fielder_position to every row of
+    `rows`, from the balls in play `in_play` and their `draws`."""
     tails = np.full((3, len(rows)), "", dtype=object)
     tails[2] = None
     at, events, made_out = np.array(in_play, np.intp).reshape(-1, 3).T
@@ -420,7 +450,6 @@ def synthetic_season_rows(games, seed, event_probs=None, teams=4):
     tails[:, at] = x, y, np.where(made_out == 1, _credited_positions(x, y), None)
     for row, tail in zip(rows, zip(*tails.tolist())):
         row += tail
-    return rows, roster
 
 
 def _mask(bases):

@@ -359,7 +359,7 @@ def test_bad_config_value_is_config_error(tmp_path, war_season, capsys,
     season is read or generated, and write nothing.  A NAME=value entry
     of `flags` sets that environment variable."""
     monkeypatch.setattr(cli, "parse_season", _must_not_run)
-    monkeypatch.setattr(cli, "synthetic_season_rows", _must_not_run)
+    monkeypatch.setattr(cli, "synthetic_season_batches", _must_not_run)
     monkeypatch.delenv("OPENWAR_SEED", raising=False)
     for name, value in (f.split("=") for f in flags if "=" in f):
         monkeypatch.setenv(name, value)

@@ -3,6 +3,8 @@
 import csv
 import io
 import os
+import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -25,8 +27,10 @@ from openwar.events import (
     parse_season,
     serialize_season,
     validate_dataset,
-    _code_rows,
+    _by_record,
+    _code_columns,
     _field_problem,
+    _id_tables,
     _problems,
     _rules,
 )
@@ -385,8 +389,8 @@ def test_array_checks_agree_with_scalar_checks(row, column, value):
     with exactly the scalar messages."""
     rows = [list(r) for r in _ROWS]
     rows[row][column] = value
-    cols, malformed = _code_rows(_HEADER, rows,
-                                 {"game": {}, "player": {}, "park": {}})
+    cols, malformed = _code_columns(
+        _by_record(dict(zip(_HEADER, map(list, zip(*rows))))), _id_tables())
     rules = list(_rules(cols))
     flagged = np.logical_or.reduce(
         [malformed, cols["event"] < 0] + [m for m, _ in rules])
@@ -457,8 +461,9 @@ def test_malformed_number_names_its_record(strictness, column, value,
 def test_out_of_range_integer_names_its_record(strictness, reader, column,
                                                value, expected):
     """An integer beyond int64 or a state out of range is a record error
-    naming the record and column, on the array tokenizer and on the
-    csv.reader path (a quoted field sends the chunk there) alike."""
+    naming the record and column, in a chunk with no quote and in one with
+    a field quoted as csv.writer quotes it, which csv.reader reads as the
+    same row."""
     rows = [list(r) for r in _ROWS]
     k = 4
     rows[k][_HEADER.index(column)] = value
@@ -480,13 +485,15 @@ def test_out_of_range_integer_names_its_record(strictness, reader, column,
 def test_line_csv_reader_cannot_read_is_a_record_error(strictness, chunk,
                                                        monkeypatch):
     """csv.reader stops at a '\\r' inside an unquoted field and cannot go
-    on, so both modes raise, naming the line, also in a later chunk; a bad
-    row before it in the file is reported first."""
+    on, and the tokenizer reads no '\\r' outside a '\\r\\n' line end, so
+    both modes raise, naming the line, also in a later chunk; a bad row
+    before it in the file is reported first."""
     monkeypatch.setattr(events, "_CHUNK_CHARS", chunk)
     rows = [list(r) for r in _ROWS]
     rows[3][_HEADER.index("batter_id")] = "B\r1"
-    with pytest.raises(RecordError, match=r"^line 5: new-line character"):
+    with pytest.raises(RecordError) as exc:
         parse_season(_csv(rows), strictness)
+    assert str(exc.value) == f"line 5: {events._MALFORMED}"
     rows[1][_HEADER.index("runs_scored")] = "x"
     if strictness == "strict":
         with pytest.raises(RecordError, match="runs_scored must be an integer"):
@@ -515,13 +522,10 @@ def test_ids_that_differ_past_byte_eight_stay_apart():
     assert set(names) <= set(data.player_ids)
     assert [data.player_ids[b] for b in data.batter] == \
         [names[k % len(names)] for k in range(len(rows))]
-    # csv.reader may refuse NUL; either way the two paths agree
-    for k in range(0, len(rows), 2):
-        rows[k][_HEADER.index("batter_id")] = "B1\0"
-    text = _csv(rows).replace("ABCDEFGH", "B1")
-    with mock.patch.object(events, "_tokenized", lambda chunk, header: None):
-        expected = _outcome(text, "lenient")
-    assert _outcome(text, "lenient") == expected
+    # a NUL would key "B1\0" as "B1": it is malformed CSV instead
+    rows[3][_HEADER.index("batter_id")] = "B1\0"
+    assert _outcome(_csv(rows), "lenient") == \
+        (RecordError, f"line 5: {events._MALFORMED}")
 
 
 def test_long_field_costs_its_bytes_not_the_rows(monkeypatch):
@@ -572,22 +576,29 @@ def _outcome(text, strictness):
 
 
 _RENAMES = st.sampled_from([
-    {}, {"B1": "Bätter"}, {"P1": "名前"}, {"PK": "PARKPARK"},
+    {}, {"B1": "Bätter"}, {"P1": "名前"}, {"PK": "PARKPARK" * 3 + "Bätter"},
     {"B1": "ABCDEFGH1", "R1": "ABCDEFGH2", "R2": "ABCDEFGH"},
-    {"R1": "R1\0"}])
+    {"B1": 'B "1"', "PK": "P,K"}, {"P1": "P\n1", "R1": "R\r\n1"}])
 _ODD_VALUES = st.one_of(
     st.sampled_from([
         "", "x", " 2", "1_0", "-0.0", "1e400", "nan", "B1", "B1\0", "R1",
         "ABCDEFGH", "ABCDEFGH1", "ABCDEFGH2", "Bätter", "名前", "#", "# AWY",
-        "a\nb", "x,y", '5"', "a\rb", "X" * 40, "Single", "O", "1B"]),
+        "a\nb", "x,y", '5"', '"', '""', 'say "hi"', "a\rb", "a\r\nb",
+        "X" * 40, "Bätter" * 5, "Single", "O", "1B"]),
     st.text(max_size=10))
+
+
+def _quoted(value):
+    return '"' + value.replace('"', '""') + '"'
 
 
 @st.composite
 def _season_texts(draw):
     """A season CSV drawn around the valid rows: blank lines, '#' rows,
-    rows with a field changed or missing or added, quoted rows, non-ASCII
-    and long ids, CRLF line ends and a last line with no line end."""
+    rows with a field changed or missing or added, fields quoted as R and
+    csv.writer quote them (holding ',', line ends and doubled quotes),
+    quotes put anywhere in a line, non-ASCII and long ids, CRLF line ends
+    and a last line with no line end."""
     rename = draw(_RENAMES)
     first = draw(st.integers(0, len(_ROWS) - 1))
     lines = [",".join(_HEADER)]
@@ -605,46 +616,137 @@ def _season_texts(draw):
             lines.append("")
         elif kind == "comment":
             lines.append("# " + ",".join(row[:3]))
-        if draw(st.integers(0, 4)) == 0:  # quoted, as csv.writer would
-            out = io.StringIO()
-            csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="") \
-                .writerow(row)
-            lines.append(out.getvalue())
-        else:
-            lines.append(",".join(row))
+        # "minimal" quotes as csv.writer does, "some" more fields than that
+        quoting = draw(st.sampled_from(
+            ["minimal", "minimal", "none", "some", "all"]))
+        cells = []
+        for v in row:
+            if quoting == "all" or quoting != "none" and (
+                    any(c in v for c in ',"\r\n')
+                    or quoting == "some" and draw(st.booleans())):
+                v = _quoted(v)
+            cells.append(v)
+        line = ",".join(cells)
+        if draw(st.integers(0, 24)) == 0:  # most likely malformed
+            k = draw(st.integers(0, len(line)))
+            line = line[:k] + '"' + line[k:]
+        lines.append(line)
     ends = draw(st.lists(st.sampled_from(["\n"] * 5 + ["\r\n"]),
                          min_size=len(lines), max_size=len(lines)))
     text = "".join(line + end for line, end in zip(lines, ends))
     return text[:-len(ends[-1])] if draw(st.booleans()) else text
 
 
-@settings(max_examples=200, deadline=None)
+def _bare_quote(raw, row):
+    """Whether record text `raw`, read by csv.reader as `row`, holds a
+    quote in a field that is not quoted.  A quoted field reads as
+    _quoted(value), so each field is the one form or the other."""
+    raw = raw.removesuffix("\n").removesuffix("\r")
+    at = 0
+    for value in row:
+        if raw.startswith(_quoted(value), at):
+            at += len(_quoted(value)) + 1
+        elif '"' in value:
+            return True
+        else:
+            at += len(value) + 1
+    return False
+
+
+def _oracle(text, strictness):
+    """What parse_season makes of `text`, a drawn season whose header is
+    its first line, in the form of `_outcome`, as csv.reader(strict=True)
+    reads it: the records before the first it cannot read, or that is
+    malformed CSV by the rules csv.reader does not have (a quote in a
+    field that is not quoted, a '\\r' outside a '\\r\\n' line end, a NUL),
+    or that holds a field over csv.field_size_limit(), are coded one at a
+    time by the library's row path (`_field_problem`, `_rules`,
+    `SeasonDataset.from_columns`); then that record raises RecordError
+    naming its first line."""
+    limit = csv.field_size_limit(sys.maxsize)  # checked after the rules
+    try:
+        body = io.StringIO(text.partition("\n")[2]).readlines()
+        reader = csv.reader(body, strict=True)
+        rows, broken = [], None
+        while True:
+            line = reader.line_num
+            try:
+                row = next(reader, None)
+            except csv.Error:
+                broken = events._MALFORMED
+                break
+            if row is None:
+                break
+            raw = "".join(body[line:reader.line_num])
+            if "\0" in raw or re.search("\r(?!\n)", raw + "\n") or \
+                    _bare_quote(raw, row):
+                broken = events._MALFORMED
+                break
+            if any(len(value) > limit for value in row):
+                broken = f"field larger than field limit ({limit})"
+                break
+            if row:
+                rows.append(row)
+    finally:
+        csv.field_size_limit(limit)
+    strict = strictness == "strict"
+    kept, warnings = [], []
+    try:
+        for row in rows:
+            fields = dict(zip(_HEADER, row))
+            message = _field_problem(_HEADER, row)
+            if not message:
+                cols, _ = _code_columns(_by_record(
+                    {f: [v] for f, v in fields.items()}), _id_tables())
+                problems = _problems(list(_rules(cols)), cols, 0, fields)
+                if not problems:
+                    kept.append(row)
+                    continue
+            if strict:
+                raise RecordError(message or "; ".join(problems))
+            warnings.extend([f"dropped malformed row: {message}"] if message
+                            else problems)
+        if broken is not None:
+            raise RecordError(f"line {line + 2}: {broken}")
+        data = SeasonDataset.from_columns(
+            dict(zip(_HEADER, map(list, zip(*kept)))) if kept
+            else dict.fromkeys(_HEADER, ()))
+        warnings += validate_dataset(data, strict).warnings
+    except (RecordError, TaxonomyError, ChainError) as exc:
+        return type(exc), str(exc)
+    columns = {name: (col.dtype.str, col.shape, col.tobytes())
+               for name, col in vars(data).items()
+               if isinstance(col, np.ndarray)}
+    return (columns, data.game_ids, data.player_ids, data.park_ids,
+            len(rows) - len(kept), warnings)
+
+
+@settings(max_examples=300, deadline=None)
 @given(text=_season_texts(), chunk=st.integers(1, 300),
        strictness=st.sampled_from(["strict", "lenient"]),
        limit=st.sampled_from([None, 30]))
 def test_tokenizer_agrees_with_csv_reader(text, chunk, strictness, limit):
-    """The array tokenizer and csv.reader, on records across chunk
-    boundaries coded by two parse workers, give what csv.reader gives on
-    the whole text in one chunk: the same columns, id tables and report,
-    or the same error, also for fields too long to read under a lowered
+    """The array tokenizer, on records across chunk boundaries coded by
+    two parse workers and on the whole text in one chunk, gives what
+    csv.reader(strict=True) and the rules it does not have give: the same
+    columns, id tables and report, or the same error, also for malformed
+    quoting and for fields too long to read under a lowered
     csv.field_size_limit."""
     outcomes = []
     previous = csv.field_size_limit()
     try:
         if limit is not None:
             csv.field_size_limit(limit)
-        for tokenized, size in ((events._tokenized, chunk),
-                                (lambda chunk, header: None, chunk),
-                                (lambda chunk, header: None, len(text) + 1)):
+        for size in (chunk, len(text) + 1):
             with mock.patch.object(events, "_CHUNK_CHARS", size), \
-                    mock.patch.object(events, "_tokenized", tokenized), \
                     mock.patch.object(events, "_workers", lambda: 2):
                 outcomes.append(_outcome(text, strictness))
             _no_child_left()
+        expected = _oracle(text, strictness)
     finally:
         csv.field_size_limit(previous)
-    assert outcomes[0] == outcomes[2]
-    assert outcomes[1] == outcomes[2]
+    assert outcomes[0] == expected
+    assert outcomes[1] == expected
 
 
 def _no_child_left():
@@ -656,8 +758,8 @@ def _no_child_left():
 def _many_chunk_season(season):
     """The session season as CSV text, with two records flagged in the
     middle (one malformed, one breaking a rule) and one record quoted
-    between them, as csv.writer quotes, so that its chunk goes through
-    csv.reader between chunks that the tokenizer takes."""
+    between them, as csv.writer quotes, so that one chunk of many holds
+    quotes."""
     lines = serialize_season(season).splitlines(keepends=True)
     mid = len(lines) // 2
     header = lines[0].rstrip("\n").split(",")
@@ -671,6 +773,119 @@ def _many_chunk_season(season):
         lines[mid].rstrip("\n").split(","))
     lines[mid] = out.getvalue()
     return "".join(lines)
+
+
+#: the columns R's write.csv writes bare: its numeric columns
+_NUMBERS = set(events._INT_COLUMNS) | {"bip_x", "bip_y"}
+
+
+def _r_style(text, end="\n"):
+    """CSV `text` as R's write.csv writes its data frame: the header and
+    every field of a string column quoted, an empty one as "", and the
+    numbers bare."""
+    header, *rows = csv.reader(io.StringIO(text))
+    bare = [f in _NUMBERS for f in header]
+    lines = [",".join(map(_quoted, header))]
+    lines += [",".join(v if b else _quoted(v) for v, b in zip(row, bare))
+              for row in rows]
+    return end.join(lines) + end
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+def test_r_style_quoting_parses_as_the_plain_text(season, strictness, end,
+                                                  monkeypatch):
+    """A season of about a hundred chunks with every string field quoted
+    as R writes it gives the same columns, dtypes, id tables and report,
+    or the same error, as the plain text, with 1, 2 and 3 workers."""
+    plain = _many_chunk_season(season)
+    quoted = _r_style(plain, end)
+    assert quoted.count('"') > len(plain) // 10
+    monkeypatch.setattr(events, "_CHUNK_CHARS", 1 << 13)
+    expected = _outcome(plain, strictness)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(events, "_workers", lambda w=workers: w)
+        assert _outcome(quoted, strictness) == expected
+        _no_child_left()
+
+
+def test_every_quoted_chunk_is_coded_by_a_worker(season, monkeypatch):
+    """Quoted chunks are tokenized like the others: a text of many, each
+    with quotes on every line, is coded wholly by the parse workers."""
+    text = _r_style(serialize_season(season))
+    monkeypatch.setattr(events, "_CHUNK_CHARS", 1 << 13)
+    monkeypatch.setattr(events, "_workers", lambda: 2)
+    source = io.StringIO(text)
+    source.readline()  # the header
+    chunks = events._Text(source)
+    count = sum(1 for _ in iter(chunks.chunk, ""))
+    assert count > 50
+    coded = events._coded_chunk
+
+    def signed(*args):  # the chunk's warnings name the process coding it
+        part = coded(*args)
+        part.warnings.append(os.getpid())
+        return part
+
+    monkeypatch.setattr(events, "_coded_chunk", signed)
+    data, report = parse_season(text, "lenient")
+    assert len(data) == len(season)
+    assert len(report.warnings) == count
+    assert os.getpid() not in report.warnings
+    _no_child_left()
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 64])
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+@pytest.mark.parametrize("field", ['B"1', '"B1"x', '"B1'],
+                         ids=["bare-field", "after-closing", "never-closed"])
+def test_malformed_quoting_is_a_record_error(field, strictness, chunk,
+                                             monkeypatch):
+    """A quote inside a bare field, text after a closing quote and a quote
+    never closed are each a RecordError naming the line of their record,
+    in either mode, also in a later chunk, where csv.reader's default
+    dialect reads them as B"1, B1x and a field running on to the end of
+    the text."""
+    monkeypatch.setattr(events, "_CHUNK_CHARS", chunk)
+    lines = _csv(_ROWS).splitlines(keepends=True)
+    cells = lines[4].split(",")
+    cells[_HEADER.index("batter_id")] = field
+    lines[4] = ",".join(cells)
+    with pytest.raises(RecordError) as exc:
+        parse_season("".join(lines), strictness)
+    assert str(exc.value) == f"line 5: {events._MALFORMED}"
+
+
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+def test_long_field_names_the_line_its_record_starts_on(strictness):
+    """A field longer than csv.field_size_limit() is a RecordError naming
+    the first line of its record, also when a quoted field before it runs
+    on over a line end."""
+    rows = [list(r) for r in _ROWS]
+    rows[3][_HEADER.index("batter_id")] = "B\n1"
+    rows[3][_HEADER.index("pitcher_id")] = "P" * 40
+    previous = csv.field_size_limit(30)
+    try:
+        with pytest.raises(RecordError) as exc:
+            parse_season(_csv(rows), strictness)
+    finally:
+        csv.field_size_limit(previous)
+    assert str(exc.value) == "line 5: field larger than field limit (30)"
+
+
+def test_quoted_and_bare_ids_share_a_code():
+    """An id quoted on one line and bare on another is one id, as is a
+    number quoted; a doubled quote inside a quoted field is one quote."""
+    rows = [list(r) for r in _ROWS]
+    b = _HEADER.index("batter_id")
+    rows[3][b] = rows[2][b] = 'say "B1"'
+    lines = _csv(rows).splitlines(keepends=True)
+    lines[1] = ",".join(map(_quoted, lines[1].rstrip("\n").split(","))) + "\n"
+    data, report = parse_season("".join(lines), "strict")
+    assert data.player_ids.count("B1") == 1
+    assert [data.player_ids[k] for k in data.batter[:4]] == \
+        ["B1", "B1", 'say "B1"', 'say "B1"']
+    assert _outcome("".join(lines), "strict") == _outcome(_csv(rows), "strict")
 
 
 @pytest.mark.parametrize("strictness", ["strict", "lenient"])

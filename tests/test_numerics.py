@@ -180,10 +180,12 @@ def test_logistic_flags_separation():
 def test_logistic_rejects_degenerate_response():
     V = np.ones((5, 1))
     X = DesignMatrix(columns=["int"], values=V)
-    with pytest.raises(ValueError):
-        logistic_fit(X, np.zeros(5))
-    with pytest.raises(ValueError):
-        logistic_fit(X, np.array([0.0, 0.5, 1.0, 0.0, 1.0]))
+    for y in (np.zeros(5), np.ones(5)):
+        with pytest.raises(ValueError, match="single-class response"):
+            logistic_fit(X, y)
+    for bad in (0.5, 2.0, np.nan):
+        with pytest.raises(ValueError, match="response must be binary"):
+            logistic_fit(X, np.array([0.0, bad, 1.0, 0.0, 1.0]))
 
 
 def test_smoother_matches_naive_double_loop():

@@ -275,6 +275,20 @@ def test_simulate_writes_the_serialized_season(tmp_path, monkeypatch, games,
     assert digest is None or _sha256(text) == digest
 
 
+@pytest.mark.parametrize("games,seed,event_probs,digest", _PINNED)
+def test_batches_of_games_keep_the_season_bytes(tmp_path, monkeypatch, games,
+                                                seed, event_probs, digest):
+    """`openwar simulate` writes the season a batch of games at a time,
+    and each batch's balls in play are located after it; that pass draws
+    nothing, so batches of 7 games give the pinned bytes too."""
+    monkeypatch.setattr(simulate, "_BATCH_GAMES", 7)
+    if event_probs is not None:
+        monkeypatch.setattr(simulate, "DEFAULT_EVENT_PROBS", event_probs)
+    batches, _ = simulate.synthetic_season_batches(games, seed)
+    assert len(list(batches)) == -(-games // 7)
+    assert _sha256(_simulated_csv(tmp_path, games, seed, 4)) == digest
+
+
 def test_simulate_codes_and_decodes_nothing(tmp_path, monkeypatch):
     """Guard against the code round trip: the command neither codes the
     generated rows into a SeasonDataset nor decodes one to write it."""

@@ -20,9 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-import pickle
-from collections import deque
+import re
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
@@ -30,7 +28,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .forking import fork_worker, reaped, usable_cpus
+from .forking import ordered
 
 __all__ = [
     "EVENT_TYPES",
@@ -104,14 +102,14 @@ _INT_COLUMNS = ("pa_index", "inning", "start_outs", "start_bases",
 _INT64 = np.iinfo(np.int64)
 #: characters read per step of the parser, so the text never all lives at once
 _CHUNK_CHARS = 1 << 20
-#: the chunks a text must have for its parse to fork workers; a text of
-#: 2 or 5 chunks (100 or 400 games) measured no slower forked than not
-_FORK_CHUNKS = 2
 #: the bytes that may come before a quote that opens a field or is the
 #: second of a doubled quote, and after one that closes a field or is the
 #: first of a doubled quote; a '\r' must also start a '\r\n' line end
 _BESIDE_QUOTE = np.zeros(256, dtype=bool)
 _BESIDE_QUOTE[list(b',\n\r"')] = True
+#: malformed CSV wherever it stands: a quote with neither a separator nor a
+#: quote beside it, a '\r' outside a '\r\n' line end, a NUL
+_STRAY = re.compile('"(?<=[^,\n\r"]")(?=[^,\n\r"])|\r[^\n]|\0')
 _MALFORMED = ("malformed CSV: a quote out of place or never closed, "
               "a '\\r' outside a '\\r\\n' line end, or a NUL")
 #: _MASKS[k] keeps the first k bytes of a little-endian 8-byte word
@@ -541,8 +539,15 @@ class _Text:
         """The next whole records: the text up to its last line end outside
         quotes, one that an even number of quote characters come before;
         the last record goes without its '\\n' only at the end of the text.
-        "" when the text is used up."""
+        "" when the text is used up.
+
+        Text with no such line end is one record, the chunk's first.  Once
+        `_STRAY` finds malformed CSV in it, that record is malformed
+        whatever follows, and the chunk ends where the text is read to: a
+        stray quote, after which no line end is outside quotes, does not
+        make one chunk of the rest of the text."""
         parts, quotes = [self.rest], self.rest.count('"')
+        unsearched = self.rest
         while piece := self.source.read(_CHUNK_CHARS):
             if '"' in piece:  # a fast scan, where counting is not
                 quotes += piece.count('"')
@@ -555,6 +560,10 @@ class _Text:
                     return "".join(parts)
                 end = cut - 1
             parts.append(piece)
+            # a match may begin in the last two characters searched before
+            window, unsearched = unsearched + piece, piece[-2:]
+            if _STRAY.search(window):
+                break
         self.rest = ""
         return "".join(parts)
 
@@ -727,111 +736,6 @@ def _coded_chunk(header, strict, data):
                   int(flagged.sum()), warnings, lines, error, broken)
 
 
-def _write(fd, data):
-    """Write all of `data` to the pipe `fd`."""
-    data = memoryview(data)
-    while data:
-        data = data[os.write(fd, data):]
-
-
-def _serve(tasks, results, code, theirs):
-    """A parse worker: for each encoded chunk read from the pipe `tasks`,
-    after its length in 8 bytes, code(chunk) pickled to the pipe
-    `results`, until the caller closes either pipe.  `theirs` are the
-    caller's pipe ends that the worker inherited; it closes them, so that
-    only the caller holds them and the worker sees the caller close its
-    own."""
-    for fd in theirs:
-        os.close(fd)
-    tasks = open(tasks, "rb")
-    try:
-        while size := tasks.read(8):
-            part = code(tasks.read(int.from_bytes(size, "little")))
-            _write(results, pickle.dumps(part, pickle.HIGHEST_PROTOCOL))
-    except BrokenPipeError:
-        pass  # the caller wants no more results
-
-
-class _Pool:
-    """Forked parse workers, each coding one chunk at a time.  The caller
-    sends a worker its next chunk only after reading its last result, so
-    neither side waits on a full pipe that the other is not reading.
-    Leaving a `with` block closes the caller's pipe ends, which ends the
-    workers."""
-
-    def __init__(self, code, pids):
-        self.code, self.pids = code, pids  # pids: those of `reaped`
-        self.tasks, self.results = [], []  # the caller's pipe ends
-        self.idle = deque()
-        self.busy = deque()  # the workers with a chunk, in file order
-
-    def fork(self, workers):
-        for k in range(workers):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
-            self.tasks.append(task_w)
-            self.results.append(open(result_r, "rb"))
-            theirs = self.tasks + [f.fileno() for f in self.results]
-            try:
-                self.pids.append(fork_worker(
-                    partial(_serve, task_r, result_w, self.code, theirs)))
-            finally:
-                os.close(task_r)
-                os.close(result_w)
-            self.idle.append(k)
-
-    def send(self, data):
-        k = self.idle.popleft()
-        _write(self.tasks[k], len(data).to_bytes(8, "little") + data)
-        self.busy.append(k)
-
-    def receive(self):
-        """The result of the first chunk in file order still out."""
-        k = self.busy.popleft()
-        part = pickle.load(self.results[k])
-        self.idle.append(k)
-        return part
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        for fd in self.tasks:
-            os.close(fd)
-        for f in self.results:
-            f.close()
-
-
-def _workers():
-    """The number of parse workers: one per CPU this process may run on."""
-    return usable_cpus()
-
-
-def _coded_chunks(text, code):
-    """code(chunk) for each chunk of `text`, UTF-8 encoded, in file order:
-    here, or, once _FORK_CHUNKS of them are read and where `_workers()` is
-    more than one, in that many forked parse workers.  A worker that
-    fails raises WorkerError; every worker has exited when the generator
-    ends or is closed."""
-    workers = _workers()
-    held = deque()  # chunks read and not yet coded or sent
-    with reaped("parse worker", workers) as pids, _Pool(code, pids) as pool:
-        while chunk := text.chunk():
-            held.append(chunk.encode("utf-8", "surrogatepass"))
-            if workers > 1 and not pool.pids and len(held) >= _FORK_CHUNKS:
-                pool.fork(workers)
-            while pool.pids and held:
-                if not pool.idle:
-                    yield pool.receive()
-                pool.send(held.popleft())
-            if workers == 1:
-                yield code(held.popleft())
-        while pool.busy:
-            yield pool.receive()
-        while held:
-            yield code(held.popleft())
-
-
 def _recoded(part, tables):
     """The columns of a _Chunk, their id codes moved (in place) from the
     chunk's id tables into the season's growing `tables`."""
@@ -871,8 +775,8 @@ def parse_season(source, strictness="strict"):
     with array operations; only a record those checks flag is read again,
     its fields one at a time, for its messages.  A text of more than one
     chunk is coded and checked by one forked worker process per CPU
-    (`_coded_chunks`), and the results are merged in file order here, so
-    they do not depend on the worker count.
+    (`forking.ordered`), and the results are merged in file order here,
+    so they do not depend on the worker count.
 
     Returns (dataset, report).
     """
@@ -912,8 +816,11 @@ def parse_season(source, strictness="strict"):
     tables = _id_tables()
     blocks = []
     line = comments + reader.line_num
-    with closing(_coded_chunks(_Text(source), partial(_coded_chunk, header,
-                                                      strict))) as chunks:
+    text = _Text(source)
+    encoded = (chunk.encode("utf-8", "surrogatepass")
+               for chunk in iter(text.chunk, ""))
+    with closing(ordered(partial(_coded_chunk, header, strict), encoded,
+                         "parse worker")) as chunks:
         for part in chunks:
             if part.error is not None:
                 raise part.error

@@ -26,15 +26,15 @@ and sums each replicate's products per player.  The last block is
 padded with zero rows, so every product has the same shape, and row
 `rep` of the replicate matrix depends only on (master_seed, rep).
 
-Blocks are filled by one worker process per CPU this process may run
-on, made with `os.fork`: worker k of W fills blocks k, k + W, ... of one
-matrix in an anonymous shared mapping, and the calling process is
-worker 0.  The matrix is the same for any worker count.  Each worker
-holds its counts (16 MiB, or one row where a row is larger) and its
-products (B × the summed players of every game, 9 MiB at full season);
-the worth blocks (33 MiB at full season) are shared with the caller.  A
-worker that fails raises WorkerError in the caller once every worker has
-exited.
+The blocks are filled by `forking.ordered`: in forked worker processes,
+one per CPU this process may run on, each filling one block at a time
+and sending back its rows, which the caller writes into the replicate
+matrix in block order.  The matrix is the same for any worker count.
+Each worker holds its counts (16 MiB, or one row where a row is larger)
+and its products (B × the summed players of every game, 9 MiB at full
+season), made at its first block; the worth blocks (33 MiB at full
+season) are shared with the caller.  A worker that fails raises
+WorkerError in the caller once every worker has exited.
 """
 
 from __future__ import annotations
@@ -42,13 +42,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import mmap
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .forking import WorkerError, fork_worker, reaped, usable_cpus
+from .forking import WorkerError, ordered
 from .numerics import empirical_quantiles, replicate_rng
 
 __all__ = ["BootstrapConfig", "WarDistribution", "WorkerError",
@@ -116,23 +114,22 @@ def bootstrap_war(credits, valuation, config):
         raise ValueError("the valuation is not of this credit table")
     dense = _Dense.of(credits, valuation)
     rows = _block_rows(credits.n_pas)
-    blocks = -(-config.replicates // rows)
 
-    shape = (config.replicates, len(valuation))
-    # shared with the forked workers; the array keeps the mapping alive
-    mat = np.frombuffer(mmap.mmap(-1, max(1, 8 * shape[0] * shape[1])),
-                        dtype=float, count=shape[0] * shape[1]).reshape(shape)
+    buffers = []  # a process's counts and products, made at its first block
 
-    def fill(first, step):
-        counts = np.empty((rows, credits.n_pas), dtype=np.int32)
-        products = np.empty((rows, len(dense.order)))
-        for block in range(first, blocks, step):
-            reps = range(block * rows,
-                         min(block * rows + rows, config.replicates))
-            mat[reps.start:reps.stop] = _block(
-                reps, config.master_seed, counts, products, dense)
+    def block(first):
+        if not buffers:
+            buffers.extend([np.empty((rows, credits.n_pas), dtype=np.int32),
+                            np.empty((rows, len(dense.order)))])
+        reps = range(first, min(first + rows, config.replicates))
+        return _block(reps, config.master_seed, *buffers, dense)
 
-    _in_workers(fill, _workers(blocks))
+    mat = np.empty((config.replicates, len(valuation)))
+    first = 0
+    for part in ordered(block, range(0, config.replicates, rows),
+                        "bootstrap worker"):
+        mat[first:first + len(part)] = part
+        first += len(part)
 
     step = max(1, QUANTILE_BLOCK_ELEMENTS // config.replicates)
     quantiles = np.vstack([
@@ -223,24 +220,10 @@ def _block(reps, master_seed, counts, products, dense):
     counts[len(reps):] = 0
     for start, stop, worth, lo, hi in dense.blocks:
         np.matmul(counts[:, start:stop], worth, out=products[:, lo:hi])
-    return [np.add.reduceat(row[dense.order], dense.starts)
-            for row in products[:len(reps)]]
-
-
-def _workers(blocks):
-    """The number of worker processes for `blocks` blocks of replicates:
-    one per CPU this process may run on, and 1 where processes cannot be
-    forked."""
-    return min(usable_cpus(), blocks)
-
-
-def _in_workers(fill, workers):
-    """Run fill(k, workers) in `workers` processes, k = 0 in this one and
-    k = 1, 2, ... in forked children, and return when all have exited."""
-    with reaped("bootstrap worker", workers) as pids:
-        for k in range(1, workers):
-            pids.append(fork_worker(partial(fill, k, workers)))
-        fill(0, workers)
+    rows = np.empty((len(reps), len(dense.starts)))
+    for row, out in zip(products, rows):
+        np.add.reduceat(row[dense.order], dense.starts, out=out)
+    return rows
 
 
 def compare_players(dist, player_a, player_b):

@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import csv
+import errno
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openwar import cli, events, uncertainty
+from openwar import cli, events, forking, uncertainty
 from openwar.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from openwar.events import parse_season
 
@@ -428,8 +429,8 @@ def test_failed_boot_worker_is_reported_failure(tmp_path, war_season,
                                                monkeypatch, capsys):
     """A bootstrap worker that fails makes `boot` exit 3 with a JSON error
     giving the worker's exit status, after every worker has exited and
-    before any output is written.  Ten replicates in blocks of two give
-    worker 1 the odd blocks."""
+    before any output is written.  Ten replicates in blocks of two make
+    block 1 the second task sent, the first of worker 2."""
     block = uncertainty._block
 
     def fails_on_odd_blocks(reps, *args):
@@ -438,7 +439,7 @@ def test_failed_boot_worker_is_reported_failure(tmp_path, war_season,
         return block(reps, *args)
 
     monkeypatch.setattr(uncertainty, "BLOCK_ROWS", 2)
-    monkeypatch.setattr(uncertainty, "_workers", lambda blocks: 2)
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
     monkeypatch.setattr(uncertainty, "_block", fails_on_odd_blocks)
     out = tmp_path / "boot"
     assert main(["boot", "--input", str(war_season), "--out", str(out),
@@ -447,7 +448,7 @@ def test_failed_boot_worker_is_reported_failure(tmp_path, war_season,
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert err == {"error": "bootstrap worker 1 of 2 exited with status 1",
+    assert err == {"error": "bootstrap worker 2 of 2 exited with status 1",
                    "kind": "worker"}
     assert not out.exists()
 
@@ -464,13 +465,40 @@ def test_failed_parse_worker_is_reported_failure(war_season, monkeypatch,
         return coded(*args)
 
     monkeypatch.setattr(events, "_CHUNK_CHARS", 1 << 14)
-    monkeypatch.setattr(events, "_workers", lambda: 2)
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
     monkeypatch.setattr(events, "_coded_chunk", fails_in_a_worker)
     assert main(["validate", "--input", str(war_season)]) == EXIT_NUMERIC
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err == {"error": "parse worker 1 of 2 exited with status 1",
+                   "kind": "worker"}
+
+
+@pytest.mark.parametrize("command", ["validate", "boot"])
+def test_failed_fork_is_reported_as_a_worker_failure(war_season, command,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+    """A fork the system refuses (EAGAIN, at a process limit) makes
+    `validate` and `boot` exit 3 with kind "worker", as a worker that
+    fails does, and not 2 as a bad configuration."""
+    def refused():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", refused)
+    args = ["--input", str(war_season)]
+    if command == "validate":  # many chunks; `boot` parses one
+        monkeypatch.setattr(events, "_CHUNK_CHARS", 1 << 14)
+    else:  # five blocks
+        monkeypatch.setattr(uncertainty, "BLOCK_ROWS", 2)
+        args += ["--out", str(tmp_path / "boot"), "--replicates", "10",
+                 "--cutoff-pos", "40", "--cutoff-pitch", "18"]
+    assert main([command, *args]) == EXIT_NUMERIC
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    name = "parse" if command == "validate" else "bootstrap"
+    assert err == {"error": f"{name} worker 1 could not be forked: [Errno "
+                            f"{errno.EAGAIN}] {os.strerror(errno.EAGAIN)}",
                    "kind": "worker"}
 
 

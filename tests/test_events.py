@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openwar import events
+from openwar import events, forking
 from openwar.events import (
     BALL_IN_PLAY,
     CSV_COLUMNS,
@@ -35,7 +35,7 @@ from openwar.events import (
     _rules,
 )
 from openwar.simulate import synthetic_season_rows
-from openwar.uncertainty import WorkerError
+from openwar.forking import WorkerError
 
 from fixtures import build_re_fixture, make_pa, records
 
@@ -739,7 +739,7 @@ def test_tokenizer_agrees_with_csv_reader(text, chunk, strictness, limit):
             csv.field_size_limit(limit)
         for size in (chunk, len(text) + 1):
             with mock.patch.object(events, "_CHUNK_CHARS", size), \
-                    mock.patch.object(events, "_workers", lambda: 2):
+                    mock.patch.object(forking, "usable_cpus", lambda: 2):
                 outcomes.append(_outcome(text, strictness))
             _no_child_left()
         expected = _oracle(text, strictness)
@@ -804,7 +804,7 @@ def test_r_style_quoting_parses_as_the_plain_text(season, strictness, end,
     monkeypatch.setattr(events, "_CHUNK_CHARS", 1 << 13)
     expected = _outcome(plain, strictness)
     for workers in (1, 2, 3):
-        monkeypatch.setattr(events, "_workers", lambda w=workers: w)
+        monkeypatch.setattr(forking, "usable_cpus", lambda w=workers: w)
         assert _outcome(quoted, strictness) == expected
         _no_child_left()
 
@@ -814,7 +814,7 @@ def test_every_quoted_chunk_is_coded_by_a_worker(season, monkeypatch):
     with quotes on every line, is coded wholly by the parse workers."""
     text = _r_style(serialize_season(season))
     monkeypatch.setattr(events, "_CHUNK_CHARS", 1 << 13)
-    monkeypatch.setattr(events, "_workers", lambda: 2)
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
     source = io.StringIO(text)
     source.readline()  # the header
     chunks = events._Text(source)
@@ -873,6 +873,41 @@ def test_long_field_names_the_line_its_record_starts_on(strictness):
     assert str(exc.value) == "line 5: field larger than field limit (30)"
 
 
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+def test_a_stray_quote_does_not_grow_the_chunk(season, strictness,
+                                               monkeypatch):
+    """A quote inside a bare field on line 11 leaves no line end outside
+    quotes after it, so the chunk it starts in would run on to the end of
+    the text.  It ends within a read of the stray quote instead, with the
+    error the text gives in one chunk, also under a small field limit."""
+    lines = serialize_season(season).splitlines(keepends=True)
+    cells = lines[10].split(",")
+    b = _HEADER.index("batter_id")
+    cells[b] = 'T"' + cells[b]
+    lines[10] = ",".join(cells)
+    text = "".join(lines)
+    chunk, sizes = events._Text.chunk, []
+
+    def recorded(self):
+        sizes.append(len(part := chunk(self)))
+        return part
+
+    monkeypatch.setattr(events._Text, "chunk", recorded)
+    previous = csv.field_size_limit(30)
+    try:
+        outcomes = []
+        for size in (64, len(text) + 1):
+            monkeypatch.setattr(events, "_CHUNK_CHARS", size)
+            outcomes.append((_outcome(text, strictness), max(sizes)))
+            sizes.clear()
+    finally:
+        csv.field_size_limit(previous)
+    (outcome, size), (whole, _) = outcomes
+    assert size <= len(lines[10]) + 2 * 64
+    assert outcome == whole == \
+        (RecordError, f"line 11: {events._MALFORMED}")
+
+
 def test_quoted_and_bare_ids_share_a_code():
     """An id quoted on one line and bare on another is one id, as is a
     number quoted; a doubled quote inside a quoted field is one quote."""
@@ -900,7 +935,7 @@ def test_worker_count_does_not_change_the_parse(season, strictness,
     assert len(text) >> 13 > 50
     outcomes = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(events, "_workers", lambda w=workers: w)
+        monkeypatch.setattr(forking, "usable_cpus", lambda w=workers: w)
         outcomes.append(_outcome(text, strictness))
         _no_child_left()
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
@@ -918,7 +953,7 @@ def test_worker_count_does_not_change_the_parse(season, strictness,
 def test_one_chunk_forks_no_worker(monkeypatch):
     """A text of one chunk, as every season of the tests but the
     many-chunk ones is, is parsed in the calling process."""
-    monkeypatch.setattr(events, "_workers", lambda: 2)
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
 
     def must_not_fork():
         raise AssertionError("a text of one chunk forks no worker")
@@ -939,7 +974,7 @@ def test_a_failing_parse_worker_fails_the_parse(season, monkeypatch):
         return coded(*args)
 
     monkeypatch.setattr(events, "_CHUNK_CHARS", 1 << 13)
-    monkeypatch.setattr(events, "_workers", lambda: 2)
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
     monkeypatch.setattr(events, "_coded_chunk", fails_in_a_worker)
     with pytest.raises(WorkerError,
                        match="parse worker 1 of 2 exited with status 1"):

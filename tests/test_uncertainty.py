@@ -11,8 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from openwar import uncertainty
-from openwar.forking import fork_worker
+from openwar import forking, uncertainty
 from openwar.numerics import empirical_quantiles
 from openwar.uncertainty import (
     BootstrapConfig,
@@ -285,25 +284,27 @@ def _no_child_left():
 
 def _by_workers(monkeypatch, credits, val, cfg, counts=(1, 2, 3), rows=1):
     """The distributions of `bootstrap_war` run with each worker count, in
-    blocks of `rows` replicates.  W workers on at least W blocks must fork
-    W − 1 children, so a layout that leaves too few blocks fails here."""
+    blocks of `rows` replicates.  W workers on B > 1 blocks must fork
+    min(W, B) children, and none on one block, so a layout that leaves too
+    few blocks fails here."""
     monkeypatch.setattr(uncertainty, "BLOCK_ROWS", rows)
     blocks = -(-cfg.replicates // uncertainty._block_rows(credits.n_pas))
     forks = []
+    fork_worker = forking._fork_worker
 
     def counted_fork(work):
         forks.append(work)
         return fork_worker(work)
 
-    monkeypatch.setattr(uncertainty, "fork_worker", counted_fork)
+    monkeypatch.setattr(forking, "_fork_worker", counted_fork)
     dists = []
     for workers in counts:
-        monkeypatch.setattr(uncertainty, "_workers",
-                            lambda n, w=workers: min(w, n))
+        monkeypatch.setattr(forking, "usable_cpus", lambda w=workers: w)
         forks.clear()
         dists.append(bootstrap_war(credits, val, cfg))
         _no_child_left()
-        assert len(forks) == min(workers, blocks) - 1
+        forked = min(workers, blocks)
+        assert len(forks) == (forked if forked > 1 else 0)
     return dists
 
 
@@ -339,7 +340,7 @@ def _must_not_fork():
 
 
 def test_one_replicate_runs_in_one_worker(pipeline, monkeypatch):
-    assert uncertainty._workers(1) == 1
+    monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", _must_not_fork)
     dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
                          BootstrapConfig(replicates=1))
@@ -368,24 +369,25 @@ def test_fork_warning_of_threaded_process_is_ignored(pipeline, monkeypatch):
     assert warned
 
 
-@pytest.mark.parametrize("failing", [0, 1], ids=["caller", "child"])
-def test_a_failing_worker_fails_the_call(pipeline, monkeypatch, failing):
-    """A failure in the calling process (worker 0) propagates as it is,
-    and one in a forked worker as WorkerError with its exit status; either
-    way every worker has exited when the call returns.  Six replicates in
-    blocks of two give worker 0 blocks 0 and 2, and worker 1 block 1."""
+@pytest.mark.parametrize("cpus", [1, 2], ids=["caller", "child"])
+def test_a_failing_worker_fails_the_call(pipeline, monkeypatch, cpus):
+    """With one usable CPU the blocks are filled in the calling process,
+    and a failure there propagates as it is.  With two, a failure in a
+    forked worker is WorkerError with its exit status: six replicates in
+    blocks of two make block 1 the second task sent, the first of worker
+    2.  Either way every worker has exited when the call returns."""
     block = uncertainty._block
 
-    def fails_on_some_blocks(reps, *args):
-        if reps.start // 2 % 2 == failing:
+    def fails_on_block_one(reps, *args):
+        if reps.start // 2 == 1:
             raise FloatingPointError(f"block {reps.start // 2}")
         return block(reps, *args)
 
     monkeypatch.setattr(uncertainty, "BLOCK_ROWS", 2)
-    monkeypatch.setattr(uncertainty, "_workers", lambda blocks: 2)
-    monkeypatch.setattr(uncertainty, "_block", fails_on_some_blocks)
-    expected = (FloatingPointError, "block 0") if failing == 0 else \
-        (uncertainty.WorkerError, "worker 1 of 2 exited with status 1")
+    monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(uncertainty, "_block", fails_on_block_one)
+    expected = (FloatingPointError, "block 1") if cpus == 1 else \
+        (uncertainty.WorkerError, "worker 2 of 2 exited with status 1")
     with pytest.raises(expected[0], match=expected[1]):
         bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
                       BootstrapConfig(replicates=6))

@@ -241,8 +241,13 @@ def cmd_boot(args):
         raise ConfigError(f"--replicates must be >= 1, not {args.replicates}")
     seed = _seed(args)
     result = _run(args, args.compare)
+    credits, valuation = result.ledger.credits, result.valuation
+    # the bootstrap workers are forked from this process and inherit its
+    # pages, which their ru_maxrss counts: resample holding only what
+    # resampling reads, not the season and the chains' internals
+    del result
     config = BootstrapConfig(replicates=args.replicates, master_seed=seed)
-    dist = bootstrap_war(result.ledger.credits, result.valuation, config)
+    dist = bootstrap_war(credits, valuation, config)
     # every output is computed before the first is written
     comparisons = comparison_json(dist, args.compare)
     cfg = _config_echo(args)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
@@ -107,9 +106,6 @@ _CHUNK_CHARS = 1 << 20
 #: first of a doubled quote; a '\r' must also start a '\r\n' line end
 _BESIDE_QUOTE = np.zeros(256, dtype=bool)
 _BESIDE_QUOTE[list(b',\n\r"')] = True
-#: malformed CSV wherever it stands: a quote with neither a separator nor a
-#: quote beside it, a '\r' outside a '\r\n' line end, a NUL
-_STRAY = re.compile('"(?<=[^,\n\r"]")(?=[^,\n\r"])|\r[^\n]|\0')
 _MALFORMED = ("malformed CSV: a quote out of place or never closed, "
               "a '\\r' outside a '\\r\\n' line end, or a NUL")
 #: _MASKS[k] keeps the first k bytes of a little-endian 8-byte word
@@ -542,12 +538,14 @@ class _Text:
         "" when the text is used up.
 
         Text with no such line end is one record, the chunk's first.  Once
-        `_STRAY` finds malformed CSV in it, that record is malformed
+        `_malformed` finds malformed CSV in it, that record is malformed
         whatever follows, and the chunk ends where the text is read to: a
-        stray quote, after which no line end is outside quotes, does not
-        make one chunk of the rest of the text."""
+        stray quote, or a quote never closed, after which no line end is
+        outside quotes, does not make one chunk of the rest of the text."""
         parts, quotes = [self.rest], self.rest.count('"')
-        unsearched = self.rest
+        # the text not yet checked, after the character before it, and the
+        # quotes before it; the chunk starts a record, as a line end does
+        tail, prior = "\n" + self.rest, 0
         while piece := self.source.read(_CHUNK_CHARS):
             if '"' in piece:  # a fast scan, where counting is not
                 quotes += piece.count('"')
@@ -560,12 +558,37 @@ class _Text:
                     return "".join(parts)
                 end = cut - 1
             parts.append(piece)
-            # a match may begin in the last two characters searched before
-            window, unsearched = unsearched + piece, piece[-2:]
-            if _STRAY.search(window):
+            window = tail + piece
+            if _malformed(window, prior):
                 break
+            tail, prior = window[-2:], quotes - (window[-1] == '"')
         self.rest = ""
         return "".join(parts)
+
+
+def _quotes_ok(pad, quote, before):
+    """Which quotes, at byte positions `quote` of `pad`, keep the quote
+    rule, `before` quotes coming before the first: an even number come
+    before one that opens a field or is the second of a doubled quote,
+    which follows a separator or a quote; an odd number before one that
+    closes a field or is the first of a doubled quote, which a separator
+    or a quote follows."""
+    closes = np.arange(before, before + len(quote)) % 2 == 1
+    return _BESIDE_QUOTE[np.where(closes, pad[quote + 1], pad[quote - 1])]
+
+
+def _malformed(window, before):
+    """Whether text `window` holds malformed CSV that no text after it can
+    mend, `before` quotes coming before window[1]: a quote that breaks the
+    quote rule, a '\\r' outside a '\\r\\n' line end, a NUL.  The first
+    and the last character are read only as neighbours."""
+    text = np.frombuffer(window.encode("utf-8", "surrogatepass"), np.uint8)
+    inner = text[1:-1]
+    quote = np.flatnonzero(inner == ord('"')) + 1
+    cr = np.flatnonzero(inner == ord("\r")) + 1
+    return not (_quotes_ok(text, quote, before).all()
+                and (text[cr + 1] == ord("\n")).all()
+                and inner.all())  # no NUL
 
 
 def _field_values(buf, start, length):
@@ -629,12 +652,7 @@ def _tokenized(data, header):
         is_quote = text == ord('"')
         quote = np.flatnonzero(is_quote)
         sep = sep[~np.bitwise_xor.accumulate(is_quote)[sep]]  # even counts
-        # an even number of quotes come before one that opens a field or
-        # is the second of a doubled quote, which follows a separator or a
-        # quote; an odd number before one that closes a field or is the
-        # first of a doubled quote, which a separator or a quote follows
-        odd = np.arange(len(quote)) % 2 == 1
-        ok = _BESIDE_QUOTE[np.where(odd, pad[quote + 1], pad[quote - 1])]
+        ok = _quotes_ok(pad, quote, 0)
         ok[0] |= quote[0] == 0
         ok[-1] &= len(quote) % 2 == 0  # else it opens a field never closed
         if not ok.all():

@@ -30,6 +30,10 @@ The blocks are filled by `forking.ordered`: in forked worker processes,
 one per CPU this process may run on, each filling one block at a time
 and sending back its rows, which the caller writes into the replicate
 matrix in block order.  The matrix is the same for any worker count.
+A worker inherits the caller's pages at the fork, and its peak memory
+counts them, so the caller should hold only what resampling reads: the
+credit table, the valuation and the folded worth (`openwar boot` lets
+go of the season and the chains before it calls `bootstrap_war`).
 Each worker holds its counts (16 MiB, or one row where a row is larger)
 and its products (B × the summed players of every game, 9 MiB at full
 season), made at its first block; the worth blocks (33 MiB at full
@@ -54,9 +58,9 @@ __all__ = ["BootstrapConfig", "WarDistribution", "WorkerError",
 
 DEFAULT_PROBS = (0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0)
 #: element budget of one block of replicate columns: `np.quantile` copies
-#: what it is given, and a copy of the whole matrix would raise the peak
-#: memory of a run by the matrix's size
-QUANTILE_BLOCK_ELEMENTS = 1 << 18
+#: what it is given, and that copy sits beside the whole replicate matrix,
+#: so it is kept small (0.5 MiB; at 3,500 replicates, 18 players a block)
+QUANTILE_BLOCK_ELEMENTS = 1 << 16
 #: element budget of the int32 draw counts a worker holds: one block of
 #: replicates × the season's plate appearances (16 MiB)
 COUNT_BLOCK_ELEMENTS = 1 << 22

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,31 @@ def test_boot_is_seed_deterministic(tmp_path, war_season):
         outs.append((out / "war_quantiles.csv")
                     .read_bytes().split(b"\n", 1)[1])
     assert outs[0] == outs[1]
+
+
+def test_boot_releases_the_ledger_before_resampling(tmp_path, war_season,
+                                                    monkeypatch):
+    """The bootstrap workers are forked from `boot` and count the pages
+    they inherit, so `boot` resamples holding the credit table and the
+    valuation only: the ledger, with the season and the chains'
+    internals, is gone when `bootstrap_war` is called."""
+    pipeline, bootstrap, ledgers = cli.run_pipeline, cli.bootstrap_war, []
+
+    def run_pipeline(*args, **kwargs):
+        result = pipeline(*args, **kwargs)
+        ledgers.append(weakref.ref(result.ledger))
+        return result
+
+    def bootstrap_war(*args, **kwargs):
+        assert [ref() for ref in ledgers] == [None]
+        return bootstrap(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+    monkeypatch.setattr(cli, "bootstrap_war", bootstrap_war)
+    assert main(["boot", "--input", str(war_season),
+                 "--out", str(tmp_path / "boot"), "--replicates", "5",
+                 "--cutoff-pos", "40", "--cutoff-pitch", "18"]) == EXIT_OK
+    assert (tmp_path / "boot" / "war_quantiles.csv").exists()
 
 
 def _csv_rows(path):

@@ -873,19 +873,10 @@ def test_long_field_names_the_line_its_record_starts_on(strictness):
     assert str(exc.value) == "line 5: field larger than field limit (30)"
 
 
-@pytest.mark.parametrize("strictness", ["strict", "lenient"])
-def test_a_stray_quote_does_not_grow_the_chunk(season, strictness,
-                                               monkeypatch):
-    """A quote inside a bare field on line 11 leaves no line end outside
-    quotes after it, so the chunk it starts in would run on to the end of
-    the text.  It ends within a read of the stray quote instead, with the
-    error the text gives in one chunk, also under a small field limit."""
-    lines = serialize_season(season).splitlines(keepends=True)
-    cells = lines[10].split(",")
-    b = _HEADER.index("batter_id")
-    cells[b] = 'T"' + cells[b]
-    lines[10] = ",".join(cells)
-    text = "".join(lines)
+def _read_in_pieces(text, strictness, monkeypatch):
+    """What parse_season makes of `text` under a field limit of 30, read
+    64 characters at a time, with the largest chunk it read, and what it
+    makes of it read in one chunk."""
     chunk, sizes = events._Text.chunk, []
 
     def recorded(self):
@@ -903,6 +894,42 @@ def test_a_stray_quote_does_not_grow_the_chunk(season, strictness,
     finally:
         csv.field_size_limit(previous)
     (outcome, size), (whole, _) = outcomes
+    return outcome, size, whole
+
+
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+def test_a_stray_quote_does_not_grow_the_chunk(season, strictness,
+                                               monkeypatch):
+    """A quote inside a bare field on line 11 leaves no line end outside
+    quotes after it, so the chunk it starts in would run on to the end of
+    the text.  It ends within a read of the stray quote instead, with the
+    error the text gives in one chunk, also under a small field limit."""
+    lines = serialize_season(season).splitlines(keepends=True)
+    cells = lines[10].split(",")
+    b = _HEADER.index("batter_id")
+    cells[b] = 'T"' + cells[b]
+    lines[10] = ",".join(cells)
+    outcome, size, whole = _read_in_pieces("".join(lines), strictness,
+                                           monkeypatch)
+    assert size <= len(lines[10]) + 2 * 64
+    assert outcome == whole == \
+        (RecordError, f"line 11: {events._MALFORMED}")
+
+
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+def test_a_quote_never_closed_does_not_grow_the_chunk(season, strictness,
+                                                      monkeypatch):
+    """R-quoted text whose first field on line 11 is never closed has an
+    odd number of quotes before every later line end, so the chunk it
+    starts in would run on to the end of the text.  The quote that opens
+    the next quoted field closes that one instead, and a letter follows
+    it: the chunk ends within a read of it, with the error the text gives
+    in one chunk."""
+    lines = _r_style(serialize_season(season)).splitlines(keepends=True)
+    assert lines[10].startswith('"')
+    lines[10] = lines[10].replace('",', ",", 1)
+    outcome, size, whole = _read_in_pieces("".join(lines), strictness,
+                                           monkeypatch)
     assert size <= len(lines[10]) + 2 * 64
     assert outcome == whole == \
         (RecordError, f"line 11: {events._MALFORMED}")

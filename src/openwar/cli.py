@@ -260,8 +260,7 @@ def cmd_boot(args):
 
 
 def cmd_pythag(args):
-    value = runs_per_win(args.pythag_p, args.pythag_r)
-    print(repr(value))
+    print(repr(_resolve_rpw(args)))
     return EXIT_OK
 
 

@@ -18,12 +18,11 @@ import numpy as np
 
 from .events import _IN_PLAY, DESTINATIONS, FIELDING_POSITIONS, _where
 from .numerics import (
-    DesignMatrix,
     LogisticFit,
+    SmoothedSurface,
     indicator_ols,
     logistic_fit,
     scott_bandwidth,
-    smooth_out_probability,
 )
 from .offense import park_platoon_design
 
@@ -64,7 +63,7 @@ def fit_out_surface(coords, outs, bandwidth=None):
     `coords`, where `outs` marks the plays that made an out."""
     if bandwidth is None:
         bandwidth = scott_bandwidth(coords)
-    return smooth_out_probability(coords, outs.astype(float), bandwidth)
+    return SmoothedSurface(coords, outs.astype(float), bandwidth)
 
 
 def _split(delta, p_hat):
@@ -93,7 +92,6 @@ def fit_fielding_models(design, outs, credited):
     out.  A single-class position gets a constant model at its empirical
     rate.
     """
-    X = DesignMatrix(columns=_FIELDING_COLS, values=design)
     uncredited = int(np.sum(outs & (credited < 0)))
     if uncredited:
         warnings.warn(
@@ -104,10 +102,10 @@ def fit_fielding_models(design, outs, credited):
         y = (credited == j).astype(float)
         if not y.size or y.min() == y.max():
             models[pos] = LogisticFit(
-                coefficients={c: 0.0 for c in _FIELDING_COLS},
+                coefficients=np.zeros(len(_FIELDING_COLS)),
                 converged=True, iterations=0, constant_rate=float(y.mean()))
         else:
-            models[pos] = logistic_fit(X, y)
+            models[pos] = logistic_fit(design, y)
     stopped = [pos for pos, m in models.items()
                if m.separated or not m.converged]
     if stopped:

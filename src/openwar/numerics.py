@@ -8,13 +8,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "DesignMatrix",
     "LinearFit",
     "LogisticFit",
     "SmoothedSurface",
     "indicator_ols",
     "logistic_fit",
-    "smooth_out_probability",
     "scott_bandwidth",
     "empirical_quantiles",
     "master_rng",
@@ -43,21 +41,6 @@ MAX_GRID_NODES = 2048
 
 
 @dataclass
-class DesignMatrix:
-    columns: list  # covariate names
-    values: np.ndarray  # dense (n, p)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError("design values must be 2-dimensional")
-        if len(self.columns) != self.values.shape[1]:
-            raise ValueError("column names do not match design width")
-        if len(set(self.columns)) != len(self.columns):
-            raise ValueError("duplicate column names")
-
-
-@dataclass
 class LinearFit:
     coefficients: dict  # name -> estimate (dropped columns pinned to 0)
     residuals: np.ndarray
@@ -67,7 +50,7 @@ class LinearFit:
 
 @dataclass
 class LogisticFit:
-    coefficients: dict
+    coefficients: np.ndarray  # (p,), in the order of the design's columns
     converged: bool
     iterations: int
     separated: bool = False
@@ -78,8 +61,7 @@ class LogisticFit:
         X = np.asarray(X, dtype=float)
         if self.constant_rate is not None:
             return np.full(X.shape[0], self.constant_rate)
-        beta = np.array(list(self.coefficients.values()))
-        return _sigmoid(X @ beta)
+        return _sigmoid(X @ self.coefficients)
 
 
 def _independent_columns(gram, n):
@@ -146,8 +128,9 @@ def _sigmoid(z):
     return np.clip(out, 1e-12, 1.0 - 1e-12)
 
 
-def logistic_fit(X, y):
-    """Newton/IRLS maximization of the Bernoulli log-likelihood.
+def logistic_fit(V, y):
+    """Newton/IRLS maximization of the Bernoulli log-likelihood over the
+    (n, p) design `V`.
 
     Complete separation (coefficient norm on the standardized design
     exceeding SEPARATION_NORM) stops iteration with converged=False and
@@ -159,7 +142,7 @@ def logistic_fit(X, y):
     if not y.size or y.min() == y.max():
         raise ValueError("single-class response")
 
-    V = X.values
+    V = np.asarray(V, dtype=float)
     n, p = V.shape
     # per-column scale for the separation check; intercept-like columns
     # (constant) keep scale 1
@@ -189,7 +172,7 @@ def logistic_fit(X, y):
             separated = True
             break
     return LogisticFit(
-        coefficients=dict(zip(X.columns, beta)),
+        coefficients=beta,
         converged=converged,
         iterations=it,
         separated=separated,
@@ -210,7 +193,8 @@ def scott_bandwidth(coords):
 class SmoothedSurface:
     """Nadaraya-Watson smoother of a binary response with a product
     Gaussian kernel.  Queries with negligible total kernel weight fall
-    back to the global response rate.
+    back to the global response rate.  It needs at least one training
+    point, and a positive, finite bandwidth on each axis.
 
     `evaluate` is exact and is the reference; `evaluate_binned` is the
     fast approximation the pipeline uses."""
@@ -221,6 +205,13 @@ class SmoothedSurface:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
+        if self.points.shape[0] < 1:
+            raise ValueError("need at least one training point")
+        hx, hy = self.bandwidth
+        # NaN fails both comparisons
+        if not (0 < hx < np.inf and 0 < hy < np.inf):
+            raise ValueError(f"bandwidths must be positive and finite, "
+                             f"not {hx!r} and {hy!r}")
         self.response = np.asarray(self.response, dtype=float)
         self.global_rate = float(self.response.mean())
 
@@ -345,16 +336,6 @@ def _binned_kernel(rows, m):
     k *= k
     k *= -0.5
     return np.exp(k, out=k)
-
-
-def smooth_out_probability(points, response, bandwidth):
-    points = np.asarray(points, dtype=float)
-    if points.shape[0] < 1:
-        raise ValueError("need at least one training point")
-    hx, hy = bandwidth
-    if hx <= 0 or hy <= 0:
-        raise ValueError("bandwidths must be positive")
-    return SmoothedSurface(points=points, response=response, bandwidth=(hx, hy))
 
 
 def empirical_quantiles(values, probs, axis=None):

@@ -29,7 +29,6 @@ from .numerics import indicator_ols
 
 __all__ = [
     "BaserunnerCredit",
-    "AdvancementTable",
     "OffenseResult",
     "park_platoon_design",
     "fit_park_platoon",
@@ -100,19 +99,14 @@ def _outcomes(data):
 _MIN_RANK, _N_RANKS = -2, 7
 
 
-@dataclass
-class AdvancementTable:
-    """Empirical cumulative advancement probabilities per (event, start base).
+def advancement_probabilities(data):
+    """Empirical cumulative advancement probabilities per (event, start
+    base), as the (len(EVENT_TYPES), 4, _N_RANKS) array `cdf`.
 
     cdf[e, b, r + 2] = Pr(K <= r) within the cell of event code e and start
     base b (0 for the batter); sparse cells fall back to pooling over start
     bases, then over everything.
     """
-
-    cdf: np.ndarray  # (len(EVENT_TYPES), 4, _N_RANKS)
-
-
-def advancement_probabilities(data):
     _, _, event, base, rank = _outcomes(data)
     counts = np.bincount((event * 4 + base) * _N_RANKS + rank - _MIN_RANK,
                          minlength=len(EVENT_TYPES) * 4 * _N_RANKS
@@ -124,14 +118,15 @@ def advancement_probabilities(data):
     # float division of integer counts: each cell is Python's running / total
     running = counts.cumsum(axis=2)
     total = running[..., -1:]
-    return AdvancementTable(np.divide(running, total, where=total > 0,
-                                      out=np.zeros(running.shape)))
+    return np.divide(running, total, where=total > 0,
+                     out=np.zeros(running.shape))
 
 
-def _baserunning(data, eta_hat, table):
+def _baserunning(data, eta_hat, cdf):
     """Split each plate appearance's baserunner share among its runners in
-    proportion to kappa: kappa and raa_br as (n, 4) arrays over the runners
-    on 1B-3B and then the batter, 0 where a base is empty.
+    proportion to kappa, read off the `advancement_probabilities` array
+    `cdf`: kappa and raa_br as (n, 4) arrays over the runners on 1B-3B and
+    then the batter, 0 where a base is empty.
 
     The batter always runs from base 0, so every plate appearance carries
     at least one credit.  A zero kappa total (possible only in pathological
@@ -139,7 +134,7 @@ def _baserunning(data, eta_hat, table):
     """
     on, _, event, base, rank = _outcomes(data)
     kappa = np.zeros(on.shape)
-    kappa[on] = table.cdf[event, base, rank - _MIN_RANK]
+    kappa[on] = cdf[event, base, rank - _MIN_RANK]
     # summed left to right, runner by runner; empty bases add 0
     total = kappa[:, 0] + kappa[:, 1] + kappa[:, 2] + kappa[:, 3]
     weights = on / on.sum(axis=1, keepdims=True)
@@ -173,7 +168,7 @@ class OffenseResult:
     park_fit: object
     state_fit: object
     position_fit: object
-    advancement: AdvancementTable
+    advancement: np.ndarray  # the advancement_probabilities array
     kappa: np.ndarray  # (n, 4): runners on 1B-3B, then the batter; 0 if absent
     raa_br: np.ndarray  # (n, 4), laid out as kappa
 
@@ -200,11 +195,11 @@ def apportion_offense(data, deltas):
     mu_hat = eps_hat - eta_hat
     position_fit = fit_position_adjustment(data, mu_hat)
     raa_hit = position_fit.residuals
-    table = advancement_probabilities(data)
-    kappa, raa_br = _baserunning(data, eta_hat, table)
+    cdf = advancement_probabilities(data)
+    kappa, raa_br = _baserunning(data, eta_hat, cdf)
     return OffenseResult(
         data=data, deltas=deltas, eps_hat=eps_hat, eta_hat=eta_hat,
         mu_hat=mu_hat, raa_hit=raa_hit, park_fit=park_fit,
-        state_fit=state_fit, position_fit=position_fit, advancement=table,
+        state_fit=state_fit, position_fit=position_fit, advancement=cdf,
         kappa=kappa, raa_br=raa_br,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defense import apportion_defense
+from .defense import _FIELDING_COLS, apportion_defense
 from .offense import apportion_offense
 from .run_expectancy import _deltas, estimate_matrix
 from .valuation import (
@@ -60,7 +60,7 @@ class SeasonLedger:
             if model.constant_rate is not None:
                 out.write(f"{pos},constant_rate,{float(model.constant_rate)!r}\n")
                 continue
-            for term, coef in model.coefficients.items():
+            for term, coef in zip(_FIELDING_COLS, model.coefficients):
                 out.write(f"{pos},{term},{float(coef)!r}\n")
         return out.getvalue()
 

@@ -1,9 +1,9 @@
 """Expected-run matrix over the 24 base-out states and per-PA run values.
 
-The matrix entry rho(outs, bases) is the empirical mean of runs scored
+The matrix entry rho[outs, bases] is the empirical mean of runs scored
 from the start of a plate appearance in that state through the end of
-its half-inning.  The absorbing 3-out state is worth 0 by definition.
-The run value of one plate appearance is
+its half-inning.  The absorbing 3-out states, row 3, are worth 0 by
+definition.  The run value of one plate appearance is
 
     delta = rho(end state) - rho(start state) + runs scored,
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,22 +25,19 @@ __all__ = ["RunExpectancyMatrix", "estimate_matrix", "run_value"]
 
 @dataclass
 class RunExpectancyMatrix:
-    rho: dict  # (outs, bases) -> expected runs to end of half-inning
-    sample_counts: dict = field(default_factory=dict)
+    """Per base-out state, as (4, 8) arrays indexed [outs, bases] whose
+    3-out row is 0: the expected runs to the end of the half-inning, and
+    the plate appearances that started there."""
 
-    def value(self, outs, bases):
-        if outs == 3:
-            return 0.0
-        key = (outs, bases)
-        if key not in self.rho:
-            raise KeyError(f"state {key} not covered by the matrix")
-        return self.rho[key]
+    rho: np.ndarray
+    sample_counts: np.ndarray
 
     def to_csv(self):
         out = io.StringIO()
         out.write("outs,bases_mask,rho,n\n")
-        for key in LIVE_STATES:
-            out.write(f"{key[0]},{key[1]},{self.rho[key]!r},{self.sample_counts[key]}\n")
+        for o, b in LIVE_STATES:
+            out.write(f"{o},{b},{float(self.rho[o, b])!r},"
+                      f"{self.sample_counts[o, b]}\n")
         return out.getvalue()
 
 
@@ -72,24 +69,24 @@ def estimate_matrix(data):
     empty = [key for key, c in zip(LIVE_STATES, counts) if c == 0]
     if empty:
         raise ValueError(f"states never observed: {empty}")
+    three_outs = ((0, 1), (0, 0))  # a row of zeros
     return RunExpectancyMatrix(
-        rho=dict(zip(LIVE_STATES, (sums / counts).tolist())),
-        sample_counts=dict(zip(LIVE_STATES, counts.tolist())))
+        rho=np.pad((sums / counts).reshape(3, 8), three_outs),
+        sample_counts=np.pad(counts.reshape(3, 8), three_outs))
 
 
 def _deltas(data, matrix):
     """`run_value` of every plate appearance, as one array."""
-    table = np.zeros((4, 8))  # the 3-out row stays 0
-    for key in LIVE_STATES:
-        table[key] = matrix.value(*key)
-    end = table[data.end_outs, data.end_bases]
-    return (end - table[data.start_outs, data.start_bases]) + data.runs_scored
+    rho = matrix.rho
+    end = rho[data.end_outs, data.end_bases]
+    return (end - rho[data.start_outs, data.start_bases]) + data.runs_scored
 
 
 def run_value(row, matrix):
     """RE24 run value (delta) of one plate appearance under the given
     matrix, from its row view `SeasonDataset.record(i)`: the scalar oracle
     of `_deltas`."""
-    return (matrix.value(row["end_outs"], row["end_bases"])
-            - matrix.value(row["start_outs"], row["start_bases"])) \
+    rho = matrix.rho
+    return float(rho[row["end_outs"], row["end_bases"]]
+                 - rho[row["start_outs"], row["start_bases"]]) \
         + row["runs_scored"]

@@ -12,7 +12,6 @@ from openwar.numerics import (
     BIN_STEP,
     MAX_GRID_NODES,
     MIN_KERNEL_WEIGHT,
-    DesignMatrix,
     LinearFit,
     _independent_columns,
     replicate_rng,
@@ -72,9 +71,10 @@ def credit_table(bundles, game_starts=()):
 
 
 def dense_design(factors, extra=()):
-    """The dense design `indicator_ols` fits without building: intercept,
-    one indicator column per level present in each factor (levels in label
-    order), then the `extra` (name, values) columns."""
+    """The dense design `indicator_ols` fits without building, as its
+    column names and (n, p) values: intercept, one indicator column per
+    level present in each factor (levels in label order), then the `extra`
+    (name, values) columns."""
     n = len(factors[0][2]) if factors else len(extra[0][1])
     names, columns = ["intercept"], [np.ones(n)]
     for prefix, labels, codes in factors:
@@ -85,30 +85,32 @@ def dense_design(factors, extra=()):
     for name, values in extra:
         names.append(name)
         columns.append(np.asarray(values, dtype=float))
-    return DesignMatrix(columns=names, values=np.column_stack(columns))
+    return names, np.column_stack(columns)
 
 
-def ols_fit(X, y):
-    """Least squares on a dense DesignMatrix: the reference of
-    `numerics.indicator_ols`, under the same rank rule.
+def ols_fit(names, V, y):
+    """Least squares on the dense (n, p) design `V`, whose columns are
+    named `names`: the reference of `numerics.indicator_ols`, under the
+    same rank rule.
 
     Collinear columns are dropped in reverse index preference (later
-    columns go) and their coefficients are pinned at 0, so X @ beta is
+    columns go) and their coefficients are pinned at 0, so V @ beta is
     always well defined over the full named design."""
+    V = np.asarray(V, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(y) == 0:
         raise ValueError("empty design")
-    if len(X.values) != len(y):
+    if len(V) != len(y):
         raise ValueError("design and response lengths differ")
-    if np.any(np.all(X.values == 0.0, axis=0)):
+    if np.any(np.all(V == 0.0, axis=0)):
         raise ValueError("design contains an all-zero column")
 
-    keep = _independent_columns(X.values.T @ X.values, len(y))
-    beta = np.zeros(len(X.columns))
-    beta[keep] = np.linalg.lstsq(X.values[:, keep], y, rcond=None)[0]
-    fitted = X.values @ beta
-    dropped = [name for j, name in enumerate(X.columns) if j not in keep]
-    return LinearFit(dict(zip(X.columns, beta)), y - fitted, fitted, dropped)
+    keep = _independent_columns(V.T @ V, len(y))
+    beta = np.zeros(len(names))
+    beta[keep] = np.linalg.lstsq(V[:, keep], y, rcond=None)[0]
+    fitted = V @ beta
+    dropped = [name for j, name in enumerate(names) if j not in keep]
+    return LinearFit(dict(zip(names, beta)), y - fitted, fitted, dropped)
 
 
 def binned_full_grid(surface, x, y):
@@ -172,10 +174,10 @@ def coefs(fit, columns):
     return np.array([fit.coefficients[c] for c in columns])
 
 
-def kappa(table, event, base, rank):
+def kappa(cdf, event, base, rank):
     """Pr(K <= rank), rank in -2..4, in the (event, start base) cell of an
-    AdvancementTable."""
-    return float(table.cdf[EVENT_TYPES.index(event), base, rank - _MIN_RANK])
+    `advancement_probabilities` array."""
+    return float(cdf[EVENT_TYPES.index(event), base, rank - _MIN_RANK])
 
 
 def bootstrap_reference(table, valuation, config):
@@ -249,8 +251,9 @@ def half_innings(data):
 def build_re_fixture():
     """Three half-innings covering all 24 base-out states exactly.
 
-    Returns (dataset, expected_rho, expected_counts), with the expected
-    values computed by hand from the runs-to-inning-end of each record.
+    Returns (dataset, expected_rho, expected_counts), the expected values
+    as (outs, bases) arrays computed by hand from the runs-to-inning-end of
+    each record, 0 in the 3-out row.
     """
     g = "AWY@HOM-0001"
     rows = []
@@ -302,17 +305,17 @@ def build_re_fixture():
     #   top 1:    6,6,6,6,2,2,2,0,0,0,0
     #   bottom 1: 5,5,5,5,5,2,2,0,0
     #   top 2:    5,5,5,5,5,5,2,1,1,0
-    expected_rho = {
-        (0, 0): 4.5, (0, 1): 2.0, (0, 2): 6.0, (0, 3): 2.0,
-        (0, 4): 0.0, (0, 5): 6.0, (0, 6): 0.0, (0, 7): 6.0,
-        (1, 0): 5.0, (1, 1): 0.0, (1, 2): 5.0, (1, 3): 0.0,
-        (1, 4): 2.0, (1, 5): 5.0, (1, 6): 1.0, (1, 7): 5.0,
-        (2, 0): 5.0, (2, 1): 5.0, (2, 2): 1.0, (2, 3): 1.0,
-        (2, 4): 2.0, (2, 5): 5.0, (2, 6): 0.0, (2, 7): 5.0,
-    }
-    expected_counts = {key: 1 for key in expected_rho}
-    expected_counts[(0, 0)] = 4
-    expected_counts[(1, 0)] = 2
-    expected_counts[(1, 6)] = 2
-    expected_counts[(2, 6)] = 2
+    #   bases:  0    1    2    3    4    5    6    7
+    expected_rho = np.array([
+        [4.5, 2.0, 6.0, 2.0, 0.0, 6.0, 0.0, 6.0],  # 0 outs
+        [5.0, 0.0, 5.0, 0.0, 2.0, 5.0, 1.0, 5.0],  # 1 out
+        [5.0, 5.0, 1.0, 1.0, 2.0, 5.0, 0.0, 5.0],  # 2 outs
+        [0.0] * 8,
+    ])
+    expected_counts = np.ones((4, 8), dtype=int)
+    expected_counts[3] = 0
+    expected_counts[0, 0] = 4
+    expected_counts[1, 0] = 2
+    expected_counts[1, 6] = 2
+    expected_counts[2, 6] = 2
     return data, expected_rho, expected_counts

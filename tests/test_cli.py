@@ -33,10 +33,10 @@ def test_pythag_prints_runs_per_win(capsys):
 @pytest.mark.parametrize("p,r", [("0", "810"), ("nan", "800"), ("inf", "800"),
                                  ("2", "nan"), ("2", "inf")])
 def test_pythag_bad_input_is_validation_error(capsys, p, r):
-    assert main(["pythag", "--pythag-p", p, "--pythag-r", r]) \
-        == EXIT_VALIDATION
+    """Bad flags of `pythag` are a configuration error, as on `war`."""
+    assert main(["pythag", "--pythag-p", p, "--pythag-r", r]) == EXIT_CONFIG
     err = json.loads(capsys.readouterr().err)
-    assert err["kind"] == "validation"
+    assert err["kind"] == "config"
 
 
 def test_unknown_flag_is_config_error(capsys):

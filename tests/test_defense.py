@@ -48,9 +48,7 @@ def _fit_models(data):
 
 
 def _surface_from(points, outs, bandwidth=(30.0, 30.0)):
-    from openwar.numerics import smooth_out_probability
-    return smooth_out_probability(np.asarray(points), np.asarray(outs),
-                                  bandwidth)
+    return SmoothedSurface(points, outs, bandwidth)
 
 
 def test_non_bip_events_charge_the_pitcher():
@@ -154,8 +152,8 @@ def test_vanishing_fielder_probabilities_split_equally():
     data = SeasonDataset.from_records([
         make_pa("A@B-0001", 7, 1, "top", 0, 0, "Flyout", "O",
                 bip=(0.0, 300.0))])
-    zero = LogisticFit(coefficients={}, converged=True, iterations=0,
-                       constant_rate=0.0)
+    zero = LogisticFit(coefficients=np.zeros(6), converged=True,
+                       iterations=0, constant_rate=0.0)
     models = {pos: zero for pos in FIELDING_POSITIONS}
     with pytest.warns(UserWarning, match="pa 7: all fielder probabilities"):
         _, shares = _fielding_shares(_fielding_design(_in_play(data)[0]),
@@ -255,21 +253,23 @@ def test_ledger_builds_no_per_play_objects(season, monkeypatch):
 
 def test_ledger_builds_no_dense_design(season, monkeypatch):
     """Guard against n x p regression designs: the chains fit their
-    regressions from counts, so building the ledger makes one
-    DesignMatrix, the (balls in play x 6) design of the fielding models,
-    and no openwar module binds a dense `ols_fit`."""
-    shapes = []
-    post_init = numerics.DesignMatrix.__post_init__
+    regressions from counts, so the only dense design building the ledger
+    makes is the (balls in play x 6) design of the fielding models, built
+    once and handed to all nine logistic fits, and no openwar module binds
+    a dense `ols_fit`."""
+    designs = []
 
-    def recording(self):
-        post_init(self)
-        shapes.append(self.values.shape)
+    def recording(V, y):
+        designs.append(V)
+        return numerics.logistic_fit(V, y)
 
-    monkeypatch.setattr(numerics.DesignMatrix, "__post_init__", recording)
+    monkeypatch.setattr(defense, "logistic_fit", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         build_ledger(season)
-    assert shapes == [(int(events._IN_PLAY[season.event].sum()), 6)]
+    assert len(designs) == 9
+    assert all(V is designs[0] for V in designs)
+    assert designs[0].shape == (int(events._IN_PLAY[season.event].sum()), 6)
     assert not [m.__name__ for m in openwar_modules()
                 if hasattr(m, "ols_fit")]
 

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from openwar import numerics
 from openwar.numerics import (
-    DesignMatrix,
+    SmoothedSurface,
     empirical_quantiles,
     indicator_ols,
     logistic_fit,
     master_rng,
     replicate_rng,
     scott_bandwidth,
-    smooth_out_probability,
 )
 
 from fixtures import (
@@ -32,75 +31,71 @@ from fixtures import (
 
 
 def _random_system(rng, n=40, p=5):
-    X = rng.normal(size=(n, p))
-    X[:, 0] = 1.0
+    V = rng.normal(size=(n, p))
+    V[:, 0] = 1.0
     y = rng.normal(size=n)
-    return DesignMatrix(columns=[f"c{j}" for j in range(p)], values=X), y
+    return [f"c{j}" for j in range(p)], V, y
 
 
 def test_ols_matches_pseudo_inverse():
     rng = np.random.default_rng(0)
     for _ in range(20):
-        X, y = _random_system(rng)
-        fit = ols_fit(X, y)
-        beta = np.linalg.pinv(X.values) @ y
-        assert np.allclose(coefs(fit, X.columns), beta, atol=1e-8)
+        names, V, y = _random_system(rng)
+        fit = ols_fit(names, V, y)
+        beta = np.linalg.pinv(V) @ y
+        assert np.allclose(coefs(fit, names), beta, atol=1e-8)
         assert np.allclose(fit.fitted + fit.residuals, y, atol=1e-12)
 
 
 def test_ols_residuals_orthogonal_to_design():
     rng = np.random.default_rng(1)
-    X, y = _random_system(rng)
-    fit = ols_fit(X, y)
-    assert np.allclose(X.values.T @ fit.residuals, 0.0, atol=1e-9)
+    names, V, y = _random_system(rng)
+    fit = ols_fit(names, V, y)
+    assert np.allclose(V.T @ fit.residuals, 0.0, atol=1e-9)
 
 
 def test_ols_drops_collinear_columns():
     rng = np.random.default_rng(2)
-    X, y = _random_system(rng, p=4)
-    V = np.hstack([X.values, X.values[:, [1]] + X.values[:, [2]]])
-    X2 = DesignMatrix(columns=X.columns + ["dup"], values=V)
-    fit = ols_fit(X2, y)
+    names, V, y = _random_system(rng, p=4)
+    V2 = np.hstack([V, V[:, [1]] + V[:, [2]]])
+    fit = ols_fit(names + ["dup"], V2, y)
     assert fit.dropped == ["dup"]
     assert fit.coefficients["dup"] == 0.0
     # fitted values are unaffected by the redundant column
-    assert np.allclose(fit.fitted, ols_fit(X, y).fitted, atol=1e-9)
+    assert np.allclose(fit.fitted, ols_fit(names, V, y).fitted, atol=1e-9)
 
 
 def test_ols_drops_later_indicator_not_earlier():
     # intercept + two exhaustive indicators: the later one must go
     V = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0],
                   [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-    fit = ols_fit(DesignMatrix(columns=["int", "a", "b"], values=V),
-                  np.array([1.0, 2.0, 1.0, 2.0]))
+    fit = ols_fit(["int", "a", "b"], V, np.array([1.0, 2.0, 1.0, 2.0]))
     assert fit.dropped == ["b"]
     assert np.allclose(fit.residuals, 0.0, atol=1e-12)
 
 
 def test_ols_input_validation():
-    X = DesignMatrix(columns=["a"], values=np.ones((3, 1)))
     with pytest.raises(ValueError):
-        ols_fit(X, np.zeros(2))
+        ols_fit(["a"], np.ones((3, 1)), np.zeros(2))
     with pytest.raises(ValueError):
-        ols_fit(DesignMatrix(columns=["z"], values=np.zeros((3, 1))),
-                np.zeros(3))
+        ols_fit(["z"], np.zeros((3, 1)), np.zeros(3))
 
 
 def test_indicator_ols_matches_dense_ols_on_random_systems():
     """The OLS oracles above, with the non-intercept columns as extras."""
     rng = np.random.default_rng(6)
     for _ in range(20):
-        X, y = _random_system(rng)
-        extra = list(zip(X.columns[1:], X.values[:, 1:].T))
+        names, V, y = _random_system(rng)
+        extra = list(zip(names[1:], V[:, 1:].T))
         fit = indicator_ols([], y, extra)
-        assert coefs(fit, ["intercept"] + X.columns[1:]) == \
-            pytest.approx(np.linalg.pinv(X.values) @ y, abs=1e-8)
-        assert_same_fit(fit, ols_fit(dense_design([], extra), y))
-    V = np.column_stack([X.values[:, 1:], X.values[:, 1] + X.values[:, 2]])
-    extra = list(zip(X.columns[1:] + ["dup"], V.T))
+        assert coefs(fit, ["intercept"] + names[1:]) == \
+            pytest.approx(np.linalg.pinv(V) @ y, abs=1e-8)
+        assert_same_fit(fit, ols_fit(*dense_design([], extra), y))
+    V = np.column_stack([V[:, 1:], V[:, 1] + V[:, 2]])
+    extra = list(zip(names[1:] + ["dup"], V.T))
     fit = indicator_ols([], y, extra)
     assert fit.dropped == ["dup"]
-    assert_same_fit(fit, ols_fit(dense_design([], extra), y))
+    assert_same_fit(fit, ols_fit(*dense_design([], extra), y))
 
 
 def test_indicator_ols_matches_dense_ols_on_factors():
@@ -117,7 +112,7 @@ def test_indicator_ols_matches_dense_ols_on_factors():
         y = rng.normal(size=n)
         for extra in ([("flag", rng.random(n) < 0.3)], [("dup", a == 4)]):
             fit = indicator_ols(factors, y, extra)
-            assert_same_fit(fit, ols_fit(dense_design(factors, extra), y))
+            assert_same_fit(fit, ols_fit(*dense_design(factors, extra), y))
             assert fit.dropped == ["a_e", "b_d"] + (
                 ["dup"] if extra[0][0] == "dup" else [])
 
@@ -146,14 +141,12 @@ def test_logistic_beats_grid_oracle():
         y = (rng.random(n) < 1 / (1 + np.exp(-true * x))).astype(float)
         if len(np.unique(y)) < 2:
             continue
-        X = DesignMatrix(columns=["x"], values=x[:, None])
-        fit = logistic_fit(X, y)
+        fit = logistic_fit(x[:, None], y)
         assert fit.converged
         grid = np.arange(-5.0, 5.0, 0.01)
         best = max(_log_likelihood(x[:, None], y, np.array([b]))
                    for b in grid)
-        assert _log_likelihood(x[:, None], y, np.array([fit.coefficients["x"]])) \
-            >= best - 1e-9
+        assert _log_likelihood(x[:, None], y, fit.coefficients) >= best - 1e-9
 
 
 def test_logistic_recovers_coefficients():
@@ -162,30 +155,28 @@ def test_logistic_recovers_coefficients():
     V = np.column_stack([np.ones(n), rng.normal(size=n)])
     true = np.array([-0.5, 1.25])
     y = (rng.random(n) < 1 / (1 + np.exp(-(V @ true)))).astype(float)
-    fit = logistic_fit(DesignMatrix(columns=["int", "x"], values=V), y)
+    fit = logistic_fit(V, y)
     assert fit.converged
-    est = np.array([fit.coefficients["int"], fit.coefficients["x"]])
-    assert np.allclose(est, true, atol=0.1)
+    assert np.allclose(fit.coefficients, true, atol=0.1)
 
 
 def test_logistic_flags_separation():
     x = np.linspace(-1, 1, 40)
     y = (x > 0).astype(float)
     V = np.column_stack([np.ones(40), x])
-    fit = logistic_fit(DesignMatrix(columns=["int", "x"], values=V), y)
+    fit = logistic_fit(V, y)
     assert fit.separated
     assert not fit.converged
 
 
 def test_logistic_rejects_degenerate_response():
     V = np.ones((5, 1))
-    X = DesignMatrix(columns=["int"], values=V)
     for y in (np.zeros(5), np.ones(5)):
         with pytest.raises(ValueError, match="single-class response"):
-            logistic_fit(X, y)
+            logistic_fit(V, y)
     for bad in (0.5, 2.0, np.nan):
         with pytest.raises(ValueError, match="response must be binary"):
-            logistic_fit(X, np.array([0.0, bad, 1.0, 0.0, 1.0]))
+            logistic_fit(V, np.array([0.0, bad, 1.0, 0.0, 1.0]))
 
 
 def test_smoother_matches_naive_double_loop():
@@ -193,7 +184,7 @@ def test_smoother_matches_naive_double_loop():
     pts = rng.uniform(-100, 300, size=(60, 2))
     resp = (rng.random(60) < 0.4).astype(float)
     hx, hy = 25.0, 40.0
-    surf = smooth_out_probability(pts, resp, (hx, hy))
+    surf = SmoothedSurface(pts, resp, (hx, hy))
     queries = rng.uniform(-100, 300, size=(15, 2))
     for qx, qy in queries:
         num = den = 0.0
@@ -209,7 +200,7 @@ def test_smoother_chunks_match_naive_double_loop(monkeypatch):
     pts = rng.uniform(-100, 300, size=(50, 2))
     resp = (rng.random(50) < 0.4).astype(float)
     hx, hy = 25.0, 40.0
-    surf = smooth_out_probability(pts, resp, (hx, hy))
+    surf = SmoothedSurface(pts, resp, (hx, hy))
     # 7 queries per chunk, so the 40 queries span six chunks
     monkeypatch.setattr(numerics, "EXACT_CHUNK_ELEMENTS", 7 * len(pts))
     queries = rng.uniform(-100, 300, size=(40, 2))
@@ -223,7 +214,7 @@ def test_smoother_chunks_match_naive_double_loop(monkeypatch):
 def test_smoother_far_query_falls_back_to_global_rate():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     resp = np.array([1.0, 0.0, 0.0])
-    surf = smooth_out_probability(pts, resp, (1.0, 1.0))
+    surf = SmoothedSurface(pts, resp, (1.0, 1.0))
     assert surf.evaluate(1e6, 1e6)[0] == pytest.approx(resp.mean())
     far = surf.evaluate_binned([1e6, 1.0], [1e6, 0.5])
     assert far[0] == surf.global_rate
@@ -234,7 +225,7 @@ def test_binned_smoother_values_are_probabilities():
     rng = np.random.default_rng(9)
     pts = rng.uniform(-100, 300, size=(400, 2))
     resp = (rng.random(400) < 0.7).astype(float)
-    surf = smooth_out_probability(pts, resp, (15.0, 20.0))
+    surf = SmoothedSurface(pts, resp, (15.0, 20.0))
     q = rng.uniform(-200, 400, size=(300, 2))
     vals = surf.evaluate_binned(q[:, 0], q[:, 1])
     assert np.all((vals >= 0.0) & (vals <= 1.0))
@@ -245,7 +236,7 @@ def test_binned_smoother_too_wide_a_grid_evaluates_exactly():
     pts = rng.uniform(0, 400, size=(30, 2))
     resp = (rng.random(30) < 0.5).astype(float)
     # step 0.025 ft over a 400 ft spread: far more than MAX_GRID_NODES
-    surf = smooth_out_probability(pts, resp, (0.5, 0.5))
+    surf = SmoothedSurface(pts, resp, (0.5, 0.5))
     assert np.array_equal(surf.evaluate_binned(pts[:, 0], pts[:, 1]),
                           surf.evaluate(pts[:, 0], pts[:, 1]))
 
@@ -259,7 +250,7 @@ def test_binned_smoother_tiny_bandwidth_evaluates_exactly(h):
     rng = np.random.default_rng(11)
     pts = rng.uniform(0, 400, size=(30, 2))
     resp = (rng.random(30) < 0.5).astype(float)
-    surf = smooth_out_probability(pts, resp, (h, h))
+    surf = SmoothedSurface(pts, resp, (h, h))
     q = np.vstack([pts, pts + 1.0])
     vals = surf.evaluate_binned(q[:, 0], q[:, 1])
     assert np.array_equal(vals, surf.evaluate(q[:, 0], q[:, 1]))
@@ -281,8 +272,8 @@ def test_binned_smoother_matches_full_grid_oracle(pipeline):
     rng = np.random.default_rng(12)
     session = pipeline.ledger.defense.surface
     pts = rng.uniform([-200, 50], [200, 350], size=(300, 2))
-    sparse = smooth_out_probability(pts, (rng.random(300) < 0.6).astype(float),
-                                    (18.0, 24.0))
+    sparse = SmoothedSurface(pts, (rng.random(300) < 0.6).astype(float),
+                             (18.0, 24.0))
     far = (np.array([5e4, -5e4, 0.0]), np.array([0.0, 1e5, -5e4]))
     for surf in (session, sparse):
         dense = rng.uniform([-350, 0], [350, 450], size=(400, 2)).T
@@ -297,7 +288,16 @@ def test_binned_smoother_matches_full_grid_oracle(pipeline):
 
 def test_smoother_validates_bandwidth():
     with pytest.raises(ValueError):
-        smooth_out_probability(np.zeros((2, 2)), np.zeros(2), (0.0, 1.0))
+        SmoothedSurface(np.zeros((2, 2)), np.zeros(2), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("bandwidth", [(np.nan, 30.0), (30.0, np.nan),
+                                       (np.inf, 30.0), (30.0, np.inf)])
+def test_smoother_rejects_non_finite_bandwidth(bandwidth):
+    """A NaN or infinite bandwidth smooths nothing: every query would get
+    the global rate."""
+    with pytest.raises(ValueError, match="positive and finite"):
+        SmoothedSurface(np.zeros((2, 2)), np.zeros(2), bandwidth)
 
 
 def test_scott_bandwidth_hand_case():

@@ -6,7 +6,6 @@ import pytest
 from openwar.events import EVENT_TYPES, SeasonDataset
 from openwar.offense import (
     OUT_RANK,
-    AdvancementTable,
     _baserunning,
     advancement_probabilities,
     apportion_offense,
@@ -69,20 +68,20 @@ def test_advancement_table_hand_tallies():
         make_pa(g, 0, 1, "top", 0, 1, "Single", "1B", {1: "3B"}),
         make_pa(g, 1, 1, "top", 0, 1, "Single", "1B", {1: "O"}),
     ]
-    table = advancement_probabilities(SeasonDataset.from_records(rows))
+    cdf = advancement_probabilities(SeasonDataset.from_records(rows))
     # cell (Single, base 1): ranks {+2, out}; each with probability 1/2
-    assert kappa(table, "Single", 1, OUT_RANK) == pytest.approx(0.5)
-    assert kappa(table, "Single", 1, 0) == pytest.approx(0.5)
-    assert kappa(table, "Single", 1, 1) == pytest.approx(0.5)
-    assert kappa(table, "Single", 1, 2) == pytest.approx(1.0)
+    assert kappa(cdf, "Single", 1, OUT_RANK) == pytest.approx(0.5)
+    assert kappa(cdf, "Single", 1, 0) == pytest.approx(0.5)
+    assert kappa(cdf, "Single", 1, 1) == pytest.approx(0.5)
+    assert kappa(cdf, "Single", 1, 2) == pytest.approx(1.0)
     # cell (Single, base 0): the batter reached first both times (rank 1)
-    assert kappa(table, "Single", 0, 0) == pytest.approx(0.0)
-    assert kappa(table, "Single", 0, 1) == pytest.approx(1.0)
+    assert kappa(cdf, "Single", 0, 0) == pytest.approx(0.0)
+    assert kappa(cdf, "Single", 0, 1) == pytest.approx(1.0)
     # unseen (event, base) falls back to pooling over the event
-    assert kappa(table, "Single", 3, 1) == pytest.approx(0.75)
+    assert kappa(cdf, "Single", 3, 1) == pytest.approx(0.75)
     # unseen event falls back to the global table: ranks {-1,1,1,2}
-    assert kappa(table, "Double", 2, 0) == pytest.approx(0.25)
-    assert kappa(table, "Double", 2, 2) == pytest.approx(1.0)
+    assert kappa(cdf, "Double", 2, 0) == pytest.approx(0.25)
+    assert kappa(cdf, "Double", 2, 2) == pytest.approx(1.0)
 
 
 def test_apportion_baserunning_splits_eta():
@@ -91,9 +90,9 @@ def test_apportion_baserunning_splits_eta():
         make_pa(g, 0, 1, "top", 0, 1, "Single", "1B", {1: "3B"}),
         make_pa(g, 1, 1, "top", 0, 1, "Single", "1B", {1: "O"}),
     ]
-    table = advancement_probabilities(SeasonDataset.from_records(rows))
+    cdf = advancement_probabilities(SeasonDataset.from_records(rows))
     one = SeasonDataset.from_records(rows[:1])
-    kappa, raa_br = _baserunning(one, np.array([0.8]), table)
+    kappa, raa_br = _baserunning(one, np.array([0.8]), cdf)
     # columns: the runners on 1B, 2B and 3B, then the batter from base 0
     assert one.player_ids[one.runner[0, 0]] == "R1"
     assert one.player_ids[one.batter[0]] == "B1"
@@ -109,9 +108,9 @@ def test_apportion_baserunning_equal_split_fallback():
     pa = make_pa(g, 0, 1, "top", 0, 1, "Single", "1B", {1: "2B"})
     # a table whose only mass sits above every achievable rank: Pr(K <= r)
     # is 0 for every rank -2..4
-    table = AdvancementTable(np.zeros((len(EVENT_TYPES), 4, 7)))
+    cdf = np.zeros((len(EVENT_TYPES), 4, 7))
     kappa, raa_br = _baserunning(SeasonDataset.from_records([pa]),
-                                 np.array([1.0]), table)
+                                 np.array([1.0]), cdf)
     assert kappa.tolist() == [[0.0] * 4]
     assert raa_br[0] == pytest.approx([0.5, 0.0, 0.0, 0.5])
 
@@ -120,10 +119,10 @@ def test_batter_always_credited():
     g = "AWY@HOM-0001"
     pa = make_pa(g, 0, 1, "top", 0, 0, "Strikeout", "O")
     # every cell: Pr(out) = 0.3, then 1.0 from rank +1 on (ranks -2..4)
-    table = AdvancementTable(np.broadcast_to(
-        [0.0, 0.3, 0.3, 1.0, 1.0, 1.0, 1.0], (len(EVENT_TYPES), 4, 7)))
+    cdf = np.broadcast_to([0.0, 0.3, 0.3, 1.0, 1.0, 1.0, 1.0],
+                          (len(EVENT_TYPES), 4, 7))
     _, raa_br = _baserunning(SeasonDataset.from_records([pa]),
-                             np.array([-0.2]), table)
+                             np.array([-0.2]), cdf)
     assert raa_br[0] == pytest.approx([0.0, 0.0, 0.0, -0.2])
 
 

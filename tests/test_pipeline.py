@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from openwar import defense, numerics, offense
+from openwar.defense import _FIELDING_COLS
 from openwar.events import BALL_IN_PLAY
 from openwar.pipeline import build_ledger
 from openwar.simulate import generate_synthetic_season
@@ -130,12 +131,18 @@ def test_surface_grid_builds_only_touched_kernel_rows(pipeline, monkeypatch):
 
 
 def test_fielding_models_csv(pipeline):
+    """Each fitted position lists its terms in the design's column order,
+    each coefficient as a repr that parses back to it exactly."""
     text = pipeline.ledger.fielding_models_csv()
     assert text.splitlines()[0] == "position,term,coefficient"
     assert "np.float64" not in text
-    for line in text.splitlines()[1:]:
-        pos, term, coef = line.split(",")
-        float(coef)  # parses cleanly
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    for pos, model in pipeline.ledger.defense.fielding_models.items():
+        mine = [(term, float(coef)) for p, term, coef in rows if p == pos]
+        if model.constant_rate is not None:
+            assert mine == [("constant_rate", model.constant_rate)]
+        else:
+            assert mine == list(zip(_FIELDING_COLS, model.coefficients))
 
 
 @pytest.mark.parametrize("games, seed, teams, last_park", [
@@ -164,4 +171,4 @@ def test_chain_fits_match_dense_reference(monkeypatch, games, seed, teams,
         [last_park], ["state_2_7", "event_Walk"], ["pos_SS"], [last_park],
         [last_park]]
     for factors, y, extra, fit in calls:
-        assert_same_fit(fit, ols_fit(dense_design(factors, extra), y))
+        assert_same_fit(fit, ols_fit(*dense_design(factors, extra), y))

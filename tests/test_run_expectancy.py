@@ -12,22 +12,16 @@ from fixtures import build_re_fixture, half_innings, make_pa, records
 def test_fixture_reproduces_hand_computed_matrix():
     data, expected_rho, expected_counts = build_re_fixture()
     matrix = estimate_matrix(data)
-    assert matrix.rho == expected_rho  # exact, no tolerance
-    assert matrix.sample_counts == expected_counts
+    assert matrix.rho.shape == matrix.sample_counts.shape == (4, 8)
+    assert np.array_equal(matrix.rho, expected_rho)  # exact, no tolerance
+    assert np.array_equal(matrix.sample_counts, expected_counts)
 
 
 def test_three_out_state_is_worth_zero():
     data, _, _ = build_re_fixture()
     matrix = estimate_matrix(data)
-    for bases in range(8):
-        assert matrix.value(3, bases) == 0.0
-
-
-def test_value_raises_on_uncovered_state():
-    from openwar.run_expectancy import RunExpectancyMatrix
-    m = RunExpectancyMatrix(rho={(0, 0): 0.5})
-    with pytest.raises(KeyError):
-        m.value(1, 3)
+    assert matrix.rho[3].tolist() == [0.0] * 8
+    assert matrix.sample_counts[3].tolist() == [0] * 8
 
 
 def test_run_value_on_fixture():
@@ -53,8 +47,8 @@ def test_unterminated_trailing_half_inning_is_dropped():
     data2 = SeasonDataset.from_records(records(data) + [extra])
     with pytest.warns(UserWarning, match="unterminated"):
         matrix = estimate_matrix(data2)
-    assert matrix.rho == rho
-    assert matrix.sample_counts == counts
+    assert np.array_equal(matrix.rho, rho)
+    assert np.array_equal(matrix.sample_counts, counts)
 
 
 def test_earlier_truncated_half_inning_is_kept():
@@ -93,11 +87,27 @@ def test_matrix_csv_covers_all_live_states():
     assert len(lines) == 1 + len(LIVE_STATES)
 
 
+def test_matrix_csv_round_trips_the_matrix(pipeline):
+    """Each live state's line holds its rho as a repr that parses back to
+    the matrix entry exactly, and its sample count; no numpy scalar repr
+    leaks into the text."""
+    matrix = pipeline.ledger.matrix
+    text = matrix.to_csv()
+    assert "np." not in text
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert [(int(o), int(b)) for o, b, _, _ in rows] == list(LIVE_STATES)
+    for o, b, rho, n in rows:
+        assert float(rho) == matrix.rho[int(o), int(b)]
+        assert int(n) == matrix.sample_counts[int(o), int(b)]
+
+
 def test_telescoping_on_synthetic_season(season, pipeline):
     """Within each completed half-inning the run values sum to
     runs - rho(0, empty)."""
     matrix = estimate_matrix(season)
-    assert pipeline.ledger.matrix == matrix
+    assert np.array_equal(pipeline.ledger.matrix.rho, matrix.rho)
+    assert np.array_equal(pipeline.ledger.matrix.sample_counts,
+                          matrix.sample_counts)
     rho00 = matrix.rho[(0, 0)]
     deltas = pipeline.ledger.deltas
     for group in half_innings(season):

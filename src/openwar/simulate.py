@@ -5,12 +5,24 @@ teams with starter and bench tiers, seeded event sampling from the
 observed MLBAM event frequencies, plausible runner advancement, and
 batted-ball coordinates inside fair territory.  Identical seeds give
 byte-identical output.
+
+The rules of a play are stated once, in `_OUTCOMES`, `_downgrade`,
+`_step` and `_apply_event`, whose random choices are `chance(p)`: a
+uniform draw falls below p.  The first season drawn in a process compiles
+them into an outcome table (`_outcome_table`): per (event, outs, bases)
+the chances asked, lead runner first, and per pattern of their results
+the play that follows.  A plate appearance is then a lookup, one draw per
+chance and a move of the runners' ids.  Draws come from `_Draws`, which
+reads the PCG64 stream of `master_rng(seed)` in blocks and gives the
+numbers `Generator.random` and `Generator.integers` would.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cache
 from itertools import chain
+from operator import itemgetter, length_hint
 
 import numpy as np
 
@@ -191,22 +203,22 @@ def _downgrade(event, outs, bases):
     return event
 
 
-def _step(event, base, outs, bases, taken, rng):
+def _step(event, base, outs, bases, taken, chance):
     """How many bases the runner on `base` moves up; `taken` holds the
     bases already given to the runners ahead of it.  Only singles, doubles
-    and groundouts with fewer than two outs draw from `rng`."""
+    and groundouts with fewer than two outs ask `chance`."""
     if event in _FORCED_ONLY:
         return int(all(b in bases for b in range(1, base)))
     if event == "Single":
         if base == 3:
             return 1
         if base == 2:
-            return 2 if rng.random() < 0.55 else 1
-        return 2 if rng.random() < 0.28 and 3 not in taken else 1
+            return 2 if chance(0.55) else 1
+        return 2 if chance(0.28) and 3 not in taken else 1
     if event == "Double":
-        return 3 if base == 1 and rng.random() < 0.40 else 2
+        return 3 if base == 1 and chance(0.40) else 2
     if event in ("Groundout", "Bunt Groundout"):
-        return int(outs < 2 and rng.random() < 0.35)
+        return int(outs < 2 and chance(0.35))
     if event in ("Sac Fly", "Sac Fly DP"):
         return int(base == 3)
     if event == "Grounded Into DP":
@@ -214,10 +226,11 @@ def _step(event, base, outs, bases, taken, rng):
     return _STEPS.get(event, 0)
 
 
-def _apply_event(event, outs, bases, rng):
+def _apply_event(event, outs, bases, chance):
     """Resolve one event against the current base-out situation.
 
-    `bases` maps base number -> runner id.  Returns (event, batter_dest,
+    `bases` maps base number -> runner id, and `chance(p)` says whether a
+    uniform draw falls below p.  Returns (event, batter_dest,
     dests, new_outs, new_bases) where `dests` maps start base -> code and
     `event` may have been downgraded (see `_downgrade`).  Runners move lead
     runner first; one sent to an occupied base goes on to the next free
@@ -231,7 +244,7 @@ def _apply_event(event, outs, bases, rng):
     for base in lead_first:
         if base in dests:
             continue
-        target = base + _step(event, base, outs, bases, new_bases, rng)
+        target = base + _step(event, base, outs, bases, new_bases, chance)
         while target in new_bases:
             target += 1
         if target >= 4:
@@ -244,6 +257,129 @@ def _apply_event(event, outs, bases, rng):
     # event that makes the third out moves a runner: they hold at two outs
     new_outs = min(outs + outs_made, 3)
     return event, batter_dest, dests, new_outs, new_bases if new_outs < 3 else {}
+
+
+#: the batter's place in the ids an outcome's `take` picks the runners from
+_BATTER = 4
+
+
+def _outcome(outs, mask, event, batter_dest, dests, new_outs, new_bases):
+    """One play of the outcome table, from `_apply_event`'s result at
+    (outs, mask) whose `new_bases` hold the start base of each runner:
+    (state, take, head, tail, bip), in the order the games loop reads it.
+
+    state  end outs * 8 + end bases mask; 24 and up ends the inning
+    take   (None, runner on 1B, 2B, 3B, batter) -> the ids on 1B, 2B, 3B
+    head   start outs, start mask, end outs, end mask
+    tail   runner 1-3 destinations, batter's, runs, final event
+    bip    a ball in play's (event code, whether an out was made), or None
+
+    The batter is put on the base reached after the runners, so it
+    displaces a runner left on that base (ROADMAP item 1)."""
+    if batter_dest in ("1B", "2B", "3B") and new_outs < 3:
+        new_bases[int(batter_dest[0])] = _BATTER
+    new_mask = _mask(new_bases)
+    runs = list(dests.values()).count("H") + (batter_dest == "H")
+    return (
+        8 * new_outs + new_mask,
+        itemgetter(*(new_bases.get(b, 0) for b in (1, 2, 3))),
+        (outs, mask, new_outs, new_mask),
+        (dests.get(1), dests.get(2), dests.get(3), batter_dest, runs, event),
+        (_EVENT_CODE[event], new_outs > outs) if BALL_IN_PLAY[event] else None)
+
+
+def _compile(event, outs, mask):
+    """The outcome table's entry of `event` drawn at (outs, mask): the
+    (threshold, bit) of each chance `_apply_event` asks, in the order it
+    asks them, and per pattern of their results (bit set where the draw
+    fell below the threshold) the `_outcome`.  Raises RuntimeError if the
+    chances asked depend on the result of an earlier one."""
+    bases = {b: b for b in (1, 2, 3) if mask >> (b - 1) & 1}
+    thresholds = []
+    _apply_event(event, outs, bases, lambda p: thresholds.append(p) or False)
+    outcomes = []
+    for pattern in range(1 << len(thresholds)):
+        asked = []
+
+        def scripted(p):
+            asked.append(p)
+            return pattern >> (len(asked) - 1) & 1 == 1
+
+        result = _apply_event(event, outs, bases, scripted)
+        if asked != thresholds:
+            raise RuntimeError(
+                f"{event!r} at {outs} outs, bases {mask}: chances {asked} "
+                f"under pattern {pattern}, {thresholds} when every one fails")
+        outcomes.append(_outcome(outs, mask, *result))
+    return tuple((p, 1 << j) for j, p in enumerate(thresholds)), tuple(outcomes)
+
+
+@cache
+def _outcome_table():
+    """table[event code][outs * 8 + bases mask] -> `_compile`'s entry:
+    every play the rules allow, compiled once per process."""
+    return tuple(tuple(_compile(event, outs, mask)
+                       for outs in range(3) for mask in range(8))
+                 for event in EVENT_TYPES)
+
+
+#: 64-bit words `_Draws` reads from the bit generator at a time; the
+#: block size changes no draw
+_BLOCK = 8192
+
+
+class _Draws:
+    """The draws a `Generator` over PCG64 `bit_generator` gives, read from
+    its raw 64-bit stream a block at a time:
+
+    - `random()` is `(x >> 11) * 2**-53` of the next word x;
+    - `integers(k)` is Lemire's bounded draw (Lemire 2019) over 32-bit
+      halves, the low half of a word first and its high half kept for the
+      next bounded draw, rejection included, for 2 <= k < 2**32.
+
+    A `Generator` keeps that half across `random()` calls too, so the
+    two give the same numbers in any order of calls."""
+
+    def __init__(self, bit_generator):
+        self._raw = bit_generator.random_raw
+        # the block's words, and an iterator over their doubles that is
+        # the read position in both
+        self._words, self._doubles = [], iter(())
+        self._half = None
+
+    def _fill(self):
+        words = self._raw(_BLOCK)
+        self._words = words.tolist()
+        self._doubles = iter(((words >> 11) * 2.0 ** -53).tolist())
+
+    def random(self):
+        try:
+            return next(self._doubles)
+        except StopIteration:
+            self._fill()
+            return next(self._doubles)
+
+    def _uint32(self):
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        at = len(self._words) - length_hint(self._doubles)
+        if at == len(self._words):
+            self._fill()
+            at = 0
+        next(self._doubles)
+        word = self._words[at]
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, k):
+        m = self._uint32() * k
+        if m & 0xFFFFFFFF < k:
+            threshold = (2 ** 32 - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * k
+        return m >> 32
 
 
 #: (lo, hi) radial range of each event code's batted balls
@@ -331,10 +467,11 @@ def synthetic_season_batches(games, seed, event_probs=None, teams=4):
         if unknown:
             raise ValueError(f"unknown event types: {sorted(unknown)}")
         probs = np.array([float(event_probs.get(e, 0.0)) for e in EVENT_TYPES])
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
+        # written so that a NaN fails: it compares false to everything
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
             raise ValueError("event probabilities must be nonnegative and sum to 1")
 
-    rng = master_rng(seed)
+    rng = _Draws(master_rng(seed).bit_generator)
     league = _build_league(teams, rng)
 
     roster = {}
@@ -347,9 +484,11 @@ def synthetic_season_batches(games, seed, event_probs=None, teams=4):
 
 
 def _batches(games, probs, league, rng):
-    """The batches of `synthetic_season_batches`, drawn from `rng` for a
-    season of `games` games in `league`."""
+    """The batches of `synthetic_season_batches`, drawn from `rng` (a
+    `_Draws`) for a season of `games` games in `league`."""
     teams = len(league)
+    table = _outcome_table()
+    random = rng.random
     # one list per plate appearance of its fields up to the fielders; the
     # batted balls of a batch are located after it, from the draws they
     # took, and that pass draws nothing
@@ -371,17 +510,17 @@ def _batches(games, probs, league, rng):
             lineup = []
             for pos in _LINEUP_POSITIONS:
                 player = field_map[pos]
-                if rng.random() < 0.18:
-                    player = team["bench"][int(rng.integers(len(team["bench"])))]
+                if random() < 0.18:
+                    player = team["bench"][rng.integers(len(team["bench"]))]
                     field_map[pos] = player
                 lineup.append((player, pos))
             lineups[side] = lineup
             fielders[side] = field_map
         pitchers = {
             "top": (home["rotation"][g % 3],
-                    home["relievers"][int(rng.integers(3))]),
+                    home["relievers"][rng.integers(3)]),
             "bottom": (away["rotation"][g % 3],
-                       away["relievers"][int(rng.integers(3))]),
+                       away["relievers"][rng.integers(3)]),
         }
 
         slot = {"top": 0, "bottom": 0}
@@ -396,15 +535,15 @@ def _batches(games, probs, league, rng):
                     pitcher.pid if pos == "P" else field_map[pos].pid
                     for pos in FIELDING_POSITIONS)
 
-                # bases maps base number -> id of the runner on it; mask
-                # is its occupancy bitmask
-                outs, bases, mask = 0, {}, 0
-                while outs < 3:
+                # state is outs * 8 + the bases mask; runners holds the
+                # ids on 1B, 2B and 3B (None where empty)
+                state, runners = 0, (None, None, None)
+                while state < 24:
                     batter, position = lineups[half][slot[half] % 9]
                     batter_position = position
-                    if inning >= 7 and rng.random() < 0.05:
+                    if inning >= 7 and random() < 0.05:
                         team = away if half == "top" else home
-                        batter = team["bench"][int(rng.integers(len(team["bench"])))]
+                        batter = team["bench"][rng.integers(len(team["bench"]))]
                         batter_position = "PH"
                     slot[half] += 1
 
@@ -412,27 +551,22 @@ def _batches(games, probs, league, rng):
                     cdf = cdfs.get(skills)
                     if cdf is None:
                         cdf = cdfs[skills] = _cdf(_event_weights(probs, *skills))
-                    event = EVENT_TYPES[bisect_right(cdf, rng.random())]
-                    event, batter_dest, dests, new_outs, new_bases = \
-                        _apply_event(event, outs, bases, rng)
-                    if batter_dest in ("1B", "2B", "3B") and new_outs < 3:
-                        new_bases[int(batter_dest[0])] = batter.pid
-
-                    runs = list(dests.values()).count("H") + (batter_dest == "H")
-                    if BALL_IN_PLAY[event]:
-                        in_play += len(rows), _EVENT_CODE[event], new_outs > outs
-                        draws += rng.random(), rng.random()
+                    chances, outcomes = table[bisect_right(cdf, random())][state]
+                    pattern = 0
+                    for p, bit in chances:
+                        if random() < p:
+                            pattern += bit
+                    state, take, head, tail, bip = outcomes[pattern]
+                    if bip:
+                        in_play += len(rows), *bip
+                        draws += random(), random()
 
                     pa_index += 1
-                    new_mask = _mask(new_bases)
                     rows.append([
                         game_id, pa_index, inning, half, batter.pid, pitcher.pid,
-                        outs, mask, new_outs, new_mask,
-                        bases.get(1), bases.get(2), bases.get(3),
-                        dests.get(1), dests.get(2), dests.get(3),
-                        batter_dest, runs, event, park, batter.hand,
-                        pitcher.hand, batter_position, *fielder_ids])
-                    outs, bases, mask = new_outs, new_bases, new_mask
+                        *head, *runners, *tail, park, batter.hand, pitcher.hand,
+                        batter_position, *fielder_ids])
+                    runners = take((None, *runners, batter.pid))
 
         if (g + 1) % _BATCH_GAMES == 0 or g + 1 == games:
             _locate(rows, in_play, draws)

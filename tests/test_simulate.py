@@ -1,6 +1,10 @@
 """Synthetic season generator tests."""
 
 import hashlib
+import math
+import os
+import subprocess
+import sys
 from bisect import bisect_right
 from collections import Counter
 
@@ -11,7 +15,11 @@ from openwar import events, simulate
 from openwar.cli import main
 from openwar.events import (
     BALL_IN_PLAY,
+    CSV_COLUMNS,
     EVENT_TYPES,
+    OPTIONAL_COLUMNS,
+    SeasonDataset,
+    _rules,
     parse_season,
     serialize_season,
     validate_dataset,
@@ -107,6 +115,16 @@ def test_event_probs_validation():
         generate_synthetic_season(1, 0, event_probs={"Walk": 0.4})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_event_probability_is_rejected_up_front(bad):
+    """NaN compares false to everything, so it passed a `< 0` check and a
+    sum check, then broke the event draw; it is refused before the first
+    batch, as a negative probability is."""
+    probs = {**DEFAULT_EVENT_PROBS, "Walk": bad}
+    with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+        simulate.synthetic_season_batches(2, 0, event_probs=probs)
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         generate_synthetic_season(0, 0)
@@ -162,6 +180,138 @@ def test_table_draws_match_generator_choice(name):
     drawn = [bisect_right(table, ours.random()) for _ in range(2000)]
     assert drawn == [int(numpy_s.choice(len(p), p=p)) for _ in range(2000)]
     assert ours.random() == numpy_s.random()
+
+
+#: the bounded draws of the games (3 relievers, 4 bench players), a coin,
+#: and a bound that Lemire's method rejects about half the time
+_BOUNDS = (2, 3, 4, 2 ** 31 + 1)
+
+
+@pytest.mark.parametrize("seed,block", [(0, None), (17, None), (29, None),
+                                        (5, 3)])
+def test_block_reader_draws_what_generator_draws(monkeypatch, seed, block):
+    """`_Draws` over a generator's bit generator gives, for 100k mixed
+    `random()` and `integers(k)` calls, what a twin `Generator` gives, and
+    leaves both streams at the same place.  A block of 3 words makes draws
+    and the kept 32-bit half cross block edges."""
+    if block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+    calls = master_rng(seed + 100).integers(len(_BOUNDS) + 1, size=100_000)
+    ours = simulate._Draws(master_rng(seed).bit_generator)
+    numpy_s = master_rng(seed)
+    got, want = [], []
+    for c in calls.tolist():
+        if c == len(_BOUNDS):
+            got.append(ours.random())
+            want.append(numpy_s.random())
+        else:
+            got.append(ours.integers(_BOUNDS[c]))
+            want.append(int(numpy_s.integers(_BOUNDS[c])))
+    assert got == want
+    assert ours.integers(3) == numpy_s.integers(3)
+    assert ours.random() == numpy_s.random()
+
+
+def _scripted(pattern):
+    """A `chance` that answers its j-th call with bit j of `pattern`, and
+    the list of the thresholds it was asked."""
+    asked = []
+
+    def chance(p):
+        asked.append(p)
+        return pattern >> (len(asked) - 1) & 1 == 1
+
+    return chance, asked
+
+
+def _table_plays():
+    """(event, outs, mask, pattern, table entry's chances, outcome) of
+    every play in the outcome table."""
+    table = simulate._outcome_table()
+    assert len(table) == len(EVENT_TYPES)
+    for event, entries in zip(EVENT_TYPES, table):
+        assert len(entries) == 24
+        for state, (chances, outcomes) in enumerate(entries):
+            assert len(outcomes) == 1 << len(chances)
+            for pattern, outcome in enumerate(outcomes):
+                yield event, state // 8, state % 8, pattern, chances, outcome
+
+
+def test_outcome_table_is_the_rules():
+    """Every entry of the table is what `_apply_event` does under the same
+    answers to its chances, followed by the games loop's old bookkeeping:
+    the batter put on the base reached, the runs counted and the ball in
+    play marked."""
+    n_plays = 0
+    for event, outs, mask, pattern, chances, outcome in _table_plays():
+        n_plays += 1
+        ids = {b: f"R{b}" for b in (1, 2, 3) if mask >> (b - 1) & 1}
+        chance, asked = _scripted(pattern)
+        final, batter_dest, dests, new_outs, new_bases = \
+            simulate._apply_event(event, outs, ids, chance)
+        assert tuple(p for p, _ in chances) == tuple(asked)
+        assert [bit for _, bit in chances] == [1 << j for j in range(len(asked))]
+        if batter_dest in ("1B", "2B", "3B") and new_outs < 3:
+            new_bases[int(batter_dest[0])] = "B"
+        new_mask = simulate._mask(new_bases)
+        runs = list(dests.values()).count("H") + (batter_dest == "H")
+        state, take, head, tail, bip = outcome
+        assert state == 8 * new_outs + new_mask
+        assert head == (outs, mask, new_outs, new_mask)
+        assert tail == (dests.get(1), dests.get(2), dests.get(3), batter_dest,
+                        runs, final)
+        assert take((None, ids.get(1), ids.get(2), ids.get(3), "B")) \
+            == (new_bases.get(1), new_bases.get(2), new_bases.get(3))
+        assert bip == ((EVENT_TYPES.index(final), new_outs > outs)
+                       if BALL_IN_PLAY[final] else None)
+    assert n_plays == 916
+
+
+def test_outcome_table_breaks_no_record_rule():
+    """Every play of the table, written as a record, passes the record
+    rules of `events._rules` (runs, outs, occupancy, destinations, batted
+    balls)."""
+    rows, in_play, draws = [], [], []
+    for event, outs, mask, pattern, _, outcome in _table_plays():
+        _, _, head, tail, bip = outcome
+        ids = tuple(f"R{b}" if mask >> (b - 1) & 1 else None for b in (1, 2, 3))
+        if bip:
+            in_play += len(rows), *bip
+            draws += 0.5, 0.5
+        rows.append([f"T01@T02-{len(rows) + 1:04d}", 1, 1, "top", "B", "P",
+                     *head, *ids, *tail, "PK", "R", "R", "CF",
+                     *(f"D{j}" for j in range(1, 10))])
+    simulate._locate(rows, in_play, draws)
+    data = SeasonDataset.from_columns(
+        dict(zip(CSV_COLUMNS + OPTIONAL_COLUMNS, zip(*rows))))
+    broken = {msg(data.record(k), k)
+              for mask, msg in _rules(vars(data)) for k in np.flatnonzero(mask)}
+    assert broken == set()
+
+
+def test_compiler_refuses_chances_that_depend_on_a_chance(monkeypatch):
+    """A rule whose second chance is asked only after the first failed
+    cannot be one table entry."""
+    def step(event, base, outs, bases, taken, chance):
+        return int(chance(0.5) or chance(0.25))
+
+    monkeypatch.setattr(simulate, "_step", step)
+    with pytest.raises(RuntimeError, match="chances"):
+        simulate._compile("Single", 0, 1)
+
+
+def test_importing_the_cli_builds_no_table():
+    """Every command imports the simulator; only a season drawn compiles
+    its outcome table."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(simulate.__file__)),
+        env.get("PYTHONPATH")]))
+    probe = ("import openwar.cli, openwar.simulate as s; "
+             "print(s._outcome_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "0\n"
 
 
 def test_bip_location_matches_generator_uniform():
@@ -289,6 +439,15 @@ def test_batches_of_games_keep_the_season_bytes(tmp_path, monkeypatch, games,
     assert _sha256(_simulated_csv(tmp_path, games, seed, 4)) == digest
 
 
+@pytest.mark.parametrize("games,seed,event_probs,digest", _PINNED)
+def test_small_blocks_keep_the_season_bytes(monkeypatch, games, seed,
+                                            event_probs, digest):
+    """The reader's block size changes no byte of a season."""
+    monkeypatch.setattr(simulate, "_BLOCK", 5)
+    data = generate_synthetic_season(games, seed, event_probs, teams=4)
+    assert _sha256(serialize_season(data)) == digest
+
+
 def test_simulate_codes_and_decodes_nothing(tmp_path, monkeypatch):
     """Guard against the code round trip: the command neither codes the
     generated rows into a SeasonDataset nor decodes one to write it."""
@@ -326,6 +485,9 @@ class _CountingRng:
 
 
 def test_season_makes_no_choice_calls(monkeypatch):
+    """The season reads its draws from the raw stream in blocks: it calls
+    none of the Generator's draw methods, and takes its bit generator far
+    fewer times than it has plate appearances."""
     made = []
 
     def counting_rng(seed):
@@ -334,5 +496,6 @@ def test_season_makes_no_choice_calls(monkeypatch):
 
     monkeypatch.setattr(simulate, "master_rng", counting_rng)
     data = generate_synthetic_season(20, 11, teams=4)
-    assert made[0].calls["choice"] == 0 and made[0].calls["uniform"] == 0
-    assert made[0].calls["random"] > len(data)  # every event is one draw
+    calls = made[0].calls
+    assert all(calls[m] == 0 for m in ("random", "integers", "choice", "uniform"))
+    assert 0 < calls["bit_generator"] < len(data) / 100

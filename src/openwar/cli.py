@@ -1,8 +1,9 @@
 """Batch command-line surface.
 
 Subcommands: validate, simulate, war, boot, pythag.  Every command is
-deterministic given its flags; outputs carry the run configuration as a
-leading comment (CSV) or a config key (JSON).  Exit codes: 0 success,
+deterministic given its flags; CSV outputs carry the run configuration as a
+leading comment, and valuation.json as its "config" key (comparisons.json
+is a bare list of comparisons).  Exit codes: 0 success,
 1 validation failure, 2 configuration error, 3 internal (numeric or
 worker) failure.
 """

@@ -23,7 +23,7 @@ import math
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -42,7 +42,7 @@ __all__ = [
     "ChainError",
     "RecordError",
     "parse_season",
-    "season_csv",
+    "csv_text",
     "season_writer",
     "serialize_season",
     "validate_dataset",
@@ -198,12 +198,11 @@ class SeasonDataset:
         vocabulary is stored as absent.  Numbers must parse, coordinates
         must be finite, and the game, batter, pitcher and ballpark ids must
         be given."""
-        tables = _id_tables()
-        cols, malformed = _code_columns(_by_record(raw), tables)
+        cols, tables, malformed = _code_columns(_by_record(raw))
         if malformed.any():
             row = [v[int(np.argmax(malformed))] for v in raw.values()]
             raise RecordError(_field_problem(list(raw), row))
-        return _finish([cols], tables, roster)
+        return _finish([(cols, tables)], roster)
 
     def record(self, i):
         """Row view: plate appearance `i` as a dict of its CSV fields,
@@ -220,11 +219,6 @@ def _where(data, i):
 _FIELDS = CSV_COLUMNS + OPTIONAL_COLUMNS
 #: the id columns a record must give
 _REQUIRED_IDS = ("game_id", "batter_id", "pitcher_id", "ballpark_id")
-
-
-def _id_tables():
-    """Empty id tables, id -> code, one per id coding of _CODED."""
-    return {"game": {}, "player": {}, "park": {}}
 
 
 def _codes(values, coding, tables, blank_absent):
@@ -279,16 +273,18 @@ def _by_record(raw):
     return {f: (values, np.arange(len(values))) for f, values in raw.items()}
 
 
-def _code_columns(raw, tables):
+def _code_columns(raw):
     """Code a block of records given column by column, raw[f] = (values,
     inverse), record r having the value values[inverse[r]] in field f:
-    (SeasonDataset columns, mask of malformed records).  A record is
+    (SeasonDataset columns, id tables of their own, id -> code, one per id
+    coding of _CODED, mask of malformed records).  A record is
     malformed where `_field_problem` finds a problem: a number that does
     not parse, a state out of range, bad coordinates, an empty required
     id, a '#' game id.  Each value is converted, checked and coded once,
     and the results are gathered by `inverse`."""
     n = len(raw["game_id"][1])
     absent = ([""], np.zeros(n, np.intp))  # an optional column not given
+    tables = {"game": {}, "player": {}, "park": {}}
     malformed = np.zeros(n, dtype=bool)
     cols = {}
     for name in _INT_COLUMNS:
@@ -325,35 +321,35 @@ def _code_columns(raw, tables):
                                 name in ("runner", "fielder"))[inverse])
         cols[name] = parts[0] if len(parts) == 1 else \
             np.column_stack(parts).reshape(n, len(parts))
-    return cols, malformed
+    return cols, tables, malformed
 
 
-def _renumber(index, columns):
-    """Recode id columns (in place) into the sorted ids they use; returns
-    those ids."""
-    ids = list(index)
-    used = np.zeros(len(ids) + 1, dtype=bool)
-    for codes in columns:
-        used[codes] = True  # absent (-1) marks the spare last slot
-    order = sorted(np.flatnonzero(used[:-1]).tolist(), key=ids.__getitem__)
-    recode = np.full(len(ids) + 1, -1, dtype=np.int32)
-    recode[order] = np.arange(len(order))
-    for codes in columns:
-        codes[...] = recode[codes]
-    return [ids[k] for k in order]
-
-
-def _finish(blocks, tables, roster=None):
-    """Join coded blocks into a SeasonDataset with sorted id tables.  Each
-    column is dropped from its block as it is joined, so the blocks and
-    the joined columns are never all held at once."""
-    cols = {name: np.concatenate([b.pop(name) for b in blocks])
-            for name in list(blocks[0])}
+def _finish(blocks, roster=None):
+    """Join blocks of (SeasonDataset columns, id table -> their ids in code
+    order) into a SeasonDataset with id tables of the sorted ids its records
+    use.  Blocks are recoded in place and each column leaves its block as it
+    is joined, so the blocks and the joined columns are never all held."""
+    ids = {}
+    for t in blocks[0][1]:
+        names = [name for name, _, coding in _CODED if coding == t]
+        used = set()
+        for cols, tables in blocks:
+            seen = np.zeros(len(tables[t]) + 1, dtype=bool)
+            for name in names:
+                seen[cols[name]] = True  # absent (-1) marks the last slot
+            used.update(compress(tables[t], seen))
+        ids[t] = sorted(used)
+        index = {i: k for k, i in enumerate(ids[t])}
+        for cols, tables in blocks:
+            recode = np.array([index.get(i, -1) for i in tables[t]] + [-1],
+                              np.int32)  # absent (-1) stays absent
+            for name in names:
+                cols[name][...] = recode[cols[name]]
+    cols = {name: np.concatenate([b.pop(name) for b, _ in blocks])
+            for name in list(blocks[0][0])}
     for name, _, coding in _CODED:
         if not isinstance(coding, str):
             np.maximum(cols[name], -1, out=cols[name])
-    ids = {t: _renumber(index, [cols[name] for name, _, c in _CODED if c == t])
-           for t, index in tables.items()}
     return SeasonDataset(cols, ids["game"], ids["player"], ids["park"], roster)
 
 
@@ -538,17 +534,22 @@ class _Text:
         "" when the text is used up.
 
         Text with no such line end is one record, the chunk's first.  Once
-        `_malformed` finds malformed CSV in it, that record is malformed
-        whatever follows, and the chunk ends where the text is read to: a
-        stray quote, or a quote never closed, after which no line end is
-        outside quotes, does not make one chunk of the rest of the text."""
+        its error is known whatever follows, the chunk ends where the text
+        is read to: once `_malformed` finds malformed CSV, or a quoted field
+        is open with more than csv.field_size_limit() characters after its
+        last quote.  So a stray quote, or a quote never closed, after which
+        no line end is outside quotes, does not make one chunk of the rest
+        of the text."""
         parts, quotes = [self.rest], self.rest.count('"')
+        since = len(self.rest) - self.rest.rfind('"') - 1
         # the text not yet checked, after the character before it, and the
         # quotes before it; the chunk starts a record, as a line end does
         tail, prior = "\n" + self.rest, 0
         while piece := self.source.read(_CHUNK_CHARS):
-            if '"' in piece:  # a fast scan, where counting is not
+            last = piece.rfind('"')  # a fast scan, where counting is not
+            if last >= 0:
                 quotes += piece.count('"')
+            since = len(piece) - last - 1 if last >= 0 else since + len(piece)
             before, end = quotes, len(piece)  # the quotes before piece[end]
             while cut := piece.rfind("\n", 0, end) + 1:
                 before -= piece.count('"', cut, end)
@@ -559,7 +560,8 @@ class _Text:
                 end = cut - 1
             parts.append(piece)
             window = tail + piece
-            if _malformed(window, prior):
+            if _malformed(window, prior) or \
+                    quotes % 2 and since > csv.field_size_limit():
                 break
             tail, prior = window[-2:], quotes - (window[-1] == '"')
         self.rest = ""
@@ -629,6 +631,26 @@ def _records_before(sep, text, position):
     return sep[:ends[k - 1] + 1] if k else sep[:0]
 
 
+def _past_limit(pad, quote, end, limit):
+    """The byte position in text `pad` of the first character past `limit`
+    of a quoted field, or math.inf.  `quote` holds its quote positions, and
+    a field left open ends at byte `end`.  An even number of quotes come
+    before one that opens a field, an odd number before one that closes
+    it, unless the quote is one of a doubled quote."""
+    odd = np.arange(len(quote)) % 2 == 1
+    opens = quote[~odd & (pad[quote - 1] != ord('"'))]
+    closes = np.append(quote[odd & (pad[quote + 1] != ord('"'))], end)
+    closes = closes[:len(opens)]  # opens and closes alternate
+    for j in np.flatnonzero(closes - opens - 1 > limit):  # bytes >= characters
+        o, c = int(opens[j]), int(closes[j])
+        field = pad[o + 1:c].tobytes().decode("utf-8", "surrogatepass")
+        value = field.replace('""', '"')
+        if len(value) > limit:
+            first = field[:limit + value[:limit].count('"')]
+            return o + 1 + len(first.encode("utf-8", "surrogatepass"))
+    return math.inf
+
+
 def _tokenized(data, header):
     """Split a chunk of whole records, UTF-8 encoded, at its ',' and '\\n'
     outside quotes with array operations: a separator is outside quotes
@@ -638,7 +660,10 @@ def _tokenized(data, header):
     text breaks off after them or None).  A record with a wrong field
     count has "" in every field.  The text breaks off at the first record
     with malformed CSV (`_MALFORMED`) or a field longer than
-    csv.field_size_limit(); only the records before it are read."""
+    csv.field_size_limit(), as it shows first (a quoted field that passes
+    the limit is too long whatever follows); only the records before it
+    are read."""
+    end = len(data)  # where a quote never closed shows
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = data + bytes(8)
@@ -646,7 +671,9 @@ def _tokenized(data, header):
     text = pad[:len(data)]
     newline = text == ord("\n")
     sep = np.flatnonzero(newline | (text == ord(",")))
-    bad = len(data)  # where the first malformed CSV is
+    bad = past = math.inf  # where malformed CSV, a quoted field too long show
+    limit = csv.field_size_limit()
+    too_long = f"field larger than field limit ({limit})"
     quoted = b'"' in data
     if quoted:
         is_quote = text == ord('"')
@@ -654,18 +681,21 @@ def _tokenized(data, header):
         sep = sep[~np.bitwise_xor.accumulate(is_quote)[sep]]  # even counts
         ok = _quotes_ok(pad, quote, 0)
         ok[0] |= quote[0] == 0
-        ok[-1] &= len(quote) % 2 == 0  # else it opens a field never closed
         if not ok.all():
             bad = quote[np.argmin(ok)]
+        elif len(quote) % 2:  # the last quote opens a field never closed
+            bad = end
+        past = _past_limit(pad, quote, end, limit)
     if b"\r" in data:
         cr = np.flatnonzero(text == ord("\r"))
         lone = cr[pad[cr + 1] != ord("\n")]
-        bad = min(bad, lone[0]) if len(lone) else bad
+        bad = min(bad, lone[0] + 1) if len(lone) else bad  # after the '\r'
     if b"\0" in data:
         bad = min(bad, data.index(b"\0"))
     broken = None
-    if bad < len(data):
-        broken, sep = _MALFORMED, _records_before(sep, text, bad)
+    if min(bad, past) < math.inf:
+        broken = _MALFORMED if bad < past else too_long
+        sep = _records_before(sep, text, min(bad, past))
     # the field that each separator ends, and one more, empty, that stands
     # for every field of a record with a wrong field count
     begins = np.concatenate([[0], sep + 1])
@@ -682,10 +712,9 @@ def _tokenized(data, header):
         value = buf[begins[j]:begins[j] + lengths[j]]
         return value.decode("utf-8", "surrogatepass").replace('""', '"')
 
-    limit = csv.field_size_limit()
     for j in np.flatnonzero(lengths > limit).tolist():  # bytes >= characters
         if len(field(j)) > limit:
-            broken = f"field larger than field limit ({limit})"
+            broken = too_long
             sep = _records_before(sep, text, begins[j])
             begins, lengths = begins[:len(sep) + 1], lengths[:len(sep) + 1]
             lengths[-1] = 0
@@ -728,9 +757,8 @@ def _coded_chunk(header, strict, data):
     its own and checked: the work of a parse worker.  Its error is the
     first of: a record that breaks a check in strict mode, an unknown
     event in either mode; no record after it is checked."""
-    tables = _id_tables()
     raw, short, row, lines, broken = _tokenized(data, header)
-    cols, malformed = _code_columns(raw, tables)
+    cols, tables, malformed = _code_columns(raw)
     rules = list(_rules(cols))
     flagged = np.logical_or.reduce(
         [malformed, short, cols["event"] < 0] + [m for m, _ in rules])
@@ -754,20 +782,6 @@ def _coded_chunk(header, strict, data):
                   int(flagged.sum()), warnings, lines, error, broken)
 
 
-def _recoded(part, tables):
-    """The columns of a _Chunk, their id codes moved (in place) from the
-    chunk's id tables into the season's growing `tables`."""
-    cols = part.columns
-    for t, ids in part.ids.items():
-        index = tables[t]
-        recode = np.array([index.setdefault(i, len(index)) for i in ids]
-                          + [-1], np.int32)  # absent (-1) stays absent
-        for name, _, coding in _CODED:
-            if coding == t:
-                cols[name] = recode[cols[name]]
-    return cols
-
-
 def parse_season(source, strictness="strict"):
     """Parse a season CSV into a SeasonDataset.
 
@@ -784,7 +798,9 @@ def parse_season(source, strictness="strict"):
     Malformed CSV raises RecordError naming the line its record starts
     on, in either mode: a quote inside a bare field, text after a closing
     quote, a quote never closed, a '\\r' outside a '\\r\\n' line end, a
-    NUL.  So does a field longer than csv.field_size_limit().
+    NUL.  So does a field longer than csv.field_size_limit(); a quoted
+    field that passes it before malformed CSV shows is too long, whatever
+    follows in its record.
 
     The text after the header is read _CHUNK_CHARS characters at a time
     and cut at line ends outside quotes.  A chunk is split at its ',' and
@@ -831,7 +847,6 @@ def parse_season(source, strictness="strict"):
         raise SchemaError(f"bad header: duplicated columns {duplicated}")
 
     report = ValidationReport()
-    tables = _id_tables()
     blocks = []
     line = comments + reader.line_num
     text = _Text(source)
@@ -847,9 +862,9 @@ def parse_season(source, strictness="strict"):
             line += part.lines
             report.warnings.extend(part.warnings)
             report.dropped += part.dropped
-            blocks.append(_recoded(part, tables))
+            blocks.append((part.columns, part.ids))
 
-    dataset = _finish(blocks, tables) if blocks else \
+    dataset = _finish(blocks) if blocks else \
         SeasonDataset.from_columns(dict.fromkeys(header, ()))
     breaks = _chain_messages(dataset)
     if strict and breaks:
@@ -873,27 +888,33 @@ def _csv_columns(d, index=slice(None)):
     return [out[f] for f in _FIELDS]
 
 
+def _writer(out, header):
+    """A csv.writer with '\\n' line ends on the text file `out`, after the
+    `header` row it writes: the dialect of every CSV output."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    return writer
+
+
+def csv_text(header, rows):
+    """The CSV text of a `header` row and `rows`, as every CSV output is
+    written: a float as its repr, None as an empty field."""
+    out = io.StringIO()
+    _writer(out, header).writerows(rows)
+    return out.getvalue()
+
+
 def season_writer(out):
     """A csv.writer of the canonical season CSV on the text file `out`,
     after the header it writes: each row it is given holds the fields of
     one record in CSV_COLUMNS + OPTIONAL_COLUMNS order, None or "" where
     absent."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_FIELDS)
-    return writer
-
-
-def season_csv(rows):
-    """The canonical CSV string of a season given as rows of its fields,
-    as `season_writer` takes them."""
-    out = io.StringIO()
-    season_writer(out).writerows(rows)
-    return out.getvalue()
+    return _writer(out, _FIELDS)
 
 
 def serialize_season(dataset):
     """Serialize a SeasonDataset to its canonical CSV string."""
-    return season_csv(zip(*_csv_columns(dataset)))
+    return csv_text(_FIELDS, zip(*_csv_columns(dataset)))
 
 
 # Team aggregation.  The schema carries no team column; game ids of the

@@ -150,33 +150,28 @@ def logistic_fit(V, y):
     scales[scales == 0.0] = 1.0
 
     keep = _independent_columns(V.T @ V, n)
+    Vk = V[:, keep]
     beta = np.zeros(p)
-    converged = False
-    separated = False
+    converged = separated = False
     it = 0
     for it in range(1, MAX_IRLS_ITER + 1):
         mu = _sigmoid(V @ beta)
-        w = mu * (1.0 - mu)
-        score = V.T @ (y - mu)
-        if np.linalg.norm(score[keep]) < IRLS_TOL * n:
+        score = Vk.T @ (y - mu)
+        if np.linalg.norm(score) < IRLS_TOL * n:
             converged = True
             break
-        Vk = V[:, keep]
+        w = mu * (1.0 - mu)
         H = Vk.T @ (Vk * w[:, None])
         try:
-            step = np.linalg.solve(H, (Vk.T @ (y - mu)))
+            step = np.linalg.solve(H, score)
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(H, Vk.T @ (y - mu), rcond=None)
+            step, *_ = np.linalg.lstsq(H, score, rcond=None)
         beta[keep] += step
         if np.linalg.norm(beta * scales) > SEPARATION_NORM:
             separated = True
             break
-    return LogisticFit(
-        coefficients=beta,
-        converged=converged,
-        iterations=it,
-        separated=separated,
-    )
+    return LogisticFit(coefficients=beta, converged=converged, iterations=it,
+                       separated=separated)
 
 
 def scott_bandwidth(coords):

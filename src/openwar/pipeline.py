@@ -9,12 +9,12 @@ bootstrap resampling.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .defense import _FIELDING_COLS, apportion_defense
+from .events import csv_text
 from .offense import apportion_offense
 from .run_expectancy import _deltas, estimate_matrix
 from .valuation import (
@@ -47,22 +47,17 @@ class SeasonLedger:
         gx, gy = np.meshgrid(np.arange(-400.0, 425.0, 25.0),
                              np.arange(0.0, 425.0, 25.0))
         vals = self.defense.surface.evaluate_binned(gx.ravel(), gy.ravel())
-        out = io.StringIO()
-        out.write("x,y,p_out\n")
-        for x, y, v in zip(gx.ravel(), gy.ravel(), vals):
-            out.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")
-        return out.getvalue()
+        return csv_text(("x", "y", "p_out"), zip(
+            gx.ravel().tolist(), gy.ravel().tolist(), vals.tolist()))
 
     def fielding_models_csv(self):
-        out = io.StringIO()
-        out.write("position,term,coefficient\n")
+        rows = []
         for pos, model in self.defense.fielding_models.items():
+            terms = zip(_FIELDING_COLS, model.coefficients.tolist())
             if model.constant_rate is not None:
-                out.write(f"{pos},constant_rate,{float(model.constant_rate)!r}\n")
-                continue
-            for term, coef in zip(_FIELDING_COLS, model.coefficients):
-                out.write(f"{pos},{term},{float(coef)!r}\n")
-        return out.getvalue()
+                terms = [("constant_rate", float(model.constant_rate))]
+            rows += [(pos, *term) for term in terms]
+        return csv_text(("position", "term", "coefficient"), rows)
 
 
 def _credit_table(data, offense, defense):

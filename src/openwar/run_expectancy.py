@@ -12,13 +12,12 @@ the quantity usually called RE24.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .events import LIVE_STATES, _half_inning_starts
+from .events import LIVE_STATES, _half_inning_starts, csv_text
 
 __all__ = ["RunExpectancyMatrix", "estimate_matrix", "run_value"]
 
@@ -33,12 +32,9 @@ class RunExpectancyMatrix:
     sample_counts: np.ndarray
 
     def to_csv(self):
-        out = io.StringIO()
-        out.write("outs,bases_mask,rho,n\n")
-        for o, b in LIVE_STATES:
-            out.write(f"{o},{b},{float(self.rho[o, b])!r},"
-                      f"{self.sample_counts[o, b]}\n")
-        return out.getvalue()
+        return csv_text(("outs", "bases_mask", "rho", "n"), (
+            (o, b, float(self.rho[o, b]), int(self.sample_counts[o, b]))
+            for o, b in LIVE_STATES))
 
 
 def estimate_matrix(data):

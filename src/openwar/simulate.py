@@ -441,7 +441,7 @@ def generate_synthetic_season(games, seed, event_probs=None, teams=4):
 def synthetic_season_rows(games, seed, event_probs=None, teams=4):
     """The season of `generate_synthetic_season` as (rows, roster): one
     list per plate appearance of its fields in CSV_COLUMNS +
-    OPTIONAL_COLUMNS order (None or "" where absent), as `season_csv`
+    OPTIONAL_COLUMNS order (None or "" where absent), as `season_writer`
     writes them, and player id -> name."""
     batches, roster = synthetic_season_batches(games, seed, event_probs, teams)
     return list(chain.from_iterable(batches)), roster

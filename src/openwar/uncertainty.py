@@ -43,13 +43,12 @@ WorkerError in the caller once every worker has exited.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .events import csv_text
 from .forking import WorkerError, ordered
 from .numerics import empirical_quantiles, replicate_rng
 
@@ -93,13 +92,9 @@ class WarDistribution:
     quantiles: np.ndarray  # (players, probs)
 
     def quantile_csv(self):
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["player_id", "name",
-                         *(f"q{100 * p:g}" for p in self.probs)])
-        writer.writerows(zip(self.players, self.names,
-                             *self.quantiles.T.tolist()))
-        return out.getvalue()
+        return csv_text(
+            ("player_id", "name", *(f"q{100 * p:g}" for p in self.probs)),
+            zip(self.players, self.names, *self.quantiles.T.tolist()))
 
 
 def bootstrap_war(credits, valuation, config):

@@ -13,14 +13,14 @@ WAR are derived.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .events import csv_text
 
 __all__ = [
     "COMPONENTS",
@@ -234,11 +234,7 @@ def _rows(valuation):
 
 
 def valuation_csv(valuation):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_COLUMNS)
-    writer.writerows(_rows(valuation))
-    return out.getvalue()
+    return csv_text(_COLUMNS, _rows(valuation))
 
 
 def valuation_json(valuation, config):

@@ -10,10 +10,15 @@ import openwar
 from openwar.events import BALL_IN_PLAY, EVENT_TYPES, SeasonDataset
 from openwar.numerics import (
     BIN_STEP,
+    IRLS_TOL,
     MAX_GRID_NODES,
+    MAX_IRLS_ITER,
     MIN_KERNEL_WEIGHT,
+    SEPARATION_NORM,
     LinearFit,
+    LogisticFit,
     _independent_columns,
+    _sigmoid,
     replicate_rng,
 )
 from openwar.offense import _MIN_RANK
@@ -111,6 +116,42 @@ def ols_fit(names, V, y):
     fitted = V @ beta
     dropped = [name for j, name in enumerate(names) if j not in keep]
     return LinearFit(dict(zip(names, beta)), y - fitted, fitted, dropped)
+
+
+def logistic_reference(V, y):
+    """`numerics.logistic_fit` on a binary response `y`, as a Newton loop
+    that takes the kept columns of the design `V` and forms the score
+    afresh at each use: the score over every column for the stopping
+    test, and over the kept ones for the step.  The reference the
+    solver's iterates, step counts and flags are held to."""
+    y = np.asarray(y, dtype=float)
+    V = np.asarray(V, dtype=float)
+    n, p = V.shape
+    scales = V.std(axis=0)
+    scales[scales == 0.0] = 1.0
+    keep = _independent_columns(V.T @ V, n)
+    beta = np.zeros(p)
+    converged = separated = False
+    it = 0
+    for it in range(1, MAX_IRLS_ITER + 1):
+        mu = _sigmoid(V @ beta)
+        w = mu * (1.0 - mu)
+        score = V.T @ (y - mu)
+        if np.linalg.norm(score[keep]) < IRLS_TOL * n:
+            converged = True
+            break
+        Vk = V[:, keep]
+        H = Vk.T @ (Vk * w[:, None])
+        try:
+            step = np.linalg.solve(H, (Vk.T @ (y - mu)))
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(H, Vk.T @ (y - mu), rcond=None)
+        beta[keep] += step
+        if np.linalg.norm(beta * scales) > SEPARATION_NORM:
+            separated = True
+            break
+    return LogisticFit(coefficients=beta, converged=converged,
+                       iterations=it, separated=separated)
 
 
 def binned_full_grid(surface, x, y):

@@ -30,7 +30,6 @@ from openwar.events import (
     _by_record,
     _code_columns,
     _field_problem,
-    _id_tables,
     _problems,
     _rules,
 )
@@ -389,8 +388,8 @@ def test_array_checks_agree_with_scalar_checks(row, column, value):
     with exactly the scalar messages."""
     rows = [list(r) for r in _ROWS]
     rows[row][column] = value
-    cols, malformed = _code_columns(
-        _by_record(dict(zip(_HEADER, map(list, zip(*rows))))), _id_tables())
+    cols, _, malformed = _code_columns(
+        _by_record(dict(zip(_HEADER, map(list, zip(*rows))))))
     rules = list(_rules(cols))
     flagged = np.logical_or.reduce(
         [malformed, cols["event"] < 0] + [m for m, _ in rules])
@@ -653,6 +652,30 @@ def _bare_quote(raw, row):
     return False
 
 
+def _past_limit(text, limit):
+    """The index in `text` of the first character of a quoted field that
+    comes after `limit` characters of it, reading fields as csv.reader
+    does, or None."""
+    quoted, at = False, 0
+    while at < len(text):
+        c = text[at]
+        if quoted and c == '"' and text[at + 1:at + 2] != '"':
+            quoted = False
+        elif quoted:
+            if count == limit:
+                return at
+            count += 1
+            at += c == '"'  # a doubled quote is one character
+        elif c == '"' and (at == 0 or text[at - 1] in ",\n"):
+            quoted, count = True, 0
+        at += 1
+    return None
+
+
+def _nul_or_lone_cr(raw):
+    return "\0" in raw or re.search("\r(?!\n)", raw + "\n")
+
+
 def _oracle(text, strictness):
     """What parse_season makes of `text`, a drawn season whose header is
     its first line, in the form of `_outcome`, as csv.reader(strict=True)
@@ -662,28 +685,39 @@ def _oracle(text, strictness):
     or that holds a field over csv.field_size_limit(), are coded one at a
     time by the library's row path (`_field_problem`, `_rules`,
     `SeasonDataset.from_columns`); then that record raises RecordError
-    naming its first line."""
+    naming its first line.  A quoted field read past the limit ends the
+    text there, as csv.reader stops at it: its record is too long, unless
+    malformed CSV shows before that point."""
     limit = csv.field_size_limit(sys.maxsize)  # checked after the rules
+    too_long = f"field larger than field limit ({limit})"
     try:
-        body = io.StringIO(text.partition("\n")[2]).readlines()
+        body = text.partition("\n")[2]
+        past = _past_limit(body, limit)
+        body = io.StringIO(body[:past]).readlines()
         reader = csv.reader(body, strict=True)
         rows, broken = [], None
         while True:
             line = reader.line_num
             try:
                 row = next(reader, None)
-            except csv.Error:
+            except csv.Error as exc:
                 broken = events._MALFORMED
+                raw = "".join(body[line:])
+                if past is not None and str(exc) == "unexpected end of data":
+                    # the field cut at the limit, closed to read its record
+                    row = next(csv.reader([raw + '"']))
+                    if not (_nul_or_lone_cr(raw)
+                            or _bare_quote(raw + '"', row)):
+                        broken = too_long
                 break
             if row is None:
                 break
             raw = "".join(body[line:reader.line_num])
-            if "\0" in raw or re.search("\r(?!\n)", raw + "\n") or \
-                    _bare_quote(raw, row):
+            if _nul_or_lone_cr(raw) or _bare_quote(raw, row):
                 broken = events._MALFORMED
                 break
             if any(len(value) > limit for value in row):
-                broken = f"field larger than field limit ({limit})"
+                broken = too_long
                 break
             if row:
                 rows.append(row)
@@ -696,8 +730,8 @@ def _oracle(text, strictness):
             fields = dict(zip(_HEADER, row))
             message = _field_problem(_HEADER, row)
             if not message:
-                cols, _ = _code_columns(_by_record(
-                    {f: [v] for f, v in fields.items()}), _id_tables())
+                cols, *_ = _code_columns(_by_record(
+                    {f: [v] for f, v in fields.items()}))
                 problems = _problems(list(_rules(cols)), cols, 0, fields)
                 if not problems:
                     kept.append(row)
@@ -873,6 +907,35 @@ def test_long_field_names_the_line_its_record_starts_on(strictness):
     assert str(exc.value) == "line 5: field larger than field limit (30)"
 
 
+@pytest.mark.parametrize("chunk", [1 << 20, 64])
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+@pytest.mark.parametrize("long_first", [True, False])
+def test_a_quoted_field_past_the_limit_is_too_long_whatever_follows(
+        long_first, strictness, chunk, monkeypatch):
+    """A quoted field that passes the field limit makes its record too
+    long, as csv.reader stops at it, though a quote out of place follows
+    it in the record; a quote out of place before it makes the record
+    malformed CSV."""
+    monkeypatch.setattr(events, "_CHUNK_CHARS", chunk)
+    lines = _csv(_ROWS).splitlines(keepends=True)
+    cells = lines[4].split(",")
+    long, stray = (_HEADER.index(c) for c in ("batter_id", "pitcher_id"))
+    if not long_first:
+        long, stray = stray, long
+    cells[long] = _quoted("B" * 40)
+    cells[stray] = 'P"1'
+    lines[4] = ",".join(cells)
+    previous = csv.field_size_limit(30)
+    try:
+        with pytest.raises(RecordError) as exc:
+            parse_season("".join(lines), strictness)
+    finally:
+        csv.field_size_limit(previous)
+    assert str(exc.value) == "line 5: " + (
+        "field larger than field limit (30)" if long_first
+        else events._MALFORMED)
+
+
 def _read_in_pieces(text, strictness, monkeypatch):
     """What parse_season makes of `text` under a field limit of 30, read
     64 characters at a time, with the largest chunk it read, and what it
@@ -933,6 +996,51 @@ def test_a_quote_never_closed_does_not_grow_the_chunk(season, strictness,
     assert size <= len(lines[10]) + 2 * 64
     assert outcome == whole == \
         (RecordError, f"line 11: {events._MALFORMED}")
+
+
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+def test_a_quote_never_closed_in_bare_text_does_not_grow_the_chunk(
+        season, strictness, monkeypatch):
+    """Bare text whose first field on line 11 opens with a quote that no
+    quote after it closes has an odd number of quotes before every later
+    line end, so the chunk it starts in would run on to the end of the
+    text.  It ends within a read of the field passing the field limit
+    instead, and the record is too long, as csv.reader reads it, also in
+    one chunk."""
+    lines = serialize_season(season).splitlines(keepends=True)
+    lines[10] = '"' + lines[10]
+    assert "".join(lines).count('"') == 1
+    outcome, size, whole = _read_in_pieces("".join(lines), strictness,
+                                           monkeypatch)
+    assert size <= len(lines[10]) + 2 * 64
+    assert outcome == whole == \
+        (RecordError, "line 11: field larger than field limit (30)")
+
+
+def test_id_tables_hold_only_the_ids_of_kept_records(season, monkeypatch):
+    """Three batters with one record each, each record malformed, one in
+    the first chunk, one in a middle chunk and one in the last: a lenient
+    parse with one worker and with two drops the three records and codes
+    the same columns and id tables as the text without them."""
+    lines = serialize_season(season).splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split(",")
+    marked = (1, len(lines) // 2, len(lines) - 1)
+    for k in marked:
+        fields = lines[k].rstrip("\n").split(",")
+        fields[header.index("batter_id")] = f"ONLY{k}"
+        fields[header.index("half")] = "middle"
+        lines[k] = ",".join(fields) + "\n"
+    text = "".join(lines)
+    kept = "".join(line for k, line in enumerate(lines) if k not in marked)
+    monkeypatch.setattr(events, "_CHUNK_CHARS", 1 << 13)
+    assert len(text) >> 13 > 50
+    for workers in (1, 2):
+        monkeypatch.setattr(forking, "usable_cpus", lambda w=workers: w)
+        data, report = parse_season(text, "lenient")
+        assert report.dropped == 3
+        assert not {f"ONLY{k}" for k in marked} & set(data.player_ids)
+        assert _outcome(text, "lenient")[:4] == _outcome(kept, "lenient")[:4]
+        _no_child_left()
 
 
 def test_quoted_and_bare_ids_share_a_code():

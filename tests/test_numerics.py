@@ -21,11 +21,15 @@ from openwar.numerics import (
     scott_bandwidth,
 )
 
+from openwar.defense import _fielding_design
+from openwar.events import _IN_PLAY, FIELDING_POSITIONS
+
 from fixtures import (
     assert_same_fit,
     binned_full_grid,
     coefs,
     dense_design,
+    logistic_reference,
     ols_fit,
 )
 
@@ -167,6 +171,43 @@ def test_logistic_flags_separation():
     fit = logistic_fit(V, y)
     assert fit.separated
     assert not fit.converged
+
+
+def _fielding_responses(season):
+    """The (k, 6) fielding design of the season's balls in play, and the
+    response of each of the nine positions over it."""
+    bip = np.flatnonzero(_IN_PLAY[season.event])
+    design = _fielding_design(np.column_stack([season.bip_x[bip],
+                                               season.bip_y[bip]]))
+    return design, [(season.credited[bip] == j).astype(float)
+                    for j in range(len(FIELDING_POSITIONS))]
+
+
+def test_newton_steps_keep_the_reference_iterates(season):
+    """Each Newton step forms its score once, and the nine fielding fits
+    of the session season keep the reference loop's coefficient bytes,
+    step counts and flags."""
+    design, responses = _fielding_responses(season)
+    for y in responses:
+        fit, ref = logistic_fit(design, y), logistic_reference(design, y)
+        assert fit.coefficients.tobytes() == ref.coefficients.tobytes()
+        assert (fit.iterations, fit.converged, fit.separated) == \
+            (ref.iterations, ref.converged, ref.separated)
+
+
+def test_newton_steps_skip_a_collinear_column(season):
+    """A design column that is the sum of two others is dropped from the
+    steps, its coefficient pinned at 0, with the reference loop's step
+    counts and flags and its coefficients to 1e-12 relative."""
+    design, responses = _fielding_responses(season)
+    V = np.column_stack([design, design[:, 1] + design[:, 2]])
+    for y in responses:
+        fit, ref = logistic_fit(V, y), logistic_reference(V, y)
+        assert fit.coefficients[-1] == ref.coefficients[-1] == 0.0
+        assert (fit.iterations, fit.converged, fit.separated) == \
+            (ref.iterations, ref.converged, ref.separated)
+        np.testing.assert_allclose(fit.coefficients, ref.coefficients,
+                                   rtol=1e-12, atol=0)
 
 
 def test_logistic_rejects_degenerate_response():

@@ -173,7 +173,7 @@ def cmd_validate(args):
     print(f"dropped: {report.dropped}")
     for w in report.warnings:
         print(f"warning: {w}")
-    if report.dropped or report.errors:
+    if report.dropped:
         return EXIT_VALIDATION
     print("ok")
     return EXIT_OK

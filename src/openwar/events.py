@@ -533,23 +533,16 @@ class _Text:
         the last record goes without its '\\n' only at the end of the text.
         "" when the text is used up.
 
-        Text with no such line end is one record, the chunk's first.  Once
-        its error is known whatever follows, the chunk ends where the text
-        is read to: once `_malformed` finds malformed CSV, or a quoted field
-        is open with more than csv.field_size_limit() characters after its
-        last quote.  So a stray quote, or a quote never closed, after which
-        no line end is outside quotes, does not make one chunk of the rest
-        of the text."""
-        parts, quotes = [self.rest], self.rest.count('"')
-        since = len(self.rest) - self.rest.rfind('"') - 1
-        # the text not yet checked, after the character before it, and the
-        # quotes before it; the chunk starts a record, as a line end does
-        tail, prior = "\n" + self.rest, 0
+        Text with no such line end is one record, the chunk's first.  The
+        chunk ends where the text is read to once `_broken` finds it broken
+        whatever follows, so a stray quote, or a quote never closed, does
+        not make one chunk of the rest of the text.  A piece with no line
+        end outside quotes is checked with only the text before it that it
+        can break: its last byte, or its quoted field that may be open."""
+        parts, quotes, carry = [self.rest], self.rest.count('"'), b""
         while piece := self.source.read(_CHUNK_CHARS):
-            last = piece.rfind('"')  # a fast scan, where counting is not
-            if last >= 0:
+            if '"' in piece:  # a fast scan, where counting is not
                 quotes += piece.count('"')
-            since = len(piece) - last - 1 if last >= 0 else since + len(piece)
             before, end = quotes, len(piece)  # the quotes before piece[end]
             while cut := piece.rfind("\n", 0, end) + 1:
                 before -= piece.count('"', cut, end)
@@ -559,38 +552,70 @@ class _Text:
                     return "".join(parts)
                 end = cut - 1
             parts.append(piece)
-            window = tail + piece
-            if _malformed(window, prior) or \
-                    quotes % 2 and since > csv.field_size_limit():
+            # the chunk starts a field, as the text carried from a check does
+            fresh = piece if carry else self.rest + piece
+            text = b"".join((carry, fresh.encode("utf-8", "surrogatepass"),
+                             b"\n"))
+            at, _, resume = _broken(text, len(text) - 1, False)
+            if at < math.inf:
                 break
-            tail, prior = window[-2:], quotes - (window[-1] == '"')
+            carry = text[resume:-1]
         self.rest = ""
         return "".join(parts)
 
 
-def _quotes_ok(pad, quote, before):
-    """Which quotes, at byte positions `quote` of `pad`, keep the quote
-    rule, `before` quotes coming before the first: an even number come
-    before one that opens a field or is the second of a doubled quote,
-    which follows a separator or a quote; an odd number before one that
-    closes a field or is the first of a doubled quote, which a separator
-    or a quote follows."""
-    closes = np.arange(before, before + len(quote)) % 2 == 1
-    return _BESIDE_QUOTE[np.where(closes, pad[quote + 1], pad[quote - 1])]
-
-
-def _malformed(window, before):
-    """Whether text `window` holds malformed CSV that no text after it can
-    mend, `before` quotes coming before window[1]: a quote that breaks the
-    quote rule, a '\\r' outside a '\\r\\n' line end, a NUL.  The first
-    and the last character are read only as neighbours."""
-    text = np.frombuffer(window.encode("utf-8", "surrogatepass"), np.uint8)
-    inner = text[1:-1]
-    quote = np.flatnonzero(inner == ord('"')) + 1
-    cr = np.flatnonzero(inner == ord("\r")) + 1
-    return not (_quotes_ok(text, quote, before).all()
-                and (text[cr + 1] == ord("\n")).all()
-                and inner.all())  # no NUL
+def _broken(buf, end, final):
+    """Where UTF-8 CSV text first breaks, whatever follows it: (its byte
+    position or math.inf, why or None, the byte position from which text
+    that follows can break it: the opening quote of its last quoted field
+    if that may still be open, else its last byte).  The text is buf[:end];
+    it starts a field, and a '\\n' follows it in `buf` unless it ends with
+    one.  It breaks at malformed CSV (`_MALFORMED`): a quote that breaks the
+    quote rule, a '\\r' outside a '\\r\\n' line end, a NUL and, when the
+    text is `final`, a quote never closed; and at the first character of a
+    quoted field past csv.field_size_limit(), counted from its opening
+    quote, which is too long whatever follows in its record."""
+    pad = np.frombuffer(buf, np.uint8)
+    bad = past = math.inf  # where malformed CSV, a quoted field too long show
+    limit, resume = csv.field_size_limit(), end - 1
+    if buf.find(b'"', 0, end) >= 0:
+        quote = np.flatnonzero(pad[:end] == ord('"'))
+        # an even number of quotes come before one that opens a field or is
+        # the second of a doubled quote, which follows a separator or a
+        # quote; an odd number before one that closes a field or is the
+        # first of a doubled quote, which a separator or a quote follows
+        odd = np.arange(len(quote)) % 2 == 1
+        ok = _BESIDE_QUOTE[np.where(odd, pad[quote + 1], pad[quote - 1])]
+        ok[0] |= quote[0] == 0  # the text starts a field
+        if not ok.all():
+            bad = quote[np.argmin(ok)]
+        elif len(quote) % 2 and final:  # a field never closed
+            bad = end
+        opens = quote[~odd & (pad[quote - 1] != ord('"'))]
+        closes = np.append(quote[odd & (pad[quote + 1] != ord('"'))], end)
+        closes = closes[:len(opens)]  # opens and closes alternate
+        # bytes >= characters
+        for j in np.flatnonzero(closes - opens - 1 > limit):
+            o, c = int(opens[j]), int(closes[j])
+            field = buf[o + 1:c].decode("utf-8", "surrogatepass")
+            value = field.replace('""', '"')
+            if len(value) > limit:
+                first = field[:limit + value[:limit].count('"')]
+                past = o + 1 + len(first.encode("utf-8", "surrogatepass"))
+                break
+        if len(quote) % 2 or quote[-1] == end - 1:  # the last field may be open
+            resume = int(opens[-1])
+    if buf.find(b"\r", 0, end) >= 0:
+        cr = np.flatnonzero(pad[:end] == ord("\r"))
+        lone = cr[pad[cr + 1] != ord("\n")]
+        bad = min(bad, lone[0] + 1) if len(lone) else bad  # after the '\r'
+    if (nul := buf.find(b"\0", 0, end)) >= 0:
+        bad = min(bad, nul)
+    if bad < past:
+        return bad, _MALFORMED, resume
+    if past < math.inf:
+        return past, f"field larger than field limit ({limit})", resume
+    return math.inf, None, resume
 
 
 def _field_values(buf, start, length):
@@ -631,26 +656,6 @@ def _records_before(sep, text, position):
     return sep[:ends[k - 1] + 1] if k else sep[:0]
 
 
-def _past_limit(pad, quote, end, limit):
-    """The byte position in text `pad` of the first character past `limit`
-    of a quoted field, or math.inf.  `quote` holds its quote positions, and
-    a field left open ends at byte `end`.  An even number of quotes come
-    before one that opens a field, an odd number before one that closes
-    it, unless the quote is one of a doubled quote."""
-    odd = np.arange(len(quote)) % 2 == 1
-    opens = quote[~odd & (pad[quote - 1] != ord('"'))]
-    closes = np.append(quote[odd & (pad[quote + 1] != ord('"'))], end)
-    closes = closes[:len(opens)]  # opens and closes alternate
-    for j in np.flatnonzero(closes - opens - 1 > limit):  # bytes >= characters
-        o, c = int(opens[j]), int(closes[j])
-        field = pad[o + 1:c].tobytes().decode("utf-8", "surrogatepass")
-        value = field.replace('""', '"')
-        if len(value) > limit:
-            first = field[:limit + value[:limit].count('"')]
-            return o + 1 + len(first.encode("utf-8", "surrogatepass"))
-    return math.inf
-
-
 def _tokenized(data, header):
     """Split a chunk of whole records, UTF-8 encoded, at its ',' and '\\n'
     outside quotes with array operations: a separator is outside quotes
@@ -659,11 +664,9 @@ def _tokenized(data, header):
     with a wrong field count, record k -> its fields, lines read, why the
     text breaks off after them or None).  A record with a wrong field
     count has "" in every field.  The text breaks off at the first record
-    with malformed CSV (`_MALFORMED`) or a field longer than
-    csv.field_size_limit(), as it shows first (a quoted field that passes
-    the limit is too long whatever follows); only the records before it
-    are read."""
-    end = len(data)  # where a quote never closed shows
+    where `_broken` finds it broken, or with a field longer than
+    csv.field_size_limit(); only the records before it are read."""
+    end = len(data)  # where the text ends, before a '\n' added to it
     if not data.endswith(b"\n"):
         data += b"\n"
     buf = data + bytes(8)
@@ -671,31 +674,14 @@ def _tokenized(data, header):
     text = pad[:len(data)]
     newline = text == ord("\n")
     sep = np.flatnonzero(newline | (text == ord(",")))
-    bad = past = math.inf  # where malformed CSV, a quoted field too long show
     limit = csv.field_size_limit()
-    too_long = f"field larger than field limit ({limit})"
     quoted = b'"' in data
     if quoted:
         is_quote = text == ord('"')
-        quote = np.flatnonzero(is_quote)
         sep = sep[~np.bitwise_xor.accumulate(is_quote)[sep]]  # even counts
-        ok = _quotes_ok(pad, quote, 0)
-        ok[0] |= quote[0] == 0
-        if not ok.all():
-            bad = quote[np.argmin(ok)]
-        elif len(quote) % 2:  # the last quote opens a field never closed
-            bad = end
-        past = _past_limit(pad, quote, end, limit)
-    if b"\r" in data:
-        cr = np.flatnonzero(text == ord("\r"))
-        lone = cr[pad[cr + 1] != ord("\n")]
-        bad = min(bad, lone[0] + 1) if len(lone) else bad  # after the '\r'
-    if b"\0" in data:
-        bad = min(bad, data.index(b"\0"))
-    broken = None
-    if min(bad, past) < math.inf:
-        broken = _MALFORMED if bad < past else too_long
-        sep = _records_before(sep, text, min(bad, past))
+    at, broken, _ = _broken(buf, end, True)
+    if broken is not None:
+        sep = _records_before(sep, text, at)
     # the field that each separator ends, and one more, empty, that stands
     # for every field of a record with a wrong field count
     begins = np.concatenate([[0], sep + 1])
@@ -714,7 +700,7 @@ def _tokenized(data, header):
 
     for j in np.flatnonzero(lengths > limit).tolist():  # bytes >= characters
         if len(field(j)) > limit:
-            broken = too_long
+            broken = f"field larger than field limit ({limit})"
             sep = _records_before(sep, text, begins[j])
             begins, lengths = begins[:len(sep) + 1], lengths[:len(sep) + 1]
             lengths[-1] = 0

@@ -1017,6 +1017,51 @@ def test_a_quote_never_closed_in_bare_text_does_not_grow_the_chunk(
         (RecordError, "line 11: field larger than field limit (30)")
 
 
+@pytest.mark.parametrize("strictness", ["strict", "lenient"])
+def test_a_quote_never_closed_before_doubled_quotes_does_not_grow_the_chunk(
+        season, strictness, monkeypatch):
+    """As above, with a doubled quote every 20 characters after the quote
+    that opens line 11: each is one character of the field left open, so
+    the field passes the field limit, counted from its opening quote,
+    though no read goes past the limit after a quote."""
+    lines = serialize_season(season).splitlines(keepends=True)
+    rest = "".join(lines[10:])
+    rest = '""'.join(rest[k:k + 20] for k in range(0, len(rest), 20))
+    text = "".join(lines[:10]) + '"' + rest
+    line = text.splitlines(keepends=True)[10]
+    outcome, size, whole = _read_in_pieces(text, strictness, monkeypatch)
+    assert size <= len(line) + 2 * 64
+    assert outcome == whole == \
+        (RecordError, "line 11: field larger than field limit (30)")
+
+
+@pytest.mark.parametrize("style", ["bare", "R"])
+def test_text_with_no_line_end_is_checked_in_one_pass(season, style,
+                                                      monkeypatch):
+    """Records joined by ',' on one line, bare or quoted as R writes them,
+    leave no line end outside quotes until the last, so every piece read
+    is checked by `_broken`.  Each is checked with only the few bytes
+    before it that it can break, not the chunk read so far: the bytes
+    handed to `_broken` stay within twice the text."""
+    text = serialize_season(season)
+    if style == "R":
+        text = _r_style(text)
+    line = ",".join(text.splitlines()[1:]) + "\n"
+    handed, broken = [], events._broken
+
+    def recorded(buf, end, final):
+        handed.append(len(buf))
+        return broken(buf, end, final)
+
+    monkeypatch.setattr(events, "_broken", recorded)
+    monkeypatch.setattr(events, "_CHUNK_CHARS", 64)
+    chunks = events._Text(io.StringIO(line))
+    assert list(iter(chunks.chunk, "")) == [line]
+    size = len(line.encode("utf-8"))
+    assert len(handed) >= size // 64 - 1
+    assert sum(handed) <= 2 * size
+
+
 def test_id_tables_hold_only_the_ids_of_kept_records(season, monkeypatch):
     """Three batters with one record each, each record malformed, one in
     the first chunk, one in a middle chunk and one in the last: a lenient

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .events import parse_season, season_writer
+from .events import SEASON_HEADER, parse_season
 from .pipeline import run_pipeline
 from .simulate import synthetic_season_batches
 from .uncertainty import (
@@ -191,10 +191,10 @@ def cmd_simulate(args):
     rows = 0
     with open(out, "w", encoding="utf-8") as f:
         f.write(f"# config: {_config_echo(args)}\n")
-        writer = season_writer(f)
+        f.write(SEASON_HEADER)
         for batch in batches:
-            writer.writerows(batch)
-            rows += len(batch)
+            f.write(batch)
+            rows += batch.count("\n")
     print(f"wrote {rows} plate appearances to {args.out}")
     return EXIT_OK
 

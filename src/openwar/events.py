@@ -43,7 +43,7 @@ __all__ = [
     "RecordError",
     "parse_season",
     "csv_text",
-    "season_writer",
+    "SEASON_HEADER",
     "serialize_season",
     "validate_dataset",
     "aggregate_team_totals",
@@ -474,14 +474,16 @@ def validate_dataset(dataset, strict=True):
     return report
 
 
-def _field_problem(header, row):
+def _field_problem(header, row, count=None):
     """The message of the first malformed field of one record's CSV fields
     `row` under `header`, or None: the scalar reference of the `malformed`
-    mask of `_code_columns`, and of a wrong field count."""
+    mask of `_code_columns`, and of a wrong field count.  `count` is the
+    record's field count when `row` holds only its first fields."""
     fields = dict(zip(header, row))
     where = f"game {fields.get('game_id')} pa {fields.get('pa_index')}"
-    if len(row) != len(header):
-        return f"{where}: {len(row)} fields, header has {len(header)}"
+    count = len(row) if count is None else count
+    if count != len(header):
+        return f"{where}: {count} fields, header has {len(header)}"
 
     def number(column, convert, kind):
         try:
@@ -661,8 +663,9 @@ def _tokenized(data, header):
     outside quotes with array operations: a separator is outside quotes
     when an even number of quote bytes come before it in the chunk.
     Returns (the `_code_columns` input of its records, mask of records
-    with a wrong field count, record k -> its fields, lines read, why the
-    text breaks off after them or None).  A record with a wrong field
+    with a wrong field count, record k -> (its fields, at most one more
+    than the header has, and its field count), lines read, why the text
+    breaks off after them or None).  A record with a wrong field
     count has "" in every field.  The text breaks off at the first record
     where `_broken` finds it broken, or with a field longer than
     csv.field_size_limit(); only the records before it are read."""
@@ -720,7 +723,9 @@ def _tokenized(data, header):
                for f, (values, inverse) in raw.items()}
 
     def row(k):
-        return [field(j) for j in range(first[k], first[k] + count[k])]
+        n = int(count[k])
+        return [field(j) for j in
+                range(first[k], first[k] + min(n, width + 1))], n
     lines = int(np.count_nonzero(newline[:sep[-1] + 1])) if len(sep) else 0
     return raw, ~whole, row, lines, broken
 
@@ -751,8 +756,8 @@ def _coded_chunk(header, strict, data):
     warnings, error = [], None
     try:
         for k in np.flatnonzero(flagged).tolist():
-            fields = row(k)
-            message = _field_problem(header, fields)
+            fields, count = row(k)
+            message = _field_problem(header, fields, count)
             problems = [message] if message else \
                 _problems(rules, cols, k, dict(zip(header, fields)))
             if strict:
@@ -874,28 +879,19 @@ def _csv_columns(d, index=slice(None)):
     return [out[f] for f in _FIELDS]
 
 
-def _writer(out, header):
-    """A csv.writer with '\\n' line ends on the text file `out`, after the
-    `header` row it writes: the dialect of every CSV output."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    return writer
-
-
 def csv_text(header, rows):
     """The CSV text of a `header` row and `rows`, as every CSV output is
-    written: a float as its repr, None as an empty field."""
+    written: a csv.writer with '\\n' line ends, a float as its repr, None
+    as an empty field."""
     out = io.StringIO()
-    _writer(out, header).writerows(rows)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return out.getvalue()
 
 
-def season_writer(out):
-    """A csv.writer of the canonical season CSV on the text file `out`,
-    after the header it writes: each row it is given holds the fields of
-    one record in CSV_COLUMNS + OPTIONAL_COLUMNS order, None or "" where
-    absent."""
-    return _writer(out, _FIELDS)
+#: the header line of the canonical season CSV
+SEASON_HEADER = csv_text(_FIELDS, ())
 
 
 def serialize_season(dataset):

@@ -89,32 +89,38 @@ def indicator_ols(factors, y, extra=()):
     A factor is (prefix, labels, codes): row r is at level codes[r], whose
     column is named prefix + labels[codes[r]]; levels come in label order.
     Each block of columns (the intercept, a factor, an extra column) has one
-    (column, value) pair per row, so XᵀX and Xᵀy are bincounts of pairs."""
+    (column, value) pair per row, so XᵀX and Xᵀy are bincounts of pairs.
+    An indicator block's values are all ones, and it holds None for them."""
     y = np.asarray(y, dtype=float)
     n = len(y)
     names = ["intercept"]
-    blocks = [(np.zeros(n, dtype=np.intp), np.ones(n))]
+    blocks = [(np.zeros(n, dtype=np.intp), None)]
     for prefix, labels, codes in factors:
         present = np.flatnonzero(np.bincount(codes)).tolist()
         levels = sorted(present, key=labels.__getitem__)
         column = np.zeros(max(levels, default=0) + 1, dtype=np.intp)
         column[levels] = len(names) + np.arange(len(levels))
         names += [f"{prefix}{labels[c]}" for c in levels]
-        blocks.append((column[codes], np.ones(n)))
+        blocks.append((column[codes], None))
     for name, values in extra:
         blocks.append((np.full(n, len(names)), np.asarray(values, dtype=float)))
         names.append(name)
 
+    def times(v, w):  # v * w, where None stands for all ones
+        return w if v is None else v if w is None else v * w
+
     p = len(names)
-    gram = sum(np.bincount(ca * p + cb, weights=va * vb, minlength=p * p)
+    gram = sum(np.bincount(ca * p + cb, weights=times(va, vb),
+                           minlength=p * p).astype(float)
                for ca, va in blocks for cb, vb in blocks).reshape(p, p)
     if np.any(gram.diagonal() == 0.0):
         raise ValueError("design contains an all-zero column")
-    xty = sum(np.bincount(c, weights=v * y, minlength=p) for c, v in blocks)
+    xty = sum(np.bincount(c, weights=times(v, y), minlength=p)
+              for c, v in blocks)
     keep = _independent_columns(gram, n)
     beta = np.zeros(p)
     beta[keep] = np.linalg.solve(gram[np.ix_(keep, keep)], xty[keep])
-    fitted = sum(beta[c] * v for c, v in blocks)
+    fitted = sum(times(beta[c], v) for c, v in blocks)
     dropped = [name for j, name in enumerate(names) if j not in keep]
     return LinearFit(dict(zip(names, beta)), y - fitted, fitted, dropped)
 

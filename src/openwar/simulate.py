@@ -11,8 +11,9 @@ The rules of a play are stated once, in `_OUTCOMES`, `_downgrade`,
 uniform draw falls below p.  The first season drawn in a process compiles
 them into an outcome table (`_outcome_table`): per (event, outs, bases)
 the chances asked, lead runner first, and per pattern of their results
-the play that follows.  A plate appearance is then a lookup, one draw per
-chance and a move of the runners' ids.  Draws come from `_Draws`, which
+the play that follows, its fixed fields as CSV text.  A plate appearance
+is then a lookup, one draw per chance, a move of the runners' ids and one
+f-string that writes its CSV line.  Draws come from `_Draws`, which
 reads the PCG64 stream of `master_rng(seed)` in blocks and gives the
 numbers `Generator.random` and `Generator.integers` would.
 """
@@ -21,24 +22,22 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import cache
-from itertools import chain
-from operator import itemgetter, length_hint
+from operator import add, itemgetter, length_hint
 
 import numpy as np
 
 from .events import (
     BALL_IN_PLAY,
-    CSV_COLUMNS,
     EVENT_TYPES,
     FIELDING_POSITIONS,
     HANDS,
-    OPTIONAL_COLUMNS,
-    SeasonDataset,
+    SEASON_HEADER,
+    parse_season,
 )
 from .numerics import master_rng
 
 __all__ = ["DEFAULT_EVENT_PROBS", "generate_synthetic_season",
-           "synthetic_season_batches", "synthetic_season_rows"]
+           "synthetic_season_batches"]
 
 # 2012 MLBAM event frequencies, renormalized over the taxonomy.
 _RAW_FREQ = {
@@ -269,9 +268,11 @@ def _outcome(outs, mask, event, batter_dest, dests, new_outs, new_bases):
     (state, take, head, tail, bip), in the order the games loop reads it.
 
     state  end outs * 8 + end bases mask; 24 and up ends the inning
-    take   (None, runner on 1B, 2B, 3B, batter) -> the ids on 1B, 2B, 3B
-    head   start outs, start mask, end outs, end mask
-    tail   runner 1-3 destinations, batter's, runs, final event
+    take   ("", runner on 1B, 2B, 3B, batter) -> the ids on 1B, 2B, 3B,
+           "" where empty
+    head   the CSV text of start outs, start mask, end outs, end mask
+    tail   the CSV text of runner 1-3 destinations ("" for no runner), the
+           batter's, runs, final event
     bip    a ball in play's (event code, whether an out was made), or None
 
     The batter is put on the base reached after the runners, so it
@@ -283,8 +284,9 @@ def _outcome(outs, mask, event, batter_dest, dests, new_outs, new_bases):
     return (
         8 * new_outs + new_mask,
         itemgetter(*(new_bases.get(b, 0) for b in (1, 2, 3))),
-        (outs, mask, new_outs, new_mask),
-        (dests.get(1), dests.get(2), dests.get(3), batter_dest, runs, event),
+        f"{outs},{mask},{new_outs},{new_mask}",
+        ",".join([*(dests.get(b, "") for b in (1, 2, 3)), batter_dest,
+                  str(runs), event]),
         (_EVENT_CODE[event], new_outs > outs) if BALL_IN_PLAY[event] else None)
 
 
@@ -426,25 +428,19 @@ def _credited_positions(x, y):
 
 
 def generate_synthetic_season(games, seed, event_probs=None, teams=4):
-    """Generate a deterministic synthetic SeasonDataset.
+    """Generate a deterministic synthetic SeasonDataset: `parse_season`
+    (strict) of the CSV text `openwar simulate` writes, with every player of
+    the league in its roster, those who never appear included.
 
     games       number of games (>= 1)
     seed        master seed; identical seeds give identical datasets
     event_probs optional dict event type -> probability (must sum to 1)
     teams       league size (>= 2)
     """
-    rows, roster = synthetic_season_rows(games, seed, event_probs, teams)
-    raw = dict(zip(CSV_COLUMNS + OPTIONAL_COLUMNS, zip(*rows)))
-    return SeasonDataset.from_columns(raw, roster=roster)
-
-
-def synthetic_season_rows(games, seed, event_probs=None, teams=4):
-    """The season of `generate_synthetic_season` as (rows, roster): one
-    list per plate appearance of its fields in CSV_COLUMNS +
-    OPTIONAL_COLUMNS order (None or "" where absent), as `season_writer`
-    writes them, and player id -> name."""
     batches, roster = synthetic_season_batches(games, seed, event_probs, teams)
-    return list(chain.from_iterable(batches)), roster
+    data, _ = parse_season(SEASON_HEADER + "".join(batches), "strict")
+    data.roster = roster
+    return data
 
 
 #: games per batch of `synthetic_season_batches`
@@ -452,9 +448,12 @@ _BATCH_GAMES = 100
 
 
 def synthetic_season_batches(games, seed, event_probs=None, teams=4):
-    """The season of `synthetic_season_rows` as (batches, roster): an
-    iterator of lists of its rows, _BATCH_GAMES games at a time, so that
-    the season need not be held whole.  The arguments are checked here,
+    """The season of `generate_synthetic_season` as (batches, roster): an
+    iterator of the CSV text of its records after the header (SEASON_HEADER),
+    _BATCH_GAMES games at a time, so that the season need not be held
+    whole, and player id -> name.  The text is what `csv.writer` would
+    write: no field holds a ',', a quote or a line end, so none is quoted,
+    and a coordinate is its float's repr.  The arguments are checked here,
     before the first batch is drawn."""
     if games < 1:
         raise ValueError("games must be >= 1")
@@ -489,11 +488,11 @@ def _batches(games, probs, league, rng):
     teams = len(league)
     table = _outcome_table()
     random = rng.random
-    # one list per plate appearance of its fields up to the fielders; the
-    # batted balls of a batch are located after it, from the draws they
-    # took, and that pass draws nothing
-    rows = []
-    in_play = []  # per ball in play: its row, event code, whether out made
+    # one CSV line per plate appearance, up to the fielders; the batted
+    # balls of a batch are located after it, from the draws they took, and
+    # that pass draws nothing
+    lines = []
+    in_play = []  # per ball in play: its line, event code, whether out made
     draws = []  # per ball in play: radius draw, then angle draw
     cdfs = {}  # (batter skill, pitcher skill) -> CDF of the event draw
     for g in range(games):
@@ -531,13 +530,13 @@ def _batches(games, probs, league, rng):
                 starter, reliever = pitchers[half]
                 pitcher = starter if inning <= 6 else reliever
                 field_map = fielders[defense_side]
-                fielder_ids = tuple(
+                fielder_ids = ",".join(
                     pitcher.pid if pos == "P" else field_map[pos].pid
                     for pos in FIELDING_POSITIONS)
 
-                # state is outs * 8 + the bases mask; runners holds the
-                # ids on 1B, 2B and 3B (None where empty)
-                state, runners = 0, (None, None, None)
+                # state is outs * 8 + the bases mask; r1, r2 and r3 are the
+                # ids on 1B, 2B and 3B ("" where empty)
+                state, (r1, r2, r3) = 0, ("", "", "")
                 while state < 24:
                     batter, position = lineups[half][slot[half] % 9]
                     batter_position = position
@@ -558,32 +557,34 @@ def _batches(games, probs, league, rng):
                             pattern += bit
                     state, take, head, tail, bip = outcomes[pattern]
                     if bip:
-                        in_play += len(rows), *bip
+                        in_play += len(lines), *bip
                         draws += random(), random()
 
                     pa_index += 1
-                    rows.append([
-                        game_id, pa_index, inning, half, batter.pid, pitcher.pid,
-                        *head, *runners, *tail, park, batter.hand, pitcher.hand,
-                        batter_position, *fielder_ids])
-                    runners = take((None, *runners, batter.pid))
+                    lines.append(
+                        f"{game_id},{pa_index},{inning},{half},{batter.pid},"
+                        f"{pitcher.pid},{head},{r1},{r2},{r3},{tail},{park},"
+                        f"{batter.hand},{pitcher.hand},{batter_position},"
+                        f"{fielder_ids}")
+                    r1, r2, r3 = take(("", r1, r2, r3, batter.pid))
 
         if (g + 1) % _BATCH_GAMES == 0 or g + 1 == games:
-            _locate(rows, in_play, draws)
-            yield rows
-            rows, in_play, draws = [], [], []
+            yield _locate(lines, in_play, draws)
+            lines, in_play, draws = [], [], []
 
 
-def _locate(rows, in_play, draws):
-    """Append bip_x, bip_y and credited_fielder_position to every row of
-    `rows`, from the balls in play `in_play` and their `draws`."""
-    tails = np.full((3, len(rows)), "", dtype=object)
-    tails[2] = None
+def _locate(lines, in_play, draws):
+    """The CSV text of `lines`, each line ended with its bip_x, bip_y and
+    credited_fielder_position: from the balls in play `in_play` and their
+    `draws`, and empty on every other line."""
+    ends = [",,,\n"] * len(lines)
     at, events, made_out = np.array(in_play, np.intp).reshape(-1, 3).T
     x, y = _bip_locations(events, draws)
-    tails[:, at] = x, y, np.where(made_out == 1, _credited_positions(x, y), None)
-    for row, tail in zip(rows, zip(*tails.tolist())):
-        row += tail
+    credited = np.where(made_out == 1, _credited_positions(x, y), "")
+    for k, bx, by, position in zip(at.tolist(), x.tolist(), y.tolist(),
+                                   credited.tolist()):
+        ends[k] = f",{bx!r},{by!r},{position}\n"
+    return "".join(map(add, lines, ends))
 
 
 def _mask(bases):

@@ -33,7 +33,7 @@ from openwar.events import (
     _problems,
     _rules,
 )
-from openwar.simulate import synthetic_season_rows
+from openwar.simulate import generate_synthetic_season
 from openwar.forking import WorkerError
 
 from fixtures import build_re_fixture, make_pa, records
@@ -233,8 +233,9 @@ def test_missing_id_is_record_error(column, given):
 
 
 def test_none_coordinates_of_a_season_code_as_absent():
-    rows, _ = synthetic_season_rows(1, 3, teams=2)
-    raw = dict(zip(CSV_COLUMNS + OPTIONAL_COLUMNS, zip(*rows)))
+    season = generate_synthetic_season(1, 3, teams=2)
+    rows = [season.record(i) for i in range(len(season))]
+    raw = {f: [row[f] for row in rows] for f in CSV_COLUMNS + OPTIONAL_COLUMNS}
     none = {f: [None if f.startswith("bip_") and v == "" else v
                 for v in values] for f, values in raw.items()}
     assert None in none["bip_x"]
@@ -420,6 +421,24 @@ def _csv(rows):
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows([_HEADER] + rows)
     return out.getvalue()
+
+
+def test_a_long_record_is_read_only_past_the_header():
+    """A record with far more fields than the header is dropped for its
+    field count after at most one field past the header's is decoded; its
+    message keeps the true count."""
+    long_row = _ROWS[1] + ["x"] * (10_000 - len(_HEADER))
+    body = _csv([_ROWS[0], long_row]).split("\n", 1)[1]
+    _, short, row, _, _ = events._tokenized(body.encode(), _HEADER)
+    assert short.tolist() == [False, True]
+    fields, count = row(1)
+    assert count == 10_000
+    assert len(fields) <= len(_HEADER) + 1
+    message = _field_problem(_HEADER, long_row)
+    assert message.endswith(": 10000 fields, header has 35")
+    assert _field_problem(_HEADER, fields, count) == message
+    _, report = parse_season(_csv([_ROWS[0], long_row]), "lenient")
+    assert report.warnings == [f"dropped malformed row: {message}"]
 
 
 @pytest.mark.parametrize("strictness", ["strict", "lenient"])

@@ -1,6 +1,8 @@
 """Synthetic season generator tests."""
 
+import csv
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -20,6 +22,7 @@ from openwar.events import (
     OPTIONAL_COLUMNS,
     SeasonDataset,
     _rules,
+    csv_text,
     parse_season,
     serialize_season,
     validate_dataset,
@@ -140,6 +143,36 @@ def test_roster_covers_all_participants(season, season_records):
             assert fid in season.roster
 
 
+def test_roster_is_the_whole_league():
+    """The dataset's roster is the league's, players who never appear
+    included, as `synthetic_season_batches` gives it."""
+    data = generate_synthetic_season(2, 0, teams=4)
+    _, roster = simulate.synthetic_season_batches(2, 0, teams=4)
+    assert data.roster == roster
+    assert set(roster) > set(data.player_ids)
+
+
+def test_no_field_needs_quoting():
+    """The simulator writes every field bare, where csv.writer quotes one
+    that holds a ',', a quote or a line end: no string that the league or
+    the outcome table can put in a field holds one."""
+    league = simulate._build_league(
+        30, simulate._Draws(master_rng(0).bit_generator))
+    strings = {*events.HALVES, "PH", *simulate._LINEUP_POSITIONS,
+               *simulate._FIELDER_SPOTS}
+    for team in league:
+        strings |= {team["code"], team["park"],
+                    f"{team['code']}@{team['code']}-0001"}
+        for p in [*team["starters"].values(), *team["bench"],
+                  *team["rotation"], *team["relievers"]]:
+            strings |= {p.pid, p.hand, p.position}
+    for *_, (_, _, head, tail, _) in _table_plays():
+        fields = head.split(",") + tail.split(",")
+        assert len(fields) == 10
+        strings.update(fields)
+    assert [s for s in strings if set(s) & set(',"\r\n')] == []
+
+
 #: a custom mix with zero entries, so CDFs carry runs of equal values
 _SPARSE = {**dict.fromkeys(EVENT_TYPES, 0.0), "Strikeout": 0.3, "Single": 0.25,
            "Groundout": 0.2, "Home Run": 0.1, "Walk": 0.15}
@@ -237,6 +270,11 @@ def _table_plays():
                 yield event, state // 8, state % 8, pattern, chances, outcome
 
 
+def _csv_line(fields):
+    """`fields` as csv.writer writes them, without the line end."""
+    return csv_text(fields, ()).removesuffix("\n")
+
+
 def test_outcome_table_is_the_rules():
     """Every entry of the table is what `_apply_event` does under the same
     answers to its chances, followed by the games loop's old bookkeeping:
@@ -257,9 +295,9 @@ def test_outcome_table_is_the_rules():
         runs = list(dests.values()).count("H") + (batter_dest == "H")
         state, take, head, tail, bip = outcome
         assert state == 8 * new_outs + new_mask
-        assert head == (outs, mask, new_outs, new_mask)
-        assert tail == (dests.get(1), dests.get(2), dests.get(3), batter_dest,
-                        runs, final)
+        assert head == _csv_line((outs, mask, new_outs, new_mask))
+        assert tail == _csv_line((dests.get(1), dests.get(2), dests.get(3),
+                                  batter_dest, runs, final))
         assert take((None, ids.get(1), ids.get(2), ids.get(3), "B")) \
             == (new_bases.get(1), new_bases.get(2), new_bases.get(3))
         assert bip == ((EVENT_TYPES.index(final), new_outs > outs)
@@ -268,22 +306,23 @@ def test_outcome_table_is_the_rules():
 
 
 def test_outcome_table_breaks_no_record_rule():
-    """Every play of the table, written as a record, passes the record
-    rules of `events._rules` (runs, outs, occupancy, destinations, batted
-    balls)."""
-    rows, in_play, draws = [], [], []
+    """Every play of the table, written as a CSV line as the games loop
+    writes it, passes the record rules of `events._rules` (runs, outs,
+    occupancy, destinations, batted balls)."""
+    lines, in_play, draws = [], [], []
     for event, outs, mask, pattern, _, outcome in _table_plays():
         _, _, head, tail, bip = outcome
-        ids = tuple(f"R{b}" if mask >> (b - 1) & 1 else None for b in (1, 2, 3))
+        r1, r2, r3 = (f"R{b}" if mask >> (b - 1) & 1 else "" for b in (1, 2, 3))
         if bip:
-            in_play += len(rows), *bip
+            in_play += len(lines), *bip
             draws += 0.5, 0.5
-        rows.append([f"T01@T02-{len(rows) + 1:04d}", 1, 1, "top", "B", "P",
-                     *head, *ids, *tail, "PK", "R", "R", "CF",
-                     *(f"D{j}" for j in range(1, 10))])
-    simulate._locate(rows, in_play, draws)
-    data = SeasonDataset.from_columns(
-        dict(zip(CSV_COLUMNS + OPTIONAL_COLUMNS, zip(*rows))))
+        lines.append(f"T01@T02-{len(lines) + 1:04d},1,1,top,B,P,{head},"
+                     f"{r1},{r2},{r3},{tail},PK,R,R,CF,"
+                     + ",".join(f"D{j}" for j in range(1, 10)))
+    rows = list(csv.reader(io.StringIO(simulate._locate(lines, in_play, draws))))
+    header = CSV_COLUMNS + OPTIONAL_COLUMNS
+    assert {len(row) for row in rows} == {len(header)}
+    data = SeasonDataset.from_columns(dict(zip(header, zip(*rows))))
     broken = {msg(data.record(k), k)
               for mask, msg in _rules(vars(data)) for k in np.flatnonzero(mask)}
     assert broken == set()
@@ -449,28 +488,26 @@ def test_small_blocks_keep_the_season_bytes(monkeypatch, games, seed,
 
 
 def test_simulate_codes_and_decodes_nothing(tmp_path, monkeypatch):
-    """Guard against the code round trip: the command neither codes the
-    generated rows into a SeasonDataset nor decodes one to write it."""
+    """Guard against the code round trip: the command neither parses the
+    text it writes into a SeasonDataset nor decodes one to write it."""
     calls = Counter()
-    from_columns = events.SeasonDataset.from_columns.__func__
     csv_columns = events._csv_columns
 
-    def counted_from_columns(cls, *args, **kwargs):
-        calls["from_columns"] += 1
-        return from_columns(cls, *args, **kwargs)
+    def counted_parse_season(*args, **kwargs):
+        calls["parse_season"] += 1
+        return parse_season(*args, **kwargs)
 
     def counted_csv_columns(*args, **kwargs):
         calls["_csv_columns"] += 1
         return csv_columns(*args, **kwargs)
 
-    monkeypatch.setattr(events.SeasonDataset, "from_columns",
-                        classmethod(counted_from_columns))
+    monkeypatch.setattr(simulate, "parse_season", counted_parse_season)
     monkeypatch.setattr(events, "_csv_columns", counted_csv_columns)
     text = _simulated_csv(tmp_path, 20, 11, 4)
     assert calls == Counter()
-    # the counters do count: the library path codes and decodes once each
+    # the counters do count: the library path parses and decodes once each
     assert serialize_season(generate_synthetic_season(20, 11)) == text
-    assert calls == Counter(from_columns=1, _csv_columns=1)
+    assert calls == Counter(parse_season=1, _csv_columns=1)
 
 
 class _CountingRng:

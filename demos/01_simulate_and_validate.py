@@ -3,7 +3,7 @@
 Run with:  python3 demos/01_simulate_and_validate.py
 """
 
-from openwar.events import aggregate_team_totals, parse_season, serialize_season
+from openwar.events import parse_season, serialize_season
 from openwar.simulate import generate_synthetic_season
 
 # Identical (games, seed) pairs always produce byte-identical seasons.
@@ -20,11 +20,3 @@ parsed, report = parse_season(text, "strict")
 assert serialize_season(parsed) == text
 print(f"round trip ok: {len(parsed)} records, "
       f"{report.dropped} dropped, {len(report.warnings)} warnings")
-
-# Counting stats by team, derived from the game-id naming convention.
-print("\nteam totals:")
-print(f"{'team':<6}{'G':>4}{'PA':>6}{'AB':>6}{'R':>5}{'H':>5}"
-      f"{'HR':>4}{'BB':>4}{'K':>5}")
-for team, t in aggregate_team_totals(season).items():
-    print(f"{team:<6}{t['G']:>4}{t['PA']:>6}{t['AB']:>6}{t['R']:>5}"
-          f"{t['H']:>5}{t['HR']:>4}{t['BB']:>4}{t['K']:>5}")

@@ -7,10 +7,8 @@ from .events import (
     BALL_IN_PLAY,
     EVENT_TYPES,
     SeasonDataset,
-    aggregate_team_totals,
     parse_season,
     serialize_season,
-    validate_dataset,
 )
 from .pipeline import PipelineResult, SeasonLedger, build_ledger, run_pipeline
 from .run_expectancy import RunExpectancyMatrix, estimate_matrix, run_value
@@ -29,10 +27,8 @@ __all__ = [
     "BALL_IN_PLAY",
     "EVENT_TYPES",
     "SeasonDataset",
-    "aggregate_team_totals",
     "parse_season",
     "serialize_season",
-    "validate_dataset",
     "PipelineResult",
     "SeasonLedger",
     "build_ledger",

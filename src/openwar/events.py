@@ -10,9 +10,9 @@ batter destinations use the codes "1B", "2B", "3B", "H" (scored) and
 In memory a season is a SeasonDataset of integer-coded numpy columns.
 Its row view is a record's CSV fields, a dict column -> value: the input
 of `SeasonDataset.from_records` and what `SeasonDataset.record(i)`
-returns.  A record is checked by one pass of array rules (`_rules`) over
-the coded columns; only a record they flag is read one field at a time,
-to find its messages.
+returns.  `parse_season` is the one checker: it checks a record by one
+pass of array rules (`_rules`) over the coded columns; only a record they
+flag is read one field at a time, to find its messages.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ __all__ = [
     "csv_text",
     "SEASON_HEADER",
     "serialize_season",
-    "validate_dataset",
-    "aggregate_team_totals",
 ]
 
 # Closed event taxonomy (MLBAM GameDay event strings).
@@ -184,7 +182,8 @@ class SeasonDataset:
     @classmethod
     def from_records(cls, records, roster=None):
         """Code a sequence of rows, each a dict of CSV fields as `record`
-        returns; a field left out is absent (see `from_columns`)."""
+        returns; a field left out is absent.  Records are not checked (see
+        `from_columns`)."""
         records = list(records)
         return cls.from_columns(
             {f: [r.get(f) for r in records] for f in _FIELDS}, roster)
@@ -193,11 +192,11 @@ class SeasonDataset:
     def from_columns(cls, raw, roster=None):
         """Code a season given as its CSV fields: `raw` maps each name in
         CSV_COLUMNS + OPTIONAL_COLUMNS to one sequence of values per record,
-        with None or "" where a field is absent.  Records are not checked
-        (`validate_dataset` does that): a string outside its column's
-        vocabulary is stored as absent.  Numbers must parse, coordinates
-        must be finite, and the game, batter, pitcher and ballpark ids must
-        be given."""
+        with None or "" where a field is absent.  Records are not checked:
+        a string outside its column's vocabulary is stored as absent; to
+        check a built dataset `d`, parse `serialize_season(d)`.  Numbers
+        must parse, coordinates must be finite, and the game, batter,
+        pitcher and ballpark ids must be given."""
         cols, tables, malformed = _code_columns(_by_record(raw))
         if malformed.any():
             row = [v[int(np.argmax(malformed))] for v in raw.values()]
@@ -355,13 +354,8 @@ def _finish(blocks, roster=None):
 
 @dataclass
 class ValidationReport:
-    errors: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     dropped: int = 0
-
-    @property
-    def ok(self):
-        return not self.errors
 
 
 #: event code -> True when the ball is fieldable by the defense
@@ -453,25 +447,6 @@ def _chain_messages(data):
                 f"({data.end_outs[i - 1]},{data.end_bases[i - 1]}) -> "
                 f"({data.start_outs[i]},{data.start_bases[i]})")
     return messages
-
-
-def validate_dataset(dataset, strict=True):
-    """Check every record plus the within-half-inning state chain.
-
-    Chain discontinuities (e.g. steals between plate appearances) are
-    warnings in lenient mode and ChainErrors in strict mode.
-    """
-    report = ValidationReport()
-    c = vars(dataset)
-    rules = list(_rules(c))
-    flagged = np.logical_or.reduce([c["event"] < 0] + [m for m, _ in rules])
-    for i in np.flatnonzero(flagged).tolist():
-        report.errors.extend(_problems(rules, c, i, dataset.record(i)))
-    chain = _chain_messages(dataset)
-    (report.errors if strict else report.warnings).extend(chain)
-    if strict and report.errors:
-        raise ChainError("; ".join(report.errors[:5]))
-    return report
 
 
 def _field_problem(header, row, count=None):
@@ -897,49 +872,3 @@ SEASON_HEADER = csv_text(_FIELDS, ())
 def serialize_season(dataset):
     """Serialize a SeasonDataset to its canonical CSV string."""
     return csv_text(_FIELDS, zip(*_csv_columns(dataset)))
-
-
-# Team aggregation.  The schema carries no team column; game ids of the
-# form "<away>@<home>..." identify the two clubs, and the batting team of
-# a record is the away club in the top half, the home club in the bottom.
-def _teams_from_game_id(game_id):
-    if "@" in game_id:
-        away, rest = game_id.split("@", 1)
-        home = rest.split("_")[0].split("-")[0]
-        if away and home:
-            return away, home
-    return None
-
-
-_NOT_AN_AB = frozenset({
-    "Walk", "Intent Walk", "Hit By Pitch", "Sac Bunt", "Sac Fly",
-    "Sac Fly DP", "Sacrifice Bunt DP", "Catcher Interference", "null",
-})
-_HITS = frozenset({"Single", "Double", "Triple", "Home Run"})
-
-
-def aggregate_team_totals(dataset):
-    """Per-team counting statistics (G, PA, AB, R, H, HR, BB, K).
-
-    Returns a dict team -> dict of counts, teams sorted by key.  Records
-    whose game_id does not encode teams are keyed by "<game_id>/<half>".
-    """
-    d = dataset
-    sides = [side for g in d.game_ids
-             for side in _teams_from_game_id(g) or (f"{g}/top", f"{g}/bottom")]
-    names, side = np.unique(sides, return_inverse=True)
-    team = side.reshape(-1, 2)[d.game, (d.half != 0) * 1]
-
-    def count(events=EVENT_TYPES, weights=None):
-        rows = np.isin(d.event, [EVENT_TYPES.index(e) for e in events])
-        return np.bincount(team[rows], weights=None if weights is None
-                           else weights[rows], minlength=len(names))
-
-    totals = {"G": np.bincount(np.unique(np.column_stack([team, d.game]),
-                                         axis=0)[:, 0], minlength=len(names)),
-              "PA": count(), "AB": count(set(EVENT_TYPES) - _NOT_AN_AB),
-              "R": count(weights=d.runs_scored), "H": count(_HITS),
-              "HR": count({"Home Run"}), "BB": count({"Walk", "Intent Walk"}),
-              "K": count({"Strikeout", "Strikeout - DP"})}
-    return {name: {k: int(v[t]) for k, v in totals.items()}
-            for t, name in enumerate(names.tolist()) if totals["PA"][t]}

@@ -126,12 +126,8 @@ def indicator_ols(factors, y, extra=()):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, 1e-12, 1.0 - 1e-12)
+    e = np.exp(-np.abs(z))
+    return np.clip(np.where(z >= 0, 1.0, e) / (1.0 + e), 1e-12, 1.0 - 1e-12)
 
 
 def logistic_fit(V, y):

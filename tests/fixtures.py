@@ -18,7 +18,6 @@ from openwar.numerics import (
     LinearFit,
     LogisticFit,
     _independent_columns,
-    _sigmoid,
     replicate_rng,
 )
 from openwar.offense import _MIN_RANK
@@ -118,6 +117,19 @@ def ols_fit(names, V, y):
     return LinearFit(dict(zip(names, beta)), y - fitted, fitted, dropped)
 
 
+def sigmoid_reference(z):
+    """The logistic function of `z`, clipped to [1e-12, 1 - 1e-12], in two
+    masked assignments: 1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 +
+    exp(z)) elsewhere.  The reference `numerics._sigmoid` is held to byte
+    for byte."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, 1e-12, 1.0 - 1e-12)
+
+
 def logistic_reference(V, y):
     """`numerics.logistic_fit` on a binary response `y`, as a Newton loop
     that takes the kept columns of the design `V` and forms the score
@@ -134,7 +146,7 @@ def logistic_reference(V, y):
     converged = separated = False
     it = 0
     for it in range(1, MAX_IRLS_ITER + 1):
-        mu = _sigmoid(V @ beta)
+        mu = sigmoid_reference(V @ beta)
         w = mu * (1.0 - mu)
         score = V.T @ (y - mu)
         if np.linalg.norm(score[keep]) < IRLS_TOL * n:

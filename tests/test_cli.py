@@ -50,7 +50,7 @@ def test_simulate_writes_config_comment(tmp_path):
     cfg = json.loads(first[len("# config: "):])
     assert cfg["games"] == 3 and cfg["seed"] == 5
     data, report = parse_season(path.read_text(), "strict")
-    assert report.ok and len(data) > 0
+    assert report.dropped == 0 and report.warnings == [] and len(data) > 0
 
 
 def test_simulate_determinism_via_cli(tmp_path):

@@ -23,10 +23,8 @@ from openwar.events import (
     SchemaError,
     SeasonDataset,
     TaxonomyError,
-    aggregate_team_totals,
     parse_season,
     serialize_season,
-    validate_dataset,
     _by_record,
     _code_columns,
     _field_problem,
@@ -87,7 +85,7 @@ def test_serialize_parse_round_trip():
     data, _, _ = build_re_fixture()
     text = serialize_season(data)
     parsed, report = parse_season(text, "strict")
-    assert report.ok and report.dropped == 0
+    assert report.dropped == 0 and report.warnings == []
     assert serialize_season(parsed) == text
     assert records(parsed) == records(data)
 
@@ -249,9 +247,10 @@ def test_bip_presence_must_match_event():
                            {1: "2B"}), "bip_x": "", "bip_y": ""}
     with_coords = {**pa, "bip_x": 10.0, "bip_y": 10.0}
     for bad in (no_coords, with_coords):
-        report = validate_dataset(
-            SeasonDataset.from_records([bad]), strict=False)
-        assert any("bip" in e or "location" in e for e in report.errors)
+        text = serialize_season(SeasonDataset.from_records([bad]))
+        parsed, report = parse_season(text, "lenient")
+        assert (len(parsed), report.dropped) == (0, 1)
+        assert any("bip" in w or "location" in w for w in report.warnings)
 
 
 _SINGLE = make_pa("AWY@HOM-0001", 0, 1, "top", 0, 0, "Single", "1B")
@@ -260,36 +259,56 @@ _FLYOUT = make_pa("AWY@HOM-0001", 0, 1, "top", 0, 0, "Flyout", "O",
                   credited="CF")
 
 
-@pytest.mark.parametrize("bad", [
-    {**_SINGLE, "runs_scored": 2},
-    {**_SINGLE, "end_outs": 2},
-    {**_SINGLE, "end_outs": 0, "start_outs": 1},
-    {**_SINGLE, "start_bases": 1},
-    {**_SINGLE, "runner2_id": "R2", "runner2_dest": "3B"},
-    {**_SINGLE, "runner3_dest": "H"},
-    {**_SINGLE, "bip_x": "", "bip_y": ""},
-    {**_WALK, "bip_x": 10.0, "bip_y": 10.0},
-    {**_FLYOUT, "credited_fielder_position": "DH"},
-    {**_FLYOUT, "half": "", "batter_dest": "", "f4": ""},
-    {**_FLYOUT, "event_type": "Ground Rule Kerfuffle"},
+@pytest.mark.parametrize("bad, messages", [
+    ({**_SINGLE, "runs_scored": 2},
+     ["runs_scored=2 but 0 scored destinations"]),
+    ({**_SINGLE, "end_outs": 2},
+     ["0 out destinations but outs advanced by 2"]),
+    ({**_SINGLE, "end_outs": 0, "start_outs": 1},
+     ["outs decrease within a plate appearance"]),
+    ({**_SINGLE, "start_bases": 1},
+     ["base 1 occupied but runner id/dest missing"]),
+    ({**_SINGLE, "runner2_id": "R2", "runner2_dest": "3B"},
+     ["base 2 empty but runner fields present"]),
+    ({**_SINGLE, "runner3_dest": "H"},
+     ["base 3 empty but runner fields present"]),
+    ({**_SINGLE, "bip_x": "", "bip_y": ""},
+     ["in-play event 'Single' missing bip location"]),
+    ({**_WALK, "bip_x": 10.0, "bip_y": 10.0},
+     ["event 'Walk' cannot carry a bip location"]),
+    ({**_FLYOUT, "credited_fielder_position": "DH"}, []),
+    ({**_FLYOUT, "half": "", "batter_dest": "", "f4": ""},
+     ["half must be top/bottom, got ''", "fielder_ids must list 9 players",
+      "bad batter_dest ''", "0 out destinations but outs advanced by 1"]),
+    ({**_FLYOUT, "event_type": "Ground Rule Kerfuffle"},
+     ["unknown event_type ''"]),
 ], ids=["runs", "outs", "outs-decrease", "occupied", "empty", "empty-dest",
         "bip-missing", "bip-present", "credited", "absent", "taxonomy"])
-def test_validate_and_parse_report_the_same_problems(bad):
-    """A record broken with values a SeasonDataset can hold gets the same
-    messages from `validate_dataset` on the dataset as from a lenient
-    `parse_season` of its CSV.  A credited position outside the vocabulary
-    is stored as absent, so both find nothing wrong with it; an unknown
-    event is absent too, and both raise the same TaxonomyError."""
-    data = SeasonDataset.from_records([bad])
-    try:
-        errors = validate_dataset(data, strict=False).errors
-    except TaxonomyError as exc:
-        with pytest.raises(TaxonomyError) as parsed:
-            parse_season(serialize_season(data), "lenient")
-        assert str(parsed.value) == str(exc)
+def test_validate_and_parse_report_the_same_problems(bad, messages):
+    """A record broken with values a SeasonDataset can hold, written by
+    `serialize_season`, is dropped by a lenient parse with its messages
+    and raises them in a strict one.  A credited position outside the
+    vocabulary is stored as absent, so the parse finds nothing wrong with
+    it; an unknown event is stored as absent too, and raises TaxonomyError
+    in both modes."""
+    text = serialize_season(SeasonDataset.from_records([bad]))
+    expected = [f"game AWY@HOM-0001 pa 0: {m}" for m in messages]
+    if bad["event_type"] not in EVENT_TYPES:
+        for strictness in ("strict", "lenient"):
+            with pytest.raises(TaxonomyError) as exc:
+                parse_season(text, strictness)
+            assert [str(exc.value)] == expected
         return
-    assert errors == parse_season(serialize_season(data), "lenient")[1].warnings
-    assert errors or bad["credited_fielder_position"] == "DH"
+    parsed, report = parse_season(text, "lenient")
+    assert report.warnings == expected
+    if not messages:  # the credited DH, stored as absent
+        assert (len(parsed), report.dropped) == (1, 0)
+        assert parsed.record(0)["credited_fielder_position"] == ""
+        return
+    assert (len(parsed), report.dropped) == (0, 1)
+    with pytest.raises(RecordError) as exc:
+        parse_season(text, "strict")
+    assert str(exc.value) == "; ".join(expected)
 
 
 def test_chain_break_strict_vs_lenient():
@@ -297,17 +316,19 @@ def test_chain_break_strict_vs_lenient():
     rows = records(data)
     # make the second record start from the wrong state
     rows[1] = make_pa("AWY@HOM-0001", 1, 1, "top", 1, 0, "Single", "1B")
-    broken = SeasonDataset.from_records(rows)
+    text = serialize_season(SeasonDataset.from_records(rows))
     with pytest.raises(ChainError):
-        validate_dataset(broken, strict=True)
-    report = validate_dataset(broken, strict=False)
+        parse_season(text, "strict")
+    parsed, report = parse_season(text, "lenient")
     assert any("chain break" in w for w in report.warnings)
+    assert (len(parsed), report.dropped) == (len(rows), 0)
 
 
 def test_half_inning_must_start_clean():
     rows = [make_pa("AWY@HOM-0001", 0, 1, "top", 1, 0, "Strikeout", "O")]
     with pytest.raises(ChainError):
-        validate_dataset(SeasonDataset.from_records(rows), strict=True)
+        parse_season(serialize_season(SeasonDataset.from_records(rows)),
+                     "strict")
 
 
 def test_parse_builds_roster_and_parks():
@@ -337,28 +358,6 @@ def test_csv_column_order_is_stable():
     data, _, _ = build_re_fixture()
     header = serialize_season(data).splitlines()[0]
     assert header == ",".join(CSV_COLUMNS + ("credited_fielder_position",))
-
-
-def test_aggregate_team_totals_hand_case():
-    g = "AWY@HOM-0001"
-    rows = [
-        make_pa(g, 0, 1, "top", 0, 0, "Home Run", "H"),
-        make_pa(g, 1, 1, "top", 0, 0, "Walk", "1B"),
-        make_pa(g, 2, 1, "top", 0, 1, "Strikeout", "O", {1: "1B"}),
-        make_pa(g, 3, 1, "bottom", 0, 0, "Single", "1B"),
-        make_pa(g, 4, 1, "bottom", 0, 1, "Sac Bunt", "O", {1: "2B"}),
-    ]
-    totals = aggregate_team_totals(SeasonDataset.from_records(rows))
-    assert totals["AWY"] == {"G": 1, "PA": 3, "AB": 2, "R": 1, "H": 1,
-                             "HR": 1, "BB": 1, "K": 1}
-    assert totals["HOM"] == {"G": 1, "PA": 2, "AB": 1, "R": 0, "H": 1,
-                             "HR": 0, "BB": 0, "K": 0}
-
-
-def test_aggregate_runs_match_season_totals(season):
-    totals = aggregate_team_totals(season)
-    assert sum(t["R"] for t in totals.values()) == season.runs_scored.sum()
-    assert sum(t["PA"] for t in totals.values()) == len(season)
 
 
 # One valid season as raw CSV rows, for mutating one field at a time; its
@@ -573,7 +572,8 @@ def test_parse_reads_the_source_in_chunks(season, monkeypatch):
             return super().read(size)
 
     data, report = parse_season(Recorded(text))
-    assert report.ok and len(data) == len(season)
+    assert report.dropped == 0 and report.warnings == []
+    assert len(data) == len(season)
     assert len(sizes) > len(text) >> 14
     assert all(0 < size <= 1 << 14 for size in sizes)
     assert serialize_season(data) == text
@@ -703,7 +703,8 @@ def _oracle(text, strictness):
     field that is not quoted, a '\\r' outside a '\\r\\n' line end, a NUL),
     or that holds a field over csv.field_size_limit(), are coded one at a
     time by the library's row path (`_field_problem`, `_rules`,
-    `SeasonDataset.from_columns`); then that record raises RecordError
+    `SeasonDataset.from_columns`, then `_chain_messages` for the state
+    chain); then that record raises RecordError
     naming its first line.  A quoted field read past the limit ends the
     text there, as csv.reader stops at it: its record is too long, unless
     malformed CSV shows before that point."""
@@ -764,7 +765,10 @@ def _oracle(text, strictness):
         data = SeasonDataset.from_columns(
             dict(zip(_HEADER, map(list, zip(*kept)))) if kept
             else dict.fromkeys(_HEADER, ()))
-        warnings += validate_dataset(data, strict).warnings
+        breaks = events._chain_messages(data)
+        if strict and breaks:
+            raise ChainError("; ".join(breaks[:5]))
+        warnings += breaks
     except (RecordError, TaxonomyError, ChainError) as exc:
         return type(exc), str(exc)
     columns = {name: (col.dtype.str, col.shape, col.tobytes())
@@ -1159,7 +1163,8 @@ def test_one_chunk_forks_no_worker(monkeypatch):
 
     monkeypatch.setattr(os, "fork", must_not_fork)
     data, report = parse_season(_csv(_ROWS), "strict")
-    assert len(data) == len(_ROWS) and report.ok
+    assert len(data) == len(_ROWS)
+    assert report.dropped == 0 and report.warnings == []
 
 
 def test_a_failing_parse_worker_fails_the_parse(season, monkeypatch):

@@ -31,6 +31,7 @@ from fixtures import (
     dense_design,
     logistic_reference,
     ols_fit,
+    sigmoid_reference,
 )
 
 
@@ -181,6 +182,17 @@ def _fielding_responses(season):
                                                season.bip_y[bip]]))
     return design, [(season.credited[bip] == j).astype(float)
                     for j in range(len(FIELDING_POSITIONS))]
+
+
+def test_sigmoid_keeps_the_masked_reference_bytes():
+    """The mask-free sigmoid gives the bytes of the two masked branches on
+    normal draws across scales, signed zeros, large magnitudes and
+    infinities."""
+    rng = np.random.default_rng(0)
+    z = np.concatenate(
+        [rng.standard_normal(250_000) * scale for scale in (1, 10, 100, 1000)]
+        + [[0.0, -0.0, 800.0, -800.0, np.inf, -np.inf]])
+    assert numerics._sigmoid(z).tobytes() == sigmoid_reference(z).tobytes()
 
 
 def test_newton_steps_keep_the_reference_iterates(season):

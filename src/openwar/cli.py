@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .events import SEASON_HEADER, parse_season
+from .numerics import BandwidthError
 from .pipeline import run_pipeline
 from .simulate import synthetic_season_batches
 from .uncertainty import (
@@ -96,12 +97,14 @@ def _config_echo(args):
     return json.dumps(cfg, sort_keys=True)
 
 
-def _write(path, text, config_line=None):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if config_line is not None and path.suffix == ".csv":
-        text = f"# config: {config_line}\n" + text
-    path.write_text(text, encoding="utf-8")
+def _write(out, texts, config_line):
+    """Write `texts` (file name: text, all computed before any is written)
+    into the directory `out`, each CSV after a `# config:` comment line."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        if name.endswith(".csv"):
+            text = f"# config: {config_line}\n" + text
+        (out / name).write_text(text, encoding="utf-8")
 
 
 class ConfigError(Exception):
@@ -225,14 +228,15 @@ def _check_compare(compare, players, why):
 
 def cmd_war(args):
     result = _run(args)
-    cfg = _config_echo(args)
+    cfg, ledger = _config_echo(args), result.ledger
+    texts = {"valuation.csv": valuation_csv(result.valuation),
+             "valuation.json": valuation_json(result.valuation,
+                                              json.loads(cfg)),
+             "run_expectancy.csv": ledger.matrix.to_csv(),
+             "fielding_surface.csv": ledger.surface_grid_csv(),
+             "fielding_models.csv": ledger.fielding_models_csv()}
     out = Path(args.out)
-    _write(out / "valuation.csv", valuation_csv(result.valuation), cfg)
-    _write(out / "valuation.json",
-           valuation_json(result.valuation, json.loads(cfg)))
-    _write(out / "run_expectancy.csv", result.ledger.matrix.to_csv(), cfg)
-    _write(out / "fielding_surface.csv", result.ledger.surface_grid_csv(), cfg)
-    _write(out / "fielding_models.csv", result.ledger.fielding_models_csv(), cfg)
+    _write(out, texts, cfg)
     print(f"wrote valuation for {len(result.valuation)} players to {out}")
     return EXIT_OK
 
@@ -249,13 +253,11 @@ def cmd_boot(args):
     del result
     config = BootstrapConfig(replicates=args.replicates, master_seed=seed)
     dist = bootstrap_war(credits, valuation, config)
-    # every output is computed before the first is written
-    comparisons = comparison_json(dist, args.compare)
-    cfg = _config_echo(args)
-    out = Path(args.out)
-    _write(out / "war_quantiles.csv", dist.quantile_csv(), cfg)
+    texts = {"war_quantiles.csv": dist.quantile_csv()}
     if args.compare:
-        _write(out / "comparisons.json", comparisons)
+        texts["comparisons.json"] = comparison_json(dist, args.compare)
+    out = Path(args.out)
+    _write(out, texts, _config_echo(args))
     print(f"wrote {args.replicates}-replicate quantiles to {out}")
     return EXIT_OK
 
@@ -291,7 +293,9 @@ def main(argv=None):
         print(json.dumps({"error": str(exc), "kind": "worker"}), file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError, OSError, ConfigError) as exc:
-        kind = "validation" if isinstance(exc, ValueError) else "config"
+        # a BandwidthError is a ValueError, but the flags' fault
+        kind = ("validation" if isinstance(exc, ValueError)
+                and not isinstance(exc, BandwidthError) else "config")
         print(json.dumps({"error": str(exc), "kind": kind}), file=sys.stderr)
         return EXIT_VALIDATION if kind == "validation" else EXIT_CONFIG
 

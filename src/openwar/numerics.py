@@ -10,6 +10,7 @@ import numpy as np
 __all__ = [
     "LinearFit",
     "LogisticFit",
+    "BandwidthError",
     "SmoothedSurface",
     "indicator_ols",
     "logistic_fit",
@@ -28,16 +29,16 @@ IRLS_TOL = 1e-9
 #: smoother queries whose total kernel weight falls below this get the
 #: global response rate
 MIN_KERNEL_WEIGHT = 1e-12
-#: element budget for one (queries x training points) temporary of the
-#: exact smoother; queries are processed in chunks that stay under it
-EXACT_CHUNK_ELEMENTS = 1 << 20
 #: grid step of the binned smoother, as a fraction of the bandwidth
 BIN_STEP = 1.0 / 20.0
-#: largest binned grid axis (nodes); a wider grid (a bandwidth tiny next to
-#: the spread of the data) is evaluated exactly instead.  It bounds the
-#: m_x x m_y binned grid and each (touched nodes x m) kernel, which the
+#: largest binned grid axis (nodes); an axis that the step BIN_STEP * h
+#: would carry past it (a bandwidth small next to the spread of the data)
+#: takes the coarser step that spans it in MAX_GRID_NODES nodes.  It bounds
+#: the m_x x m_y binned grid and each (touched nodes x m) kernel, which the
 #: queries of a dense sample make as large as m x m
 MAX_GRID_NODES = 2048
+#: coarsest grid step the binned smoother accepts, in bandwidths
+MAX_STEP_RATIO = 2 * BIN_STEP
 
 
 @dataclass
@@ -186,6 +187,10 @@ def scott_bandwidth(coords):
     return float(h[0]), float(h[1])
 
 
+class BandwidthError(ValueError):
+    """A bandwidth too small for the binned smoother's capped grid step."""
+
+
 @dataclass
 class SmoothedSurface:
     """Nadaraya-Watson smoother of a binary response with a product
@@ -193,8 +198,8 @@ class SmoothedSurface:
     back to the global response rate.  It needs at least one training
     point, and a positive, finite bandwidth on each axis.
 
-    `evaluate` is exact and is the reference; `evaluate_binned` is the
-    fast approximation the pipeline uses."""
+    `evaluate_binned`, its one evaluation, approximates the exact kernel
+    sums to an error bounded by the ratio of grid step to bandwidth."""
 
     points: np.ndarray  # (n, 2)
     response: np.ndarray  # (n,) in {0, 1}
@@ -212,33 +217,14 @@ class SmoothedSurface:
         self.response = np.asarray(self.response, dtype=float)
         self.global_rate = float(self.response.mean())
 
-    def evaluate(self, x, y):
-        """Exact kernel sums against every training point, in query chunks
-        of at most EXACT_CHUNK_ELEMENTS kernel weights."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        hx, hy = self.bandwidth
-        out = np.full(x.shape[0], self.global_rate)
-        chunk = max(1, EXACT_CHUNK_ELEMENTS // len(self.points))
-        for start in range(0, x.shape[0], chunk):
-            part = slice(start, start + chunk)
-            # a distance of many bandwidths may overflow to inf: its weight
-            # is then exp(-inf) = 0, its limit
-            with np.errstate(over="ignore"):
-                dx = (x[part, None] - self.points[None, :, 0]) / hx
-                dy = (y[part, None] - self.points[None, :, 1]) / hy
-                w = np.exp(-0.5 * (dx * dx + dy * dy))
-            total = w.sum(axis=1)
-            ok = total >= MIN_KERNEL_WEIGHT
-            out[part][ok] = (w[ok] @ self.response) / total[ok]
-        return out
-
     def evaluate_binned(self, x, y):
-        """Linear-binning approximation of `evaluate` (Wand 1994, the
-        estimator behind KernSmooth's bkde2D).
+        """Linear-binning approximation of the exact kernel sums (Wand
+        1994, the estimator behind KernSmooth's bkde2D).
 
         Training points and their responses are binned linearly onto a
-        grid of step BIN_STEP * h per axis.  The numerator and denominator
+        grid of step r * h per axis: r is BIN_STEP, or the ratio that spans
+        an axis in MAX_GRID_NODES nodes, up to MAX_STEP_RATIO (beyond it,
+        BandwidthError).  The numerator and denominator
         grids are smoothed by the separable kernel as dense products
         (Kx @ C) @ Ky (every term positive, so no cancellation in the sparse
         tails), but only at the grid rows and columns that the queries'
@@ -260,21 +246,29 @@ class SmoothedSurface:
             return out
         lo = np.minimum(lo, q[near].min(axis=0))
         hi = np.maximum(hi, q[near].max(axis=0))
-        step = h * BIN_STEP
-        # compared before the cast: a tiny bandwidth makes the node count
-        # too large for an int, or infinite
-        nodes = np.floor((hi - lo) / step) + 2
-        if nodes.max() > MAX_GRID_NODES:
-            return self.evaluate(x, y)
-        shape = nodes.astype(int)
+        span = hi - lo
+        # compared before any cast: a tiny h makes the node count overflow
+        with np.errstate(divide="ignore", over="ignore"):
+            fits = np.floor(span / (h * BIN_STEP)) + 2 <= MAX_GRID_NODES
+            ratio = np.where(fits, BIN_STEP, span / ((MAX_GRID_NODES - 2) * h))
+        if np.any(ratio > MAX_STEP_RATIO):
+            least = span / ((MAX_GRID_NODES - 2) * MAX_STEP_RATIO)
+            raise BandwidthError("; ".join(
+                f"{axis} bandwidth {float(b)!r} ft is too small for the "
+                f"smoother's grid over {s:.1f} ft, which takes "
+                f"{np.ceil(a * 100) / 100:g} ft or more"
+                for axis, b, a, s, r in zip("xy", h, least, span, ratio)
+                if r > MAX_STEP_RATIO))
+        step = h * ratio
+        shape = (np.floor(span / step) + 2).astype(int)
 
         base, frac = _grid_cells((self.points - lo) / step, shape)
         idx, wts = _grid_corners(base, frac, shape[1])
         qbase, qfrac = _grid_cells((q[near] - lo) / step, shape)
         rows, qx = _touched(qbase[:, 0], shape[0])
         cols, qy = _touched(qbase[:, 1], shape[1])
-        kx = _binned_kernel(rows, shape[0])
-        ky = _binned_kernel(cols, shape[1]).T
+        kx = _binned_kernel(rows, shape[0], ratio[0])
+        ky = _binned_kernel(cols, shape[1], ratio[1]).T
 
         def smoothed(weights):
             grid = np.bincount(idx.ravel(), weights=weights.ravel(),
@@ -324,10 +318,10 @@ def _touched(base, m):
     return np.flatnonzero(used), np.cumsum(used)[base] - 1
 
 
-def _binned_kernel(rows, m):
+def _binned_kernel(rows, m, ratio):
     """(len(rows), m) Gaussian kernel between the nodes `rows` of one grid
-    axis of m nodes and every node of it."""
-    d = np.arange(m) * BIN_STEP
+    axis of m nodes, `ratio` bandwidths apart, and every node of it."""
+    d = np.arange(m) * ratio
     # in place: with every node touched this is the largest array
     k = np.subtract.outer(d[rows], d)
     k *= k

@@ -166,11 +166,41 @@ def logistic_reference(V, y):
                        iterations=it, separated=separated)
 
 
+def exact_smoother(surface, x, y, chunk_elements=1 << 20):
+    """The Nadaraya-Watson estimate of a `SmoothedSurface` at the queries
+    (x, y) from exact kernel sums against every training point, in query
+    chunks of at most `chunk_elements` kernel weights: the oracle the
+    binned smoother approximates.  A query whose total weight falls below
+    MIN_KERNEL_WEIGHT gets the global rate."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    hx, hy = surface.bandwidth
+    points = surface.points
+    out = np.full(x.shape[0], surface.global_rate)
+    chunk = max(1, chunk_elements // len(points))
+    for start in range(0, x.shape[0], chunk):
+        part = slice(start, start + chunk)
+        # a distance of many bandwidths may overflow to inf: its weight is
+        # then exp(-inf) = 0, its limit
+        with np.errstate(over="ignore"):
+            dx = (x[part, None] - points[None, :, 0]) / hx
+            dy = (y[part, None] - points[None, :, 1]) / hy
+            w = np.exp(-0.5 * (dx * dx + dy * dy))
+        total = w.sum(axis=1)
+        ok = total >= MIN_KERNEL_WEIGHT
+        out[part][ok] = (w[ok] @ surface.response) / total[ok]
+    return out
+
+
 def binned_full_grid(surface, x, y):
     """`SmoothedSurface.evaluate_binned` by the full-grid product: the
-    reference of the touched-node smoother.  The numerator and denominator
-    grids are smoothed at every node, Kx @ C @ Ky with the (m, m) kernel of
-    each axis, then interpolated bilinearly at the queries."""
+    reference of the touched-node smoother, for a bandwidth the smoother
+    accepts.  Each axis takes the grid step r * h, where r is BIN_STEP if
+    that puts at most MAX_GRID_NODES nodes on the axis, else the ratio
+    that spans it in MAX_GRID_NODES - 2 steps.  The numerator and
+    denominator grids are smoothed at every node, Kx @ C @ Ky with the
+    (m, m) kernel of each axis, then interpolated bilinearly at the
+    queries."""
     q = np.column_stack([np.atleast_1d(np.asarray(x, dtype=float)),
                          np.atleast_1d(np.asarray(y, dtype=float))])
     h = np.asarray(surface.bandwidth, dtype=float)
@@ -183,11 +213,11 @@ def binned_full_grid(surface, x, y):
         return out
     lo = np.minimum(lo, q[near].min(axis=0))
     hi = np.maximum(hi, q[near].max(axis=0))
-    step = h * BIN_STEP
-    nodes = np.floor((hi - lo) / step) + 2
-    if nodes.max() > MAX_GRID_NODES:
-        return surface.evaluate(x, y)
-    shape = nodes.astype(int)
+    span = hi - lo
+    ratio = np.where(np.floor(span / (h * BIN_STEP)) + 2 <= MAX_GRID_NODES,
+                     BIN_STEP, span / ((MAX_GRID_NODES - 2) * h))
+    step = h * ratio
+    shape = (np.floor(span / step) + 2).astype(int)
 
     def corners(t):
         base = np.clip(np.floor(t), 0, shape - 2).astype(np.intp)
@@ -199,12 +229,12 @@ def binned_full_grid(surface, x, y):
                for cx in (0, 1) for cy in (0, 1)]
         return np.stack(idx), np.stack(wts)
 
-    def kernel(m):
-        d = np.arange(m) * BIN_STEP
+    def kernel(m, r):
+        d = np.arange(m) * r
         return np.exp(-0.5 * np.subtract.outer(d, d) ** 2)
 
     idx, wts = corners((points - lo) / step)
-    kx, ky = kernel(shape[0]), kernel(shape[1])
+    kx, ky = kernel(shape[0], ratio[0]), kernel(shape[1], ratio[1])
 
     def smoothed(weights):
         grid = np.bincount(idx.ravel(), weights=weights.ravel(),

@@ -25,6 +25,7 @@ from fixtures import (
     coefs,
     conservation_residuals,
     credit_table,
+    exact_smoother,
     half_innings,
     ols_fit,
     records,
@@ -123,17 +124,21 @@ def test_criterion_03_regression_core_oracles():
         assert ll(x, y, fit.coefficients[0]) >= best_grid - 1e-9
         done += 1
 
-    # smoother vs a naive double loop
+    # smoother vs a naive double loop: the exact oracle to 1e-10, the
+    # binned smoother the pipeline uses to its binning error
     pts = rng.uniform(-200, 350, size=(80, 2))
     resp = (rng.random(80) < 0.5).astype(float)
     surf = SmoothedSurface(pts, resp, (35.0, 50.0))
-    for qx, qy in rng.uniform(-200, 350, size=(20, 2)):
+    queries = rng.uniform(-200, 350, size=(20, 2))
+    binned = surf.evaluate_binned(queries[:, 0], queries[:, 1])
+    for (qx, qy), approx in zip(queries, binned):
         num = den = 0.0
         for (px, py), r in zip(pts, resp):
             w = np.exp(-0.5 * (((qx - px) / 35.0) ** 2
                                + ((qy - py) / 50.0) ** 2))
             num, den = num + w * r, den + w
-        assert abs(surf.evaluate(qx, qy)[0] - num / den) < 1e-10
+        assert abs(exact_smoother(surf, qx, qy)[0] - num / den) < 1e-10
+        assert abs(approx - num / den) <= 1e-3
     _ok(3, "OLS (100 systems), logistic grid oracle (10), smoother oracle")
 
 

@@ -4,6 +4,7 @@ import csv
 import errno
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 from openwar import cli, events, forking, uncertainty
 from openwar.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from openwar.events import parse_season
+from openwar.pipeline import SeasonLedger
 
 
 def _simulate(tmp_path, games=3, seed=5, name="season.csv"):
@@ -343,6 +345,45 @@ def test_config_echo_has_no_threads_key(tmp_path, war_season):
         assert flag not in config
         assert main(["war", "--input", str(war_season), "--out", str(out),
                      f"--{flag}", "2"]) == EXIT_CONFIG
+
+
+def test_war_writes_nothing_when_a_late_output_fails(tmp_path, war_season,
+                                                    capsys, monkeypatch):
+    """`war` computes every output before it writes the first, so a
+    failure in the last ones (here the contour grid) leaves no output
+    directory behind."""
+    def failing(self):
+        raise ValueError("contour grid failed")
+
+    monkeypatch.setattr(SeasonLedger, "surface_grid_csv", failing)
+    out = tmp_path / "war"
+    assert main(["war", "--input", str(war_season), "--out", str(out),
+                 "--cutoff-pos", "40", "--cutoff-pitch", "18"]) \
+        == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "contour grid failed", "kind": "validation"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["war", "boot"])
+def test_bandwidth_too_small_for_the_grid_is_config_error(
+        tmp_path, war_season, capsys, monkeypatch, command):
+    """A bandwidth whose smoothing grid, even at its capped step, would be
+    coarser than MAX_STEP_RATIO bandwidths exits 2, names each axis, the
+    bandwidth given and the smallest the grid takes, and writes
+    nothing."""
+    monkeypatch.setattr(cli, "bootstrap_war", _must_not_run)
+    out = tmp_path / "out"
+    assert main([command, "--input", str(war_season), "--out", str(out),
+                 "--bandwidth-x", "0.5", "--bandwidth-y", "0.5"]) \
+        == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config"
+    assert re.fullmatch(
+        r"x bandwidth 0\.5 ft is too small for the smoother's grid over "
+        r"[\d.]+ ft, which takes [\d.]+ ft or more; y bandwidth 0\.5 ft .*",
+        err["error"])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["war", "boot"])

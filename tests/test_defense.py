@@ -30,7 +30,12 @@ from openwar.pipeline import SeasonLedger, build_ledger, run_pipeline
 from openwar.simulate import generate_synthetic_season
 from openwar.uncertainty import BootstrapConfig, bootstrap_war
 
-from fixtures import conservation_residuals, make_pa, openwar_modules
+from fixtures import (
+    conservation_residuals,
+    exact_smoother,
+    make_pa,
+    openwar_modules,
+)
 
 
 def _in_play(data):
@@ -62,7 +67,7 @@ def test_bip_split_follows_out_probability():
         make_pa("A@B-0001", 0, 1, "top", 0, 0, "Flyout", "O",
                 bip=(0.0, 100.0))])
     surface = _surface_from([[0.0, 100.0], [0.0, 100.0]], [1.0, 0.0])
-    p_hat = surface.evaluate(data.bip_x, data.bip_y)
+    p_hat = exact_smoother(surface, data.bip_x, data.bip_y)
     assert p_hat.tolist() == pytest.approx([0.5])
     delta_p, delta_f = _split(np.array([-0.25]), p_hat)
     assert delta_p.tolist() == pytest.approx([0.125])
@@ -166,7 +171,8 @@ def test_out_surface_tracks_conversion_rate():
     coords, outs, _ = _in_play(data)
     surface = fit_out_surface(coords, outs)
     # outs cluster at the CF spot; singles dilute everywhere else
-    cf_spot, elsewhere = surface.evaluate([0.0, 100.0], [295.0, 80.0])
+    cf_spot, elsewhere = exact_smoother(surface, [0.0, 100.0],
+                                       [295.0, 80.0])
     assert cf_spot > elsewhere
     assert 0.0 <= cf_spot <= 1.0
 
@@ -199,7 +205,7 @@ def surface_100g():
 def test_binned_surface_matches_exact_at_balls_in_play(surface_100g):
     pts = surface_100g.points
     binned = surface_100g.evaluate_binned(pts[:, 0], pts[:, 1])
-    exact = surface_100g.evaluate(pts[:, 0], pts[:, 1])
+    exact = exact_smoother(surface_100g, pts[:, 0], pts[:, 1])
     assert np.max(np.abs(binned - exact)) <= 1e-3
 
 
@@ -209,7 +215,7 @@ def test_binned_surface_matches_exact_on_contour_grid(surface_100g):
                           credits=None)
     rows = np.array([[float(c) for c in line.split(",")]
                      for line in ledger.surface_grid_csv().splitlines()[1:]])
-    exact = surface_100g.evaluate(rows[:, 0], rows[:, 1])
+    exact = exact_smoother(surface_100g, rows[:, 0], rows[:, 1])
     assert np.max(np.abs(rows[:, 2] - exact)) <= 5e-3
 
 
@@ -222,17 +228,18 @@ def _counted(calls, name, fn):
 
 
 def test_defense_chain_avoids_per_play_work(season, monkeypatch):
-    """Guard against the quadratic smoother and per-row predictions."""
-    calls = {"evaluate": 0, "predict": 0}
-    monkeypatch.setattr(SmoothedSurface, "evaluate",
-                        _counted(calls, "evaluate", SmoothedSurface.evaluate))
+    """Guard against per-query smoothing and per-row predictions: the
+    balls in play are smoothed in one call."""
+    calls = {"evaluate_binned": 0, "predict": 0}
+    monkeypatch.setattr(SmoothedSurface, "evaluate_binned", _counted(
+        calls, "evaluate_binned", SmoothedSurface.evaluate_binned))
     monkeypatch.setattr(LogisticFit, "predict",
                         _counted(calls, "predict", LogisticFit.predict))
     deltas = np.zeros(len(season))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         apportion_defense(season, deltas)
-    assert calls["evaluate"] == 0
+    assert calls["evaluate_binned"] == 1
     assert calls["predict"] <= 9
 
 

@@ -12,6 +12,10 @@ from hypothesis import strategies as st
 
 from openwar import numerics
 from openwar.numerics import (
+    BIN_STEP,
+    MAX_GRID_NODES,
+    MAX_STEP_RATIO,
+    BandwidthError,
     SmoothedSurface,
     empirical_quantiles,
     indicator_ols,
@@ -29,6 +33,7 @@ from fixtures import (
     binned_full_grid,
     coefs,
     dense_design,
+    exact_smoother,
     logistic_reference,
     ols_fit,
     sigmoid_reference,
@@ -245,19 +250,19 @@ def test_smoother_matches_naive_double_loop():
             w = np.exp(-0.5 * (((qx - px) / hx) ** 2 + ((qy - py) / hy) ** 2))
             num += w * r
             den += w
-        assert abs(surf.evaluate(qx, qy)[0] - num / den) < 1e-10
+        assert abs(exact_smoother(surf, qx, qy)[0] - num / den) < 1e-10
 
 
-def test_smoother_chunks_match_naive_double_loop(monkeypatch):
+def test_smoother_chunks_match_naive_double_loop():
     rng = np.random.default_rng(8)
     pts = rng.uniform(-100, 300, size=(50, 2))
     resp = (rng.random(50) < 0.4).astype(float)
     hx, hy = 25.0, 40.0
     surf = SmoothedSurface(pts, resp, (hx, hy))
     # 7 queries per chunk, so the 40 queries span six chunks
-    monkeypatch.setattr(numerics, "EXACT_CHUNK_ELEMENTS", 7 * len(pts))
     queries = rng.uniform(-100, 300, size=(40, 2))
-    vals = surf.evaluate(queries[:, 0], queries[:, 1])
+    vals = exact_smoother(surf, queries[:, 0], queries[:, 1],
+                          chunk_elements=7 * len(pts))
     for (qx, qy), v in zip(queries, vals):
         w = [np.exp(-0.5 * (((qx - px) / hx) ** 2 + ((qy - py) / hy) ** 2))
              for px, py in pts]
@@ -268,10 +273,11 @@ def test_smoother_far_query_falls_back_to_global_rate():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     resp = np.array([1.0, 0.0, 0.0])
     surf = SmoothedSurface(pts, resp, (1.0, 1.0))
-    assert surf.evaluate(1e6, 1e6)[0] == pytest.approx(resp.mean())
+    assert exact_smoother(surf, 1e6, 1e6)[0] == pytest.approx(resp.mean())
     far = surf.evaluate_binned([1e6, 1.0], [1e6, 0.5])
     assert far[0] == surf.global_rate
-    assert far[1] == pytest.approx(surf.evaluate(1.0, 0.5)[0], abs=1e-3)
+    assert far[1] == pytest.approx(exact_smoother(surf, 1.0, 0.5)[0],
+                                   abs=1e-3)
 
 
 def test_binned_smoother_values_are_probabilities():
@@ -284,31 +290,89 @@ def test_binned_smoother_values_are_probabilities():
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
-def test_binned_smoother_too_wide_a_grid_evaluates_exactly():
+def test_binned_smoother_too_wide_a_grid_is_rejected():
+    """A bandwidth whose grid, even at the capped step, would be coarser
+    than MAX_STEP_RATIO bandwidths is rejected, naming each axis, the
+    bandwidth given and the smallest the grid takes."""
     rng = np.random.default_rng(10)
     pts = rng.uniform(0, 400, size=(30, 2))
     resp = (rng.random(30) < 0.5).astype(float)
-    # step 0.025 ft over a 400 ft spread: far more than MAX_GRID_NODES
+    # 0.5 ft over a spread of about 340 ft: a step of 0.33 bandwidths
     surf = SmoothedSurface(pts, resp, (0.5, 0.5))
-    assert np.array_equal(surf.evaluate_binned(pts[:, 0], pts[:, 1]),
-                          surf.evaluate(pts[:, 0], pts[:, 1]))
+    span = pts.max(axis=0) - pts.min(axis=0)
+    least = np.ceil(span / ((MAX_GRID_NODES - 2) * MAX_STEP_RATIO) * 100) / 100
+    with pytest.raises(BandwidthError) as err:
+        surf.evaluate_binned(pts[:, 0], pts[:, 1])
+    assert str(err.value) == "; ".join(
+        f"{axis} bandwidth 0.5 ft is too small for the smoother's grid "
+        f"over {s:.1f} ft, which takes {a:g} ft or more"
+        for axis, s, a in zip("xy", span, least))
+    assert isinstance(err.value, ValueError)
 
 
 @pytest.mark.parametrize("h", [1e-200, 1e-300])
-def test_binned_smoother_tiny_bandwidth_evaluates_exactly(h):
-    """A node count too large for an int (or infinite) is compared before
-    any cast, so the grid falls back to the exact path; there a query on a
-    training point gets that point's response and any other query, whose
-    kernel distances overflow, gets the global rate."""
+def test_binned_smoother_tiny_bandwidth_is_rejected(h):
+    """A node count too large for an int is compared before any cast, so
+    a tiny bandwidth is rejected with no overflow, and no invalid cast."""
     rng = np.random.default_rng(11)
     pts = rng.uniform(0, 400, size=(30, 2))
     resp = (rng.random(30) < 0.5).astype(float)
     surf = SmoothedSurface(pts, resp, (h, h))
     q = np.vstack([pts, pts + 1.0])
-    vals = surf.evaluate_binned(q[:, 0], q[:, 1])
-    assert np.array_equal(vals, surf.evaluate(q[:, 0], q[:, 1]))
-    assert np.array_equal(vals[:30], resp)
-    assert np.all(vals[30:] == surf.global_rate)
+    with pytest.raises(BandwidthError, match=f"x bandwidth {h!r} ft is too "
+                                             "small.*; y bandwidth"):
+        surf.evaluate_binned(q[:, 0], q[:, 1])
+
+
+def test_binned_smoother_at_the_largest_step_ratio(pipeline, monkeypatch):
+    """At the coarsest step the grid accepts, MAX_STEP_RATIO = 0.1
+    bandwidths on each axis, the binned estimate stays within 2.5e-3 of
+    the exact one at every ball in play.  The bound is Wand's (1994)
+    linear-interpolation error of the Gaussian kernel, r^2 max|K''| / 8 =
+    1.25e-3 of its peak at r = 0.1, once for the binning and once for the
+    reading at the query."""
+    surface = pipeline.ledger.defense.surface
+    pts = surface.points
+    span = pts.max(axis=0) - pts.min(axis=0)
+    h = span / ((MAX_GRID_NODES - 2) * MAX_STEP_RATIO) * (1 + 1e-9)
+    surf = SmoothedSurface(pts, surface.response, tuple(h))
+    shapes = []
+    kernel = numerics._binned_kernel
+    monkeypatch.setattr(numerics, "_binned_kernel",
+                        lambda *a: shapes.append(a[1:]) or kernel(*a))
+    got = surf.evaluate_binned(pts[:, 0], pts[:, 1])
+    # both axes at the cap, a step of just under 0.1 bandwidths
+    assert all(MAX_GRID_NODES - 1 <= m <= MAX_GRID_NODES for m, _ in shapes)
+    assert all(MAX_STEP_RATIO * (1 - 1e-6) < r <= MAX_STEP_RATIO
+               for _, r in shapes)
+    ref = exact_smoother(surf, pts[:, 0], pts[:, 1])
+    assert np.max(np.abs(got - ref)) <= 2.5e-3
+
+
+def test_binned_kernels_stay_within_the_node_cap(monkeypatch):
+    """Every kernel the binned smoother builds has at most MAX_GRID_NODES
+    columns, from a wide bandwidth down to the smallest the grid takes.  A
+    grid whose last node fits at the step BIN_STEP * h keeps that step."""
+    rng = np.random.default_rng(13)
+    pts = rng.uniform([-200, 50], [200, 350], size=(300, 2))
+    resp = (rng.random(300) < 0.6).astype(float)
+    q = rng.uniform(pts.min(axis=0), pts.max(axis=0), size=(200, 2))
+    span = pts.max(axis=0) - pts.min(axis=0)
+    # MAX_GRID_NODES - 1.5 steps of BIN_STEP * h: the last node that fits
+    edge = span / (BIN_STEP * (MAX_GRID_NODES - 1.5))
+    least = span / ((MAX_GRID_NODES - 2) * MAX_STEP_RATIO) * (1 + 1e-9)
+    shapes = []
+    kernel = numerics._binned_kernel
+    monkeypatch.setattr(numerics, "_binned_kernel",
+                        lambda *a: shapes.append((*a[1:], len(a[0])))
+                        or kernel(*a))
+    for h in (span / 10, edge, edge * (1 - 1e-3), (edge + least) / 2, least):
+        SmoothedSurface(pts, resp, tuple(h)).evaluate_binned(q[:, 0], q[:, 1])
+    assert len(shapes) == 10
+    assert all(rows <= m <= MAX_GRID_NODES for m, _, rows in shapes)
+    assert [(m, r) for m, r, _ in shapes[2:4]] == [(MAX_GRID_NODES,
+                                                    BIN_STEP)] * 2
+    assert all(r > BIN_STEP for _, r, _ in shapes[4:])
 
 
 def _contour_queries():
@@ -321,18 +385,26 @@ def test_binned_smoother_matches_full_grid_oracle(pipeline):
     """Smoothing only the touched nodes gives the full-grid product's
     values within 1e-15 relative: on the contour grid, on random queries
     (dense, and sparse ones that touch few nodes), and beyond the reach,
-    where both give the global rate."""
+    where both give the global rate.  The capped surface, 300 points over
+    400 ft at 2 ft, puts more than MAX_GRID_NODES nodes of step BIN_STEP *
+    h on each axis, so both take the capped step; its queries stay inside
+    its points' box, where that step is accepted."""
     rng = np.random.default_rng(12)
     session = pipeline.ledger.defense.surface
     pts = rng.uniform([-200, 50], [200, 350], size=(300, 2))
     sparse = SmoothedSurface(pts, (rng.random(300) < 0.6).astype(float),
                              (18.0, 24.0))
+    capped = SmoothedSurface(pts, sparse.response, (2.0, 2.0))
     far = (np.array([5e4, -5e4, 0.0]), np.array([0.0, 1e5, -5e4]))
-    for surf in (session, sparse):
-        dense = rng.uniform([-350, 0], [350, 450], size=(400, 2)).T
-        few = rng.uniform([-350, 0], [350, 450], size=(5, 2)).T
-        for qx, qy in (_contour_queries(), dense, few, far,
-                       np.hstack([few, far])):
+    gx, gy = _contour_queries()
+    inside = (np.abs(gx) <= 200) & (gy >= 50) & (gy <= 350)
+    for surf, box, contour in (
+            (session, ([-350, 0], [350, 450]), (gx, gy)),
+            (sparse, ([-350, 0], [350, 450]), (gx, gy)),
+            (capped, ([-200, 50], [200, 350]), (gx[inside], gy[inside]))):
+        dense = rng.uniform(*box, size=(400, 2)).T
+        few = rng.uniform(*box, size=(5, 2)).T
+        for qx, qy in (contour, dense, few, far, np.hstack([few, far])):
             got = surf.evaluate_binned(qx, qy)
             ref = binned_full_grid(surf, qx, qy)
             assert np.all(np.abs(got - ref) <= 1e-15 * ref)

@@ -48,7 +48,9 @@ for slot, runner in enumerate(runners):
         print(f"    baserunning ({where:<11}) {off.raa_br[i, slot]:+.3f} "
               f"(kappa {off.kappa[i, slot]:.2f})")
 print("  defense:")
-print(f"    out probability p-hat  {dfn.p_hat[i]:.3f}")
+# the out probability at the landing spot, read off the smoothed surface
+p_hat = dfn.surface.evaluate_binned(season.bip_x[[i]], season.bip_y[[i]])[0]
+print(f"    out probability p-hat  {p_hat:.3f}")
 print(f"    pitcher RAA            {dfn.raa_pitch[i]:+.3f}")
 park = dfn.fielding_park_fit
 raa_field = park.residuals.reshape(-1, 9)[k]

@@ -150,9 +150,7 @@ def fit_pitching_adjustment(data, delta_p):
 @dataclass
 class DefenseResult:
     data: object  # the SeasonDataset the chain ran on
-    p_hat: np.ndarray
-    delta_p: np.ndarray
-    delta_f: np.ndarray
+    delta_f: np.ndarray  # fielders' part of -delta, 0 off the balls in play
     raa_pitch: np.ndarray
     pitch_fit: object
     fielding_park_fit: object  # residuals and fitted values, 9 per play
@@ -181,7 +179,8 @@ class DefenseResult:
 
 def apportion_defense(data, deltas, bandwidth=None):
     """Run the full defensive chain over a season.  A ball in play without
-    coordinates is rejected before any fit."""
+    coordinates, or a bandwidth too small for their grid, is rejected
+    before any fielding fit."""
     deltas = np.asarray(deltas, dtype=float)
     bip = np.flatnonzero(_IN_PLAY[data.event])
     missing = np.isnan(data.bip_x[bip])
@@ -195,10 +194,10 @@ def apportion_defense(data, deltas, bandwidth=None):
     design = _fielding_design(coords)
 
     surface = fit_out_surface(coords, outs, bandwidth=bandwidth)
-    models = fit_fielding_models(design, outs, data.credited[bip])
     p_hat = np.zeros(len(data))
     p_hat[bip] = surface.evaluate_binned(coords[:, 0], coords[:, 1])
     delta_p, delta_f = _split(deltas, p_hat)
+    models = fit_fielding_models(design, outs, data.credited[bip])
 
     probs, shares = _fielding_shares(design, models,
                                      lambda k: _where(data, bip[k]))
@@ -206,8 +205,7 @@ def apportion_defense(data, deltas, bandwidth=None):
                                             delta_f[bip, None] * shares)
     pitch_fit = fit_pitching_adjustment(data, delta_p)
     return DefenseResult(
-        data=data, p_hat=p_hat, delta_p=delta_p, delta_f=delta_f,
-        raa_pitch=pitch_fit.residuals, pitch_fit=pitch_fit,
-        fielding_park_fit=park_fit, surface=surface, fielding_models=models,
-        bip_indices=bip, probs=probs, shares=shares,
+        data=data, delta_f=delta_f, raa_pitch=pitch_fit.residuals,
+        pitch_fit=pitch_fit, fielding_park_fit=park_fit, surface=surface,
+        fielding_models=models, bip_indices=bip, probs=probs, shares=shares,
     )

@@ -182,21 +182,13 @@ class SeasonDataset:
     @classmethod
     def from_records(cls, records, roster=None):
         """Code a sequence of rows, each a dict of CSV fields as `record`
-        returns; a field left out is absent.  Records are not checked (see
-        `from_columns`)."""
+        returns; a field left out, None or "" is absent.  Records are not
+        checked: a string outside its column's vocabulary is stored as
+        absent; to check a built dataset `d`, parse `serialize_season(d)`.
+        Numbers must parse, coordinates must be finite, and the game,
+        batter, pitcher and ballpark ids must be given."""
         records = list(records)
-        return cls.from_columns(
-            {f: [r.get(f) for r in records] for f in _FIELDS}, roster)
-
-    @classmethod
-    def from_columns(cls, raw, roster=None):
-        """Code a season given as its CSV fields: `raw` maps each name in
-        CSV_COLUMNS + OPTIONAL_COLUMNS to one sequence of values per record,
-        with None or "" where a field is absent.  Records are not checked:
-        a string outside its column's vocabulary is stored as absent; to
-        check a built dataset `d`, parse `serialize_season(d)`.  Numbers
-        must parse, coordinates must be finite, and the game, batter,
-        pitcher and ballpark ids must be given."""
+        raw = {f: [r.get(f) for r in records] for f in _FIELDS}
         cols, tables, malformed = _code_columns(_by_record(raw))
         if malformed.any():
             row = [v[int(np.argmax(malformed))] for v in raw.values()]
@@ -830,8 +822,7 @@ def parse_season(source, strictness="strict"):
             report.dropped += part.dropped
             blocks.append((part.columns, part.ids))
 
-    dataset = _finish(blocks) if blocks else \
-        SeasonDataset.from_columns(dict.fromkeys(header, ()))
+    dataset = _finish(blocks) if blocks else SeasonDataset.from_records([])
     breaks = _chain_messages(dataset)
     if strict and breaks:
         raise ChainError("; ".join(breaks[:5]))

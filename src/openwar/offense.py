@@ -160,15 +160,9 @@ class BaserunnerCredit:
 @dataclass
 class OffenseResult:
     data: object  # the SeasonDataset the chain ran on
-    deltas: np.ndarray
-    eps_hat: np.ndarray  # park/platoon-adjusted values
-    eta_hat: np.ndarray  # baserunners' collective share
-    mu_hat: np.ndarray  # hitter share before position adjustment
     raa_hit: np.ndarray
     park_fit: object
-    state_fit: object
     position_fit: object
-    advancement: np.ndarray  # the advancement_probabilities array
     kappa: np.ndarray  # (n, 4): runners on 1B-3B, then the batter; 0 if absent
     raa_br: np.ndarray  # (n, 4), laid out as kappa
 
@@ -189,17 +183,14 @@ def apportion_offense(data, deltas):
     """Run the full offensive chain over a season."""
     deltas = np.asarray(deltas, dtype=float)
     park_fit = fit_park_platoon(data, deltas)
-    eps_hat = park_fit.residuals
-    state_fit = fit_baserunner_expectation(data, eps_hat)
-    eta_hat = state_fit.residuals
-    mu_hat = eps_hat - eta_hat
+    eps_hat = park_fit.residuals  # park/platoon-adjusted values
+    # the baserunners' collective share
+    eta_hat = fit_baserunner_expectation(data, eps_hat).residuals
+    mu_hat = eps_hat - eta_hat  # hitter share before position adjustment
     position_fit = fit_position_adjustment(data, mu_hat)
-    raa_hit = position_fit.residuals
     cdf = advancement_probabilities(data)
     kappa, raa_br = _baserunning(data, eta_hat, cdf)
     return OffenseResult(
-        data=data, deltas=deltas, eps_hat=eps_hat, eta_hat=eta_hat,
-        mu_hat=mu_hat, raa_hit=raa_hit, park_fit=park_fit,
-        state_fit=state_fit, position_fit=position_fit, advancement=cdf,
-        kappa=kappa, raa_br=raa_br,
+        data=data, raa_hit=position_fit.residuals, park_fit=park_fit,
+        position_fit=position_fit, kappa=kappa, raa_br=raa_br,
     )

@@ -88,10 +88,9 @@ def _credit_table(data, offense, defense):
         game_starts=np.flatnonzero(np.diff(data.game, prepend=-1)))
 
 
-def build_ledger(data, bandwidth=None, matrix=None):
+def build_ledger(data, bandwidth=None):
     """Estimate the run matrix, score every PA, and apportion both sides."""
-    if matrix is None:
-        matrix = estimate_matrix(data)
+    matrix = estimate_matrix(data)
     deltas = _deltas(data, matrix)
     offense = apportion_offense(data, deltas)
     defense = apportion_defense(data, deltas, bandwidth=bandwidth)

@@ -86,7 +86,6 @@ class BootstrapConfig:
 class WarDistribution:
     players: list  # sorted player ids
     names: list  # by players
-    point: np.ndarray  # point-estimate WAR per player
     replicates: np.ndarray  # (replicates, players) WAR matrix
     probs: tuple
     quantiles: np.ndarray  # (players, probs)
@@ -135,9 +134,8 @@ def bootstrap_war(credits, valuation, config):
         empirical_quantiles(mat[:, j:j + step], DEFAULT_PROBS, axis=0).T
         for j in range(0, len(valuation), step)])
     return WarDistribution(players=valuation.player_ids,
-                           names=valuation.names, point=valuation.war,
-                           replicates=mat, probs=DEFAULT_PROBS,
-                           quantiles=quantiles)
+                           names=valuation.names, replicates=mat,
+                           probs=DEFAULT_PROBS, quantiles=quantiles)
 
 
 def _block_rows(n_pas):

@@ -156,7 +156,10 @@ def test_criterion_05_share_normalization(acc):
     assert np.all((dfn.shares >= 0.0) & (dfn.shares <= 1.0))
     worst = float(np.max(np.abs(dfn.shares.sum(axis=1) - 1.0)))
     assert worst < 1e-12
-    assert np.all((dfn.p_hat >= 0.0) & (dfn.p_hat <= 1.0))
+    data, bip = acc["data"], dfn.bip_indices
+    p_hat = np.zeros(len(data))
+    p_hat[bip] = dfn.surface.evaluate_binned(data.bip_x[bip], data.bip_y[bip])
+    assert np.all((p_hat >= 0.0) & (p_hat <= 1.0))
     _ok(5, f"max |sum shares - 1| = {worst:.3e} over "
            f"{len(dfn.bip_indices)} balls in play")
 

@@ -84,6 +84,24 @@ def test_validate_ok(tmp_path, capsys):
     assert "ok" in out
 
 
+@pytest.mark.parametrize("credited", [True, False])
+def test_header_only_season_is_empty_and_valid(tmp_path, capsys, credited):
+    """A season of its header alone, with or without the optional
+    credited_fielder_position column, is an empty dataset of the usual
+    column shapes, and `validate` passes it."""
+    columns = events.CSV_COLUMNS + events.OPTIONAL_COLUMNS * credited
+    text = ",".join(columns) + "\n"
+    data, report = parse_season(text)
+    assert len(data) == 0
+    assert (data.fielder.shape, data.runner.shape) == ((0, 9), (0, 3))
+    assert (report.warnings, report.dropped) == ([], 0)
+    path = tmp_path / "header.csv"
+    path.write_text(text)
+    assert main(["validate", "--input", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "records: 0" and out[-1] == "ok"
+
+
 def test_validate_rejects_corrupt_file(tmp_path, capsys):
     path = _simulate(tmp_path)
     text = path.read_text().replace("Groundout", "Banana", 1)

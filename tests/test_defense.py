@@ -25,7 +25,12 @@ from openwar.defense import (
     fit_fielding_models,
     fit_out_surface,
 )
-from openwar.numerics import LogisticFit, SmoothedSurface, master_rng
+from openwar.numerics import (
+    BandwidthError,
+    LogisticFit,
+    SmoothedSurface,
+    master_rng,
+)
 from openwar.pipeline import SeasonLedger, build_ledger, run_pipeline
 from openwar.simulate import generate_synthetic_season
 from openwar.uncertainty import BootstrapConfig, bootstrap_war
@@ -93,6 +98,20 @@ def test_bip_without_coordinates():
     with pytest.raises(ValueError, match="no balls in play"):
         apportion_defense(SeasonDataset.from_records([strikeout]),
                           np.zeros(1), bandwidth=(30.0, 30.0))
+
+
+def test_too_small_a_bandwidth_is_rejected_before_the_fielding_fits(
+        season, monkeypatch):
+    """The out-probability surface is evaluated before the nine fielding
+    models are fitted, so a bandwidth too small for the grid of the balls
+    in play costs no fit."""
+    calls = {"logistic_fit": 0}
+    monkeypatch.setattr(defense, "logistic_fit", _counted(
+        calls, "logistic_fit", defense.logistic_fit))
+    with pytest.raises(BandwidthError):
+        apportion_defense(season, np.zeros(len(season)),
+                          bandwidth=(1e-3, 1e-3))
+    assert calls["logistic_fit"] == 0
 
 
 def test_fielding_design_row():
@@ -187,13 +206,18 @@ def test_defense_chain_identities(pipeline):
 
 
 def test_out_probabilities_are_probabilities(pipeline, season_records):
-    dfn = pipeline.ledger.defense
-    assert np.all(dfn.p_hat >= 0.0) and np.all(dfn.p_hat <= 1.0)
+    data, dfn = pipeline.ledger.data, pipeline.ledger.defense
+    bip = dfn.bip_indices
+    p_hat = np.zeros(len(data))
+    p_hat[bip] = dfn.surface.evaluate_binned(data.bip_x[bip], data.bip_y[bip])
+    assert np.all(p_hat >= 0.0) and np.all(p_hat <= 1.0)
+    delta_p, delta_f = _split(pipeline.ledger.deltas, p_hat)
+    assert np.array_equal(delta_f, dfn.delta_f)
     # non-BIP events have the whole value on the pitcher
     for i, pa in enumerate(season_records):
         if not BALL_IN_PLAY[pa["event_type"]]:
             assert dfn.delta_f[i] == 0.0
-            assert dfn.delta_p[i] == -pipeline.ledger.deltas[i]
+            assert delta_p[i] == -pipeline.ledger.deltas[i]
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ from openwar.events import (
     BALL_IN_PLAY,
     CSV_COLUMNS,
     EVENT_TYPES,
-    OPTIONAL_COLUMNS,
     ChainError,
     RecordError,
     SchemaError,
@@ -203,8 +202,8 @@ def test_fields_left_out_or_none_are_absent():
                                     "ballpark_id"])
 def test_missing_id_is_record_error(column, given):
     """An id a record must give, None, empty or left out of the second
-    record, is a RecordError naming the field and the record, from rows,
-    from columns and from CSV text alike."""
+    record, is a RecordError naming the field and the record, from full
+    rows, from rows of the CSV columns alone and from CSV text alike."""
     first = make_pa("AWY@HOM-0001", 0, 1, "top", 0, 0, "Walk", "1B")
     second = make_pa("AWY@HOM-0001", 1, 1, "top", 0, 1, "Strikeout", "O",
                      {1: "1B"})
@@ -216,9 +215,10 @@ def test_missing_id_is_record_error(column, given):
     message = f"pa 1: {column} must be given"
     with pytest.raises(RecordError, match=message):
         SeasonDataset.from_records([first, second])
-    raw = {f: [first[f], second.get(f)] for f in CSV_COLUMNS}
+    csv_only = [{f: first[f] for f in CSV_COLUMNS},
+                  {f: second.get(f) for f in CSV_COLUMNS}]
     with pytest.raises(RecordError, match=message):
-        SeasonDataset.from_columns(raw)
+        SeasonDataset.from_records(csv_only)
     if given == "empty":
         header, *rows = text.splitlines()
         cells = rows[1].split(",")
@@ -233,12 +233,11 @@ def test_missing_id_is_record_error(column, given):
 def test_none_coordinates_of_a_season_code_as_absent():
     season = generate_synthetic_season(1, 3, teams=2)
     rows = [season.record(i) for i in range(len(season))]
-    raw = {f: [row[f] for row in rows] for f in CSV_COLUMNS + OPTIONAL_COLUMNS}
-    none = {f: [None if f.startswith("bip_") and v == "" else v
-                for v in values] for f, values in raw.items()}
-    assert None in none["bip_x"]
-    assert serialize_season(SeasonDataset.from_columns(none)) == \
-        serialize_season(SeasonDataset.from_columns(raw))
+    none = [{f: None if f.startswith("bip_") and v == "" else v
+             for f, v in row.items()} for row in rows]
+    assert None in [row["bip_x"] for row in none]
+    assert serialize_season(SeasonDataset.from_records(none)) == \
+        serialize_season(SeasonDataset.from_records(rows))
 
 
 def test_bip_presence_must_match_event():
@@ -703,7 +702,7 @@ def _oracle(text, strictness):
     field that is not quoted, a '\\r' outside a '\\r\\n' line end, a NUL),
     or that holds a field over csv.field_size_limit(), are coded one at a
     time by the library's row path (`_field_problem`, `_rules`,
-    `SeasonDataset.from_columns`, then `_chain_messages` for the state
+    `SeasonDataset.from_records`, then `_chain_messages` for the state
     chain); then that record raises RecordError
     naming its first line.  A quoted field read past the limit ends the
     text there, as csv.reader stops at it: its record is too long, unless
@@ -762,9 +761,8 @@ def _oracle(text, strictness):
                             else problems)
         if broken is not None:
             raise RecordError(f"line {line + 2}: {broken}")
-        data = SeasonDataset.from_columns(
-            dict(zip(_HEADER, map(list, zip(*kept)))) if kept
-            else dict.fromkeys(_HEADER, ()))
+        data = SeasonDataset.from_records(dict(zip(_HEADER, row))
+                                          for row in kept)
         breaks = events._chain_messages(data)
         if strict and breaks:
             raise ChainError("; ".join(breaks[:5]))

@@ -9,6 +9,7 @@ from openwar.offense import (
     _baserunning,
     advancement_probabilities,
     apportion_offense,
+    fit_baserunner_expectation,
     fit_park_platoon,
     park_platoon_design,
 )
@@ -128,14 +129,16 @@ def test_batter_always_credited():
 
 def test_offense_chain_identities(pipeline):
     """delta decomposes exactly into fitted means + hitter + runner credits."""
-    off = pipeline.ledger.offense
+    data, off = pipeline.ledger.data, pipeline.ledger.offense
+    eps_hat = off.park_fit.residuals
+    eta_hat = fit_baserunner_expectation(data, eps_hat).residuals
     credit_sums = off.raa_br.sum(axis=1)
-    assert np.max(np.abs(credit_sums - off.eta_hat)) < 1e-10
+    assert np.max(np.abs(credit_sums - eta_hat)) < 1e-10
     recon = (off.park_fit.fitted + off.position_fit.fitted
              + off.raa_hit + credit_sums)
     assert np.max(np.abs(recon - pipeline.ledger.deltas)) < 1e-10
     # each regression residual stream is centered league-wide
-    for arr in (off.eps_hat, off.eta_hat, off.raa_hit):
+    for arr in (eps_hat, eta_hat, off.raa_hit):
         assert abs(arr.sum()) < 1e-8
 
 

@@ -322,7 +322,7 @@ def test_outcome_table_breaks_no_record_rule():
     rows = list(csv.reader(io.StringIO(simulate._locate(lines, in_play, draws))))
     header = CSV_COLUMNS + OPTIONAL_COLUMNS
     assert {len(row) for row in rows} == {len(header)}
-    data = SeasonDataset.from_columns(dict(zip(header, zip(*rows))))
+    data = SeasonDataset.from_records(dict(zip(header, row)) for row in rows)
     broken = {msg(data.record(k), k)
               for mask, msg in _rules(vars(data)) for k in np.flatnonzero(mask)}
     assert broken == set()

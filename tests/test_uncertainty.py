@@ -251,7 +251,7 @@ def test_every_pa_once_reproduces_point_war(pipeline, monkeypatch):
     monkeypatch.setattr(uncertainty, "replicate_rng", lambda *key: once)
     dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
                          BootstrapConfig(replicates=2))
-    assert np.max(np.abs(dist.replicates - dist.point)) < 1e-12
+    assert np.max(np.abs(dist.replicates - pipeline.valuation.war)) < 1e-12
 
 
 def test_bootstrap_keys_beyond_int32():

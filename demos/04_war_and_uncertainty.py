@@ -9,7 +9,7 @@ import numpy as np
 
 from openwar.pipeline import run_pipeline
 from openwar.simulate import generate_synthetic_season
-from openwar.uncertainty import BootstrapConfig, bootstrap_war, compare_players
+from openwar.uncertainty import DEFAULT_PROBS, bootstrap_war, compare_players
 
 season = generate_synthetic_season(games=50, seed=17)
 with warnings.catch_warnings():
@@ -32,12 +32,12 @@ for j in leaders:
 
 # Bootstrap: resample the season's plate appearances with replacement,
 # carrying each PA's credits jointly, with all models frozen.  The
-# distribution's players are the valuation's, in the same order.
-dist = bootstrap_war(result.ledger.credits, val,
-                     BootstrapConfig(replicates=500, master_seed=0))
+# distribution's players are the valuation's, in the same order: 500
+# replicates from master seed 0.
+dist = bootstrap_war(result.ledger.credits, val, 500, 0)
 print("\n95% WAR intervals for the leaders")
-lo = dist.probs.index(0.025)
-hi = dist.probs.index(0.975)
+lo = DEFAULT_PROBS.index(0.025)
+hi = DEFAULT_PROBS.index(0.975)
 for j in leaders[:5]:
     print(f"{ids[j]:<10} {war[j]:>6.2f}  "
           f"[{dist.quantiles[j, lo]:>6.2f}, {dist.quantiles[j, hi]:>6.2f}]")

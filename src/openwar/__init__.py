@@ -13,11 +13,10 @@ from .events import (
 from .pipeline import PipelineResult, SeasonLedger, build_ledger, run_pipeline
 from .run_expectancy import RunExpectancyMatrix, estimate_matrix, run_value
 from .simulate import generate_synthetic_season
-from .uncertainty import BootstrapConfig, bootstrap_war, compare_players
+from .uncertainty import bootstrap_war, compare_players
 from .valuation import (
     Valuation,
     build_replacement_pool,
-    pythag_wpct,
     runs_per_win,
     tabulate_raa,
     value_players,
@@ -37,12 +36,10 @@ __all__ = [
     "estimate_matrix",
     "run_value",
     "generate_synthetic_season",
-    "BootstrapConfig",
     "bootstrap_war",
     "compare_players",
     "Valuation",
     "build_replacement_pool",
-    "pythag_wpct",
     "runs_per_win",
     "tabulate_raa",
     "value_players",

@@ -24,12 +24,7 @@ from .events import SEASON_HEADER, parse_season
 from .numerics import BandwidthError
 from .pipeline import run_pipeline
 from .simulate import synthetic_season_batches
-from .uncertainty import (
-    BootstrapConfig,
-    WorkerError,
-    bootstrap_war,
-    comparison_json,
-)
+from .uncertainty import WorkerError, bootstrap_war, comparison_json
 from .valuation import (
     DEFAULT_CUTOFF_PITCH,
     DEFAULT_CUTOFF_POS,
@@ -166,7 +161,8 @@ def _seed(args):
 
 
 def _load(args):
-    with open(args.input, encoding="utf-8") as fh:
+    # newline="" hands the parser the line ends as written
+    with open(args.input, encoding="utf-8", newline="") as fh:
         return parse_season(fh, "strict" if args.strict else "lenient")
 
 
@@ -251,8 +247,7 @@ def cmd_boot(args):
     # pages, which their ru_maxrss counts: resample holding only what
     # resampling reads, not the season and the chains' internals
     del result
-    config = BootstrapConfig(replicates=args.replicates, master_seed=seed)
-    dist = bootstrap_war(credits, valuation, config)
+    dist = bootstrap_war(credits, valuation, args.replicates, seed)
     texts = {"war_quantiles.csv": dist.quantile_csv()}
     if args.compare:
         texts["comparisons.json"] = comparison_json(dist, args.compare)

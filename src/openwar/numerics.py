@@ -1,5 +1,5 @@
 """Estimation primitives: OLS, IRLS logistic regression, a 2D binary-response
-kernel smoother, type-7 quantiles, and the seeded RNG contract."""
+kernel smoother, and the seeded RNG contract."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ __all__ = [
     "indicator_ols",
     "logistic_fit",
     "scott_bandwidth",
-    "empirical_quantiles",
     "master_rng",
     "replicate_rng",
 ]
@@ -327,19 +326,6 @@ def _binned_kernel(rows, m, ratio):
     k *= k
     k *= -0.5
     return np.exp(k, out=k)
-
-
-def empirical_quantiles(values, probs, axis=None):
-    """Type-7 (linear interpolation) order-statistic quantiles, of all
-    `values` or along `axis` (the probabilities index the result's first
-    axis, as in `np.quantile`)."""
-    values = np.asarray(values, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty values")
-    if np.any(probs < 0) or np.any(probs > 1):
-        raise ValueError("probabilities must lie in [0, 1]")
-    return np.quantile(values, probs, axis=axis)  # numpy default is type-7
 
 
 def master_rng(seed):

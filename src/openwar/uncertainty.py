@@ -50,10 +50,10 @@ import numpy as np
 
 from .events import csv_text
 from .forking import WorkerError, ordered
-from .numerics import empirical_quantiles, replicate_rng
+from .numerics import replicate_rng
 
-__all__ = ["BootstrapConfig", "WarDistribution", "WorkerError",
-           "bootstrap_war", "compare_players"]
+__all__ = ["WarDistribution", "WorkerError", "bootstrap_war",
+           "compare_players"]
 
 DEFAULT_PROBS = (0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0)
 #: element budget of one block of replicate columns: `np.quantile` copies
@@ -73,39 +73,31 @@ BLOCK_PAS = 128
 
 
 @dataclass
-class BootstrapConfig:
-    replicates: int = 3500
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-
-
-@dataclass
 class WarDistribution:
     players: list  # sorted player ids
     names: list  # by players
     replicates: np.ndarray  # (replicates, players) WAR matrix
-    probs: tuple
-    quantiles: np.ndarray  # (players, probs)
+    quantiles: np.ndarray  # (players, DEFAULT_PROBS)
 
     def quantile_csv(self):
         return csv_text(
-            ("player_id", "name", *(f"q{100 * p:g}" for p in self.probs)),
+            ("player_id", "name", *(f"q{100 * p:g}" for p in DEFAULT_PROBS)),
             zip(self.players, self.names, *self.quantiles.T.tolist()))
 
 
-def bootstrap_war(credits, valuation, config):
-    """Resample the season `config.replicates` times with frozen models.
+def bootstrap_war(credits, valuation, replicates, master_seed):
+    """Resample the season `replicates` times with frozen models.
 
     `valuation` is the Valuation of the CreditTable `credits`; its rates,
     runs per win and point WAR are the ones every replicate uses.  Each
     replicate weights every credit by the number of times its plate
     appearance was drawn, so a drawn PA carries all of its credits.
     Deterministic: each replicate draws from its own stream derived from
-    (master_seed, replicate index).
+    (master_seed, replicate index).  Its quantiles are numpy's default,
+    type 7: linear interpolation between order statistics.
     """
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
     if not credits.n_pas:
         raise ValueError("empty ledger")
     if valuation.player_ids != credits.player_ids:
@@ -119,23 +111,23 @@ def bootstrap_war(credits, valuation, config):
         if not buffers:
             buffers.extend([np.empty((rows, credits.n_pas), dtype=np.int32),
                             np.empty((rows, len(dense.order)))])
-        reps = range(first, min(first + rows, config.replicates))
-        return _block(reps, config.master_seed, *buffers, dense)
+        reps = range(first, min(first + rows, replicates))
+        return _block(reps, master_seed, *buffers, dense)
 
-    mat = np.empty((config.replicates, len(valuation)))
+    mat = np.empty((replicates, len(valuation)))
     first = 0
-    for part in ordered(block, range(0, config.replicates, rows),
+    for part in ordered(block, range(0, replicates, rows),
                         "bootstrap worker"):
         mat[first:first + len(part)] = part
         first += len(part)
 
-    step = max(1, QUANTILE_BLOCK_ELEMENTS // config.replicates)
+    step = max(1, QUANTILE_BLOCK_ELEMENTS // replicates)
     quantiles = np.vstack([
-        empirical_quantiles(mat[:, j:j + step], DEFAULT_PROBS, axis=0).T
+        np.quantile(mat[:, j:j + step], DEFAULT_PROBS, axis=0).T
         for j in range(0, len(valuation), step)])
     return WarDistribution(players=valuation.player_ids,
                            names=valuation.names, replicates=mat,
-                           probs=DEFAULT_PROBS, quantiles=quantiles)
+                           quantiles=quantiles)
 
 
 def _block_rows(n_pas):

@@ -30,7 +30,6 @@ __all__ = [
     "build_replacement_pool",
     "value_players",
     "runs_per_win",
-    "pythag_wpct",
     "valuation_csv",
     "valuation_json",
 ]
@@ -204,19 +203,6 @@ def runs_per_win(p, r):
         raise ValueError("exponent and runs-per-season must be positive "
                          "and finite")
     return 2.0 * r / (81.0 * p)
-
-
-def pythag_wpct(rs, ra, p):
-    """Pythagorean expected winning percentage and its gradient.
-
-    Returns (wpct, (d/dRS, d/dRA)).
-    """
-    if rs <= 0 or ra <= 0:
-        raise ValueError("runs scored/allowed must be positive")
-    ratio = (ra / rs) ** p
-    wpct = 1.0 / (1.0 + ratio)
-    common = p * ratio / (1.0 + ratio) ** 2
-    return wpct, (common / rs, -common / ra)
 
 
 #: the columns of valuation_csv, and the keys of each valuation_json entry

@@ -1,6 +1,7 @@
 """Hand-built play-by-play fixtures shared across test modules."""
 
 import importlib
+import math
 import pkgutil
 
 import numpy as np
@@ -21,7 +22,7 @@ from openwar.numerics import (
     replicate_rng,
 )
 from openwar.offense import _MIN_RANK
-from openwar.valuation import COMPONENTS, CreditTable
+from openwar.valuation import COMPONENTS, CreditTable, Valuation, tabulate_raa
 
 FIELDERS = tuple(f"D{i}" for i in range(1, 10))
 
@@ -72,6 +73,16 @@ def credit_table(bundles, game_starts=()):
         n_pas=len(bundles), pa=pa, player=[players.index(p) for p in ids],
         player_ids=players, component=component, value=value,
         game_starts=game_starts)
+
+
+def valued(credits, rates=(0.0,) * len(COMPONENTS), rpw=1.0):
+    """The Valuation of `credits` at the given replacement rates and runs
+    per win, with no player in the replacement tier."""
+    names, raa, counts = tabulate_raa(
+        credits, {p: p.upper() for p in credits.player_ids})
+    return Valuation(player_ids=credits.player_ids, names=names, raa=raa,
+                     counts=counts, replacement=np.zeros(len(raa), bool),
+                     rates=np.array(rates, dtype=float), rpw=rpw)
 
 
 def dense_design(factors, extra=()):
@@ -263,7 +274,7 @@ def kappa(cdf, event, base, rank):
     return float(cdf[EVENT_TYPES.index(event), base, rank - _MIN_RANK])
 
 
-def bootstrap_reference(table, valuation, config):
+def bootstrap_reference(table, valuation, replicates, master_seed):
     """The (replicates, players) WAR matrix `bootstrap_war` returns, by
     the unfolded kernel: each replicate scatter-adds the draw-weighted
     values and the draw-weighted event counts of every credit row into
@@ -274,9 +285,9 @@ def bootstrap_reference(table, valuation, config):
     key = table.player * k + table.component
     size = len(table.player_ids) * k
     rates, rpw = valuation.rates, valuation.rpw
-    mat = np.empty((config.replicates, len(table.player_ids)))
-    for rep in range(config.replicates):
-        rng = replicate_rng(config.master_seed, rep)
+    mat = np.empty((replicates, len(table.player_ids)))
+    for rep in range(replicates):
+        rng = replicate_rng(master_seed, rep)
         idx = rng.integers(0, table.n_pas, table.n_pas)
         w = np.bincount(idx, minlength=table.n_pas).astype(float)[table.pa]
         raa = np.bincount(key, weights=table.value * w, minlength=size)
@@ -284,6 +295,34 @@ def bootstrap_reference(table, valuation, config):
         shadow = counts.reshape(-1, k) @ rates
         mat[rep] = (raa.reshape(-1, k).sum(axis=1) - shadow) / rpw
     return mat
+
+
+def type7_quantiles(values, probs):
+    """Type-7 quantiles of a sample (Hyndman & Fan 1996): at h = (n − 1)p,
+    the order statistic x[⌊h⌋] plus the fraction h − ⌊h⌋ of the step to
+    the next one."""
+    x = sorted(values)
+    out = []
+    for p in probs:
+        h = (len(x) - 1) * p
+        lo = math.floor(h)
+        hi = min(lo + 1, len(x) - 1)
+        out.append(x[lo] + (h - lo) * (x[hi] - x[lo]))
+    return np.array(out)
+
+
+def pythag_wpct(rs, ra, p):
+    """Pythagorean expected winning percentage and its gradient, the
+    oracle of `runs_per_win`.
+
+    Returns (wpct, (d/dRS, d/dRA)).
+    """
+    if rs <= 0 or ra <= 0:
+        raise ValueError("runs scored/allowed must be positive")
+    ratio = (ra / rs) ** p
+    wpct = 1.0 / (1.0 + ratio)
+    common = p * ratio / (1.0 + ratio) ** 2
+    return wpct, (common / rs, -common / ra)
 
 
 def assert_same_fit(fit, ref, tol=1e-10):

@@ -16,8 +16,8 @@ from openwar.events import parse_season, serialize_season
 from openwar.numerics import SmoothedSurface, indicator_ols, logistic_fit
 from openwar.pipeline import build_ledger
 from openwar.run_expectancy import estimate_matrix, run_value
-from openwar.uncertainty import BootstrapConfig, bootstrap_war
-from openwar.valuation import pythag_wpct, runs_per_win, value_players
+from openwar.uncertainty import bootstrap_war
+from openwar.valuation import runs_per_win, value_players
 from openwar.simulate import generate_synthetic_season
 
 from fixtures import (
@@ -28,6 +28,7 @@ from fixtures import (
     exact_smoother,
     half_innings,
     ols_fit,
+    pythag_wpct,
     records,
 )
 
@@ -220,11 +221,11 @@ def test_criterion_07_pythagorean_checks():
 
 
 def test_criterion_08_bootstrap_determinism_and_calibration(acc):
-    cfg = BootstrapConfig(replicates=500, master_seed=5)
+    cfg = 500, 5
     start = time.perf_counter()
-    d1 = bootstrap_war(acc["ledger"].credits, acc["valuation"], cfg)
+    d1 = bootstrap_war(acc["ledger"].credits, acc["valuation"], *cfg)
     elapsed = time.perf_counter() - start
-    d2 = bootstrap_war(acc["ledger"].credits, acc["valuation"], cfg)
+    d2 = bootstrap_war(acc["ledger"].credits, acc["valuation"], *cfg)
     assert d1.quantile_csv().encode() == d2.quantile_csv().encode()
     assert np.all(np.diff(d1.quantiles, axis=1) >= -1e-12)
     assert elapsed < 60.0
@@ -237,8 +238,7 @@ def test_criterion_08_bootstrap_determinism_and_calibration(acc):
         warnings.simplefilter("ignore")
         val = value_players(credits, {"a": "A"}, cutoff_pos=1,
                             cutoff_pitch=0, rpw=1.0)
-    dist = bootstrap_war(credits, val,
-                         BootstrapConfig(replicates=500, master_seed=6))
+    dist = bootstrap_war(credits, val, 500, 6)
     analytic = float(np.sqrt(len(values) * np.var(values)))
     observed = float(dist.replicates[:, 0].std())
     assert abs(observed - analytic) / analytic < 0.15

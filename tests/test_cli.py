@@ -10,13 +10,14 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from openwar import cli, events, forking, uncertainty
 from openwar.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
-from openwar.events import parse_season
+from openwar.events import parse_season, serialize_season
 from openwar.pipeline import SeasonLedger
 
 
@@ -128,6 +129,53 @@ def test_validate_lenient_counts_drops(tmp_path, capsys):
         == EXIT_VALIDATION
     out = capsys.readouterr().out
     assert "dropped: 1" in out
+
+
+def _write_as_is(path, text):
+    """Write `text` with its line ends as they are."""
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def test_validate_rejects_a_lone_carriage_return(tmp_path, capsys):
+    """The CLI hands the parser the line ends as written: a '\\r' inside a
+    field of record 1 is the library's malformed-CSV error, not a row cut
+    in two."""
+    lines = _simulate(tmp_path).read_text().split("\n")
+    lines[2] = lines[2][:2] + "\r" + lines[2][2:]  # [0] config, [1] header
+    text = "\n".join(lines)
+    with pytest.raises(events.RecordError) as raised:
+        parse_season(text)
+    assert str(raised.value).startswith("line 3: malformed CSV")
+    bad = _write_as_is(tmp_path / "bad.csv", text)
+    assert main(["validate", "--strict", "--input", str(bad)]) \
+        == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err) == {
+        "error": str(raised.value), "kind": "validation"}
+
+
+def test_load_keeps_line_ends_inside_quotes(tmp_path):
+    """A quoted batter id holding '\\r\\n' reads from the file as the
+    library reads it from the text."""
+    lines = _simulate(tmp_path).read_text().split("\n")
+    column = lines[1].split(",").index("batter_id")
+    cells = lines[2].split(",")
+    cells[column] = '"T01\r\nC"'
+    lines[2] = ",".join(cells)
+    text = "\n".join(lines)
+    path = _write_as_is(tmp_path / "quoted.csv", text)
+    data, _ = cli._load(SimpleNamespace(input=str(path), strict=True))
+    assert "T01\r\nC" in data.player_ids
+    assert data.player_ids == parse_season(text)[0].player_ids
+
+
+def test_validate_crlf_season_ok(tmp_path, capsys, season):
+    """The session season with '\\r\\n' line ends validates."""
+    text = serialize_season(season).replace("\n", "\r\n")
+    path = _write_as_is(tmp_path / "crlf.csv", text)
+    assert main(["validate", "--strict", "--input", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"records: {len(season)}" and out[-1] == "ok"
 
 
 @pytest.mark.parametrize("lenient", [False, True])

@@ -33,7 +33,7 @@ from openwar.numerics import (
 )
 from openwar.pipeline import SeasonLedger, build_ledger, run_pipeline
 from openwar.simulate import generate_synthetic_season
-from openwar.uncertainty import BootstrapConfig, bootstrap_war
+from openwar.uncertainty import bootstrap_war
 
 from fixtures import (
     conservation_residuals,
@@ -321,7 +321,7 @@ def test_bootstrap_scatter_adds_do_not_grow_with_replicates(pipeline,
     for replicates in (5, 50):
         calls["weighted"] = 0
         bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
-                      BootstrapConfig(replicates=replicates))
+                      replicates, 0)
         seen.append(calls["weighted"])
     assert seen[0] == seen[1]
 

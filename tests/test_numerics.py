@@ -2,22 +2,24 @@
 
 Each fit routine is checked against an independent implementation: OLS
 against the pseudo-inverse, the logistic solver against a brute-force
-likelihood grid, the smoother against a naive double loop.
+likelihood grid, the smoother against a naive double loop, the
+bootstrap's quantiles against the type-7 definition.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openwar import numerics
+from openwar import numerics, uncertainty
 from openwar.numerics import (
     BIN_STEP,
     MAX_GRID_NODES,
     MAX_STEP_RATIO,
     BandwidthError,
     SmoothedSurface,
-    empirical_quantiles,
     indicator_ols,
     logistic_fit,
     master_rng,
@@ -27,16 +29,20 @@ from openwar.numerics import (
 
 from openwar.defense import _fielding_design
 from openwar.events import _IN_PLAY, FIELDING_POSITIONS
+from openwar.uncertainty import DEFAULT_PROBS, bootstrap_war
 
 from fixtures import (
     assert_same_fit,
     binned_full_grid,
     coefs,
+    credit_table,
     dense_design,
     exact_smoother,
     logistic_reference,
     ols_fit,
     sigmoid_reference,
+    type7_quantiles,
+    valued,
 )
 
 
@@ -432,30 +438,44 @@ def test_scott_bandwidth_hand_case():
     assert hy == pytest.approx(2.0 * 3.0 ** (-1.0 / 6.0))
 
 
-def test_quantiles_hand_case():
-    vals = [1.0, 2.0, 3.0, 4.0]
-    q = empirical_quantiles(vals, [0.0, 0.25, 0.5, 1.0])
-    # type-7: h = (n-1)p + 1, linear interpolation between order statistics
-    assert list(q) == [1.0, 1.75, 2.5, 4.0]
+def test_quantiles_hand_case(monkeypatch):
+    """`bootstrap_war`'s quantiles are type 7: h = (n − 1)p, linear
+    interpolation between order statistics.  Replicate `rep` draws plate
+    appearance 0, the one with a credit (1 run), rep + 1 times of 4, so
+    the replicates are 1, 2, 3 and 4."""
+    def draws(seed, rep):
+        return SimpleNamespace(integers=lambda low, high, size: np.where(
+            np.arange(size) <= rep, 0, high - 1))
+
+    monkeypatch.setattr(uncertainty, "replicate_rng", draws)
+    credits = credit_table([[("a", "hit", 1.0)], [], [], []])
+    dist = bootstrap_war(credits, valued(credits), 4, 0)
+    assert dist.replicates[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert DEFAULT_PROBS == (0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0)
+    assert dist.quantiles[0].tolist() == [1.0, 1.075, 1.75, 2.5, 3.25,
+                                          3.925, 4.0]
+    assert np.array_equal(dist.quantiles[0],
+                          type7_quantiles([1.0, 2.0, 3.0, 4.0], DEFAULT_PROBS))
     with pytest.raises(ValueError):
-        empirical_quantiles(vals, [1.5])
-    with pytest.raises(ValueError):
-        empirical_quantiles([], [0.5])
+        bootstrap_war(credits, valued(credits), 0, 0)
 
 
-def test_quantiles_along_axis_match_per_column_loop():
-    """One axis-0 call returns, per column, exactly the quantiles of the
-    column alone, ties included."""
+def test_quantiles_along_axis_match_per_column_loop(monkeypatch):
+    """Quantiles taken along axis 0 of blocks of 5 player columns, the last
+    block short, are exactly the type-7 quantiles of each column alone,
+    ties included: 301 replicates of 17 players whose credits are
+    multiples of 1/2."""
     rng = np.random.default_rng(8)
-    mat = np.round(rng.normal(0.0, 1.0, (301, 17)), 1)
-    probs = (0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0)
-    loop = np.column_stack([empirical_quantiles(mat[:, j], probs)
-                            for j in range(mat.shape[1])])
-    assert np.array_equal(empirical_quantiles(mat, probs, axis=0), loop)
-    with pytest.raises(ValueError):
-        empirical_quantiles(mat, [-0.1], axis=0)
-    with pytest.raises(ValueError):
-        empirical_quantiles(np.empty((0, 3)), [0.5], axis=0)
+    players = rng.integers(0, 17, 170).tolist()
+    values = (np.round(rng.normal(0.0, 1.0, 170) * 2) / 2).tolist()
+    credits = credit_table([[(f"p{k:02d}", "hit", v)]
+                            for k, v in zip(players, values)])
+    monkeypatch.setattr(uncertainty, "QUANTILE_BLOCK_ELEMENTS", 301 * 5)
+    dist = bootstrap_war(credits, valued(credits), 301, 8)
+    assert dist.quantiles.shape == (17, len(DEFAULT_PROBS))
+    loop = np.vstack([type7_quantiles(column, DEFAULT_PROBS)
+                      for column in dist.replicates.T])
+    assert np.array_equal(dist.quantiles, loop)
 
 
 def test_rng_contract():
@@ -470,13 +490,18 @@ def test_rng_contract():
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50),
-       st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
+       st.integers(1, 9), st.integers(0, 2 ** 16))
 @settings(max_examples=50, deadline=None)
-def test_quantiles_monotone_in_probability(values, probs):
-    probs = sorted(probs)
-    q = empirical_quantiles(values, probs)
+def test_quantiles_monotone_in_probability(values, replicates, seed):
+    """Drawn plate appearances of one player: the quantiles rise with the
+    probability, lie within the replicates, and are the type-7 ones."""
+    credits = credit_table([[("a", "hit", v)] for v in values])
+    dist = bootstrap_war(credits, valued(credits), replicates, seed)
+    q, column = dist.quantiles[0], dist.replicates[:, 0]
     assert all(q[i] <= q[i + 1] + 1e-12 for i in range(len(q) - 1))
-    assert min(values) <= q[0] + 1e-9 and q[-1] <= max(values) + 1e-9
+    assert column.min() <= q[0] + 1e-9 and q[-1] <= column.max() + 1e-9
+    ref = type7_quantiles(column, DEFAULT_PROBS)
+    assert np.max(np.abs(q - ref)) <= 1e-12 * (1.0 + np.abs(column).max())
 
 
 @given(st.integers(0, 2 ** 31 - 1))

@@ -11,55 +11,41 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from openwar import forking, uncertainty
-from openwar.numerics import empirical_quantiles
+from openwar import cli, forking, uncertainty
 from openwar.uncertainty import (
-    BootstrapConfig,
+    DEFAULT_PROBS,
     bootstrap_war,
     compare_players,
     comparison_json,
 )
-from openwar.valuation import COMPONENTS, CreditTable, Valuation, tabulate_raa
+from openwar.valuation import COMPONENTS, CreditTable
 
-from fixtures import bootstrap_reference, credit_table
-
-
-def _valued(credits, rates=(0.0,) * len(COMPONENTS), rpw=1.0):
-    """The Valuation of `credits` at the given replacement rates and runs
-    per win, with no player in the replacement tier."""
-    names, raa, counts = tabulate_raa(
-        credits, {p: p.upper() for p in credits.player_ids})
-    return Valuation(player_ids=credits.player_ids, names=names, raa=raa,
-                     counts=counts, replacement=np.zeros(len(raa), bool),
-                     rates=np.array(rates, dtype=float), rpw=rpw)
+from fixtures import bootstrap_reference, credit_table, valued
 
 
 def test_bootstrap_is_deterministic():
     rng = np.random.default_rng(0)
     bundles = [[("a", "hit", float(v))] for v in rng.normal(0, 0.1, 50)]
     credits = credit_table(bundles)
-    val = _valued(credits)
-    cfg = BootstrapConfig(replicates=40, master_seed=9)
-    d1 = bootstrap_war(credits, val, cfg)
-    d2 = bootstrap_war(credits, val, cfg)
+    val = valued(credits)
+    cfg = 40, 9
+    d1 = bootstrap_war(credits, val, *cfg)
+    d2 = bootstrap_war(credits, val, *cfg)
     assert d1.quantile_csv() == d2.quantile_csv()
     assert np.array_equal(d1.replicates, d2.replicates)
-    d3 = bootstrap_war(credits, val,
-                       BootstrapConfig(replicates=40, master_seed=10))
+    d3 = bootstrap_war(credits, val, 40, 10)
     assert not np.array_equal(d1.replicates, d3.replicates)
 
 
 def test_single_pa_season_has_zero_dispersion():
     credits = credit_table([[("a", "hit", 0.7)]])
-    val = _valued(credits)
-    dist = bootstrap_war(credits, val,
-                         BootstrapConfig(replicates=30, master_seed=1))
+    val = valued(credits)
+    dist = bootstrap_war(credits, val, 30, 1)
     assert np.all(dist.replicates == 0.7)
     assert np.all(dist.quantiles == 0.7)
     # a valuation pairs only with the credit table it was built from
     with pytest.raises(ValueError, match="not of this credit table"):
-        bootstrap_war(credit_table([[("b", "hit", 0.7)]]), val,
-                      BootstrapConfig(replicates=30, master_seed=1))
+        bootstrap_war(credit_table([[("b", "hit", 0.7)]]), val, 30, 1)
 
 
 def test_bootstrap_sd_matches_analytic_value():
@@ -68,9 +54,8 @@ def test_bootstrap_sd_matches_analytic_value():
     values = rng.normal(0.0, 0.1, 400)
     bundles = [[("a", "hit", float(v))] for v in values]
     credits = credit_table(bundles)
-    val = _valued(credits)
-    dist = bootstrap_war(credits, val,
-                         BootstrapConfig(replicates=500, master_seed=3))
+    val = valued(credits)
+    dist = bootstrap_war(credits, val, 500, 3)
     analytic = np.sqrt(len(values) * np.var(values))
     observed = dist.replicates[:, 0].std()
     assert abs(observed - analytic) / analytic < 0.15
@@ -83,9 +68,8 @@ def test_bundles_are_resampled_jointly():
     bundles = [[("a", "hit", float(v)), ("b", "pitch", float(-v))]
                for v in rng.normal(0, 1, 80)]
     credits = credit_table(bundles)
-    val = _valued(credits)
-    dist = bootstrap_war(credits, val,
-                         BootstrapConfig(replicates=60, master_seed=5))
+    val = valued(credits)
+    dist = bootstrap_war(credits, val, 60, 5)
     a = dist.players.index("a")
     b = dist.players.index("b")
     assert np.allclose(dist.replicates[:, a], -dist.replicates[:, b],
@@ -93,11 +77,10 @@ def test_bundles_are_resampled_jointly():
 
 
 def test_quantiles_monotone_and_ordered(pipeline):
-    dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
-                         BootstrapConfig(replicates=50, master_seed=0))
-    assert dist.quantiles.shape == (len(dist.players), len(dist.probs))
+    dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation, 50, 0)
+    assert dist.quantiles.shape == (len(dist.players), len(DEFAULT_PROBS))
     assert np.all(np.diff(dist.quantiles, axis=1) >= -1e-12)
-    assert dist.probs == (0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0)
+    assert DEFAULT_PROBS == (0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0)
     # extremes are the observed min and max
     assert np.allclose(dist.quantiles[:, 0], dist.replicates.min(axis=0))
     assert np.allclose(dist.quantiles[:, -1], dist.replicates.max(axis=0))
@@ -107,9 +90,8 @@ def test_block_quantiles_match_per_player_loop(pipeline, monkeypatch):
     """Quantiles taken along axis 0 of blocks of 7 player columns, the last
     block short, equal those of each column alone."""
     monkeypatch.setattr(uncertainty, "QUANTILE_BLOCK_ELEMENTS", 40 * 7)
-    dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
-                         BootstrapConfig(replicates=40, master_seed=2))
-    loop = np.vstack([empirical_quantiles(dist.replicates[:, j], dist.probs)
+    dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation, 40, 2)
+    loop = np.vstack([np.quantile(dist.replicates[:, j], DEFAULT_PROBS)
                       for j in range(len(dist.players))])
     assert np.array_equal(dist.quantiles, loop)
 
@@ -119,9 +101,9 @@ def test_bootstrap_matches_reference_on_session_season(pipeline):
     oracle, with the season's nonzero replacement rates."""
     credits, val = pipeline.ledger.credits, pipeline.valuation
     assert val.rates.any()
-    cfg = BootstrapConfig(replicates=30, master_seed=12)
-    dist = bootstrap_war(credits, val, cfg)
-    ref = bootstrap_reference(credits, val, cfg)
+    cfg = 30, 12
+    dist = bootstrap_war(credits, val, *cfg)
+    ref = bootstrap_reference(credits, val, *cfg)
     assert dist.players == credits.player_ids
     assert np.max(np.abs(dist.replicates - ref)) < 1e-12
 
@@ -143,10 +125,10 @@ def test_bootstrap_matches_reference_on_drawn_ledgers(bundles, rates, rpw,
     drawn rates and runs per win, and the last credited player's rows as
     the final reduced segment."""
     credits = credit_table(bundles)
-    val = _valued(credits, rates, rpw)
-    cfg = BootstrapConfig(replicates=8, master_seed=seed)
-    dist = bootstrap_war(credits, val, cfg)
-    ref = bootstrap_reference(credits, val, cfg)
+    val = valued(credits, rates, rpw)
+    cfg = 8, seed
+    dist = bootstrap_war(credits, val, *cfg)
+    ref = bootstrap_reference(credits, val, *cfg)
     assert np.max(np.abs(dist.replicates - ref)) < 1e-12
 
 
@@ -166,15 +148,15 @@ def test_block_layout_matches_reference(bundles, starts, pas, rows, seed):
     blocks of `rows`, filled by one worker and by three."""
     credits = credit_table(
         bundles, sorted(s for s in starts if s < len(bundles)))
-    val = _valued(credits, (0.1, -0.2, 0.05, 0.3), 9.0)
-    cfg = BootstrapConfig(replicates=9, master_seed=seed)
+    val = valued(credits, (0.1, -0.2, 0.05, 0.3), 9.0)
+    cfg = 9, seed
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(uncertainty, "BLOCK_PAS", pas)
         dists = _by_workers(monkeypatch, credits, val, cfg, counts=(1, 3),
                             rows=rows)
     _assert_same(dists)
     assert np.max(np.abs(dists[0].replicates - bootstrap_reference(
-        credits, val, cfg))) < 1e-12
+        credits, val, *cfg))) < 1e-12
 
 
 def test_session_blocks_are_games(pipeline):
@@ -207,8 +189,7 @@ def test_rows_do_not_depend_on_the_replicate_count(pipeline):
     last block (41) or of a full block (100)."""
     credits, val = pipeline.ledger.credits, pipeline.valuation
     assert uncertainty._block_rows(credits.n_pas) == 32
-    rows = [bootstrap_war(credits, val, BootstrapConfig(
-        replicates=r, master_seed=8)).replicates for r in (1, 41, 100)]
+    rows = [bootstrap_war(credits, val, r, 8).replicates for r in (1, 41, 100)]
     assert np.array_equal(rows[0], rows[1][:1])
     assert np.array_equal(rows[1], rows[2][:41])
 
@@ -231,8 +212,7 @@ def test_replicates_estimate_the_exact_moments(pipeline):
     total = a.sum(axis=1)
     assert np.max(np.abs(total - val.war)) < 1e-12
 
-    dist = bootstrap_war(table, val,
-                         BootstrapConfig(replicates=replicates, master_seed=0))
+    dist = bootstrap_war(table, val, replicates, 0)
     assert dist.players == table.player_ids
     z = NormalDist().inv_cdf(1.0 - 1e-3 / len(dist.players) / 2.0)
     var_ex = (a * a).sum(axis=1) - total ** 2 / n
@@ -249,8 +229,7 @@ def test_every_pa_once_reproduces_point_war(pipeline, monkeypatch):
     appearance once is the point WAR, replacement shadow included."""
     once = SimpleNamespace(integers=lambda low, high, size: np.arange(high))
     monkeypatch.setattr(uncertainty, "replicate_rng", lambda *key: once)
-    dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
-                         BootstrapConfig(replicates=2))
+    dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation, 2, 0)
     assert np.max(np.abs(dist.replicates - pipeline.valuation.war)) < 1e-12
 
 
@@ -270,10 +249,10 @@ def test_bootstrap_keys_beyond_int32():
     assert int(credits.player.max()) * n > 2 ** 31
     wide = dataclasses.replace(credits, pa=credits.pa.astype(np.int64),
                                player=credits.player.astype(np.int64))
-    val = _valued(credits, rates=(0.01, -0.02, 0.03, 0.0), rpw=10.0)
-    cfg = BootstrapConfig(replicates=3, master_seed=4)
-    assert np.array_equal(bootstrap_war(credits, val, cfg).replicates,
-                          bootstrap_war(wide, val, cfg).replicates)
+    val = valued(credits, rates=(0.01, -0.02, 0.03, 0.0), rpw=10.0)
+    cfg = 3, 4
+    assert np.array_equal(bootstrap_war(credits, val, *cfg).replicates,
+                          bootstrap_war(wide, val, *cfg).replicates)
 
 
 def _no_child_left():
@@ -283,12 +262,13 @@ def _no_child_left():
 
 
 def _by_workers(monkeypatch, credits, val, cfg, counts=(1, 2, 3), rows=1):
-    """The distributions of `bootstrap_war` run with each worker count, in
-    blocks of `rows` replicates.  W workers on B > 1 blocks must fork
+    """The distributions of `bootstrap_war` at `cfg`, its (replicates,
+    master seed), run with each worker count, in blocks of `rows`
+    replicates.  W workers on B > 1 blocks must fork
     min(W, B) children, and none on one block, so a layout that leaves too
     few blocks fails here."""
     monkeypatch.setattr(uncertainty, "BLOCK_ROWS", rows)
-    blocks = -(-cfg.replicates // uncertainty._block_rows(credits.n_pas))
+    blocks = -(-cfg[0] // uncertainty._block_rows(credits.n_pas))
     forks = []
     fork_worker = forking._fork_worker
 
@@ -301,7 +281,7 @@ def _by_workers(monkeypatch, credits, val, cfg, counts=(1, 2, 3), rows=1):
     for workers in counts:
         monkeypatch.setattr(forking, "usable_cpus", lambda w=workers: w)
         forks.clear()
-        dists.append(bootstrap_war(credits, val, cfg))
+        dists.append(bootstrap_war(credits, val, *cfg))
         _no_child_left()
         forked = min(workers, blocks)
         assert len(forks) == (forked if forked > 1 else 0)
@@ -318,9 +298,7 @@ def test_worker_count_does_not_change_results(pipeline, monkeypatch):
     """Row `rep` depends only on (master_seed, rep), so 1, 2 and 3 worker
     processes fill the same matrix."""
     _assert_same(_by_workers(monkeypatch, pipeline.ledger.credits,
-                             pipeline.valuation,
-                             BootstrapConfig(replicates=41, master_seed=3),
-                             rows=8))
+                             pipeline.valuation, (41, 3), rows=8))
 
 
 @given(bundles=st.lists(st.lists(_CREDIT, max_size=4), min_size=1,
@@ -329,8 +307,8 @@ def test_worker_count_does_not_change_results(pipeline, monkeypatch):
 @settings(max_examples=15, deadline=None)
 def test_worker_count_does_not_change_drawn_ledgers(bundles, replicates, seed):
     credits = credit_table(bundles)
-    val = _valued(credits, (0.1, -0.2, 0.0, 0.3), 9.0)
-    cfg = BootstrapConfig(replicates=replicates, master_seed=seed)
+    val = valued(credits, (0.1, -0.2, 0.0, 0.3), 9.0)
+    cfg = replicates, seed
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_same(_by_workers(monkeypatch, credits, val, cfg))
 
@@ -342,8 +320,7 @@ def _must_not_fork():
 def test_one_replicate_runs_in_one_worker(pipeline, monkeypatch):
     monkeypatch.setattr(forking, "usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", _must_not_fork)
-    dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
-                         BootstrapConfig(replicates=1))
+    dist = bootstrap_war(pipeline.ledger.credits, pipeline.valuation, 1, 0)
     assert dist.replicates.shape == (1, len(pipeline.valuation))
 
 
@@ -365,7 +342,7 @@ def test_fork_warning_of_threaded_process_is_ignored(pipeline, monkeypatch):
 
     monkeypatch.setattr(os, "fork", warning_fork)
     _by_workers(monkeypatch, pipeline.ledger.credits, pipeline.valuation,
-                BootstrapConfig(replicates=4), counts=(2,))
+                (4, 0), counts=(2,))
     assert warned
 
 
@@ -389,8 +366,7 @@ def test_a_failing_worker_fails_the_call(pipeline, monkeypatch, cpus):
     expected = (FloatingPointError, "block 1") if cpus == 1 else \
         (uncertainty.WorkerError, "worker 2 of 2 exited with status 1")
     with pytest.raises(expected[0], match=expected[1]):
-        bootstrap_war(pipeline.ledger.credits, pipeline.valuation,
-                      BootstrapConfig(replicates=6))
+        bootstrap_war(pipeline.ledger.credits, pipeline.valuation, 6, 0)
     _no_child_left()
 
 
@@ -402,9 +378,8 @@ def test_compare_players_matches_recount():
     for v in rng.normal(-0.05, 1.0, 100):
         bundles.append([("b", "hit", float(v))])
     credits = credit_table(bundles)
-    val = _valued(credits)
-    dist = bootstrap_war(credits, val,
-                         BootstrapConfig(replicates=80, master_seed=7))
+    val = valued(credits)
+    dist = bootstrap_war(credits, val, 80, 7)
     pr = compare_players(dist, "a", "b")
     a = dist.players.index("a")
     b = dist.players.index("b")
@@ -417,9 +392,8 @@ def test_compare_players_matches_recount():
 
 def test_comparison_json_shape():
     credits = credit_table([[("a", "hit", 0.5), ("b", "hit", -0.5)]])
-    val = _valued(credits)
-    dist = bootstrap_war(credits, val,
-                         BootstrapConfig(replicates=5, master_seed=0))
+    val = valued(credits)
+    dist = bootstrap_war(credits, val, 5, 0)
     import json
     payload = json.loads(comparison_json(dist, [("a", "b")]))
     assert payload == [{"player_a": "a", "player_b": "b",
@@ -427,6 +401,17 @@ def test_comparison_json_shape():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        BootstrapConfig(replicates=0)
-    assert BootstrapConfig().replicates == 3500
+    """At least one replicate, checked before the ledger; 3,500 is the
+    CLI's default."""
+    credits = credit_table([[("a", "hit", 0.5)]])
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        bootstrap_war(credits, valued(credits), 0, 0)
+    empty = CreditTable.build(n_pas=0, pa=[], player=np.zeros(0, int),
+                              player_ids=[], component=[], value=[])
+    with pytest.raises(ValueError, match="replicates must be >= 1"):
+        bootstrap_war(empty, None, 0, 0)
+    with pytest.raises(ValueError, match="empty ledger"):
+        bootstrap_war(empty, None, 1, 0)
+    args = cli._build_parser().parse_args(["boot", "--input", "season.csv",
+                                           "--out", "out"])
+    assert args.replicates == 3500

@@ -13,7 +13,6 @@ from openwar.valuation import (
     COMPONENTS,
     CreditTable,
     build_replacement_pool,
-    pythag_wpct,
     runs_per_win,
     tabulate_raa,
     valuation_csv,
@@ -21,7 +20,7 @@ from openwar.valuation import (
     value_players,
 )
 
-from fixtures import credit_table
+from fixtures import credit_table, pythag_wpct
 
 
 def _line_table(lines):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -56,7 +55,7 @@ def _build_parser():
     p = sub.add_parser("simulate", help="generate a synthetic season CSV")
     p.add_argument("--games", type=int, default=50)
     p.add_argument("--teams", type=int, default=4)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
 
     for name in ("war", "boot"):
@@ -75,7 +74,7 @@ def _build_parser():
         p.add_argument("--strict", dest="strict", action="store_true", default=True)
         p.add_argument("--lenient", dest="strict", action="store_false")
         if name == "boot":
-            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--replicates", type=int, default=3500)
             p.add_argument("--compare", nargs=2, action="append", default=[],
                            metavar=("PLAYER_A", "PLAYER_B"))
@@ -144,22 +143,6 @@ def _non_negative(name, value):
     return value
 
 
-def _seed(args):
-    """The seed of `simulate` and `boot`: --seed, else OPENWAR_SEED, else 0.
-    It is stored back in `args`, so the config line records it."""
-    source = "--seed"
-    if args.seed is None:
-        source, env = "OPENWAR_SEED", os.environ.get("OPENWAR_SEED") or "0"
-        try:
-            args.seed = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"OPENWAR_SEED must be an integer, not {env!r}") from None
-    if args.seed < 0:
-        raise ConfigError(f"{source} must be >= 0, not {args.seed}")
-    return args.seed
-
-
 def _load(args):
     # newline="" hands the parser the line ends as written
     with open(args.input, encoding="utf-8", newline="") as fh:
@@ -179,12 +162,12 @@ def cmd_validate(args):
 
 
 def cmd_simulate(args):
-    seed = _seed(args)
+    _non_negative("seed", args.seed)
     if args.games < 1:
         raise ConfigError(f"--games must be >= 1, not {args.games}")
     if args.teams < 2:
         raise ConfigError(f"--teams must be >= 2, not {args.teams}")
-    batches, _ = synthetic_season_batches(args.games, seed, teams=args.teams)
+    batches = synthetic_season_batches(args.games, args.seed, teams=args.teams)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     rows = 0
@@ -240,14 +223,14 @@ def cmd_war(args):
 def cmd_boot(args):
     if args.replicates < 1:
         raise ConfigError(f"--replicates must be >= 1, not {args.replicates}")
-    seed = _seed(args)
+    _non_negative("seed", args.seed)
     result = _run(args, args.compare)
     credits, valuation = result.ledger.credits, result.valuation
     # the bootstrap workers are forked from this process and inherit its
     # pages, which their ru_maxrss counts: resample holding only what
     # resampling reads, not the season and the chains' internals
     del result
-    dist = bootstrap_war(credits, valuation, args.replicates, seed)
+    dist = bootstrap_war(credits, valuation, args.replicates, args.seed)
     texts = {"war_quantiles.csv": dist.quantile_csv()}
     if args.compare:
         texts["comparisons.json"] = comparison_json(dist, args.compare)

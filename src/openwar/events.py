@@ -170,17 +170,16 @@ class SeasonDataset:
     when a record has no ball-in-play location.
     """
 
-    def __init__(self, columns, game_ids, player_ids, park_ids, roster=None):
+    def __init__(self, columns, game_ids, player_ids, park_ids):
         vars(self).update(columns)  # the columns described above
         self.game_ids, self.player_ids, self.park_ids = \
             game_ids, player_ids, park_ids
-        self.roster = {p: p for p in player_ids} if roster is None else roster
 
     def __len__(self):
         return len(self.game)
 
     @classmethod
-    def from_records(cls, records, roster=None):
+    def from_records(cls, records):
         """Code a sequence of rows, each a dict of CSV fields as `record`
         returns; a field left out, None or "" is absent.  Records are not
         checked: a string outside its column's vocabulary is stored as
@@ -193,7 +192,7 @@ class SeasonDataset:
         if malformed.any():
             row = [v[int(np.argmax(malformed))] for v in raw.values()]
             raise RecordError(_field_problem(list(raw), row))
-        return _finish([(cols, tables)], roster)
+        return _finish([(cols, tables)])
 
     def record(self, i):
         """Row view: plate appearance `i` as a dict of its CSV fields,
@@ -315,7 +314,7 @@ def _code_columns(raw):
     return cols, tables, malformed
 
 
-def _finish(blocks, roster=None):
+def _finish(blocks):
     """Join blocks of (SeasonDataset columns, id table -> their ids in code
     order) into a SeasonDataset with id tables of the sorted ids its records
     use.  Blocks are recoded in place and each column leaves its block as it
@@ -341,7 +340,7 @@ def _finish(blocks, roster=None):
     for name, _, coding in _CODED:
         if not isinstance(coding, str):
             np.maximum(cols[name], -1, out=cols[name])
-    return SeasonDataset(cols, ids["game"], ids["player"], ids["park"], roster)
+    return SeasonDataset(cols, ids["game"], ids["player"], ids["park"])
 
 
 @dataclass
@@ -491,10 +490,24 @@ def _field_problem(header, row, count=None):
 
 class _Text:
     """A text file object read on from its position _CHUNK_CHARS characters
-    at a time."""
+    at a time, and handed out a line at a time, then a chunk at a time.  A
+    line ends at '\\n' only, whatever line ends the file object splits at;
+    the text not yet handed out is self.rest[self.at:]."""
 
     def __init__(self, source):
-        self.source, self.rest = source, ""
+        self.source, self.rest, self.at = source, "", 0
+
+    def line(self):
+        """The next line, with its '\\n'; "" when the text is used up."""
+        parts = []
+        while not (end := self.rest.find("\n", self.at) + 1):
+            parts.append(self.rest[self.at:])
+            self.rest, self.at = self.source.read(_CHUNK_CHARS), 0
+            if not self.rest:
+                return "".join(parts)
+        parts.append(self.rest[self.at:end])
+        self.at = end
+        return "".join(parts)
 
     def chunk(self):
         """The next whole records: the text up to its last line end outside
@@ -508,8 +521,9 @@ class _Text:
         not make one chunk of the rest of the text.  A piece with no line
         end outside quotes is checked with only the text before it that it
         can break: its last byte, or its quoted field that may be open."""
-        parts, quotes, carry = [self.rest], self.rest.count('"'), b""
-        while piece := self.source.read(_CHUNK_CHARS):
+        parts, quotes, carry = [], 0, b""
+        reads = iter(partial(self.source.read, _CHUNK_CHARS), "")
+        for piece in chain([self.rest[self.at:]], reads):
             if '"' in piece:  # a fast scan, where counting is not
                 quotes += piece.count('"')
             before, end = quotes, len(piece)  # the quotes before piece[end]
@@ -517,19 +531,18 @@ class _Text:
                 before -= piece.count('"', cut, end)
                 if before % 2 == 0:
                     parts.append(piece[:cut])
-                    self.rest = piece[cut:]
+                    self.rest, self.at = piece[cut:], 0
                     return "".join(parts)
                 end = cut - 1
             parts.append(piece)
             # the chunk starts a field, as the text carried from a check does
-            fresh = piece if carry else self.rest + piece
-            text = b"".join((carry, fresh.encode("utf-8", "surrogatepass"),
+            text = b"".join((carry, piece.encode("utf-8", "surrogatepass"),
                              b"\n"))
             at, _, resume = _broken(text, len(text) - 1, False)
             if at < math.inf:
                 break
             carry = text[resume:-1]
-        self.rest = ""
+        self.rest, self.at = "", 0
         return "".join(parts)
 
 
@@ -752,7 +765,8 @@ def parse_season(source, strictness="strict"):
 
     Fields may be quoted as R's write.csv and csv.writer quote them: a
     quoted field may hold ',', line ends and doubled quotes ('""' is one
-    '"'), and reads as the same value bare.  A line may end in '\\r\\n'.
+    '"'), and reads as the same value bare.  A line may end in '\\r\\n';
+    a lone '\\r' ends no line, whatever line ends a file object splits at.
     Malformed CSV raises RecordError naming the line its record starts
     on, in either mode: a quote inside a bare field, text after a closing
     quote, a quote never closed, a '\\r' outside a '\\r\\n' line end, a
@@ -780,8 +794,8 @@ def parse_season(source, strictness="strict"):
     if isinstance(source, str):
         source = io.StringIO(source)
 
-    comments = 0
-    for line in source:
+    text, comments = _Text(source), 0
+    for line in iter(text.line, ""):
         if not comments:  # the first line: a byte-order mark is not text
             line = line.removeprefix("\ufeff")
         if not line.startswith("#"):
@@ -789,7 +803,7 @@ def parse_season(source, strictness="strict"):
         comments += 1
     else:
         raise SchemaError("empty input: no header row")
-    reader = csv.reader(chain([line], source))
+    reader = csv.reader(chain([line], iter(text.line, "")))
     try:
         header = next(reader)
     except csv.Error as exc:
@@ -807,7 +821,6 @@ def parse_season(source, strictness="strict"):
     report = ValidationReport()
     blocks = []
     line = comments + reader.line_num
-    text = _Text(source)
     encoded = (chunk.encode("utf-8", "surrogatepass")
                for chunk in iter(text.chunk, ""))
     with closing(ordered(partial(_coded_chunk, header, strict), encoded,

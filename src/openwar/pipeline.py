@@ -108,7 +108,6 @@ class PipelineResult:
 def run_pipeline(data, bandwidth=None, cutoff_pos=DEFAULT_CUTOFF_POS,
                  cutoff_pitch=DEFAULT_CUTOFF_PITCH, rpw=DEFAULT_RUNS_PER_WIN):
     ledger = build_ledger(data, bandwidth=bandwidth)
-    valuation = value_players(
-        ledger.credits, data.roster, cutoff_pos=cutoff_pos,
-        cutoff_pitch=cutoff_pitch, rpw=rpw)
+    valuation = value_players(ledger.credits, cutoff_pos=cutoff_pos,
+                              cutoff_pitch=cutoff_pitch, rpw=rpw)
     return PipelineResult(ledger=ledger, valuation=valuation)

@@ -82,13 +82,11 @@ _BIP_RANGE = {
 
 
 class _Player:
-    __slots__ = ("pid", "name", "hand", "position", "skill")
+    __slots__ = ("pid", "hand", "skill")
 
-    def __init__(self, pid, name, hand, position, skill):
+    def __init__(self, pid, hand, skill):
         self.pid = pid
-        self.name = name
         self.hand = hand
-        self.position = position
         self.skill = skill
 
 
@@ -107,24 +105,21 @@ _PITCHER_HANDS = _cdf([0.28, 0.72, 0.0])
 
 
 def _build_league(n_teams, rng):
-    def player(pid, name, hands, position, skill):
+    def player(pid, hands, skill):
         hand = HANDS[bisect_right(hands, rng.random())]
-        return _Player(pid, name, hand, position, skill)
+        return _Player(pid, hand, skill)
 
     teams = []
     for t in range(n_teams):
         code = f"T{t + 1:02d}"
-        starters = {
-            pos: player(f"{code}_{pos}", f"{code} starting {pos}",
-                        _FIELDER_HANDS, pos, 1.0)
-            for pos in _LINEUP_POSITIONS}
-        bench = [player(f"{code}_BN{k + 1}", f"{code} bench {k + 1}",
-                        _FIELDER_HANDS, pos, 0.60)
-                 for k, pos in enumerate(("C", "SS", "LF", "1B"))]
-        rotation = [player(f"{code}_SP{k + 1}", f"{code} starter {k + 1}",
-                           _PITCHER_HANDS, "P", 1.0) for k in range(3)]
-        relievers = [player(f"{code}_RP{k + 1}", f"{code} reliever {k + 1}",
-                            _PITCHER_HANDS, "P", 0.70) for k in range(3)]
+        starters = {pos: player(f"{code}_{pos}", _FIELDER_HANDS, 1.0)
+                    for pos in _LINEUP_POSITIONS}
+        bench = [player(f"{code}_BN{k + 1}", _FIELDER_HANDS, 0.60)
+                 for k in range(4)]
+        rotation = [player(f"{code}_SP{k + 1}", _PITCHER_HANDS, 1.0)
+                    for k in range(3)]
+        relievers = [player(f"{code}_RP{k + 1}", _PITCHER_HANDS, 0.70)
+                     for k in range(3)]
         teams.append({
             "code": code, "park": f"PARK_{code}", "starters": starters,
             "bench": bench, "rotation": rotation, "relievers": relievers,
@@ -429,17 +424,15 @@ def _credited_positions(x, y):
 
 def generate_synthetic_season(games, seed, event_probs=None, teams=4):
     """Generate a deterministic synthetic SeasonDataset: `parse_season`
-    (strict) of the CSV text `openwar simulate` writes, with every player of
-    the league in its roster, those who never appear included.
+    (strict) of the CSV text `openwar simulate` writes.
 
     games       number of games (>= 1)
     seed        master seed; identical seeds give identical datasets
     event_probs optional dict event type -> probability (must sum to 1)
     teams       league size (>= 2)
     """
-    batches, roster = synthetic_season_batches(games, seed, event_probs, teams)
+    batches = synthetic_season_batches(games, seed, event_probs, teams)
     data, _ = parse_season(SEASON_HEADER + "".join(batches), "strict")
-    data.roster = roster
     return data
 
 
@@ -448,13 +441,13 @@ _BATCH_GAMES = 100
 
 
 def synthetic_season_batches(games, seed, event_probs=None, teams=4):
-    """The season of `generate_synthetic_season` as (batches, roster): an
-    iterator of the CSV text of its records after the header (SEASON_HEADER),
+    """The season of `generate_synthetic_season` as batches: an iterator
+    of the CSV text of its records after the header (SEASON_HEADER),
     _BATCH_GAMES games at a time, so that the season need not be held
-    whole, and player id -> name.  The text is what `csv.writer` would
-    write: no field holds a ',', a quote or a line end, so none is quoted,
-    and a coordinate is its float's repr.  The arguments are checked here,
-    before the first batch is drawn."""
+    whole.  The text is what `csv.writer` would write: no field holds a
+    ',', a quote or a line end, so none is quoted, and a coordinate is its
+    float's repr.  The arguments are checked here, before the first batch
+    is drawn."""
     if games < 1:
         raise ValueError("games must be >= 1")
     if teams < 2:
@@ -471,15 +464,7 @@ def synthetic_season_batches(games, seed, event_probs=None, teams=4):
             raise ValueError("event probabilities must be nonnegative and sum to 1")
 
     rng = _Draws(master_rng(seed).bit_generator)
-    league = _build_league(teams, rng)
-
-    roster = {}
-    for team in league:
-        for p in list(team["starters"].values()) + team["bench"] + \
-                team["rotation"] + team["relievers"]:
-            roster[p.pid] = p.name
-
-    return _batches(games, probs, league, rng), roster
+    return _batches(games, probs, _build_league(teams, rng), rng)
 
 
 def _batches(games, probs, league, rng):

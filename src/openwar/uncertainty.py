@@ -6,7 +6,7 @@ fielders, pitcher), then re-aggregates RAA and re-applies the frozen
 replacement rates to the resampled event counts.  Models and the
 replacement tier are never refit inside a replicate.
 
-The rates, runs-per-win, point WAR and names all come from one
+The rates, runs-per-win and point WAR all come from one
 `Valuation`, whose rows follow the credit table's players.  Because the
 rates and runs-per-win are frozen, a credit's contribution to WAR is
 linear in its PA's draw count: WAR = Σ worth · w[pa] with
@@ -75,14 +75,14 @@ BLOCK_PAS = 128
 @dataclass
 class WarDistribution:
     players: list  # sorted player ids
-    names: list  # by players
     replicates: np.ndarray  # (replicates, players) WAR matrix
     quantiles: np.ndarray  # (players, DEFAULT_PROBS)
 
     def quantile_csv(self):
+        """One row per player; its name is its id, as in valuation_csv."""
         return csv_text(
             ("player_id", "name", *(f"q{100 * p:g}" for p in DEFAULT_PROBS)),
-            zip(self.players, self.names, *self.quantiles.T.tolist()))
+            zip(self.players, self.players, *self.quantiles.T.tolist()))
 
 
 def bootstrap_war(credits, valuation, replicates, master_seed):
@@ -125,8 +125,7 @@ def bootstrap_war(credits, valuation, replicates, master_seed):
     quantiles = np.vstack([
         np.quantile(mat[:, j:j + step], DEFAULT_PROBS, axis=0).T
         for j in range(0, len(valuation), step)])
-    return WarDistribution(players=valuation.player_ids,
-                           names=valuation.names, replicates=mat,
+    return WarDistribution(players=valuation.player_ids, replicates=mat,
                            quantiles=quantiles)
 
 

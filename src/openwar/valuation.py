@@ -115,7 +115,6 @@ class Valuation:
     """
 
     player_ids: list
-    names: list
     raa: np.ndarray
     counts: np.ndarray
     replacement: np.ndarray  # bool
@@ -140,18 +139,14 @@ class Valuation:
         return (self.raa_total - self.raa_repl) / self.rpw
 
 
-def tabulate_raa(credits, roster):
-    """Sum the credit table per player: (names, raa, counts), the last two
-    (m, 4).  A credited player missing from the roster is an error."""
-    for pid in credits.player_ids:
-        if pid not in roster:
-            raise KeyError(f"player {pid!r} appears in the ledger but not the roster")
+def tabulate_raa(credits):
+    """Sum the credit table per player: (raa, counts), each (m, 4)."""
     k = len(COMPONENTS)
     key = credits.player * k + credits.component
     size = len(credits.player_ids) * k
     raa = np.bincount(key, weights=credits.value, minlength=size).reshape(-1, k)
     counts = np.bincount(key, minlength=size).reshape(-1, k)
-    return [roster[pid] for pid in credits.player_ids], raa, counts
+    return raa, counts
 
 
 def build_replacement_pool(raa, counts, cutoff_pos=DEFAULT_CUTOFF_POS,
@@ -186,15 +181,15 @@ def build_replacement_pool(raa, counts, cutoff_pos=DEFAULT_CUTOFF_POS,
     return replacement, rates
 
 
-def value_players(credits, roster, cutoff_pos=DEFAULT_CUTOFF_POS,
+def value_players(credits, cutoff_pos=DEFAULT_CUTOFF_POS,
                   cutoff_pitch=DEFAULT_CUTOFF_PITCH, rpw=DEFAULT_RUNS_PER_WIN):
     """Tabulate the credit table and split it into tiers: the Valuation."""
-    names, raa, counts = tabulate_raa(credits, roster)
+    raa, counts = tabulate_raa(credits)
     replacement, rates = build_replacement_pool(raa, counts, cutoff_pos,
                                                 cutoff_pitch)
-    return Valuation(player_ids=list(credits.player_ids), names=names,
-                     raa=raa, counts=counts, replacement=replacement,
-                     rates=rates, rpw=rpw)
+    return Valuation(player_ids=list(credits.player_ids), raa=raa,
+                     counts=counts, replacement=replacement, rates=rates,
+                     rpw=rpw)
 
 
 def runs_per_win(p, r):
@@ -205,7 +200,8 @@ def runs_per_win(p, r):
     return 2.0 * r / (81.0 * p)
 
 
-#: the columns of valuation_csv, and the keys of each valuation_json entry
+#: the columns of valuation_csv, and the keys of each valuation_json entry;
+#: a player's name is its id, as no column of the season names a player
 _COLUMNS = ("player_id", "name", "PA", "BF", "raa_hit", "raa_br", "raa_field",
             "raa_pitch", "raa", "tier", "raa_repl", "war")
 
@@ -216,7 +212,7 @@ def _rows(valuation):
     tier = np.where(v.replacement, "replacement", "major_league")
     arrays = (v.counts[:, _HIT], v.counts[:, _PITCH], *v.raa.T, v.raa_total,
               tier, v.raa_repl, v.war)
-    return zip(v.player_ids, v.names, *(a.tolist() for a in arrays))
+    return zip(v.player_ids, v.player_ids, *(a.tolist() for a in arrays))
 
 
 def valuation_csv(valuation):

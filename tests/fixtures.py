@@ -78,9 +78,8 @@ def credit_table(bundles, game_starts=()):
 def valued(credits, rates=(0.0,) * len(COMPONENTS), rpw=1.0):
     """The Valuation of `credits` at the given replacement rates and runs
     per win, with no player in the replacement tier."""
-    names, raa, counts = tabulate_raa(
-        credits, {p: p.upper() for p in credits.player_ids})
-    return Valuation(player_ids=credits.player_ids, names=names, raa=raa,
+    raa, counts = tabulate_raa(credits)
+    return Valuation(player_ids=credits.player_ids, raa=raa,
                      counts=counts, replacement=np.zeros(len(raa), bool),
                      rates=np.array(rates, dtype=float), rpw=rpw)
 

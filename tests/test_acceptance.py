@@ -45,8 +45,8 @@ def acc():
     elapsed = time.perf_counter() - start
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        valuation = value_players(ledger.credits, data.roster,
-                                  cutoff_pos=36, cutoff_pitch=12)
+        valuation = value_players(ledger.credits, cutoff_pos=36,
+                                  cutoff_pitch=12)
     return {"data": data, "ledger": ledger, "elapsed": elapsed,
             "valuation": valuation}
 
@@ -175,10 +175,7 @@ def test_criterion_06_replacement_semantics(acc):
                 for k in range(6) for comp in ("field", "pitch")
                 for _ in range(50 + k)]
 
-    roster = {f"pos{k}": "x" for k in range(12)}
-    roster.update({f"pit{k}": "x" for k in range(6)})
-    val = value_players(credit_table(uniform), roster, cutoff_pos=0,
-                        cutoff_pitch=0)
+    val = value_players(credit_table(uniform), cutoff_pos=0, cutoff_pitch=0)
     assert np.max(np.abs(val.war)) < 1e-9
 
     # a larger replacement tier weakly lowers total WAR on the fixed season
@@ -186,8 +183,8 @@ def test_criterion_06_replacement_semantics(acc):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for cp, cpit in [(36, 12), (27, 9), (18, 6), (9, 3), (0, 0)]:
-            val = value_players(acc["ledger"].credits, acc["data"].roster,
-                                cutoff_pos=cp, cutoff_pitch=cpit)
+            val = value_players(acc["ledger"].credits, cutoff_pos=cp,
+                                cutoff_pitch=cpit)
             totals.append(val.war.sum())
     assert all(a >= b - 1e-9 for a, b in zip(totals, totals[1:]))
     _ok(6, f"uniform league WAR = 0; total WAR over growing tiers "
@@ -236,8 +233,7 @@ def test_criterion_08_bootstrap_determinism_and_calibration(acc):
     # a one-player league whose cutoff keeps the player: zero rates
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        val = value_players(credits, {"a": "A"}, cutoff_pos=1,
-                            cutoff_pitch=0, rpw=1.0)
+        val = value_players(credits, cutoff_pos=1, cutoff_pitch=0, rpw=1.0)
     dist = bootstrap_war(credits, val, 500, 6)
     analytic = float(np.sqrt(len(values) * np.var(values)))
     observed = float(dist.replicates[:, 0].std())

@@ -63,16 +63,15 @@ def test_simulate_determinism_via_cli(tmp_path):
     assert a.split(b"\n", 1)[1] == b.split(b"\n", 1)[1]
 
 
-def test_seed_env_fallback(tmp_path, monkeypatch):
-    out1 = tmp_path / "env1.csv"
-    out2 = tmp_path / "env2.csv"
-    monkeypatch.setenv("OPENWAR_SEED", "123")
-    assert main(["simulate", "--games", "2", "--out", str(out1)]) == EXIT_OK
-    monkeypatch.delenv("OPENWAR_SEED")
+def test_seed_flag_and_default(tmp_path):
+    out1 = tmp_path / "seed1.csv"
+    out2 = tmp_path / "seed2.csv"
+    assert main(["simulate", "--games", "2", "--seed", "123",
+                 "--out", str(out1)]) == EXIT_OK
     assert main(["simulate", "--games", "2", "--out", str(out2)]) == EXIT_OK
     body = lambda p: p.read_bytes().split(b"\n", 1)[1]
-    assert body(out1) != body(out2)  # env seed 123 vs default seed 0
-    # the config line records the seed that was used, not the absent flag
+    assert body(out1) != body(out2)  # seed 123 vs default seed 0
+    # the config line records the seed that was used, the default too
     seed = lambda p: json.loads(
         p.read_text().splitlines()[0][len("# config: "):])["seed"]
     assert (seed(out1), seed(out2)) == (123, 0)
@@ -201,6 +200,19 @@ def test_validate_rejects_row_with_wrong_field_count(tmp_path, capsys, fields,
         assert f"{fields} fields, header has 35" in err["error"]
 
 
+def test_validate_splits_comment_lines_as_the_str_parse(tmp_path, capsys):
+    """A lone '\\r' in a comment line before the header ends no line, in a
+    file as in a str: `validate` reads the records `parse_season` reads
+    from the text."""
+    body = _simulate(tmp_path).read_text().split("\n", 1)[1]
+    text = "# note\rmore\n" + body
+    season = tmp_path / "cr.csv"
+    season.write_bytes(text.encode("utf-8"))
+    assert main(["validate", "--input", str(season)]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert f"records: {len(parse_season(text)[0])}" in out
+
+
 @pytest.mark.parametrize("lenient", [False, True])
 def test_validate_rejects_commented_out_row(tmp_path, capsys, lenient):
     """Only lines before the header are comments: a data row that starts
@@ -305,7 +317,7 @@ def test_war_honors_pythag_rpw(tmp_path, war_season):
 
 def test_boot_outputs_and_compare(tmp_path, war_season):
     out = tmp_path / "boot"
-    # pick two real player ids out of the roster
+    # pick two real player ids out of the season
     data, _ = parse_season(war_season.read_text())
     a = data.record(0)["batter_id"]
     b = data.record(0)["pitcher_id"]
@@ -477,27 +489,19 @@ _BAD_FIT = (["--bandwidth-x", "0", "--bandwidth-y", "30"],
             ["--cutoff-pos", "-1"], ["--cutoff-pitch", "-1"])
 
 
-_BAD_SEED = (["--seed", "-1"], ["OPENWAR_SEED=-2"], ["OPENWAR_SEED=abc"])
-
-
 @pytest.mark.parametrize("command,flags", [
     pytest.param(command, flags, id=f"{command} {' '.join(flags)}")
     for command, flags in
     [(c, f) for c in ("war", "boot") for f in _BAD_RPW + _BAD_FIT]
     + [("boot", ["--replicates", "0"]), ("boot", ["--replicates", "-2"])]
-    + [(c, f) for c in ("boot", "simulate") for f in _BAD_SEED]
+    + [(c, ["--seed", "-1"]) for c in ("boot", "simulate")]
     + [("simulate", ["--games", "0"]), ("simulate", ["--teams", "1"])]])
 def test_bad_config_value_is_config_error(tmp_path, war_season, capsys,
                                           monkeypatch, command, flags):
     """Values that parse but make no configuration exit 2 before the
-    season is read or generated, and write nothing.  A NAME=value entry
-    of `flags` sets that environment variable."""
+    season is read or generated, and write nothing."""
     monkeypatch.setattr(cli, "parse_season", _must_not_run)
     monkeypatch.setattr(cli, "synthetic_season_batches", _must_not_run)
-    monkeypatch.delenv("OPENWAR_SEED", raising=False)
-    for name, value in (f.split("=") for f in flags if "=" in f):
-        monkeypatch.setenv(name, value)
-    flags = [f for f in flags if "=" not in f]
     source = [] if command == "simulate" else ["--input", str(war_season)]
     assert main([command, *source, "--out", str(tmp_path / "out"),
                  *flags]) == EXIT_CONFIG

@@ -96,6 +96,30 @@ def test_parse_skips_comment_lines():
     assert len(parsed) == len(data)
 
 
+@pytest.mark.parametrize("newline", [str, bytes, "", "\n"],
+                         ids=["str", "bytes", "file newline=''",
+                              "file newline=LF"])
+def test_comment_lines_end_at_line_feeds_for_every_source(
+        tmp_path, monkeypatch, newline):
+    """A line before the header ends at '\\n' only, whatever the source: a
+    lone '\\r' in a comment is part of it, also where the file object
+    splits lines at it.  Lines longer than a read are read whole."""
+    data, _, _ = build_re_fixture()
+    text = "# note\rmore\r\n# config: {}\n" + serialize_season(data)
+    path = tmp_path / "season.csv"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(events, "_CHUNK_CHARS", 7)
+    if newline is str:
+        parsed, report = parse_season(text)
+    elif newline is bytes:
+        parsed, report = parse_season(text.encode("utf-8"))
+    else:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            parsed, report = parse_season(fh)
+    assert (report.dropped, report.warnings) == (0, [])
+    assert serialize_season(parsed) == serialize_season(data)
+
+
 @pytest.mark.parametrize("strictness", ["strict", "lenient"])
 def test_null_event_batter_dest_must_be_a_code_or_empty(strictness):
     """A null event may leave batter_dest empty, but a value outside the
@@ -330,11 +354,11 @@ def test_half_inning_must_start_clean():
                      "strict")
 
 
-def test_parse_builds_roster_and_parks():
+def test_parse_builds_player_and_park_ids():
     data, _, _ = build_re_fixture()
     parsed, _ = parse_season(serialize_season(data))
-    assert "B1" in parsed.roster and "P1" in parsed.roster
-    assert "R1" in parsed.roster  # runners belong to the roster too
+    assert "B1" in parsed.player_ids and "P1" in parsed.player_ids
+    assert "R1" in parsed.player_ids  # runners are players too
     assert parsed.park_ids == ["PK"]
 
 

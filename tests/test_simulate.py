@@ -135,23 +135,6 @@ def test_argument_validation():
         generate_synthetic_season(1, 0, teams=1)
 
 
-def test_roster_covers_all_participants(season, season_records):
-    for pa in season_records:
-        assert pa["batter_id"] in season.roster
-        assert pa["pitcher_id"] in season.roster
-        for fid in (pa[f"f{j}"] for j in range(1, 10)):
-            assert fid in season.roster
-
-
-def test_roster_is_the_whole_league():
-    """The dataset's roster is the league's, players who never appear
-    included, as `synthetic_season_batches` gives it."""
-    data = generate_synthetic_season(2, 0, teams=4)
-    _, roster = simulate.synthetic_season_batches(2, 0, teams=4)
-    assert data.roster == roster
-    assert set(roster) > set(data.player_ids)
-
-
 def test_no_field_needs_quoting():
     """The simulator writes every field bare, where csv.writer quotes one
     that holds a ',', a quote or a line end: no string that the league or
@@ -165,7 +148,7 @@ def test_no_field_needs_quoting():
                     f"{team['code']}@{team['code']}-0001"}
         for p in [*team["starters"].values(), *team["bench"],
                   *team["rotation"], *team["relievers"]]:
-            strings |= {p.pid, p.hand, p.position}
+            strings |= {p.pid, p.hand}
     for *_, (_, _, head, tail, _) in _table_plays():
         fields = head.split(",") + tail.split(",")
         assert len(fields) == 10
@@ -473,7 +456,7 @@ def test_batches_of_games_keep_the_season_bytes(tmp_path, monkeypatch, games,
     monkeypatch.setattr(simulate, "_BATCH_GAMES", 7)
     if event_probs is not None:
         monkeypatch.setattr(simulate, "DEFAULT_EVENT_PROBS", event_probs)
-    batches, _ = simulate.synthetic_season_batches(games, seed)
+    batches = simulate.synthetic_season_batches(games, seed)
     assert len(list(batches)) == -(-games // 7)
     assert _sha256(_simulated_csv(tmp_path, games, seed, 4)) == digest
 

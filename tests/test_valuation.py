@@ -33,9 +33,8 @@ def test_tabulate_sums_components():
              ("b", "pitch", -0.4), ("b", "pitch", -0.1), ("b", "field", 0.2)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a two-player league has no tier
-        val = value_players(_line_table(lines), {"a": "Able", "b": "Baker"})
+        val = value_players(_line_table(lines))
     assert val.player_ids == ["a", "b"]  # sorted by id
-    assert val.names == ["Able", "Baker"]
     assert val.raa[0].tolist() == pytest.approx([0.3, 0.1, 0.0, 0.0])
     assert val.counts.tolist() == [[2, 1, 0, 0], [0, 0, 1, 2]]
     assert val.raa_total.tolist() == pytest.approx([0.4, -0.3])
@@ -76,11 +75,6 @@ def test_credit_table_rejects_game_starts_out_of_order(starts):
                           component=[0], value=[0.0], game_starts=starts)
 
 
-def test_tabulate_rejects_unrostered_player():
-    with pytest.raises(KeyError, match="ghost"):
-        value_players(_line_table([("ghost", "hit", 1.0)]), {"a": "Able"})
-
-
 def _counts(hit, pitch):
     """(m, 4) event counts with `hit` plate appearances and `pitch`
     batters faced per player, and no baserunning or fielding events."""
@@ -115,14 +109,12 @@ def _uniform_league(n_pos=8, n_pitch=4, pa_each=30, rate_hit=-0.02,
         lines += [(f"pos{k}", "br", 0.005)] * pa_each
     for k in range(n_pitch):
         lines += [(f"pit{k}", "pitch", rate_pitch)] * (3 * pa_each)
-    roster = {pid: pid for pid, _, _ in lines}
-    return _line_table(lines), roster
+    return _line_table(lines)
 
 
 def test_uniform_rates_give_zero_war():
-    credits, roster = _uniform_league()
     # cutoffs of zero put the whole league in the replacement tier
-    val = value_players(credits, roster, cutoff_pos=0, cutoff_pitch=0)
+    val = value_players(_uniform_league(), cutoff_pos=0, cutoff_pitch=0)
     assert val.replacement.all()
     assert val.rates[COMPONENTS.index("hit")] == pytest.approx(-0.02)
     assert np.max(np.abs(val.war)) < 1e-9
@@ -157,8 +149,7 @@ def test_negative_cutoff_is_rejected(cutoffs):
 
 
 def test_shadow_scales_with_playing_time():
-    credits, roster = _uniform_league()
-    val = value_players(credits, roster, cutoff_pos=0, cutoff_pitch=0)
+    val = value_players(_uniform_league(), cutoff_pos=0, cutoff_pitch=0)
     j = val.player_ids.index("pos0")
     expected = val.rates[0] * 30 + val.rates[1] * 30
     assert val.raa_repl[j] == pytest.approx(expected)
@@ -209,10 +200,10 @@ def test_pythag_rejects_nonpositive_runs():
 
 
 def test_valuation_outputs_round_trip():
-    credits, roster = _uniform_league(n_pos=2, n_pitch=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # one pitcher, cutoff 0
-        val = value_players(credits, roster, cutoff_pos=1, cutoff_pitch=0)
+        val = value_players(_uniform_league(n_pos=2, n_pitch=1), cutoff_pos=1,
+                            cutoff_pitch=0)
     csv_text = valuation_csv(val)
     lines = csv_text.splitlines()
     assert lines[0].startswith("player_id,name,PA,BF,")
@@ -225,6 +216,9 @@ def test_valuation_outputs_round_trip():
     assert document["config"] == {"runs_per_win": 10.0}
     payload = document["players"]
     assert [p["player_id"] for p in payload] == val.player_ids
+    # no column of the season names a player: the name is the id
+    assert [p["name"] for p in payload] == val.player_ids
+    assert [ln.split(",")[1] for ln in lines[1:]] == val.player_ids
     assert [p["war"] for p in payload] == val.war.tolist()
     assert [p["PA"] for p in payload] == [0, 30, 30]
 

@@ -1,9 +1,10 @@
 """Batch command-line surface.
 
-Subcommands: validate, simulate, war, boot, pythag.  Every command is
-deterministic given its flags; CSV outputs carry the run configuration as a
-leading comment, and valuation.json as its "config" key (comparisons.json
-is a bare list of comparisons).  Exit codes: 0 success,
+Subcommands: validate, simulate, war, boot, pythag.  `pythag` prints the
+runs per win that `war` and `boot` take as --runs-per-win.  Every command
+is deterministic given its flags; CSV outputs carry the run configuration
+as a leading comment, and valuation.json as its "config" key
+(comparisons.json is a bare list of comparisons).  Exit codes: 0 success,
 1 validation failure, 2 configuration error, 3 internal (numeric or
 worker) failure.
 """
@@ -21,9 +22,10 @@ import numpy as np
 from . import __version__
 from .events import SEASON_HEADER, parse_season
 from .numerics import BandwidthError
-from .pipeline import run_pipeline
+from .forking import WorkerError
+from .pipeline import credited_players, run_pipeline
 from .simulate import synthetic_season_batches
-from .uncertainty import WorkerError, bootstrap_war, comparison_json
+from .uncertainty import bootstrap_war, comparison_json
 from .valuation import (
     DEFAULT_CUTOFF_PITCH,
     DEFAULT_CUTOFF_POS,
@@ -67,8 +69,6 @@ def _build_parser():
                        default=DEFAULT_CUTOFF_PITCH)
         p.add_argument("--runs-per-win", type=float,
                        default=DEFAULT_RUNS_PER_WIN)
-        p.add_argument("--pythag-p", type=float, default=None)
-        p.add_argument("--pythag-r", type=float, default=None)
         p.add_argument("--bandwidth-x", type=float, default=None)
         p.add_argument("--bandwidth-y", type=float, default=None)
         p.add_argument("--strict", dest="strict", action="store_true", default=True)
@@ -105,36 +105,25 @@ class ConfigError(Exception):
     """Flags that parse but do not make a configuration."""
 
 
-def _pair(args, a, b):
-    """The values of a pair of flags, or None when neither is given."""
-    pair = (getattr(args, a), getattr(args, b))
+def _bandwidth(args):
+    """The two bandwidth flags' values, or None when neither is given."""
+    pair = (args.bandwidth_x, args.bandwidth_y)
     if pair.count(None) == 1:
-        raise ConfigError(
-            f"--{a} and --{b} must be given together".replace("_", "-"))
-    return None if pair[0] is None else pair
+        raise ConfigError("--bandwidth-x and --bandwidth-y must be given "
+                          "together")
+    if pair[0] is None:
+        return None
+    if not all(math.isfinite(h) and h > 0 for h in pair):
+        raise ConfigError(f"--bandwidth-x and --bandwidth-y must be positive "
+                          f"and finite, not {pair[0]!r} and {pair[1]!r}")
+    return pair
 
 
-def _resolve_rpw(args):
-    pythag = _pair(args, "pythag_p", "pythag_r")
-    if pythag is None:
-        rpw = args.runs_per_win
-    else:
-        try:
-            rpw = runs_per_win(*pythag)
-        except ValueError as exc:
-            raise ConfigError(f"--pythag-p and --pythag-r: {exc}") from exc
+def _resolve_rpw(rpw):
     if not (math.isfinite(rpw) and rpw > 0):
         raise ConfigError(f"runs per win must be positive and finite, "
                           f"not {rpw!r}")
     return rpw
-
-
-def _bandwidth(args):
-    pair = _pair(args, "bandwidth_x", "bandwidth_y")
-    if pair is not None and not all(math.isfinite(h) and h > 0 for h in pair):
-        raise ConfigError(f"--bandwidth-x and --bandwidth-y must be positive "
-                          f"and finite, not {pair[0]!r} and {pair[1]!r}")
-    return pair
 
 
 def _non_negative(name, value):
@@ -183,19 +172,19 @@ def cmd_simulate(args):
 
 def _run(args, compare=()):
     """Check the flags, parse the season, check that every player named
-    in the `compare` pairs plays in it, run the pipeline, then check that
-    each of them has a credit to resample."""
-    bandwidth, rpw = _bandwidth(args), _resolve_rpw(args)
+    in the `compare` pairs plays in it and has a credit to resample, then
+    run the pipeline."""
+    bandwidth, rpw = _bandwidth(args), _resolve_rpw(args.runs_per_win)
     _non_negative("cutoff-pos", args.cutoff_pos)
     _non_negative("cutoff-pitch", args.cutoff_pitch)
     dataset, _ = _load(args)
-    _check_compare(compare, dataset.player_ids, "not in the season")
-    result = run_pipeline(
+    if compare:
+        _check_compare(compare, dataset.player_ids, "not in the season")
+        _check_compare(compare, credited_players(dataset),
+                       "with no credit in the season")
+    return run_pipeline(
         dataset, bandwidth=bandwidth, cutoff_pos=args.cutoff_pos,
         cutoff_pitch=args.cutoff_pitch, rpw=rpw)
-    _check_compare(compare, result.valuation.player_ids,
-                   "with no credit in the season")
-    return result
 
 
 def _check_compare(compare, players, why):
@@ -241,7 +230,11 @@ def cmd_boot(args):
 
 
 def cmd_pythag(args):
-    print(repr(_resolve_rpw(args)))
+    try:
+        rpw = runs_per_win(args.pythag_p, args.pythag_r)
+    except ValueError as exc:
+        raise ConfigError(f"--pythag-p and --pythag-r: {exc}") from exc
+    print(repr(_resolve_rpw(rpw)))
     return EXIT_OK
 
 

@@ -179,14 +179,16 @@ class DefenseResult:
 
 def apportion_defense(data, deltas, bandwidth=None):
     """Run the full defensive chain over a season.  A ball in play without
-    coordinates, or a bandwidth too small for their grid, is rejected
-    before any fielding fit."""
+    coordinates or without a fielder at every position, or a bandwidth too
+    small for their grid, is rejected before any fielding fit."""
     deltas = np.asarray(deltas, dtype=float)
     bip = np.flatnonzero(_IN_PLAY[data.event])
-    missing = np.isnan(data.bip_x[bip])
-    if missing.any():
-        raise ValueError(f"{_where(data, bip[np.argmax(missing)])}: "
-                         "ball in play without coordinates")
+    for bad, what in ((np.isnan(data.bip_x[bip]), "coordinates"),
+                      ((data.fielder[bip] < 0).any(axis=1),
+                       "a fielder at every position")):
+        if bad.any():
+            raise ValueError(f"{_where(data, bip[np.argmax(bad)])}: "
+                             f"ball in play without {what}")
     if not len(bip):
         raise ValueError("no balls in play with coordinates")
     coords = np.column_stack([data.bip_x[bip], data.bip_y[bip]])

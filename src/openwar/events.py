@@ -756,10 +756,10 @@ def _coded_chunk(header, strict, data):
 def parse_season(source, strictness="strict"):
     """Parse a season CSV into a SeasonDataset.
 
-    `source` may be a str, bytes, or a text file object.  One byte-order
-    mark at its start is ignored.  Lines starting with '#' before the
-    header are ignored (the CLI writes a provenance comment); after it
-    such a line is a malformed record.  In strict mode any invariant
+    `source` is a str or a text file object; bytes must be decoded first.
+    One byte-order mark at its start is ignored.  Lines starting with '#'
+    before the header are ignored (the CLI writes a provenance comment);
+    after it such a line is a malformed record.  In strict mode any invariant
     violation raises; in lenient mode violating records are dropped and
     counted, and chain breaks become warnings.
 
@@ -789,8 +789,6 @@ def parse_season(source, strictness="strict"):
     if strictness not in ("strict", "lenient"):
         raise ValueError(f"strictness must be strict|lenient, got {strictness!r}")
     strict = strictness == "strict"
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     if isinstance(source, str):
         source = io.StringIO(source)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defense import _FIELDING_COLS, apportion_defense
-from .events import csv_text
+from .events import _IN_PLAY, csv_text
 from .offense import apportion_offense
 from .run_expectancy import _deltas, estimate_matrix
 from .valuation import (
@@ -26,7 +26,8 @@ from .valuation import (
     value_players,
 )
 
-__all__ = ["SeasonLedger", "build_ledger", "run_pipeline", "PipelineResult"]
+__all__ = ["SeasonLedger", "build_ledger", "run_pipeline", "PipelineResult",
+           "credited_players"]
 
 
 @dataclass
@@ -86,6 +87,17 @@ def _credit_table(data, offense, defense):
                             [len(b) for b in player]),
         value=np.concatenate(values),
         game_starts=np.flatnonzero(np.diff(data.game, prepend=-1)))
+
+
+def credited_players(data):
+    """The sorted ids of the players `_credit_table` credits, read off the
+    season's columns: every batter, pitcher and runner, and the fielders
+    on each ball in play (code -1, no player, marks the spare last slot)."""
+    used = np.zeros(len(data.player_ids) + 1, dtype=bool)
+    for codes in (data.batter, data.pitcher, data.runner,
+                  data.fielder[_IN_PLAY[data.event]]):
+        used[codes] = True
+    return [data.player_ids[k] for k in np.flatnonzero(used[:-1]).tolist()]
 
 
 def build_ledger(data, bandwidth=None):

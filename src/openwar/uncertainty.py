@@ -38,7 +38,9 @@ Each worker holds its counts (16 MiB, or one row where a row is larger)
 and its products (B × the summed players of every game, 9 MiB at full
 season), made at its first block; the worth blocks (33 MiB at full
 season) are shared with the caller.  A worker that fails raises
-WorkerError in the caller once every worker has exited.
+`forking.WorkerError` in the caller once every worker has exited.
+Before any block is filled, each player's folded worth must sum to the
+point WAR within FOLD_TOL; if not, ArithmeticError names the player.
 """
 
 from __future__ import annotations
@@ -49,11 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import csv_text
-from .forking import WorkerError, ordered
+from .forking import ordered
 from .numerics import replicate_rng
 
-__all__ = ["WarDistribution", "WorkerError", "bootstrap_war",
-           "compare_players"]
+__all__ = ["WarDistribution", "bootstrap_war", "compare_players"]
 
 DEFAULT_PROBS = (0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0)
 #: element budget of one block of replicate columns: `np.quantile` copies
@@ -70,6 +71,8 @@ BLOCK_ROWS = 32
 #: game is cut, and so is a table with no games, which keeps the blocks
 #: linear in the credits
 BLOCK_PAS = 128
+#: the largest gap, in wins, between a player's folded worth and WAR
+FOLD_TOL = 1e-9
 
 
 @dataclass
@@ -103,6 +106,15 @@ def bootstrap_war(credits, valuation, replicates, master_seed):
     if valuation.player_ids != credits.player_ids:
         raise ValueError("the valuation is not of this credit table")
     dense = _Dense.of(credits, valuation)
+    slots = np.concatenate([worth.sum(axis=0)
+                            for _, _, worth, _, _ in dense.blocks])
+    gap = np.abs(np.add.reduceat(slots[dense.order], dense.starts)
+                 - valuation.war)
+    worst = int(np.argmax(np.nan_to_num(gap, nan=np.inf)))
+    if not gap[worst] <= FOLD_TOL:
+        raise ArithmeticError(
+            f"the bootstrap's folded worth of {valuation.player_ids[worst]} "
+            f"is {gap[worst]:.3g} wins off its WAR")
     rows = _block_rows(credits.n_pas)
 
     buffers = []  # a process's counts and products, made at its first block

@@ -33,8 +33,8 @@ def test_pythag_prints_runs_per_win(capsys):
     assert capsys.readouterr().out.strip() == "10.0"
 
 
-@pytest.mark.parametrize("p,r", [("0", "810"), ("nan", "800"), ("inf", "800"),
-                                 ("2", "nan"), ("2", "inf")])
+@pytest.mark.parametrize("p,r", [("0", "810"), ("0", "800"), ("nan", "800"),
+                                 ("inf", "800"), ("2", "nan"), ("2", "inf")])
 def test_pythag_bad_input_is_validation_error(capsys, p, r):
     """Bad flags of `pythag` are a configuration error, as on `war`."""
     assert main(["pythag", "--pythag-p", p, "--pythag-r", r]) == EXIT_CONFIG
@@ -300,15 +300,20 @@ def test_war_outputs(tmp_path, war_season, capsys):
     assert "np.float64" not in (out / "valuation.csv").read_text()
 
 
-def test_war_honors_pythag_rpw(tmp_path, war_season):
+def test_war_honors_pythag_rpw(tmp_path, war_season, capsys):
+    """`pythag` prints the runs per win that --runs-per-win takes."""
     out1 = tmp_path / "w1"
     out2 = tmp_path / "w2"
     base = ["war", "--input", str(war_season),
             "--cutoff-pos", "40", "--cutoff-pitch", "18"]
     assert main(base + ["--out", str(out1)]) == EXIT_OK
     # p=2, r=405 halves runs-per-win, doubling every WAR figure
-    assert main(base + ["--out", str(out2), "--pythag-p", "2",
-                        "--pythag-r", "405"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["pythag", "--pythag-p", "2", "--pythag-r", "405"]) == EXIT_OK
+    rpw = capsys.readouterr().out.strip()
+    assert main(base + ["--out", str(out2), "--runs-per-win", rpw]) == EXIT_OK
+    assert json.loads((out2 / "valuation.json").read_text())["config"][
+        "runs_per_win"] == float(rpw)
     p1 = json.loads((out1 / "valuation.json").read_text())["players"]
     p2 = json.loads((out2 / "valuation.json").read_text())["players"]
     for a, b in zip(p1, p2):
@@ -465,8 +470,7 @@ def test_bandwidth_too_small_for_the_grid_is_config_error(
 
 
 @pytest.mark.parametrize("command", ["war", "boot"])
-@pytest.mark.parametrize("flag", ["--pythag-p", "--pythag-r",
-                                  "--bandwidth-x", "--bandwidth-y"])
+@pytest.mark.parametrize("flag", ["--bandwidth-x", "--bandwidth-y"])
 def test_half_given_flag_pair_is_config_error(tmp_path, war_season, capsys,
                                               command, flag):
     assert main([command, "--input", str(war_season), "--out",
@@ -476,12 +480,22 @@ def test_half_given_flag_pair_is_config_error(tmp_path, war_season, capsys,
     assert not (tmp_path / "out").exists()
 
 
+def test_war_takes_no_pythag_flags(tmp_path, war_season, capsys):
+    """Runs per win is set one way, by --runs-per-win: the Pythagorean
+    pair is a flag of `pythag` only."""
+    out = tmp_path / "out"
+    assert main(["war", "--input", str(war_season), "--out", str(out),
+                 "--pythag-p", "2", "--pythag-r", "810"]) == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _must_not_run(*args, **kwargs):
     raise AssertionError("a rejected configuration must stop before this")
 
 
 _BAD_RPW = (["--runs-per-win", "0"], ["--runs-per-win", "-1"],
-            ["--runs-per-win", "nan"], ["--pythag-p", "0", "--pythag-r", "800"])
+            ["--runs-per-win", "nan"])
 _BAD_FIT = (["--bandwidth-x", "0", "--bandwidth-y", "30"],
             ["--bandwidth-x", "30", "--bandwidth-y", "-5"],
             ["--bandwidth-x", "nan", "--bandwidth-y", "30"],
@@ -528,8 +542,8 @@ def test_boot_compare_unknown_player_fails_before_any_work(
 def test_boot_compare_uncredited_player_fails_before_resampling(
         tmp_path, capsys, monkeypatch):
     """A player who plays but has no credit, here a right fielder on one
-    strikeout only, has no replicates to compare: `boot` says so before
-    it resamples."""
+    strikeout only, has no replicates to compare: `boot` says so from the
+    parsed season, before the pipeline runs."""
     path = _simulate(tmp_path, games=20)
     config, header, *lines = path.read_text().splitlines()
     rows = list(csv.DictReader(lines, fieldnames=header.split(",")))
@@ -539,6 +553,7 @@ def test_boot_compare_uncredited_player_fails_before_resampling(
         fh.write(f"{config}\n{header}\n")
         csv.DictWriter(fh, header.split(","), lineterminator="\n") \
             .writerows(rows)
+    monkeypatch.setattr(cli, "run_pipeline", _must_not_run)
     monkeypatch.setattr(cli, "bootstrap_war", _must_not_run)
     out = tmp_path / "boot"
     assert main(["boot", "--input", str(path), "--out", str(out),
@@ -587,6 +602,35 @@ def test_failed_boot_worker_is_reported_failure(tmp_path, war_season,
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err == {"error": "bootstrap worker 2 of 2 exited with status 1",
                    "kind": "worker"}
+    assert not out.exists()
+
+
+def test_boot_checks_its_fold_before_resampling(tmp_path, war_season,
+                                                monkeypatch, capsys):
+    """A fold that loses one block's worth no longer sums to the point
+    WAR: `boot` exits 3 with a JSON error naming a player credited in
+    that block, before any replicate is drawn or output written."""
+    of, zeroed = uncertainty._Dense.of, []
+
+    def losing_a_block(credits, valuation):
+        dense = of(credits, valuation)
+        start, stop, worth, _, _ = dense.blocks[1]
+        worth[:] = 0.0
+        on = (credits.pa >= start) & (credits.pa < stop)
+        zeroed.extend(credits.player_ids[k]
+                      for k in np.unique(credits.player[on]).tolist())
+        return dense
+
+    monkeypatch.setattr(uncertainty._Dense, "of", losing_a_block)
+    monkeypatch.setattr(uncertainty, "_block", _must_not_run)
+    out = tmp_path / "boot"
+    assert main(["boot", "--input", str(war_season), "--out", str(out),
+                 "--replicates", "10", "--cutoff-pos", "40",
+                 "--cutoff-pitch", "18"]) == EXIT_NUMERIC
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    named = re.fullmatch(r"the bootstrap's folded worth of (\S+) is "
+                         r"\S+ wins off its WAR", err["error"])
+    assert err["kind"] == "numeric" and named[1] in zeroed
     assert not out.exists()
 
 

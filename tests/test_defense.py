@@ -40,6 +40,7 @@ from fixtures import (
     exact_smoother,
     make_pa,
     openwar_modules,
+    records,
 )
 
 
@@ -392,3 +393,17 @@ def test_defense_chain_rejects_bip_without_coordinates(season_records,
     with pytest.raises(ValueError, match="ball in play without coordinates"):
         apportion_defense(data, np.zeros(len(pas)))
     assert calls == {"surface": 0, "irls": 0}
+
+
+def test_ball_in_play_without_a_fielder_is_rejected():
+    """A ball in play with no right fielder has no one to give the right
+    fielder's share: the ledger names the play and credits no one (code
+    -1 would index the last player in the credit table)."""
+    pas = records(generate_synthetic_season(40, 3, teams=4))
+    k = next(i for i, pa in enumerate(pas) if BALL_IN_PLAY[pa["event_type"]])
+    pas[k] = {**pas[k], "f9": ""}
+    data = SeasonDataset.from_records(pas)
+    with pytest.raises(ValueError) as raised:
+        build_ledger(data)
+    assert str(raised.value) == (f"{_where(data, k)}: ball in play without "
+                                 "a fielder at every position")

@@ -96,9 +96,8 @@ def test_parse_skips_comment_lines():
     assert len(parsed) == len(data)
 
 
-@pytest.mark.parametrize("newline", [str, bytes, "", "\n"],
-                         ids=["str", "bytes", "file newline=''",
-                              "file newline=LF"])
+@pytest.mark.parametrize("newline", [str, "", "\n"],
+                         ids=["str", "file newline=''", "file newline=LF"])
 def test_comment_lines_end_at_line_feeds_for_every_source(
         tmp_path, monkeypatch, newline):
     """A line before the header ends at '\\n' only, whatever the source: a
@@ -111,8 +110,6 @@ def test_comment_lines_end_at_line_feeds_for_every_source(
     monkeypatch.setattr(events, "_CHUNK_CHARS", 7)
     if newline is str:
         parsed, report = parse_season(text)
-    elif newline is bytes:
-        parsed, report = parse_season(text.encode("utf-8"))
     else:
         with open(path, encoding="utf-8", newline=newline) as fh:
             parsed, report = parse_season(fh)
@@ -1208,7 +1205,7 @@ def test_a_failing_parse_worker_fails_the_parse(season, monkeypatch):
     _no_child_left()
 
 
-@pytest.mark.parametrize("kind", ["str", "bytes", "file"])
+@pytest.mark.parametrize("kind", ["str", "file"])
 def test_byte_order_mark_is_ignored(season, kind, tmp_path):
     """A season saved with a UTF-8 byte-order mark, as spreadsheet "CSV
     UTF-8" exports are, parses as the same season without it."""
@@ -1221,7 +1218,6 @@ def test_byte_order_mark_is_ignored(season, kind, tmp_path):
             fh.seek(0)
             marked = _outcome(fh, "strict")
     else:
-        marked = _outcome("\ufeff" + text if kind == "str"
-                          else text.encode("utf-8-sig"), "strict")
+        marked = _outcome("\ufeff" + text, "strict")
     assert marked == _outcome(text, "strict")
     assert isinstance(marked[0], dict)

@@ -10,7 +10,7 @@ import pytest
 from openwar import defense, numerics, offense
 from openwar.defense import _FIELDING_COLS
 from openwar.events import BALL_IN_PLAY
-from openwar.pipeline import build_ledger
+from openwar.pipeline import build_ledger, credited_players
 from openwar.simulate import generate_synthetic_season
 from openwar.valuation import COMPONENTS
 
@@ -58,6 +58,13 @@ def test_credit_lines_and_bundles_agree(pipeline, season_records):
                           table.component.tolist(), table.value.tolist()):
         from_table[p].append((table.player_ids[j], COMPONENTS[c], v))
     assert [sorted(b) for b in from_table] == [sorted(b) for b in bundles]
+
+
+def test_credited_players_are_the_credit_tables(pipeline):
+    """The players credited from the parsed columns, as `boot --compare`
+    checks them before the pipeline, are the credit table's."""
+    ledger = pipeline.ledger
+    assert credited_players(ledger.data) == ledger.credits.player_ids
 
 
 def test_tracer_conservation_reads_the_chains(pipeline):

@@ -48,6 +48,19 @@ def test_single_pa_season_has_zero_dispersion():
         bootstrap_war(credit_table([[("b", "hit", 0.7)]]), val, 30, 1)
 
 
+def test_a_nan_credit_fails_the_fold_check(monkeypatch):
+    """A NaN credit leaves its player's folded worth and WAR NaN: the
+    bootstrap names that player before it draws a replicate."""
+    def must_not_draw(*args):
+        raise AssertionError("the fold check must stop before this")
+
+    credits = credit_table([[("a", "hit", 0.7)], [("b", "hit", np.nan)]])
+    monkeypatch.setattr(uncertainty, "_block", must_not_draw)
+    with pytest.raises(ArithmeticError, match="^the bootstrap's folded "
+                       "worth of b is nan wins off its WAR$"):
+        bootstrap_war(credits, valued(credits), 3, 0)
+
+
 def test_bootstrap_sd_matches_analytic_value():
     """Resampling n iid single-credit bundles: Var(total) = n * pop var."""
     rng = np.random.default_rng(2)
@@ -364,7 +377,7 @@ def test_a_failing_worker_fails_the_call(pipeline, monkeypatch, cpus):
     monkeypatch.setattr(forking, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(uncertainty, "_block", fails_on_block_one)
     expected = (FloatingPointError, "block 1") if cpus == 1 else \
-        (uncertainty.WorkerError, "worker 2 of 2 exited with status 1")
+        (forking.WorkerError, "worker 2 of 2 exited with status 1")
     with pytest.raises(expected[0], match=expected[1]):
         bootstrap_war(pipeline.ledger.credits, pipeline.valuation, 6, 0)
     _no_child_left()

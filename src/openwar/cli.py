@@ -41,8 +41,18 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as JSON on stderr, like every other error,
+    where argparse would print its usage."""
+
+    def error(self, message):
+        print(json.dumps({"error": f"{self.prog}: {message}", "kind": "config"}),
+              file=sys.stderr)
+        self.exit(EXIT_CONFIG)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="openwar",
         description="Conservation-of-runs player valuation for play-by-play "
                     "baseball data.")
@@ -252,7 +262,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on bad flags, which matches our config-error code
+        # a bad flag exits EXIT_CONFIG from _Parser.error; --help and --version exit 0
         return int(exc.code or 0) and EXIT_CONFIG
     try:
         return _COMMANDS[args.command](args)

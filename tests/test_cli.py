@@ -44,6 +44,11 @@ def test_pythag_bad_input_is_validation_error(capsys, p, r):
 
 def test_unknown_flag_is_config_error(capsys):
     assert main(["pythag", "--no-such-flag", "1"]) == EXIT_CONFIG
+    capsys.readouterr()
+    assert main(["pythag", "--pythag-p", "2", "--pythag-r", "810",
+                 "--no-such-flag", "1"]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err)
+    assert err["kind"] == "config" and "--no-such-flag" in err["error"]
 
 
 def test_simulate_writes_config_comment(tmp_path):
@@ -507,13 +512,15 @@ _BAD_FIT = (["--bandwidth-x", "0", "--bandwidth-y", "30"],
     pytest.param(command, flags, id=f"{command} {' '.join(flags)}")
     for command, flags in
     [(c, f) for c in ("war", "boot") for f in _BAD_RPW + _BAD_FIT]
+    # the Pythagorean pair is a flag of `pythag` only
+    + [(c, ["--pythag-p", "0", "--pythag-r", "800"]) for c in ("war", "boot")]
     + [("boot", ["--replicates", "0"]), ("boot", ["--replicates", "-2"])]
     + [(c, ["--seed", "-1"]) for c in ("boot", "simulate")]
     + [("simulate", ["--games", "0"]), ("simulate", ["--teams", "1"])]])
 def test_bad_config_value_is_config_error(tmp_path, war_season, capsys,
                                           monkeypatch, command, flags):
-    """Values that parse but make no configuration exit 2 before the
-    season is read or generated, and write nothing."""
+    """Flags that make no configuration exit 2 with a JSON error before
+    the season is read or generated, and write nothing."""
     monkeypatch.setattr(cli, "parse_season", _must_not_run)
     monkeypatch.setattr(cli, "synthetic_season_batches", _must_not_run)
     source = [] if command == "simulate" else ["--input", str(war_season)]
